@@ -47,7 +47,7 @@ void reproduce() {
           std::max(best_perm, model::solve(mix.machine, mix.apps, perm).total_gflops);
     }
 
-    const auto greedy = model::greedy_search(mix.machine, mix.apps, even);
+    const auto greedy = model::refine_search(mix.machine, mix.apps, even);
     const auto exhaustive = model::exhaustive_search(
         mix.machine, mix.apps, model::Objective::kTotalGflops, /*require_full=*/true,
         /*min_threads_per_app=*/1);
@@ -118,7 +118,7 @@ void BM_GreedySearch(benchmark::State& state) {
   const auto apps = model::mixes::three_mem_one_compute();
   const auto start = model::Allocation::even(machine, 4);
   for (auto _ : state) {
-    auto result = model::greedy_search(machine, apps, start);
+    auto result = model::refine_search(machine, apps, start);
     benchmark::DoNotOptimize(result.objective_value);
   }
 }
@@ -129,7 +129,7 @@ void BM_GreedySearchSkylake(benchmark::State& state) {
   const auto apps = model::mixes::skylake_perfect_bad(0);
   const auto start = model::Allocation::even(machine, 4);
   for (auto _ : state) {
-    auto result = model::greedy_search(machine, apps, start);
+    auto result = model::refine_search(machine, apps, start);
     benchmark::DoNotOptimize(result.objective_value);
   }
 }

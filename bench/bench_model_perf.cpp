@@ -86,7 +86,7 @@ void BM_GreedyByCores(benchmark::State& state) {
   const auto apps = make_apps(4, 4);
   const auto start = model::Allocation::even(machine, 4);
   for (auto _ : state) {
-    auto result = model::greedy_search(machine, apps, start);
+    auto result = model::refine_search(machine, apps, start);
     benchmark::DoNotOptimize(result.objective_value);
   }
 }

@@ -1,25 +1,87 @@
 // Transport between the agent and one runtime, plus the runtime-side pump.
 //
-// A Channel is a pair of SPSC rings (commands in, telemetry out) — the
-// in-process stand-in for the shared-memory/socket link a separate agent
-// process would use. RuntimeAdapter is the runtime-side endpoint: it applies
+// A Channel is a pair of ShmRings (commands in, telemetry out) — the
+// in-process stand-in for the shared-memory link a separate agent process
+// uses (agent::ShmChannel puts the very same ring pair in a POSIX shm
+// segment). RuntimeAdapter is the runtime-side endpoint: it applies
 // arriving commands to the Runtime's control surface and publishes periodic
 // telemetry snapshots, either pumped manually (tests) or from a background
 // thread (examples, benches).
 #pragma once
 
 #include <atomic>
-#include <memory>
-#include <thread>
-
+#include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <memory>
+#include <optional>
+#include <thread>
+#include <type_traits>
 
 #include "agent/protocol.hpp"
-#include "common/spsc_ring.hpp"
 #include "common/stats.hpp"
 #include "runtime/runtime.hpp"
 
 namespace numashare::agent {
+
+/// Fixed-capacity POD SPSC ring suitable for shared memory: no pointers, no
+/// heap, only address-free atomics and trivially-copyable slots.
+template <typename T, std::size_t N>
+class ShmRing {
+  static_assert((N & (N - 1)) == 0 && N >= 2, "capacity must be a power of two");
+  static_assert(std::is_trivially_copyable_v<T>, "slots must be trivially copyable");
+
+ public:
+  void init() {
+    head_.store(0, std::memory_order_relaxed);
+    tail_.store(0, std::memory_order_relaxed);
+  }
+
+  bool try_push(const T& value) {
+    const std::uint64_t head = head_.load(std::memory_order_relaxed);
+    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
+    if (head - tail >= N) return false;
+    slots_[head & (N - 1)] = value;
+    head_.store(head + 1, std::memory_order_release);
+    return true;
+  }
+
+  std::optional<T> try_pop() {
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    if (tail == head) return std::nullopt;
+    T value = slots_[tail & (N - 1)];
+    tail_.store(tail + 1, std::memory_order_release);
+    return value;
+  }
+
+  std::uint64_t size() const {
+    return head_.load(std::memory_order_acquire) - tail_.load(std::memory_order_acquire);
+  }
+  bool empty() const { return size() == 0; }
+  static constexpr std::size_t capacity() { return N; }
+
+  /// Consumer-side batch drain in O(1): copy the NEWEST committed slot into
+  /// `out` and advance the cursor past everything queued, returning how many
+  /// entries were consumed (0 = empty, `out` untouched). Safe against a
+  /// concurrent producer: slot head-1 is committed (its release store of
+  /// head happens-before our acquire load), and the producer cannot reuse
+  /// that cell until position head-1+N becomes writable, which needs the
+  /// tail — which only we advance — to move past head-1 first.
+  std::uint64_t drain_to_newest(T& out) {
+    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
+    const std::uint64_t head = head_.load(std::memory_order_acquire);
+    if (tail == head) return 0;
+    out = slots_[(head - 1) & (N - 1)];
+    tail_.store(head, std::memory_order_release);
+    return head - tail;
+  }
+
+ private:
+  alignas(64) std::atomic<std::uint64_t> head_;
+  alignas(64) std::atomic<std::uint64_t> tail_;
+  T slots_[N];
+};
 
 /// Transport abstraction: the agent pushes commands / pops telemetry, the
 /// runtime adapter does the reverse. Two implementations: the in-process
@@ -39,17 +101,9 @@ class ChannelBase {
   /// leaving the newest in `out` and returning how many were consumed
   /// (0 = nothing queued, `out` untouched). The agent only needs the newest
   /// sample per tick — rates come from deltas against its own previous
-  /// newest — so transports are free to skip the intermediate copies. The
-  /// default pops serially; ring-backed transports override with an O(1)
-  /// cursor advance (ShmChannel::drain_newest).
-  virtual std::uint64_t drain_newest(Telemetry& out) {
-    std::uint64_t drained = 0;
-    while (auto t = pop_telemetry()) {
-      out = *t;
-      ++drained;
-    }
-    return drained;
-  }
+  /// newest — so transports skip the intermediate copies with an O(1)
+  /// cursor advance (ShmRing::drain_to_newest).
+  virtual std::uint64_t drain_newest(Telemetry& out) = 0;
   // Drop accounting: cumulative try_push failures on full rings, visible
   // from both ends so the agent can tell "quiet app" from "losing samples".
   virtual std::uint64_t commands_dropped() const { return 0; }
@@ -57,8 +111,13 @@ class ChannelBase {
 };
 
 struct Channel final : ChannelBase {
-  SpscRing<Command> commands{64};      // agent -> runtime
-  SpscRing<Telemetry> telemetry{256};  // runtime -> agent
+  ShmRing<Command, 64> commands;      // agent -> runtime
+  ShmRing<Telemetry, 256> telemetry;  // runtime -> agent
+
+  Channel() {
+    commands.init();
+    telemetry.init();
+  }
 
   bool push_command(const Command& command) override {
     if (commands.try_push(command)) return true;
@@ -72,6 +131,9 @@ struct Channel final : ChannelBase {
     return false;
   }
   std::optional<Telemetry> pop_telemetry() override { return telemetry.try_pop(); }
+  std::uint64_t drain_newest(Telemetry& out) override {
+    return telemetry.drain_to_newest(out);
+  }
   std::uint64_t commands_dropped() const override {
     return commands_dropped_.load(std::memory_order_relaxed);
   }

@@ -24,6 +24,42 @@ constexpr std::uint64_t kMagic = 0x6e756d6173686172ull;  // "numashar"
 // v5: Command carries the issuing daemon's arbiter_generation (failback
 //     fencing; message size changed).
 constexpr std::uint32_t kVersion = 5;
+
+/// The transport fault sites of one ring (docs/INJECT.md).
+struct RingSites {
+  const char* drop;
+  const char* delay;
+  const char* dup;
+};
+constexpr RingSites kCommandSites{"shm.cmd.drop", "shm.cmd.delay", "shm.cmd.dup"};
+constexpr RingSites kTelemetrySites{"shm.tel.drop", "shm.tel.delay", "shm.tel.dup"};
+
+/// Push `message` through its ring's fault sites; a full ring bumps the
+/// segment's drop counter. Returns whether `message` itself was pushed.
+template <typename T, std::size_t N>
+bool push_through_faults(const RingSites& sites, ShmRing<T, N>& ring,
+                         std::atomic<std::uint64_t>& dropped, const T& message) {
+  const auto push = [&](const T& m) {
+    if (ring.try_push(m)) return true;
+    dropped.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  };
+  // In-transit loss: report success to the sender and do NOT bump the drop
+  // counter — the receiver must detect the gap from seq alone.
+  if (inject::fire(sites.drop, message.seq)) return true;
+  if (inject::hold(sites.delay, message.seq, &message, sizeof(message))) return true;
+  if (inject::fire(sites.dup, message.seq)) push(message);
+  const bool pushed = push(message);
+  // A held message whose delay expired is re-injected AFTER the current
+  // push — with ticks=1 the two genuinely swap order on the wire. Messages
+  // are only ever held while a plan is armed.
+  inject::delay_tick(sites.delay);
+  if (inject::plan_active()) {
+    T held{};
+    while (inject::take_ready(sites.delay, &held, sizeof(held))) push(held);
+  }
+  return pushed;
+}
 }  // namespace
 
 struct ShmChannel::Layout {
@@ -104,85 +140,30 @@ ShmChannel::~ShmChannel() {
 }
 
 bool ShmChannel::push_command(const Command& command) {
-#if NS_FAULT_ENABLED
-  // In-transit loss: report success to the sender and do NOT bump the drop
-  // counter — the receiver must detect the gap from seq alone.
-  if (inject::fire("shm.cmd.drop", command.seq)) return true;
-  if (inject::hold("shm.cmd.delay", command.seq, &command, sizeof(command))) return true;
-  if (inject::fire("shm.cmd.dup", command.seq)) {
-    if (layout_->commands.try_push(command)) {
-      // fall through: push the original below for the duplicate delivery
-    } else {
-      layout_->commands_dropped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  const bool pushed = layout_->commands.try_push(command);
-  if (!pushed) layout_->commands_dropped.fetch_add(1, std::memory_order_relaxed);
-  // A held message whose delay expired is re-injected AFTER the current
-  // push — with ticks=1 the two genuinely swap order on the wire.
-  inject::delay_tick("shm.cmd.delay");
-  Command held{};
-  while (inject::take_ready("shm.cmd.delay", &held, sizeof(held))) {
-    if (!layout_->commands.try_push(held)) {
-      layout_->commands_dropped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return pushed;
-#else
-  if (layout_->commands.try_push(command)) return true;
-  layout_->commands_dropped.fetch_add(1, std::memory_order_relaxed);
-  return false;
-#endif
+  return push_through_faults(kCommandSites, layout_->commands, layout_->commands_dropped,
+                             command);
 }
 
 std::optional<Command> ShmChannel::pop_command() {
-#if NS_FAULT_ENABLED
   // Enactment stall: the runtime side takes this long to get around to the
   // next command — the laggard the compliance watchdog exists to catch. The
   // command is delayed, not lost (a stalled app eventually complies).
   inject::fire_pause("client.enact.stall", nullptr);
-#endif
   return layout_->commands.try_pop();
 }
 
 bool ShmChannel::push_telemetry(const Telemetry& telemetry) {
-#if NS_FAULT_ENABLED
   // Ack suppression: telemetry still flows, but the compliance ack fields
   // are wiped — the runtime looks alive yet never reports enactment.
   if (inject::fire("client.ack.suppress", telemetry.seq)) {
     Telemetry stripped = telemetry;
     stripped.enacted_epoch = 0;
     stripped.enacted_target = kUnconstrained;
-    return push_telemetry_impl(stripped);
+    return push_through_faults(kTelemetrySites, layout_->telemetry, layout_->telemetry_dropped,
+                               stripped);
   }
-#endif
-  return push_telemetry_impl(telemetry);
-}
-
-bool ShmChannel::push_telemetry_impl(const Telemetry& telemetry) {
-#if NS_FAULT_ENABLED
-  if (inject::fire("shm.tel.drop", telemetry.seq)) return true;
-  if (inject::hold("shm.tel.delay", telemetry.seq, &telemetry, sizeof(telemetry))) return true;
-  if (inject::fire("shm.tel.dup", telemetry.seq)) {
-    if (!layout_->telemetry.try_push(telemetry)) {
-      layout_->telemetry_dropped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  const bool pushed = layout_->telemetry.try_push(telemetry);
-  if (!pushed) layout_->telemetry_dropped.fetch_add(1, std::memory_order_relaxed);
-  inject::delay_tick("shm.tel.delay");
-  Telemetry held{};
-  while (inject::take_ready("shm.tel.delay", &held, sizeof(held))) {
-    if (!layout_->telemetry.try_push(held)) {
-      layout_->telemetry_dropped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  return pushed;
-#else
-  if (layout_->telemetry.try_push(telemetry)) return true;
-  layout_->telemetry_dropped.fetch_add(1, std::memory_order_relaxed);
-  return false;
-#endif
+  return push_through_faults(kTelemetrySites, layout_->telemetry, layout_->telemetry_dropped,
+                             telemetry);
 }
 
 std::optional<Telemetry> ShmChannel::pop_telemetry() {

@@ -1,7 +1,7 @@
 // Bounded lock-free multi-producer multi-consumer ring (Vyukov's bounded
 // MPMC queue: per-cell sequence numbers instead of a shared lock).
 //
-// The generalization of SpscRing the runtime's injection queues need: any
+// The runtime's injection queues need many producers and consumers: any
 // thread may submit a task to a node (producers = every worker + external
 // threads), and any worker of — or poaching from — that node may consume.
 // Each cell carries a sequence counter that encodes whether it is empty,
@@ -9,8 +9,8 @@
 // cells with one CAS on their respective position counters and then operate
 // on disjoint cells without further coordination.
 //
-// Like SpscRing this is shared-memory-compatible in spirit (fixed slab,
-// per-cell state), but it is used in-process only.
+// It is shared-memory-compatible in spirit (fixed slab, per-cell state), but
+// it is used in-process only.
 #pragma once
 
 #include <atomic>

@@ -479,41 +479,30 @@ struct StreamSearch {
 };
 
 SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& apps,
-                   const Allocation& start, Objective objective, std::uint32_t max_rounds,
-                   double min_relative_gain, double churn_penalty_rel,
-                   const Allocation* churn_seed, std::uint32_t min_app_total,
-                   const ForeignLoad& foreign) {
+                   const Allocation& seed, const RefineOptions& options) {
   SolveScratch eval;
   SolveOptions solve_options;
-  solve_options.foreign = foreign;
+  solve_options.foreign = options.foreign;
   SearchResult best;
-  best.allocation = start;
-  best.solution = solve_into(machine, apps, start, eval, solve_options);
+  best.allocation = seed;
+  best.solution = solve_into(machine, apps, seed, eval, solve_options);
   best.evaluated = 1;
-  best.objective_value = score(best.solution, objective);
+  best.objective_value = score(best.solution, options.objective);
 
   const auto apps_n = static_cast<AppId>(apps.size());
   const auto nodes_n = machine.node_count();
 
-  Allocation current = start;  // mutated per candidate move, restored after
+  Allocation current = seed;  // mutated per candidate move, restored after
   std::vector<std::uint32_t> totals(apps_n, 0);
   for (AppId a = 0; a < apps_n; ++a) {
     for (topo::NodeId n = 0; n < nodes_n; ++n) totals[a] += current.threads(a, n);
   }
 
-  const bool penalized = churn_seed != nullptr && churn_penalty_rel > 0.0;
-  const double per_unit = penalized ? churn_penalty_rel * std::abs(best.objective_value) : 0.0;
+  const bool penalized = options.churn_penalty > 0.0;
+  const double per_unit =
+      penalized ? options.churn_penalty * std::abs(best.objective_value) : 0.0;
   std::int64_t churn = 0;  // L1 distance of the incumbent from the seed
-  if (penalized) {
-    for (AppId a = 0; a < apps_n; ++a) {
-      for (topo::NodeId n = 0; n < nodes_n; ++n) {
-        churn += std::abs(static_cast<std::int64_t>(current.threads(a, n)) -
-                          static_cast<std::int64_t>(churn_seed->threads(a, n)));
-      }
-    }
-  }
-  double incumbent_ranked =
-      best.objective_value - per_unit * static_cast<double>(churn);
+  double incumbent_ranked = best.objective_value;
 
   struct Move {
     enum class Kind : std::uint8_t { kAdd, kDrop, kShift };
@@ -525,8 +514,8 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
 
   const auto cell_delta = [&](AppId a, topo::NodeId n, std::int32_t d) -> std::int64_t {
     const auto cur = static_cast<std::int64_t>(current.threads(a, n));
-    const auto seed = static_cast<std::int64_t>(churn_seed->threads(a, n));
-    return std::abs(cur + d - seed) - std::abs(cur - seed);
+    const auto anchor = static_cast<std::int64_t>(seed.threads(a, n));
+    return std::abs(cur + d - anchor) - std::abs(cur - anchor);
   };
   const auto move_delta = [&](const Move& m) -> std::int64_t {
     if (!penalized) return 0;
@@ -575,7 +564,7 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
   };
 
   Solution round_best_solution;
-  for (std::uint32_t round = 0; round < max_rounds; ++round) {
+  for (std::uint32_t round = 0; round < options.max_rounds; ++round) {
     double round_best_ranked = incumbent_ranked;
     double round_best_raw = best.objective_value;
     Move round_best_move;
@@ -587,10 +576,10 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
       do_move(m);
       const Solution& solution = solve_into(machine, apps, current, eval, solve_options);
       ++best.evaluated;
-      const double raw = score(solution, objective);
+      const double raw = score(solution, options.objective);
       const double ranked = penalized ? raw - per_unit * static_cast<double>(churn + delta) : raw;
       const double threshold =
-          round_best_ranked + std::abs(round_best_ranked) * min_relative_gain + 1e-15;
+          round_best_ranked + std::abs(round_best_ranked) * options.min_relative_gain + 1e-15;
       if (ranked > threshold) {
         round_best_ranked = ranked;
         round_best_raw = raw;
@@ -611,7 +600,7 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
           consider({Move::Kind::kAdd, a, a, n});
         }
         if (have == 0) continue;
-        const bool may_shrink = totals[a] > min_app_total;
+        const bool may_shrink = totals[a] > options.min_threads_per_app;
         // Drop a thread (helps sub-linear-scaling mixes).
         if (may_shrink) {
           consider({Move::Kind::kDrop, a, a, n});
@@ -748,24 +737,12 @@ SearchResult exhaustive_search_reference(const topo::Machine& machine,
   return best;
 }
 
-SearchResult greedy_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,
-                           const Allocation& start, const GreedyOptions& options) {
-  std::string error;
-  NS_REQUIRE(start.validate(machine, &error), error.c_str());
-  require_foreign_shape(machine, options.foreign);
-  return climb(machine, apps, start, options.objective, options.max_rounds,
-               options.min_relative_gain, /*churn_penalty_rel=*/0.0, /*churn_seed=*/nullptr,
-               /*min_app_total=*/0, options.foreign);
-}
-
 SearchResult refine_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,
                            const Allocation& seed, const RefineOptions& options) {
   std::string error;
   NS_REQUIRE(seed.validate(machine, &error), error.c_str());
   require_foreign_shape(machine, options.foreign);
-  return climb(machine, apps, seed, options.objective, options.max_rounds,
-               options.min_relative_gain, options.churn_penalty, &seed,
-               options.min_threads_per_app, options.foreign);
+  return climb(machine, apps, seed, options);
 }
 
 }  // namespace numashare::model

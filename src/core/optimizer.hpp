@@ -10,9 +10,9 @@
 //    subtrees are cut with admissible upper bounds, so it provably returns
 //    the same winner as brute force at a fraction of the solves
 //    (docs/MODEL.md "Search cost and pruning");
-//  * greedy_search / refine_search — hill-climbing over single-thread moves
-//    for general machines and for incremental re-optimization between
-//    structural ticks;
+//  * refine_search — hill-climbing over single-thread moves for general
+//    machines and for incremental re-optimization between structural ticks
+//    (churn_penalty = 0 makes it a plain greedy climb from the seed);
 //  * exhaustive_search_reference — the original materialize-then-evaluate
 //    brute force, kept for equivalence tests and before/after benchmarks.
 #pragma once
@@ -44,7 +44,7 @@ struct SearchResult {
   Solution solution;
   double objective_value = 0.0;
   std::uint64_t evaluated = 0;  // full model solves on candidate allocations
-  /// Streaming-engine accounting (zero for the reference/greedy engines
+  /// Streaming-engine accounting (zero for the reference/hill-climb engines
   /// where not meaningful): candidates reached by the enumerator, subtrees
   /// and leaves cut by the admissible bounds, partial-prefix model solves
   /// spent computing those bounds, and node-permutation candidates skipped
@@ -113,29 +113,11 @@ SearchResult exhaustive_search_reference(const topo::Machine& machine,
 std::uint64_t count_candidates(const topo::Machine& machine, std::uint32_t apps,
                                bool require_full, std::uint32_t min_threads_per_app = 0);
 
-struct GreedyOptions {
+struct RefineOptions {
   Objective objective = Objective::kTotalGflops;
   std::uint32_t max_rounds = 1000;
   /// Improvements smaller than this (relative) do not count, preventing
   /// floating-point ping-pong.
-  double min_relative_gain = 1e-9;
-  /// Opaque background consumers priced into every candidate solve (empty =
-  /// none). The hill-climb's drop moves are what let a policy *vacate* a
-  /// foreign-occupied node — the uniform exhaustive family cannot express
-  /// per-node asymmetry, so foreign-aware policies polish the full-search
-  /// winner with a greedy pass.
-  ForeignLoad foreign;
-};
-
-/// Hill-climb from `start` using single-thread moves: remove a thread,
-/// add one on a free core, or shift one between apps on the same node.
-/// Terminates at a local optimum.
-SearchResult greedy_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,
-                           const Allocation& start, const GreedyOptions& options = {});
-
-struct RefineOptions {
-  Objective objective = Objective::kTotalGflops;
-  std::uint32_t max_rounds = 1000;
   double min_relative_gain = 1e-9;
   /// Churn penalty: each unit of L1 distance between a candidate and the
   /// seed allocation costs this fraction of the seed's |objective value|
@@ -148,17 +130,23 @@ struct RefineOptions {
   /// every app running between full searches).
   std::uint32_t min_threads_per_app = 0;
   /// Opaque background consumers priced into every candidate solve (empty =
-  /// none); see GreedyOptions::foreign.
+  /// none). The climb's drop moves are what let a policy *vacate* a
+  /// foreign-occupied node — the uniform exhaustive family cannot express
+  /// per-node asymmetry, so foreign-aware policies polish the full-search
+  /// winner with a refine pass.
   ForeignLoad foreign;
 };
 
-/// Incremental re-optimization for non-structural ticks: hill-climb from the
-/// previous decision's allocation instead of re-running the full search.
-/// Shares greedy_search's move set and acceptance rule, plus an optional
-/// churn penalty that biases the climb toward staying near the seed — thread
-/// moves are not free for the runtimes enacting them (paper §V favours
-/// gentle moves). Caps are not supported here; callers with administrative
-/// caps fall back to the full search.
+/// Hill-climb from `seed` using single-thread moves: remove a thread, add
+/// one on a free core, or shift one between apps on the same node, taking
+/// the best move each round until none improves (a local optimum). Serves
+/// as the general-machine search and as incremental re-optimization for
+/// non-structural ticks, seeded from the previous decision's allocation
+/// instead of re-running the full search. The optional churn penalty biases
+/// the climb toward staying near the seed — thread moves are not free for
+/// the runtimes enacting them (paper §V favours gentle moves). Caps are not
+/// supported here; callers with administrative caps fall back to the full
+/// search.
 SearchResult refine_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,
                            const Allocation& seed, const RefineOptions& options = {});
 

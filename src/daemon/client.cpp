@@ -25,7 +25,7 @@ DaemonClient::~DaemonClient() {
 }
 
 bool DaemonClient::try_join_once(std::string* error) {
-  if (NS_FAULT_AT("client.connect.fail")) {
+  if (inject::fire("client.connect.fail")) {
     if (error) *error = "injected connect failure";
     return false;
   }
@@ -45,7 +45,7 @@ bool DaemonClient::try_join_once(std::string* error) {
   }
   const std::uint32_t index = claimed->index;
   auto& slot = registry_->slot(index);
-  NS_FAULT_DIE("client.die", "post_claim", 45);
+  inject::fire_die("client.die", "post_claim", 45);
 
   // Wait for the daemon to mint our channel. The daemon activates exactly
   // our published word, so the one word we must see is its successor; any
@@ -76,7 +76,7 @@ bool DaemonClient::try_join_once(std::string* error) {
     }
     std::this_thread::sleep_for(std::chrono::microseconds(200));
   }
-  NS_FAULT_DIE("client.die", "pre_attach", 46);
+  inject::fire_die("client.die", "pre_attach", 46);
 
   const std::string channel_name(slot.channel_name,
                                  strnlen(slot.channel_name, sizeof(slot.channel_name)));
@@ -85,7 +85,7 @@ bool DaemonClient::try_join_once(std::string* error) {
     registry_.reset();
     return false;
   }
-  NS_FAULT_DIE("client.die", "post_attach", 47);
+  inject::fire_die("client.die", "post_attach", 47);
   slot_index_ = index;
   generation_ = slot.generation.load(std::memory_order_relaxed);
   active_word_ = activated;
@@ -145,7 +145,7 @@ topo::Machine DaemonClient::arbitration_machine() const {
 }
 
 void DaemonClient::heartbeat() {
-  if (NS_FAULT_AT("client.heartbeat.suppress")) return;
+  if (inject::fire("client.heartbeat.suppress")) return;
   if (registry_ == nullptr || slot_index_ >= kMaxClients) return;
   registry_->slot(slot_index_).heartbeat.fetch_add(1, std::memory_order_relaxed);
 }

@@ -123,7 +123,7 @@ bool Daemon::init(std::string* error) {
   // successor coming up (`daemon.restart.delay@ms=N` in the restarted
   // process), so degraded-mode behavior is observable for a bounded-but-
   // controllable interval.
-  NS_FAULT_PAUSE("daemon.restart.delay", "init");
+  inject::fire_pause("daemon.restart.delay", "init");
   // A previous incarnation that crashed leaves its registry (and channel
   // segments) behind. Reclaim them — but never rip the registry out from
   // under a daemon that is still alive.
@@ -242,8 +242,8 @@ void Daemon::admit(std::uint32_t index, std::uint64_t joining_word, double now) 
                    {"ai", jnum(client.advertised_ai)},
                    {"channel", jstr(channel_name)},
                    {"generation", jnum(agent_->generation())}});
-  NS_FAULT_DIE("daemon.die", "post_journal_join", 48);
-  NS_FAULT_PAUSE("daemon.pause", "admit_pre_activate");
+  inject::fire_die("daemon.die", "post_journal_join", 48);
+  inject::fire_pause("daemon.pause", "admit_pre_activate");
 
   // Activation is a CAS on the exact word the client published: if the
   // client abandoned the claim while we were admitting (activation
@@ -380,10 +380,10 @@ void Daemon::process_slot(std::uint32_t index, double now) {
 
 std::uint32_t Daemon::tick(double now) {
   NS_REQUIRE(registry_ != nullptr, "Daemon::init() must succeed before tick()");
-  if (NS_FAULT_AT("daemon.tick.skip")) return 0;
+  if (inject::fire("daemon.tick.skip")) return 0;
   // SIGKILL stand-in for the kill/restart chaos harness: `daemon.die@
   // site=tick,after=N` murders the daemon mid-service on the N+1-th tick.
-  NS_FAULT_DIE("daemon.die", "tick", 52);
+  inject::fire_die("daemon.die", "tick", 52);
 
   // 1. Attention-driven servicing: one exchange drains a whole shard's
   // bitmap, then only flagged slots are visited — tick cost is proportional
@@ -872,7 +872,7 @@ void Daemon::journal_checkpoint(double now) {
                                {"clients", std::move(clients)}});
   journal_.sync();
   ++stats_.checkpoints;
-  NS_FAULT_DIE("daemon.checkpoint.die", "post_checkpoint", 50);
+  inject::fire_die("daemon.checkpoint.die", "post_checkpoint", 50);
 }
 
 void Daemon::maybe_checkpoint(double now) {

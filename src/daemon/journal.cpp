@@ -170,7 +170,7 @@ bool JournalWriter::rotate() {
     file_ = std::fopen(path_.c_str(), "a");
     return false;
   }
-  NS_FAULT_DIE("journal.rotate.die", "post_rename", 51);
+  inject::fire_die("journal.rotate.die", "post_rename", 51);
   file_ = std::fopen(path_.c_str(), "w");
   if (file_ == nullptr) return false;
   lines_ = 0;

@@ -139,8 +139,8 @@ std::optional<Registry::Claim> Registry::claim_slot(const std::string& client_na
     // Flag before the fault hooks: a claimant killed at the hook below still
     // gets its stalled claim noticed (and timed out) from the bitmap path.
     raise_attention(*header_, i);
-    NS_FAULT_PAUSE("registry.pause", "claiming");
-    NS_FAULT_DIE("registry.die", "claiming", 43);
+    inject::fire_pause("registry.pause", "claiming");
+    inject::fire_die("registry.die", "claiming", 43);
     // We own the slot until the daemon activates it, we abandon it, or —
     // if we stall here past the claim timeout — the daemon reclaims it.
     slot.pid.store(static_cast<std::uint32_t>(::getpid()), std::memory_order_relaxed);
@@ -161,8 +161,8 @@ std::optional<Registry::Claim> Registry::claim_slot(const std::string& client_na
     // belongs to whoever owns it now, so move on to another one.
     if (!slot.try_transition(word, SlotState::kJoining)) continue;
     raise_attention(*header_, i);
-    NS_FAULT_PAUSE("registry.pause", "joining");
-    NS_FAULT_DIE("registry.die", "joining", 44);
+    inject::fire_pause("registry.pause", "joining");
+    inject::fire_die("registry.die", "joining", 44);
     return Claim{i, word};
   }
   return std::nullopt;

@@ -58,8 +58,7 @@ void ForeignMonitor::admit(Tracked& entry, std::vector<ForeignEvent>& events) {
 std::vector<ForeignEvent> ForeignMonitor::tick(double now_seconds) {
   auto scan = scanner_.scan(now_seconds);
 
-#if NS_FAULT_ENABLED
-  if (NS_FAULT_AT("foreign.appear")) {
+  if (inject::fire("foreign.appear")) {
     // A synthetic hog materializes on node 0, eating half its cores. It
     // persists (and keeps consuming) until foreign.die removes it.
     SyntheticHog hog;
@@ -69,15 +68,14 @@ std::vector<ForeignEvent> ForeignMonitor::tick(double now_seconds) {
     synthetic_.emplace(next_synthetic_pid_++, std::move(hog));
   }
   std::uint64_t pct = 0;
-  if (NS_FAULT_VALUE("foreign.balloon", &pct)) {
+  if (inject::fire_value("foreign.balloon", &pct)) {
     for (auto& [pid, hog] : synthetic_) {
       hog.cores *= 1.0 + static_cast<double>(pct) / 100.0;
       hog.cores = std::min(hog.cores,
                            static_cast<double>(machine_.cores_in_node(hog.node)));
     }
   }
-  if (NS_FAULT_AT("foreign.die")) synthetic_.clear();
-#endif
+  if (inject::fire("foreign.die")) synthetic_.clear();
 
   std::vector<ForeignEvent> events;
   if (!scan && synthetic_.empty() && tracked_.empty()) return events;

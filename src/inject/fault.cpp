@@ -5,12 +5,15 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
+#include <limits>
 #include <mutex>
 #include <thread>
 
 #include "common/format.hpp"
 
 namespace numashare::inject {
+
+std::atomic<bool> detail::armed{false};
 
 namespace {
 
@@ -74,15 +77,33 @@ int fire_locked(GlobalState& g, const char* site, std::uint64_t seq, const char*
   return -1;
 }
 
-bool parse_u64(const std::string& text, std::uint64_t* out) {
+/// Decimal digits only, no sign; false on overflow past `max`.
+bool parse_u64(const std::string& text, std::uint64_t max, std::uint64_t* out) {
   if (text.empty()) return false;
   std::uint64_t value = 0;
   for (const char c : text) {
     if (c < '0' || c > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (value > (max - digit) / 10) return false;
+    value = value * 10 + digit;
   }
   *out = value;
   return true;
+}
+
+/// Largest value a numeric key accepts (0 = not a numeric key). Past it a
+/// number would mean something else: a seq equal to kAnySeq, an exit code
+/// _exit truncates, a delay overflowing its signed microsecond count.
+std::uint64_t numeric_max(const std::string& key) {
+  constexpr auto kMaxUs = static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max());
+  if (key == "seq") return kAnySeq - 1;
+  if (key == "us") return kMaxUs;
+  if (key == "ms") return kMaxUs / 1000;
+  if (key == "exit") return 255;
+  if (key == "count" || key == "after" || key == "ticks" || key == "pct") {
+    return std::numeric_limits<std::uint64_t>::max();
+  }
+  return 0;
 }
 
 bool valid_name(const std::string& text) {
@@ -132,10 +153,10 @@ std::optional<FaultPlan> parse_plan(const std::string& spec, std::string* error)
         const std::string key = param.substr(0, eq);
         const std::string value = eq == std::string::npos ? "" : param.substr(eq + 1);
         std::uint64_t number = 0;
-        if (key == "seq" || key == "count" || key == "after" || key == "us" ||
-            key == "ms" || key == "ticks" || key == "exit" || key == "pct") {
-          if (!parse_u64(value, &number)) {
-            return fail(ns_format("parameter '{}' needs a number in clause '{}'", key, clause));
+        if (const std::uint64_t max = numeric_max(key)) {
+          if (!parse_u64(value, max, &number)) {
+            return fail(ns_format("parameter '{}' needs a number in [0, {}] in clause '{}'",
+                                  key, max, clause));
           }
         }
         if (key == "seq") rule.seq = number;
@@ -168,6 +189,7 @@ void install_plan(const FaultPlan& plan) {
   g.rule_states.assign(g.plan.rules.size(), RuleState{});
   g.fire_counts.clear();
   g.held.clear();
+  detail::armed.store(!g.plan.rules.empty());
 }
 
 bool install_spec(const std::string& spec, std::string* error) {
@@ -178,12 +200,6 @@ bool install_spec(const std::string& spec, std::string* error) {
 }
 
 void clear_plan() { install_plan(FaultPlan{}); }
-
-bool plan_active() {
-  auto& g = state();
-  std::lock_guard lock(g.mutex);
-  return !g.plan.rules.empty();
-}
 
 std::string active_spec() {
   auto& g = state();
@@ -208,14 +224,14 @@ std::uint64_t total_fires() {
   return total;
 }
 
-bool fire(const char* site, std::uint64_t seq, const char* where) {
+bool detail::fire_armed(const char* site, std::uint64_t seq, const char* where) {
   auto& g = state();
   std::lock_guard lock(g.mutex);
   if (g.plan.rules.empty()) return false;
   return fire_locked(g, site, seq, where) >= 0;
 }
 
-bool fire_pause(const char* site, const char* where) {
+bool detail::fire_pause_armed(const char* site, const char* where) {
   std::int64_t delay_us = 0;
   {
     auto& g = state();
@@ -231,7 +247,7 @@ bool fire_pause(const char* site, const char* where) {
   return true;
 }
 
-bool fire_value(const char* site, std::uint64_t* pct, const char* where) {
+bool detail::fire_value_armed(const char* site, std::uint64_t* pct, const char* where) {
   auto& g = state();
   std::lock_guard lock(g.mutex);
   if (g.plan.rules.empty()) return false;
@@ -241,7 +257,7 @@ bool fire_value(const char* site, std::uint64_t* pct, const char* where) {
   return true;
 }
 
-void fire_die(const char* site, const char* where, int default_exit_code) {
+void detail::fire_die_armed(const char* site, const char* where, int default_exit_code) {
   int code = -1;
   {
     auto& g = state();
@@ -258,7 +274,8 @@ void fire_die(const char* site, const char* where, int default_exit_code) {
   _exit(code);
 }
 
-bool hold(const char* site, std::uint64_t seq, const void* bytes, std::size_t len) {
+bool detail::hold_armed(const char* site, std::uint64_t seq, const void* bytes,
+                        std::size_t len) {
   auto& g = state();
   std::lock_guard lock(g.mutex);
   if (g.plan.rules.empty()) return false;
@@ -273,7 +290,7 @@ bool hold(const char* site, std::uint64_t seq, const void* bytes, std::size_t le
   return true;
 }
 
-void delay_tick(const char* site) {
+void detail::delay_tick_armed(const char* site) {
   auto& g = state();
   std::lock_guard lock(g.mutex);
   for (auto& held : g.held) {
@@ -281,7 +298,7 @@ void delay_tick(const char* site) {
   }
 }
 
-bool take_ready(const char* site, void* out, std::size_t len) {
+bool detail::take_ready_armed(const char* site, void* out, std::size_t len) {
   auto& g = state();
   std::lock_guard lock(g.mutex);
   for (auto it = g.held.begin(); it != g.held.end(); ++it) {

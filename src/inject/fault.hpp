@@ -17,15 +17,16 @@
 // install it (in the parent before forking, or in a forked child for
 // client-only faults) and the hooks consult it.
 //
-// Hooks compile to nothing unless NUMASHARE_INJECT is defined. Production
-// libraries (ns_agent, ns_daemon) are built without it; the *_inject twin
-// libraries link ns_inject, which defines NUMASHARE_INJECT publicly, and
-// are what tests/inject links. The hot path of a production binary
-// therefore carries zero overhead — not even a branch.
+// Hooks are compiled into every build. They stay inert until a plan is
+// installed: each entry point below first reads one atomic "armed" flag
+// (one load and a not-taken branch) and only takes the plan mutex
+// while a non-empty plan is armed. Production and tests therefore run the
+// very same objects.
 //
 // Site catalog and grammar: docs/INJECT.md.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -58,7 +59,9 @@ struct FaultPlan {
 
 /// Parse a plan spec: clause (';' clause)*, clause = site ['@' k[=v] (',' k[=v])*].
 /// Keys: seq, count, after, us, ticks, exit, pct (numeric); site / state (name).
-/// Returns nullopt and sets `error` on malformed input.
+/// Returns nullopt and sets `error` on malformed input, including numbers out
+/// of their key's range (seq >= kAnySeq, exit > 255, a us/ms delay past
+/// INT64_MAX microseconds, any value past UINT64_MAX).
 std::optional<FaultPlan> parse_plan(const std::string& spec, std::string* error = nullptr);
 
 /// Install (replace) the process-global plan. Rule counters reset.
@@ -67,7 +70,6 @@ void install_plan(const FaultPlan& plan);
 bool install_spec(const std::string& spec, std::string* error = nullptr);
 /// Remove the plan; every hook goes quiet.
 void clear_plan();
-bool plan_active();
 /// Spec text of the installed plan ("" when none).
 std::string active_spec();
 
@@ -76,53 +78,67 @@ std::uint64_t fires(const std::string& site);
 /// Cumulative firings across all sites since the last install/clear.
 std::uint64_t total_fires();
 
-// ---- hook queries (wrapped by the NS_FAULT_* macros below) ---------------
+namespace detail {
+/// True while a non-empty plan is installed (set by install_plan, cleared by
+/// clear_plan). Held messages only exist while armed: install_plan drops them.
+extern std::atomic<bool> armed;
+
+// Mutex-guarded slow paths of the hooks below; called only while armed.
+bool fire_armed(const char* site, std::uint64_t seq, const char* where);
+bool fire_pause_armed(const char* site, const char* where);
+void fire_die_armed(const char* site, const char* where, int default_exit_code);
+bool fire_value_armed(const char* site, std::uint64_t* pct, const char* where);
+bool hold_armed(const char* site, std::uint64_t seq, const void* bytes, std::size_t len);
+void delay_tick_armed(const char* site);
+bool take_ready_armed(const char* site, void* out, std::size_t len);
+}  // namespace detail
+
+/// True while a non-empty plan is installed. One atomic load, no lock.
+inline bool plan_active() { return detail::armed.load(); }
+
+// ---- hooks ---------------------------------------------------------------
 
 /// True when a rule for `site` (matching `where`/`seq`, past its `after`
 /// skip, within its `count` budget) fires now. A true return consumes one
 /// firing. Thread-safe.
-bool fire(const char* site, std::uint64_t seq = kAnySeq, const char* where = nullptr);
+inline bool fire(const char* site, std::uint64_t seq = kAnySeq, const char* where = nullptr) {
+  return plan_active() && detail::fire_armed(site, seq, where);
+}
 
 /// fire(), and when firing, sleep the rule's delay_us. Returns the firing.
-bool fire_pause(const char* site, const char* where = nullptr);
+inline bool fire_pause(const char* site, const char* where = nullptr) {
+  return plan_active() && detail::fire_pause_armed(site, where);
+}
 
 /// fire(), and when firing, _exit() with the rule's exit code (or
 /// `default_exit_code` when the rule does not override it).
-void fire_die(const char* site, const char* where, int default_exit_code);
+inline void fire_die(const char* site, const char* where, int default_exit_code) {
+  if (plan_active()) detail::fire_die_armed(site, where, default_exit_code);
+}
 
 /// fire(), and when firing, write the rule's `pct` magnitude into *pct.
 /// Returns the firing; *pct is untouched when the site stays quiet. Used by
 /// value sites (foreign.balloon@pct=N) where the rule carries how big the
 /// injected effect should be, not just whether it happens.
-bool fire_value(const char* site, std::uint64_t* pct, const char* where = nullptr);
+inline bool fire_value(const char* site, std::uint64_t* pct, const char* where = nullptr) {
+  return plan_active() && detail::fire_value_armed(site, pct, where);
+}
 
 /// Message hold for *.delay sites: when the rule fires, copy `len` bytes
 /// into the pending store and return true (the caller suppresses the send).
-bool hold(const char* site, std::uint64_t seq, const void* bytes, std::size_t len);
+inline bool hold(const char* site, std::uint64_t seq, const void* bytes, std::size_t len) {
+  return plan_active() && detail::hold_armed(site, seq, bytes, len);
+}
+
 /// One transport op elapsed at `site`: age every held message by one tick.
-void delay_tick(const char* site);
+inline void delay_tick(const char* site) {
+  if (plan_active()) detail::delay_tick_armed(site);
+}
+
 /// Pop one aged-out held message for `site` into `out` (exactly `len`
 /// bytes, which must match the held size). False when none is ready.
-bool take_ready(const char* site, void* out, std::size_t len);
+inline bool take_ready(const char* site, void* out, std::size_t len) {
+  return plan_active() && detail::take_ready_armed(site, out, len);
+}
 
 }  // namespace numashare::inject
-
-// The hook macros. With NUMASHARE_INJECT undefined they expand to inert
-// constants — the condition folds away and ns_inject is never referenced,
-// so production builds neither branch nor link on the hooks. Blocks that
-// need locals (message hold/replay) are gated with #if NS_FAULT_ENABLED.
-#if defined(NUMASHARE_INJECT)
-#define NS_FAULT_ENABLED 1
-#define NS_FAULT(site, seq) (::numashare::inject::fire((site), (seq)))
-#define NS_FAULT_AT(site) (::numashare::inject::fire((site)))
-#define NS_FAULT_PAUSE(site, where) ((void)::numashare::inject::fire_pause((site), (where)))
-#define NS_FAULT_DIE(site, where, code) (::numashare::inject::fire_die((site), (where), (code)))
-#define NS_FAULT_VALUE(site, pct_out) (::numashare::inject::fire_value((site), (pct_out)))
-#else
-#define NS_FAULT_ENABLED 0
-#define NS_FAULT(site, seq) false
-#define NS_FAULT_AT(site) false
-#define NS_FAULT_PAUSE(site, where) ((void)0)
-#define NS_FAULT_DIE(site, where, code) ((void)0)
-#define NS_FAULT_VALUE(site, pct_out) false
-#endif

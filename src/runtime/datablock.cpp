@@ -173,7 +173,7 @@ MigrationReport DatablockRegistry::migrate_toward(
     if (budget == 0) break;
     // A fault rule can abort the pass between blocks — the "migrator was
     // preempted" case; accounting must already be consistent here.
-    if (NS_FAULT_AT("datablock.migrate.abort")) break;
+    if (inject::fire("datablock.migrate.abort")) break;
     const topo::NodeId from = block->node();
     if (surplus[from] <= 0) continue;
     const auto to = static_cast<topo::NodeId>(
@@ -191,7 +191,7 @@ MigrationReport DatablockRegistry::migrate_toward(
     // Crash point for the fault sweep: a death here — after one block's
     // move+accounting completed atomically, before the next — must leave
     // per-node byte accounting consistent and the daemon un-wedged.
-    NS_FAULT_DIE("datablock.migrate.die", nullptr, 49);
+    inject::fire_die("datablock.migrate.die", nullptr, 49);
     budget -= static_cast<std::uint64_t>(size);
     surplus[from] -= size;
     surplus[to] += size;

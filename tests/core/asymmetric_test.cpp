@@ -75,7 +75,7 @@ TEST(Asymmetric, GreedyExploitsTheBigNode) {
   start.set_threads(1, 0, 1);
   start.set_threads(0, 1, 3);
   start.set_threads(1, 1, 3);
-  const auto result = greedy_search(machine, apps, start);
+  const auto result = refine_search(machine, apps, start);
   EXPECT_TRUE(result.allocation.validate(machine));
   const auto baseline = solve(machine, apps, start);
   EXPECT_GE(result.objective_value + 1e-9, baseline.total_gflops);

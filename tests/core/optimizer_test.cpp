@@ -151,7 +151,7 @@ TEST(Optimizer, GreedyImprovesOnEvenAllocation) {
   const auto machine = topo::paper_model_machine();
   const auto apps = mixes::three_mem_one_compute();
   const auto start = Allocation::uniform_per_node(machine, {2, 2, 2, 2});  // 140
-  const auto result = greedy_search(machine, apps, start);
+  const auto result = refine_search(machine, apps, start);
   EXPECT_GT(result.objective_value, 140.0);
   EXPECT_TRUE(result.allocation.validate(machine));
 }
@@ -160,7 +160,7 @@ TEST(Optimizer, GreedyReachesExhaustiveOnFig2Mix) {
   const auto machine = topo::paper_model_machine();
   const auto apps = mixes::three_mem_one_compute();
   const auto greedy =
-      greedy_search(machine, apps, Allocation::uniform_per_node(machine, {2, 2, 2, 2}));
+      refine_search(machine, apps, Allocation::uniform_per_node(machine, {2, 2, 2, 2}));
   // 254 is the uniform-family optimum; greedy can move per node independently
   // and must at least match it.
   EXPECT_GE(greedy.objective_value, 254.0 - 1e-9);
@@ -170,8 +170,8 @@ TEST(Optimizer, GreedyFixedPointAtLocalOptimum) {
   const auto machine = topo::paper_model_machine();
   const auto apps = mixes::three_mem_one_compute();
   const auto first =
-      greedy_search(machine, apps, Allocation::uniform_per_node(machine, {2, 2, 2, 2}));
-  const auto second = greedy_search(machine, apps, first.allocation);
+      refine_search(machine, apps, Allocation::uniform_per_node(machine, {2, 2, 2, 2}));
+  const auto second = refine_search(machine, apps, first.allocation);
   EXPECT_NEAR(second.objective_value, first.objective_value, 1e-12);
   EXPECT_TRUE(second.allocation == first.allocation);
 }

@@ -1,7 +1,6 @@
 // Compliance watchdog and checkpointed journal under injected faults.
 //
-// Built against the instrumented twin libraries, so the four compliance
-// fault sites are live:
+// The four compliance fault sites, armed by installing a plan:
 //   client.ack.suppress   — telemetry acks stripped in transit;
 //   client.enact.stall    — the runtime-side command pump wedges (ms=N);
 //   daemon.checkpoint.die — the daemon dies right after a checkpoint (50);
@@ -31,8 +30,6 @@ namespace numashare::nsd {
 namespace {
 
 using namespace std::chrono_literals;
-
-static_assert(NS_FAULT_ENABLED, "tests/inject must build against the instrumented twins");
 
 std::string unique_registry(const char* tag) {
   static int counter = 0;

@@ -1,6 +1,6 @@
-// FaultPlan grammar, match-and-consume semantics, and the message-hold
-// machinery — plus the ShmChannel drop/dup/delay hooks end to end (this
-// binary links the instrumented twin libraries, so NUMASHARE_INJECT is on).
+// FaultPlan grammar, match-and-consume semantics, the armed flag, and the
+// message-hold machinery — plus the ShmChannel drop/dup/delay hooks end to
+// end, through the same ns_agent the daemon ships.
 #include "inject/fault.hpp"
 
 #include <gtest/gtest.h>
@@ -13,8 +13,6 @@
 
 namespace numashare::inject {
 namespace {
-
-static_assert(NS_FAULT_ENABLED, "tests/inject must build against the instrumented twins");
 
 /// Every test starts and ends planless; a leaked plan would poison the
 /// other tests in this process.
@@ -83,11 +81,27 @@ TEST_F(FaultPlanTest, RejectsMalformedSpecs) {
   EXPECT_FALSE(parse_plan("shm.cmd.drop@bogus=1", &error).has_value());
   EXPECT_FALSE(parse_plan("shm.cmd.drop@site=Bad Name", &error).has_value());
   EXPECT_FALSE(parse_plan("@seq=1", &error).has_value());  // empty site
+  // Out-of-range numbers would otherwise mean something else.
+  for (const char* spec : {"a.site@seq=18446744073709551617",  // wraps to seq 1
+                           "a.site@seq=18446744073709551615",  // kAnySeq
+                           "a.site@count=18446744073709551616",
+                           "a.site@exit=4294967295",  // casts to -1 = site default
+                           "a.site@exit=300",         // _exit truncates to 44
+                           "a.site@us=9223372036854775808", "a.site@ms=9223372036854776"}) {
+    EXPECT_FALSE(parse_plan(spec, &error).has_value()) << spec;
+    EXPECT_NE(error.find("needs a number in"), std::string::npos) << spec << ": " << error;
+  }
+  const auto edge = parse_plan("a.site@seq=18446744073709551614,exit=255,ms=9223372036854775");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->rules[0].exit_code, 255);
+  EXPECT_EQ(edge->rules[0].delay_us, 9223372036854775000);
 }
 
 TEST_F(FaultPlanTest, InstallClearLifecycle) {
   EXPECT_FALSE(plan_active());
   EXPECT_FALSE(fire("any.site"));
+  ASSERT_TRUE(install_spec(";;"));  // an empty plan stays disarmed
+  EXPECT_FALSE(plan_active());
   ASSERT_TRUE(install_spec("a.site@count=2"));
   EXPECT_TRUE(plan_active());
   EXPECT_EQ(active_spec(), "a.site@count=2");

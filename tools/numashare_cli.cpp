@@ -8,7 +8,7 @@
 //       Predict per-app GFLOPS for an allocation
 //       (spec: even | nodeperapp | uniform:c0,c1,...).
 //   numashare_cli optimize <mix.ini> [--objective=total|min|pf] [--min-threads=N]
-//       Search for the best allocation (constrained exhaustive + greedy).
+//       Search for the best allocation (constrained exhaustive + hill-climb).
 //   numashare_cli placement <mix.ini>
 //       Joint allocation + data-placement optimization.
 //   numashare_cli template
@@ -166,7 +166,7 @@ int cmd_optimize(const std::string& path, int argc, char** argv) {
               static_cast<unsigned long long>(exhaustive.evaluated));
   print_solution(*scenario, exhaustive.allocation, exhaustive.solution);
 
-  const auto greedy = model::greedy_search(
+  const auto greedy = model::refine_search(
       scenario->machine, scenario->apps,
       model::Allocation::even(scenario->machine,
                               static_cast<std::uint32_t>(scenario->apps.size())));
