@@ -14,10 +14,12 @@
 // candidate, and must clear a >= 10x gate on the largest configuration while
 // peak RSS stays flat (no materialized candidate vector).
 //
-// Emits machine-readable results to BENCH_model.json (path overridable via
-// NS_BENCH_MODEL_OUT) in the same schema family as BENCH_runtime.json, so
-// successive PRs carry a measured trajectory. NS_BENCH_QUICK=1 shrinks the
-// sweep and repetition counts for CI smoke runs.
+// Emits a numashare-bench/1 document (bench_support.hpp) to BENCH_model.json,
+// or to NS_BENCH_OUT, so successive changes carry a measured trajectory.
+// Scenarios are nodes x cores_per_node x apps ("8x64x8"). The speedup gate
+// is timing, enforced on full documents; the streaming-phase RSS bound holds
+// in every run. NS_BENCH_QUICK=1 shrinks the sweep and repetition counts for
+// CI smoke runs.
 #include "bench_support.hpp"
 
 #include <sys/resource.h>
@@ -25,9 +27,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/optimizer.hpp"
@@ -38,23 +38,6 @@ namespace {
 
 using namespace numashare;
 using Clock = std::chrono::steady_clock;
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
-bool quick_mode() {
-  const char* q = std::getenv("NS_BENCH_QUICK");
-  return q != nullptr && q[0] != '\0' && q[0] != '0';
-}
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -73,29 +56,25 @@ constexpr Config kConfigs[] = {
 };
 constexpr Config kGateConfig = {8, 64, 8};
 constexpr double kRequiredSpeedup = 10.0;
+/// Visiting ~5.5e8 candidates must not grow the streaming phase past this.
+constexpr double kPeakRssLimitKb = 512.0 * 1024.0;
 
-struct Row {
-  std::string name;
-  Config config;
-  std::string unit;
-  double value;
-};
+bench::Report g_report(
+    "bench_alloc_scale", "BENCH_model.json",
+    "best-of-N wall time per engine; 'before' measured exactly when the candidate count "
+    "permits, otherwise estimated as measured per-candidate reference cost (exact sibling "
+    "config) x candidate count (the row's estimated flag); peak_rss snapshots getrusage "
+    "after the streaming-only phase, before the brute force materializes any candidate "
+    "vectors (peak_rss_full covers the whole run)");
 
-std::vector<Row> g_rows;
-
-struct Gate {
-  double before_us = 0.0;
-  double after_us = 0.0;
-  double speedup = 0.0;
-  bool before_estimated = false;
-  bool measured = false;
-};
-
-Gate g_gate;
-double g_streaming_rss_kb = 0.0;  // peak RSS after the streaming-only phase
+/// "nodes x cores_per_node x apps", e.g. "8x64x8".
+std::string scenario(const Config& config) {
+  return std::to_string(config.nodes) + "x" + std::to_string(config.cores_per_node) + "x" +
+         std::to_string(config.apps);
+}
 
 void record(const std::string& name, Config config, const std::string& unit, double value) {
-  g_rows.push_back({name, config, unit, value});
+  g_report.add(name, scenario(config), unit, value);
 }
 
 /// Measured per-candidate cost of the reference engine, keyed by
@@ -157,7 +136,7 @@ struct ConfigRun {
 };
 
 bool config_skipped(std::uint64_t count) {
-  return (quick_mode() || kSanitized) && count > 5'000'000;
+  return (bench::quick_mode() || bench::kSanitized) && count > 5'000'000;
 }
 
 topo::Machine make_machine(const Config& config) {
@@ -168,7 +147,7 @@ topo::Machine make_machine(const Config& config) {
 /// Nothing in this phase materializes candidates, which is exactly the claim
 /// the post-phase RSS snapshot pins.
 ConfigRun run_streaming(const Config& config) {
-  const bool quick = quick_mode();
+  const bool quick = bench::quick_mode();
   const auto machine = make_machine(config);
   const auto apps = make_apps(config.apps, config.nodes);
   ConfigRun run;
@@ -240,7 +219,7 @@ ConfigRun run_streaming(const Config& config) {
 /// candidates), which is why it runs after the streaming RSS snapshot.
 void run_reference(const ConfigRun& run) {
   if (run.skipped) return;
-  const bool quick = quick_mode();
+  const bool quick = bench::quick_mode();
   const auto& config = run.config;
   const auto machine = make_machine(config);
   const auto apps = make_apps(config.apps, config.nodes);
@@ -271,73 +250,27 @@ void run_reference(const ConfigRun& run) {
     before_us = us_per_candidate * static_cast<double>(run.count);
     estimated = true;
   }
-  record("search_before", config, "us_per_search", before_us);
+  g_report.add("search_before", scenario(config), "us_per_search", before_us, estimated);
   const double speedup = before_us / run.after_us;
   record("search_speedup", config, "x", speedup);
-
-  if (config.nodes == kGateConfig.nodes && config.cores_per_node == kGateConfig.cores_per_node &&
-      config.apps == kGateConfig.apps) {
-    g_gate.before_us = before_us;
-    g_gate.after_us = run.after_us;
-    g_gate.speedup = speedup;
-    g_gate.before_estimated = estimated;
-    g_gate.measured = true;
-  }
 
   std::printf("  %ux%ux%-2u  before %14.0f us%s  speedup %8.1fx\n", config.nodes,
               config.cores_per_node, config.apps, before_us, estimated ? " (est)" : "      ",
               speedup);
 }
 
-void emit_json() {
-  const char* env = std::getenv("NS_BENCH_MODEL_OUT");
-  const std::string path = env != nullptr && env[0] != '\0' ? env : "BENCH_model.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_alloc_scale: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"numashare-bench-model/1\",\n");
-  std::fprintf(f, "  \"bench\": \"bench_alloc_scale\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick_mode() ? "true" : "false");
-  std::fprintf(f, "  \"sanitized\": %s,\n", kSanitized ? "true" : "false");
-  std::fprintf(f, "  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f,
-               "  \"protocol\": \"best-of-N wall time per engine; 'before' measured "
-               "exactly when the candidate count permits, otherwise estimated as "
-               "measured per-candidate reference cost (exact sibling config) x "
-               "candidate count (before_estimated); peak_rss_kb snapshots getrusage "
-               "after the streaming-only phase, before the brute force materializes "
-               "any candidate vectors (peak_rss_full_kb covers the whole run)\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"nodes\": %u, \"cores_per_node\": %u, "
-                 "\"apps\": %u, \"unit\": \"%s\", \"value\": %.3f}%s\n",
-                 r.name.c_str(), r.config.nodes, r.config.cores_per_node, r.config.apps,
-                 r.unit.c_str(), r.value, i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"peak_rss_kb\": %.0f,\n", g_streaming_rss_kb);
-  std::fprintf(f, "  \"peak_rss_full_kb\": %.0f,\n", peak_rss_kb());
-  std::fprintf(f, "  \"gate\": {\n");
-  std::fprintf(f, "    \"nodes\": %u,\n", kGateConfig.nodes);
-  std::fprintf(f, "    \"cores_per_node\": %u,\n", kGateConfig.cores_per_node);
-  std::fprintf(f, "    \"apps\": %u,\n", kGateConfig.apps);
-  std::fprintf(f, "    \"measured\": %s,\n", g_gate.measured ? "true" : "false");
-  std::fprintf(f, "    \"before_us\": %.3f,\n", g_gate.before_us);
-  std::fprintf(f, "    \"after_us\": %.3f,\n", g_gate.after_us);
-  std::fprintf(f, "    \"speedup_x\": %.3f,\n", g_gate.speedup);
-  std::fprintf(f, "    \"required_x\": %.1f,\n", kRequiredSpeedup);
-  std::fprintf(f, "    \"before_estimated\": %s,\n", g_gate.before_estimated ? "true" : "false");
-  std::fprintf(f, "    \"pass\": %s\n",
-               g_gate.measured && g_gate.speedup >= kRequiredSpeedup ? "true" : "false");
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu results, gate %s)\n", path.c_str(), g_rows.size(),
-              g_gate.measured && g_gate.speedup >= kRequiredSpeedup ? "PASS" : "not measured");
+void emit_report() {
+  record("peak_rss_full", kGateConfig, "kb", peak_rss_kb());
+  std::string gate = "@";
+  gate += scenario(kGateConfig);
+  g_report.gate({.metric = "search_before" + gate,
+                 .op = ">=",
+                 .ref = "search_after" + gate,
+                 .scale = kRequiredSpeedup,
+                 .enforce = bench::Enforce::kFull});
+  g_report.gate({.metric = "peak_rss" + gate, .op = "<=", .limit = kPeakRssLimitKb});
+  g_report.gate({.metric = "peak_rss_full" + gate, .op = ">=", .ref = "peak_rss" + gate});
+  g_report.emit();
 }
 
 void reproduce() {
@@ -353,13 +286,13 @@ void reproduce() {
   // process. Snapshotted before the reference phase, whose materialized
   // candidate vectors legitimately reach gigabytes at millions of
   // candidates — that contrast is the point.
-  g_streaming_rss_kb = peak_rss_kb();
-  record("peak_rss", kGateConfig, "kb", g_streaming_rss_kb);
-  std::printf("  streaming-phase peak RSS: %.0f KiB\n", g_streaming_rss_kb);
+  const double streaming_rss_kb = peak_rss_kb();
+  record("peak_rss", kGateConfig, "kb", streaming_rss_kb);
+  std::printf("  streaming-phase peak RSS: %.0f KiB\n", streaming_rss_kb);
 
   bench::print_section("reference phase (brute force, exact or estimated)");
   for (const auto& run : runs) run_reference(run);
-  emit_json();
+  emit_report();
 }
 
 void BM_StreamingSearchMidSweep(benchmark::State& state) {

@@ -12,7 +12,7 @@
 #include <thread>
 
 #include "agent/agent.hpp"
-#include "agent/consensus_group.hpp"
+#include "agent/consensus.hpp"
 #include "agent/policies.hpp"
 #include "apps/matmul.hpp"
 #include "apps/montecarlo.hpp"
@@ -71,7 +71,6 @@ CoRunOutcome co_run(Regime regime) {
   agent::RuntimeAdapter adc(mc_rt, chc, montecarlo.ai_estimate());
 
   std::unique_ptr<agent::Agent> coordinator;
-  std::unique_ptr<agent::ConsensusGroup> group;
   switch (regime) {
     case Regime::kOversubscribed:
       break;  // everyone keeps machine-wide pools
@@ -85,13 +84,24 @@ CoRunOutcome co_run(Regime regime) {
           machine, std::make_unique<agent::ModelGuidedPolicy>(),
           agent::AgentOptions{.period_us = 1000});
       break;
-    case Regime::kConsensus:
-      group = std::make_unique<agent::ConsensusGroup>(machine);
-      group->join_with_ai(stencil_rt, stencil.ai_estimate());
-      group->join_with_ai(matmul_rt, matmul.ai_estimate());
-      group->join_with_ai(mc_rt, montecarlo.ai_estimate());
-      group->apply();
+    case Regime::kConsensus: {
+      // Agentless: each app states its AI-derived desire, every participant
+      // would compute the same arbitrate() result, and each applies its own
+      // row as option-3 per-node targets.
+      const auto allocation = agent::arbitrate(
+          machine, {agent::ai_proposal(machine, 0, stencil.ai_estimate()),
+                    agent::ai_proposal(machine, 1, matmul.ai_estimate()),
+                    agent::ai_proposal(machine, 2, montecarlo.ai_estimate())});
+      rt::Runtime* runtimes[] = {&stencil_rt, &matmul_rt, &mc_rt};
+      for (std::uint32_t app = 0; app < 3; ++app) {
+        std::vector<std::uint32_t> targets(machine.node_count());
+        for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
+          targets[n] = allocation.threads(app, n);
+        }
+        runtimes[app]->set_node_thread_targets(targets);
+      }
       break;
+    }
   }
   if (coordinator) {
     coordinator->add_app("stencil", chs);

@@ -27,12 +27,12 @@
 // (bench_alloc_scale); this one isolates the membership/ingest/compliance
 // tick machinery.
 //
-// Emits machine-readable results to BENCH_daemon.json (path overridable via
-// NS_BENCH_DAEMON_OUT) in the numashare-bench-daemon/1 schema;
-// scripts/check_bench_json.py validates it in CI. Both gates are wall-time
-// measurements, so the checker replays them only on full (non-quick,
-// non-sanitized) documents; quick mode trims repetitions, never the
-// membership sizes.
+// Emits a numashare-bench/1 document (bench_support.hpp) to
+// BENCH_daemon.json, or to NS_BENCH_OUT; scripts/check_bench_json.py
+// validates it in CI. Both gates are wall-time measurements, so they are
+// enforced only on full unsanitized documents; a third gate pins the
+// registry capacity at 1024 slots everywhere. Quick mode trims repetitions,
+// never the membership sizes.
 #include "bench_support.hpp"
 
 #include <unistd.h>
@@ -43,7 +43,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "agent/policy.hpp"
@@ -59,23 +58,6 @@ namespace {
 using namespace numashare;
 using Clock = std::chrono::steady_clock;
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
-bool quick_mode() {
-  const char* q = std::getenv("NS_BENCH_QUICK");
-  return q != nullptr && q[0] != '\0' && q[0] != '0';
-}
-
 /// Gate: bitmap-scan tick throughput over full-scan tick throughput at 1024
 /// slots with 32 active clients.
 constexpr double kRequiredSpeedup = 8.0;
@@ -87,32 +69,21 @@ constexpr double kP99LimitNs = 25e6;
 
 constexpr std::uint32_t kGateActive = 32;
 
-struct Row {
-  std::string name;
-  std::string scenario;
-  std::string unit;
-  double value = 0.0;
-};
-
-std::vector<Row> g_rows;
-
-struct Gate {
-  double bitmap_ticks_per_sec = 0.0;
-  double full_scan_ticks_per_sec = 0.0;
-  double speedup = 0.0;
-  double p99_tick_ns = 0.0;
-  bool measured = false;
-};
-Gate g_gate;
-
-bool gate_pass() {
-  return g_gate.measured && g_gate.speedup >= kRequiredSpeedup &&
-         g_gate.p99_tick_ns <= kP99LimitNs;
-}
+bench::Report g_report(
+    "bench_daemon_scale", "BENCH_daemon.json",
+    "in-process daemon over a 1024-slot registry v7, null arbitration policy; clients are "
+    "driven through the real slot/channel protocol and all client-side work (claims, "
+    "heartbeats, telemetry pushes) runs outside the timed region. Phase 1: 32 idle "
+    "heartbeating clients, tick throughput with full_sweep_every_ticks 0 (bitmap) / 1 "
+    "(pre-v7 full scan) / 16 (default); throughput is median-derived (1e9/p50, outlier- "
+    "robust) and the gate is the bitmap/full-scan ratio. Phase 2: 32/256/1024 active "
+    "clients each pushing one telemetry sample per tick; per-tick latency histograms, gate "
+    "on p99 at 1024. Both gates are wall-time measurements, enforced only on full "
+    "unsanitized documents; the registry-capacity gate holds everywhere");
 
 void record(const std::string& name, const std::string& scenario, const std::string& unit,
             double value) {
-  g_rows.push_back({name, scenario, unit, value});
+  g_report.add(name, scenario, unit, value);
 }
 
 topo::Machine bench_machine() { return topo::Machine::symmetric(2, 4, 1.0, 12.0, 6.0); }
@@ -267,14 +238,11 @@ double measured_ticks_per_sec(Fleet& fleet, int reps, bool push_telemetry,
 void record_tail(const std::string& scenario, const obs::LatencyHistogram& hist) {
   obs::HistogramSnapshot snap;
   hist.snapshot_into(snap);
-  record("tick_p50", scenario, "ns", snap.percentile(50.0));
-  record("tick_p99", scenario, "ns", snap.percentile(99.0));
-  record("tick_p999", scenario, "ns", snap.percentile(99.9));
-  record("tick_max", scenario, "ns", static_cast<double>(snap.max_ns));
+  g_report.add_distribution("tick", scenario, snap);
 }
 
 void run_scan_path_gate() {
-  const int reps = quick_mode() ? 1000 : 20000;
+  const int reps = bench::quick_mode() ? 1000 : 20000;
   struct Mode {
     const char* label;
     std::uint64_t sweep_every;
@@ -299,16 +267,14 @@ void run_scan_path_gate() {
                 modes[m].label, tps, snap.percentile(50.0), snap.percentile(99.0),
                 static_cast<double>(snap.max_ns));
   }
-  g_gate.bitmap_ticks_per_sec = per_mode_tps[0];
-  g_gate.full_scan_ticks_per_sec = per_mode_tps[1];
-  g_gate.speedup = per_mode_tps[1] > 0.0 ? per_mode_tps[0] / per_mode_tps[1] : 0.0;
-  record("speedup", "bitmap_vs_full_scan", "x", g_gate.speedup);
-  std::printf("  bitmap vs full scan: %.2fx (gate requires >= %.1fx)\n", g_gate.speedup,
+  const double speedup = per_mode_tps[1] > 0.0 ? per_mode_tps[0] / per_mode_tps[1] : 0.0;
+  record("speedup", "bitmap_vs_full_scan", "x", speedup);
+  std::printf("  bitmap vs full scan: %.2fx (gate requires >= %.1fx)\n", speedup,
               kRequiredSpeedup);
 }
 
 void run_loaded_tail() {
-  const int reps = quick_mode() ? 50 : 2000;
+  const int reps = bench::quick_mode() ? 50 : 2000;
   Fleet fleet("loaded", /*full_sweep_every_ticks=*/16);
   for (const std::uint32_t active : {32u, 256u, 1024u}) {
     fleet.grow_to(active);
@@ -323,66 +289,23 @@ void run_loaded_tail() {
     std::printf("  %4u active %10.0f ticks/s   p50 %8.0f ns  p99 %8.0f ns  max %9.0f ns\n",
                 active, tps, snap.percentile(50.0), snap.percentile(99.0),
                 static_cast<double>(snap.max_ns));
-    if (active == 1024u) {
-      g_gate.p99_tick_ns = snap.percentile(99.0);
-      g_gate.measured = true;
-    }
   }
-  std::printf("  p99 at 1024 active: %.0f ns (gate requires <= %.0f ns)\n", g_gate.p99_tick_ns,
-              kP99LimitNs);
 }
 
-void emit_json() {
-  const char* env = std::getenv("NS_BENCH_DAEMON_OUT");
-  const std::string path = env != nullptr && env[0] != '\0' ? env : "BENCH_daemon.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_daemon_scale: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"numashare-bench-daemon/1\",\n");
-  std::fprintf(f, "  \"bench\": \"bench_daemon_scale\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick_mode() ? "true" : "false");
-  std::fprintf(f, "  \"sanitized\": %s,\n", kSanitized ? "true" : "false");
-  std::fprintf(f, "  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f,
-               "  \"protocol\": \"in-process daemon over a 1024-slot registry v7, null "
-               "arbitration policy; clients are driven through the real slot/channel "
-               "protocol and all client-side work (claims, heartbeats, telemetry pushes) "
-               "runs outside the timed region. Phase 1: 32 idle heartbeating clients, "
-               "tick throughput with full_sweep_every_ticks 0 (bitmap) / 1 (pre-v7 full "
-               "scan) / 16 (default); throughput is median-derived (1e9/p50, outlier- "
-               "robust) and the gate is the bitmap/full-scan ratio. Phase 2: "
-               "32/256/1024 active clients each pushing one telemetry sample per tick; "
-               "per-tick latency histograms, gate on p99 at 1024. Wall-time measurement: "
-               "the checker replays gates only on full (non-quick, non-sanitized) "
-               "documents\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"scenario\": \"%s\", \"unit\": \"%s\", "
-                 "\"value\": %.3f}%s\n",
-                 r.name.c_str(), r.scenario.c_str(), r.unit.c_str(), r.value,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"gate\": {\n");
-  std::fprintf(f, "    \"clients\": %u,\n", nsd::kMaxClients);
-  std::fprintf(f, "    \"active\": %u,\n", kGateActive);
-  std::fprintf(f, "    \"measured\": %s,\n", g_gate.measured ? "true" : "false");
-  std::fprintf(f, "    \"bitmap_ticks_per_sec\": %.1f,\n", g_gate.bitmap_ticks_per_sec);
-  std::fprintf(f, "    \"full_scan_ticks_per_sec\": %.1f,\n", g_gate.full_scan_ticks_per_sec);
-  std::fprintf(f, "    \"speedup_x\": %.3f,\n", g_gate.speedup);
-  std::fprintf(f, "    \"required_x\": %.1f,\n", kRequiredSpeedup);
-  std::fprintf(f, "    \"p99_tick_ns\": %.0f,\n", g_gate.p99_tick_ns);
-  std::fprintf(f, "    \"p99_limit_ns\": %.0f,\n", kP99LimitNs);
-  std::fprintf(f, "    \"pass\": %s\n", gate_pass() ? "true" : "false");
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu results, gate %s)\n", path.c_str(), g_rows.size(),
-              gate_pass() ? "PASS" : "FAIL");
+void emit_report() {
+  record("capacity", "registry", "slots", nsd::kMaxClients);
+  const std::string active = "_1024cap_" + std::to_string(kGateActive) + "active";
+  g_report.gate({.metric = "ticks_per_sec@bitmap" + active,
+                 .op = ">=",
+                 .ref = "ticks_per_sec@full_scan" + active,
+                 .scale = kRequiredSpeedup,
+                 .enforce = bench::Enforce::kFullUnsanitized});
+  g_report.gate({.metric = "tick@active_1024.p99",
+                 .op = "<=",
+                 .limit = kP99LimitNs,
+                 .enforce = bench::Enforce::kFullUnsanitized});
+  g_report.gate({.metric = "capacity@registry", .op = "==", .limit = 1024});
+  g_report.emit();
 }
 
 void reproduce() {
@@ -394,7 +317,7 @@ void reproduce() {
   run_scan_path_gate();
   bench::print_section("loaded tick tail (one telemetry sample per client per tick)");
   run_loaded_tail();
-  emit_json();
+  emit_report();
 }
 
 void BM_DaemonTickBitmap(benchmark::State& state) {

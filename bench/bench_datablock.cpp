@@ -25,17 +25,16 @@
 //     p99 must stay within 1.05x of blind (plus a 1 us clock/bucket noise
 //     floor). Timing, so enforced only on full unsanitized runs.
 //
-// Emits machine-readable results to BENCH_memory.json (path overridable
-// via NS_BENCH_MEMORY_OUT) in the numashare-bench-memory/1 schema;
-// scripts/check_bench_json.py validates it in CI.
+// Emits a numashare-bench/1 document (bench_support.hpp) to
+// BENCH_memory.json, or to NS_BENCH_OUT; scripts/check_bench_json.py
+// validates it in CI. The advantage gate is enforced `always`: a run that
+// misses it exits non-zero.
 #include "bench_support.hpp"
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/histogram.hpp"
@@ -46,23 +45,6 @@
 namespace {
 
 using namespace numashare;
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
-bool quick_mode() {
-  const char* q = std::getenv("NS_BENCH_QUICK");
-  return q != nullptr && q[0] != '\0' && q[0] != '0';
-}
 
 constexpr double kRequiredAdvantage = 1.3;
 constexpr const char* kGateScenario = "bw_skew";
@@ -264,39 +246,21 @@ SimResult simulate(const Scenario& s, bool aware) {
 }
 
 // ---------------------------------------------------------------------------
-// Rows + gates + JSON.
+// Rows + gates.
 
-struct Row {
-  std::string name;
-  std::string scenario;
-  std::string unit;
-  double value = 0.0;
-};
-
-std::vector<Row> g_rows;
+bench::Report g_report(
+    "bench_datablock", "BENCH_memory.json",
+    "placement rows replay the same virtual-time drain under blind vs penalty-ranked victim "
+    "policies, priced by SimulatedBackend::remote_access_penalty — deterministic model "
+    "arithmetic, so the advantage gate holds in quick and sanitized runs too; the steal gate "
+    "merges interleaved A/B rounds of the real runtime's unsampled steal-latency histograms "
+    "and allows a 1 us absolute noise floor on the p99 ratio, enforced on full unsanitized "
+    "runs");
 
 void record(const std::string& name, const std::string& scenario, const std::string& unit,
             double value) {
-  g_rows.push_back({name, scenario, unit, value});
+  g_report.add(name, scenario, unit, value);
 }
-
-struct Gate {
-  double blind_gbps = 0.0;
-  double aware_gbps = 0.0;
-  double advantage = 0.0;
-  bool measured = false;
-};
-Gate g_gate;
-
-struct StealGate {
-  double blind_p99_ns = 0.0;
-  double aware_p99_ns = 0.0;
-  double ratio = 0.0;
-  bool measured = false;
-  bool enforced = false;
-  bool pass = false;
-};
-StealGate g_steal_gate;
 
 void run_scenario(const Scenario& s) {
   const SimResult blind = simulate(s, /*aware=*/false);
@@ -307,12 +271,6 @@ void run_scenario(const Scenario& s) {
   record("advantage", s.name, "x", advantage);
   record("blind_makespan", s.name, "ms", blind.makespan_s * 1e3);
   record("aware_makespan", s.name, "ms", aware.makespan_s * 1e3);
-  if (s.name == kGateScenario) {
-    g_gate.blind_gbps = blind.gbps;
-    g_gate.aware_gbps = aware.gbps;
-    g_gate.advantage = advantage;
-    g_gate.measured = true;
-  }
   std::printf("  %-12s %-58s\n", s.name.c_str(), s.blurb.c_str());
   std::printf("    blind %6.2f GB/s (%.1f ms, %llu remote MB)   aware %6.2f GB/s "
               "(%.1f ms, %llu remote MB)   advantage %5.2fx\n",
@@ -364,7 +322,7 @@ obs::HistogramSnapshot steal_round(const topo::Machine& machine, bool aware,
   auto block = runtime.create_datablock(kWords * sizeof(std::uint64_t), 0);
   auto words = block->as_span<std::uint64_t>();
   for (std::size_t i = 0; i < kWords; ++i) words[i] = i;
-  for (int i = 0; i < tasks_per_round; ++i) {
+  for (int t = 0; t < tasks_per_round; ++t) {
     // A few microseconds of streaming per task keeps the thieves fed
     // without hiding the steal path behind compute.
     runtime.spawn_with_data(
@@ -412,7 +370,7 @@ void print_steal_pair(const char* label, const obs::HistogramSnapshot& blind,
 void record_steal_rows(const std::string& scenario, const obs::HistogramSnapshot& blind,
                        const obs::HistogramSnapshot& aware, double ratio) {
   // A trimmed quick round can legitimately drain before any thief wakes;
-  // the checker treats the rows as optional on quick documents.
+  // the checker requires the rows on full documents only.
   if (blind.count == 0 || aware.count == 0) return;
   record("steal_p50_blind", scenario, "ns", blind.percentile(50.0));
   record("steal_p50_aware", scenario, "ns", aware.percentile(50.0));
@@ -424,8 +382,8 @@ void record_steal_rows(const std::string& scenario, const obs::HistogramSnapshot
 }
 
 void run_steal_timings() {
-  const int rounds = quick_mode() ? 2 : 10;
-  const int tasks_per_round = quick_mode() ? 1000 : 4000;
+  const int rounds = bench::quick_mode() ? 2 : 10;
+  const int tasks_per_round = bench::quick_mode() ? 1000 : 4000;
 
   // The gated pair: the 2x2 shape bench_spawn uses. With one candidate
   // victim per thief the ranking short-circuits, so enabling the option
@@ -436,17 +394,9 @@ void run_steal_timings() {
   const double aware_p99 = aware.percentile(99.0);
   const double ratio = blind_p99 > 0.0 ? aware_p99 / blind_p99 : 0.0;
   record_steal_rows("steal_2x2", blind, aware, ratio);
-  g_steal_gate.blind_p99_ns = blind_p99;
-  g_steal_gate.aware_p99_ns = aware_p99;
-  g_steal_gate.ratio = ratio;
-  g_steal_gate.measured = blind.count > 0 && aware.count > 0;
-  g_steal_gate.enforced = !quick_mode() && !kSanitized;
-  g_steal_gate.pass = g_steal_gate.measured &&
-                      aware_p99 <= blind_p99 * kStealP99LimitX + kStealP99FloorNs;
   char label[96];
-  std::snprintf(label, sizeof(label), "gated: 2x2, %d x %d tasks each%s", rounds,
-                tasks_per_round,
-                g_steal_gate.enforced ? "" : " (not enforced on quick/sanitized runs)");
+  std::snprintf(label, sizeof(label), "gated: 2x2, %d x %d tasks each", rounds,
+                tasks_per_round);
   print_steal_pair(label, blind, aware, ratio);
 
   // Documentation pair: four single-core nodes, three candidate victims,
@@ -462,68 +412,6 @@ void run_steal_timings() {
                    ratio4);
 }
 
-void emit_json() {
-  const char* env = std::getenv("NS_BENCH_MEMORY_OUT");
-  const std::string path = env != nullptr && env[0] != '\0' ? env : "BENCH_memory.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_datablock: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"numashare-bench-memory/1\",\n");
-  std::fprintf(f, "  \"bench\": \"bench_datablock\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick_mode() ? "true" : "false");
-  std::fprintf(f, "  \"sanitized\": %s,\n", kSanitized ? "true" : "false");
-  std::fprintf(f, "  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f,
-               "  \"protocol\": \"placement rows replay the same virtual-time drain "
-               "under blind vs penalty-ranked victim policies, priced by "
-               "SimulatedBackend::remote_access_penalty — deterministic model "
-               "arithmetic, so the advantage gate holds in quick and sanitized runs "
-               "too; the steal gate merges interleaved A/B rounds of the real "
-               "runtime's unsampled steal-latency histograms and allows a 1 us "
-               "absolute noise floor on the p99 ratio, enforced on full unsanitized "
-               "runs\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"scenario\": \"%s\", \"unit\": \"%s\", "
-                 "\"value\": %.3f}%s\n",
-                 r.name.c_str(), r.scenario.c_str(), r.unit.c_str(), r.value,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"gate\": {\n");
-  std::fprintf(f, "    \"scenario\": \"%s\",\n", kGateScenario);
-  std::fprintf(f, "    \"measured\": %s,\n", g_gate.measured ? "true" : "false");
-  std::fprintf(f, "    \"blind_gbps\": %.3f,\n", g_gate.blind_gbps);
-  std::fprintf(f, "    \"aware_gbps\": %.3f,\n", g_gate.aware_gbps);
-  std::fprintf(f, "    \"advantage_x\": %.3f,\n", g_gate.advantage);
-  std::fprintf(f, "    \"required_x\": %.1f,\n", kRequiredAdvantage);
-  std::fprintf(f, "    \"pass\": %s\n",
-               g_gate.measured && g_gate.advantage >= kRequiredAdvantage ? "true"
-                                                                        : "false");
-  std::fprintf(f, "  },\n");
-  std::fprintf(f, "  \"steal_gate\": {\n");
-  std::fprintf(f, "    \"measured\": %s,\n", g_steal_gate.measured ? "true" : "false");
-  std::fprintf(f, "    \"enforced\": %s,\n", g_steal_gate.enforced ? "true" : "false");
-  std::fprintf(f, "    \"blind_p99_ns\": %.0f,\n", g_steal_gate.blind_p99_ns);
-  std::fprintf(f, "    \"aware_p99_ns\": %.0f,\n", g_steal_gate.aware_p99_ns);
-  std::fprintf(f, "    \"ratio_x\": %.3f,\n", g_steal_gate.ratio);
-  std::fprintf(f, "    \"limit_x\": %.2f,\n", kStealP99LimitX);
-  std::fprintf(f, "    \"floor_ns\": %.0f,\n", kStealP99FloorNs);
-  std::fprintf(f, "    \"pass\": %s\n", g_steal_gate.pass ? "true" : "false");
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  const bool gate_ok = g_gate.measured && g_gate.advantage >= kRequiredAdvantage;
-  std::printf("\nwrote %s (%zu results, advantage gate %s, steal gate %s)\n",
-              path.c_str(), g_rows.size(), gate_ok ? "PASS" : "FAIL",
-              g_steal_gate.pass ? "PASS"
-                                : (g_steal_gate.enforced ? "FAIL" : "unenforced"));
-}
-
 void reproduce() {
   bench::print_header("E21", "memory-side control (locality-aware vs blind stealing)");
   std::printf("  Pre-queued streaming tasks drain through the two victim policies\n"
@@ -535,7 +423,17 @@ void reproduce() {
   run_migration_payoff();
   bench::print_section("steal-path cost (real runtime, aware vs blind)");
   run_steal_timings();
-  emit_json();
+  g_report.gate({.metric = std::string("aware@") + kGateScenario,
+                 .op = ">=",
+                 .ref = std::string("blind@") + kGateScenario,
+                 .scale = kRequiredAdvantage});
+  g_report.gate({.metric = "steal_p99_aware@steal_2x2",
+                 .op = "<=",
+                 .ref = "steal_p99_blind@steal_2x2",
+                 .scale = kStealP99LimitX,
+                 .offset = kStealP99FloorNs,
+                 .enforce = bench::Enforce::kFullUnsanitized});
+  g_report.emit();
 }
 
 void BM_DrainSimAware(benchmark::State& state) {

@@ -16,21 +16,19 @@
 // up the §IV scheduling budget) and a steady-state scanner pass over a
 // scripted 32-process procfs tree (what the daemon pays per monitor tick).
 //
-// Emits machine-readable results to BENCH_foreign.json (path overridable
-// via NS_BENCH_FOREIGN_OUT) in the numashare-bench-foreign/1 schema;
-// scripts/check_bench_json.py validates it in CI. The placement rows are
-// pure model arithmetic — deterministic, sanitizer-independent — so the
-// gate must pass even in NS_BENCH_QUICK smoke runs; quick mode only trims
-// the timing repetitions.
+// Emits a numashare-bench/1 document (bench_support.hpp) to
+// BENCH_foreign.json, or to NS_BENCH_OUT; scripts/check_bench_json.py
+// validates it in CI. The placement rows are pure model arithmetic —
+// deterministic, sanitizer-independent — so the gate is enforced `always`:
+// a run that misses it exits non-zero, NS_BENCH_QUICK smoke runs included;
+// quick mode only trims the timing repetitions.
 #include "bench_support.hpp"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/optimizer.hpp"
@@ -44,23 +42,6 @@ namespace {
 
 using namespace numashare;
 using Clock = std::chrono::steady_clock;
-
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
-bool quick_mode() {
-  const char* q = std::getenv("NS_BENCH_QUICK");
-  return q != nullptr && q[0] != '\0' && q[0] != '0';
-}
 
 constexpr double kRequiredAdvantage = 1.3;
 constexpr const char* kGateScenario = "bw_shift";
@@ -147,26 +128,16 @@ std::vector<Scenario> make_scenarios() {
   return scenarios;
 }
 
-struct Row {
-  std::string name;
-  std::string scenario;
-  std::string unit;
-  double value = 0.0;
-};
-
-std::vector<Row> g_rows;
-
-struct Gate {
-  double blind_gflops = 0.0;
-  double aware_gflops = 0.0;
-  double advantage = 0.0;
-  bool measured = false;
-};
-Gate g_gate;
+bench::Report g_report(
+    "bench_foreign", "BENCH_foreign.json",
+    "per scenario, a foreign-blind and a foreign-aware exhaustive search each pick an "
+    "allocation; both are scored under the true contended model (SolveOptions.foreign) and "
+    "'advantage' is the aware/blind throughput ratio — deterministic model arithmetic, so "
+    "the gate holds in quick and sanitized runs too; timing rows are best-of-N wall time");
 
 void record(const std::string& name, const std::string& scenario, const std::string& unit,
             double value) {
-  g_rows.push_back({name, scenario, unit, value});
+  g_report.add(name, scenario, unit, value);
 }
 
 double true_score(const Scenario& s, const model::Allocation& allocation) {
@@ -192,12 +163,6 @@ void run_scenario(const Scenario& s) {
   record("blind", s.name, "gflops", blind_gflops);
   record("aware", s.name, "gflops", aware_gflops);
   record("advantage", s.name, "x", advantage);
-  if (s.name == kGateScenario) {
-    g_gate.blind_gflops = blind_gflops;
-    g_gate.aware_gflops = aware_gflops;
-    g_gate.advantage = advantage;
-    g_gate.measured = true;
-  }
   std::printf("  %-10s %-52s blind %6.3f  aware %6.3f  advantage %5.2fx\n", s.name.c_str(),
               s.blurb.c_str(), blind_gflops, aware_gflops, advantage);
 }
@@ -231,7 +196,7 @@ double timed_reps_us(int reps, obs::LatencyHistogram& hist,
 }
 
 void run_timings(const std::vector<Scenario>& scenarios) {
-  const int reps = quick_mode() ? 5 : 200;
+  const int reps = bench::quick_mode() ? 5 : 200;
 
   // Foreign-aware streaming search on the largest scenario. Every rep feeds
   // the tail distribution: on a co-tenant machine the search's p99 is what
@@ -247,11 +212,7 @@ void run_timings(const std::vector<Scenario>& scenarios) {
   record("aware_search", big.name, "us_per_search", search_us);
   obs::HistogramSnapshot search_snap;
   search_hist.snapshot_into(search_snap);
-  record("aware_search_p50", big.name, "us_per_search", search_snap.percentile(50.0) / 1000.0);
-  record("aware_search_p99", big.name, "us_per_search", search_snap.percentile(99.0) / 1000.0);
-  record("aware_search_p999", big.name, "us_per_search", search_snap.percentile(99.9) / 1000.0);
-  record("aware_search_max", big.name, "us_per_search",
-         static_cast<double>(search_snap.max_ns) / 1000.0);
+  g_report.add_distribution("aware_search_tail", big.name, search_snap);
   std::printf("  foreign-aware search (%s):  %10.1f us best, p50 %.1f  p99 %.1f  max %.1f\n",
               big.name.c_str(), search_us, search_snap.percentile(50.0) / 1000.0,
               search_snap.percentile(99.0) / 1000.0,
@@ -267,8 +228,9 @@ void run_timings(const std::vector<Scenario>& scenarios) {
   foreign::ScannerOptions scanner_options;
   scanner_options.proc_root = proc.root();
   scanner_options.ticks_per_second = 100;
-  foreign::ForeignScanner scanner(topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0),
-                                  scanner_options);
+  // The scanner keeps a reference to its machine, so the machine must outlive it.
+  const auto scan_machine = topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0);
+  foreign::ForeignScanner scanner(scan_machine, scanner_options);
   double now = 1.0;
   scanner.scan(now);  // priming pass
   const double scan_us = best_of_us(reps, [&] {
@@ -277,52 +239,6 @@ void run_timings(const std::vector<Scenario>& scenarios) {
   });
   record("scan", "procfs_32", "us_per_scan", scan_us);
   std::printf("  scanner pass (32 processes): %9.1f us\n", scan_us);
-}
-
-void emit_json() {
-  const char* env = std::getenv("NS_BENCH_FOREIGN_OUT");
-  const std::string path = env != nullptr && env[0] != '\0' ? env : "BENCH_foreign.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_foreign: cannot write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"numashare-bench-foreign/1\",\n");
-  std::fprintf(f, "  \"bench\": \"bench_foreign\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick_mode() ? "true" : "false");
-  std::fprintf(f, "  \"sanitized\": %s,\n", kSanitized ? "true" : "false");
-  std::fprintf(f, "  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f,
-               "  \"protocol\": \"per scenario, a foreign-blind and a foreign-aware "
-               "exhaustive search each pick an allocation; both are scored under the "
-               "true contended model (SolveOptions.foreign) and 'advantage' is the "
-               "aware/blind throughput ratio — deterministic model arithmetic, so the "
-               "gate holds in quick and sanitized runs too; timing rows are best-of-N "
-               "wall time\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < g_rows.size(); ++i) {
-    const Row& r = g_rows[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"scenario\": \"%s\", \"unit\": \"%s\", "
-                 "\"value\": %.3f}%s\n",
-                 r.name.c_str(), r.scenario.c_str(), r.unit.c_str(), r.value,
-                 i + 1 < g_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"gate\": {\n");
-  std::fprintf(f, "    \"scenario\": \"%s\",\n", kGateScenario);
-  std::fprintf(f, "    \"measured\": %s,\n", g_gate.measured ? "true" : "false");
-  std::fprintf(f, "    \"blind_gflops\": %.3f,\n", g_gate.blind_gflops);
-  std::fprintf(f, "    \"aware_gflops\": %.3f,\n", g_gate.aware_gflops);
-  std::fprintf(f, "    \"advantage_x\": %.3f,\n", g_gate.advantage);
-  std::fprintf(f, "    \"required_x\": %.1f,\n", kRequiredAdvantage);
-  std::fprintf(f, "    \"pass\": %s\n",
-               g_gate.measured && g_gate.advantage >= kRequiredAdvantage ? "true" : "false");
-  std::fprintf(f, "  }\n}\n");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu results, gate %s)\n", path.c_str(), g_rows.size(),
-              g_gate.measured && g_gate.advantage >= kRequiredAdvantage ? "PASS" : "FAIL");
 }
 
 void reproduce() {
@@ -335,7 +251,11 @@ void reproduce() {
   for (const auto& s : scenarios) run_scenario(s);
   bench::print_section("arbitration costs");
   run_timings(scenarios);
-  emit_json();
+  g_report.gate({.metric = std::string("aware@") + kGateScenario,
+                 .op = ">=",
+                 .ref = std::string("blind@") + kGateScenario,
+                 .scale = kRequiredAdvantage});
+  g_report.emit();
 }
 
 void BM_ForeignAwareSearch(benchmark::State& state) {
@@ -363,7 +283,8 @@ void BM_ScannerPass(benchmark::State& state) {
   foreign::ScannerOptions options;
   options.proc_root = proc.root();
   options.ticks_per_second = 100;
-  foreign::ForeignScanner scanner(topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0), options);
+  const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0);
+  foreign::ForeignScanner scanner(machine, options);
   double now = 1.0;
   scanner.scan(now);
   for (auto _ : state) {

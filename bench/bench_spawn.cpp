@@ -16,17 +16,18 @@
 //     for one task: the idle-detection/notify path (median).
 //
 // Unlike the paper-reproduction benches this one has no published number to
-// compare against; instead it *emits machine-readable results* to
-// BENCH_runtime.json (path overridable via NS_BENCH_OUT) so successive PRs
-// carry a measured perf trajectory. NS_BENCH_QUICK=1 shrinks iteration
-// counts for CI smoke runs; sanitizer builds shrink automatically.
+// compare against; instead it emits a numashare-bench/1 document
+// (bench_support.hpp) to BENCH_runtime.json, or to NS_BENCH_OUT, so
+// successive changes carry a measured perf trajectory. Its two gates (the
+// obs overhead ratio and the w1 handoff p99) are timing gates enforced on
+// full documents. NS_BENCH_QUICK=1 shrinks iteration counts for CI smoke
+// runs; sanitizer builds shrink automatically.
 #include "bench_support.hpp"
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,27 +44,10 @@ namespace {
 using namespace numashare;
 using Clock = std::chrono::steady_clock;
 
-#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
-constexpr bool kSanitized = true;
-#elif defined(__has_feature)
-#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
-constexpr bool kSanitized = true;
-#else
-constexpr bool kSanitized = false;
-#endif
-#else
-constexpr bool kSanitized = false;
-#endif
-
-bool quick_mode() {
-  const char* q = std::getenv("NS_BENCH_QUICK");
-  return q != nullptr && q[0] != '\0' && q[0] != '0';
-}
-
 /// Iteration scale: full by default, /32 for CI smoke, /8 under sanitizers.
 std::uint64_t scaled(std::uint64_t full) {
-  if (quick_mode()) return std::max<std::uint64_t>(full / 32, 64);
-  if (kSanitized) return std::max<std::uint64_t>(full / 8, 64);
+  if (bench::quick_mode()) return std::max<std::uint64_t>(full / 32, 64);
+  if (bench::kSanitized) return std::max<std::uint64_t>(full / 8, 64);
   return full;
 }
 
@@ -76,56 +60,45 @@ double median(std::vector<double>& xs) {
   return xs.empty() ? 0.0 : xs[xs.size() / 2];
 }
 
-struct Result {
-  std::string name;
-  std::uint32_t workers;
-  std::string unit;
-  double value;
-};
+bench::Report g_report(
+    "bench_spawn", "BENCH_runtime.json",
+    "throughput/median rows: best of 3 runs; latency rows: full obs-histogram "
+    "distributions (handoff/wake from a dedicated single-task phase, steal from burst "
+    "churn, enact_lag through Channel+RuntimeAdapter); obs_overhead: best-of-5 "
+    "interleaved off/on at production 1/64 sampling; single shared-CPU container, so all "
+    "multi-worker points are oversubscribed and tails include scheduler preemption; rows "
+    "with scenario eb74b81_wN are the pre-lifecycle-rework baseline (commit eb74b81, same "
+    "machine, same bench source, runtime before the slab-pool/MPMC/sharded-metrics "
+    "lifecycle rework)");
 
-std::vector<Result> g_results;
+/// "w4", or "eb74b81_w4" for a baseline row.
+std::string scenario(std::uint32_t workers, const char* prefix = "") {
+  std::string s = prefix;
+  s += 'w';
+  s += std::to_string(workers);
+  return s;
+}
 
 void record(const std::string& name, std::uint32_t workers, const std::string& unit,
             double value) {
-  g_results.push_back({name, workers, unit, value});
+  g_report.add(name, scenario(workers), unit, value);
   std::printf("  %-28s w=%-3u %14.1f %s\n", name.c_str(), workers, value, unit.c_str());
 }
 
-/// One latency distribution row (schema v2): full-percentile view of a
-/// runtime-internal latency, from the obs histograms.
-struct LatencyRow {
-  std::string name;
-  std::uint32_t workers;
-  std::uint64_t count;
-  double p50;
-  double p99;
-  double p999;
-  double max;
-};
-
-std::vector<LatencyRow> g_latency;
-
+/// One latency distribution row: full-percentile view of a runtime-internal
+/// latency, from the obs histograms.
 void record_latency(const std::string& name, std::uint32_t workers,
                     const obs::HistogramSnapshot& snap) {
   if (snap.count == 0) return;  // nothing observed (e.g. no steals at w=1)
-  const LatencyRow row{name,
-                       workers,
-                       snap.count,
-                       snap.percentile(50.0),
-                       snap.percentile(99.0),
-                       snap.percentile(99.9),
-                       static_cast<double>(snap.max_ns)};
-  g_latency.push_back(row);
+  g_report.add_distribution(name, scenario(workers), snap);
   std::printf("  %-16s w=%-3u n=%-8llu p50=%10.0f p99=%10.0f p999=%10.0f max=%10.0f ns\n",
-              name.c_str(), workers, static_cast<unsigned long long>(row.count),
-              row.p50, row.p99, row.p999, row.max);
+              name.c_str(), workers, static_cast<unsigned long long>(snap.count),
+              snap.percentile(50.0), snap.percentile(99.0), snap.percentile(99.9),
+              static_cast<double>(snap.max_ns));
 }
 
-/// Measured obs-overhead gate (filled by bench_obs_overhead) and the p99
-/// handoff gate, both exported in the JSON "gates" object and enforced by
-/// scripts/check_bench_json.py on non-quick documents.
-double g_obs_overhead_x = 0.0;
-constexpr double kObsOverheadLimitX = 1.02;  // < 2% throughput cost
+/// Gate: histogram recording may cost at most 2% spawn throughput.
+constexpr double kObsOverheadLimitX = 1.02;
 /// p99 of the dedicated single-task handoff distribution (w=1). Measured
 /// ~2.2 us on the reference container (p50 ~0.6 us; the p999 ~15 us tail is
 /// scheduler preemption on the shared CPU). The limit sits ~10x over the
@@ -353,103 +326,50 @@ void bench_obs_overhead() {
     best_off = std::max(best_off, spawn_throughput_once(false));
     best_on = std::max(best_on, spawn_throughput_once(true));
   }
-  g_obs_overhead_x = best_off / best_on;
-  record("obs_overhead", 4, "x", g_obs_overhead_x);
+  record("obs_overhead", 4, "x", best_off / best_on);
   std::printf("  (histograms off %.0f tasks/s, on %.0f tasks/s, limit %.2fx)\n",
               best_off, best_on, kObsOverheadLimitX);
 }
 
-void emit_json() {
-  const char* env = std::getenv("NS_BENCH_OUT");
-  const std::string path = env != nullptr && env[0] != '\0' ? env : "BENCH_runtime.json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "bench_spawn: cannot write %s\n", path.c_str());
-    return;
+/// The pre-lifecycle-rework numbers (commit eb74b81, same machine, same
+/// bench source) the lifecycle rework's speedup claims were measured
+/// against, carried as ordinary rows so the artifact holds its own
+/// before/after context.
+struct BaselineRow {
+  const char* name;
+  std::uint32_t workers;
+  const char* unit;
+  double value;
+};
+constexpr BaselineRow kBaselineEb74b81[] = {
+    {"spawn_retire_external", 1, "tasks_per_sec", 2153624.264},
+    {"spawn_retire_external", 4, "tasks_per_sec", 1288099.952},
+    {"spawn_retire_external", 8, "tasks_per_sec", 1710397.775},
+    {"spawn_retire_external", 16, "tasks_per_sec", 1229898.569},
+    {"spawn_retire_nested", 1, "tasks_per_sec", 6776643.917},
+    {"spawn_retire_nested", 4, "tasks_per_sec", 6781273.992},
+    {"spawn_retire_nested", 8, "tasks_per_sec", 6578669.526},
+    {"spawn_retire_nested", 16, "tasks_per_sec", 6769592.815},
+    {"steal_drain", 1, "ns_per_steal", 16.049},
+    {"handoff_latency", 1, "ns_median", 2175.0},
+    {"handoff_latency", 4, "ns_median", 2078.0},
+    {"wait_idle_latency", 1, "ns_median", 2222.0},
+    {"wait_idle_latency", 4, "ns_median", 2122.0},
+};
+
+void emit_report() {
+  for (const BaselineRow& b : kBaselineEb74b81) {
+    g_report.add(b.name, scenario(b.workers, "eb74b81_"), b.unit, b.value);
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"numashare-bench-runtime/2\",\n");
-  std::fprintf(f, "  \"bench\": \"bench_spawn\",\n");
-  std::fprintf(f, "  \"quick\": %s,\n", quick_mode() ? "true" : "false");
-  std::fprintf(f, "  \"sanitized\": %s,\n", kSanitized ? "true" : "false");
-  std::fprintf(f, "  \"host_cpus\": %u,\n", std::thread::hardware_concurrency());
-  std::fprintf(f,
-               "  \"protocol\": \"throughput/median rows: best of 3 runs; "
-               "latency rows: full obs-histogram distributions (handoff/wake "
-               "from a dedicated single-task phase, steal from burst churn, "
-               "enact_lag through Channel+RuntimeAdapter); obs_overhead: "
-               "best-of-5 interleaved off/on at production 1/64 sampling; "
-               "single shared-CPU container, so all multi-worker points are "
-               "oversubscribed and tails include scheduler preemption\",\n");
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < g_results.size(); ++i) {
-    const Result& r = g_results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"workers\": %u, \"unit\": \"%s\", "
-                 "\"value\": %.3f}%s\n",
-                 r.name.c_str(), r.workers, r.unit.c_str(), r.value,
-                 i + 1 < g_results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  // v2: full-percentile latency distributions from the obs histograms. The
-  // checker enforces p50 <= p99 <= p999 <= max on every row.
-  std::fprintf(f, "  \"latency\": [\n");
-  for (std::size_t i = 0; i < g_latency.size(); ++i) {
-    const LatencyRow& r = g_latency[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"workers\": %u, \"unit\": \"ns\", "
-                 "\"count\": %llu, \"p50\": %.1f, \"p99\": %.1f, "
-                 "\"p999\": %.1f, \"max\": %.1f}%s\n",
-                 r.name.c_str(), r.workers,
-                 static_cast<unsigned long long>(r.count), r.p50, r.p99,
-                 r.p999, r.max, i + 1 < g_latency.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  // Regression gates: the recording-overhead ratio and the w=1 handoff p99,
-  // enforced by scripts/check_bench_json.py when quick=false.
-  double handoff_p99 = 0.0;
-  for (const LatencyRow& r : g_latency) {
-    if (r.name == "handoff" && r.workers == 1) handoff_p99 = r.p99;
-  }
-  std::fprintf(f, "  \"gates\": {\n");
-  std::fprintf(f, "    \"obs_overhead_x\": %.4f,\n", g_obs_overhead_x);
-  std::fprintf(f, "    \"obs_limit_x\": %.2f,\n", kObsOverheadLimitX);
-  std::fprintf(f, "    \"handoff_p99_ns\": %.1f,\n", handoff_p99);
-  std::fprintf(f, "    \"handoff_p99_limit_ns\": %.1f,\n", kHandoffP99LimitNs);
-  std::fprintf(f, "    \"measured\": %s,\n",
-               g_obs_overhead_x > 0.0 && handoff_p99 > 0.0 ? "true" : "false");
-  std::fprintf(f, "    \"pass\": %s\n",
-               g_obs_overhead_x <= kObsOverheadLimitX &&
-                       handoff_p99 <= kHandoffP99LimitNs
-                   ? "true"
-                   : "false");
-  std::fprintf(f, "  },\n");
-  // Historical before/after context carried in the artifact itself: the
-  // pre-lifecycle-rework numbers (commit eb74b81, same machine, same bench
-  // source) that the PR 4 speedup claims were measured against.
-  std::fprintf(f, "%s", R"json(  "baseline": {
-    "commit": "eb74b81",
-    "note": "same machine, same bench source, runtime before the slab-pool/MPMC/sharded-metrics lifecycle rework",
-    "results": [
-      {"name": "spawn_retire_external", "workers": 1, "unit": "tasks_per_sec", "value": 2153624.264},
-      {"name": "spawn_retire_external", "workers": 4, "unit": "tasks_per_sec", "value": 1288099.952},
-      {"name": "spawn_retire_external", "workers": 8, "unit": "tasks_per_sec", "value": 1710397.775},
-      {"name": "spawn_retire_external", "workers": 16, "unit": "tasks_per_sec", "value": 1229898.569},
-      {"name": "spawn_retire_nested", "workers": 1, "unit": "tasks_per_sec", "value": 6776643.917},
-      {"name": "spawn_retire_nested", "workers": 4, "unit": "tasks_per_sec", "value": 6781273.992},
-      {"name": "spawn_retire_nested", "workers": 8, "unit": "tasks_per_sec", "value": 6578669.526},
-      {"name": "spawn_retire_nested", "workers": 16, "unit": "tasks_per_sec", "value": 6769592.815},
-      {"name": "steal_drain", "workers": 1, "unit": "ns_per_steal", "value": 16.049},
-      {"name": "handoff_latency", "workers": 1, "unit": "ns_median", "value": 2175.0},
-      {"name": "handoff_latency", "workers": 4, "unit": "ns_median", "value": 2078.0},
-      {"name": "wait_idle_latency", "workers": 1, "unit": "ns_median", "value": 2222.0},
-      {"name": "wait_idle_latency", "workers": 4, "unit": "ns_median", "value": 2122.0}
-    ]
-  }
-}
-)json");
-  std::fclose(f);
-  std::printf("\nwrote %s (%zu results)\n", path.c_str(), g_results.size());
+  g_report.gate({.metric = "obs_overhead@w4",
+                 .op = "<=",
+                 .limit = kObsOverheadLimitX,
+                 .enforce = bench::Enforce::kFull});
+  g_report.gate({.metric = "handoff@w1.p99",
+                 .op = "<=",
+                 .limit = kHandoffP99LimitNs,
+                 .enforce = bench::Enforce::kFull});
+  g_report.emit();
 }
 
 void reproduce() {
@@ -473,7 +393,7 @@ void reproduce() {
   bench::print_section("observability overhead (histograms off vs on)");
   bench_obs_overhead();
 
-  emit_json();
+  emit_report();
 }
 
 // --- google-benchmark timings (smoke-run friendly) -------------------------

@@ -1,467 +1,263 @@
 #!/usr/bin/env python3
-"""Validate the machine-readable bench artifacts.
+"""Validate a numashare-bench/1 document, the one format every gated bench emits.
 
-Three schemas share a family:
+A document is {schema, bench, quick, sanitized, host_cpus, protocol, results,
+gates} (docs/OBSERVABILITY.md "Bench format").
 
-  * numashare-bench-runtime/1 and /2 — emitted by bench_spawn (task
-    lifecycle); rows are {name, workers, unit, value}. The /2 revision adds
-    a `latency` array of full-percentile rows ({name, workers, unit:"ns",
-    count, p50, p99, p999, max}, checked for p50 <= p99 <= p999 <= max) and
-    a `gates` object: the histogram-recording overhead ratio must stay
-    under its limit and the w=1 handoff p99 under its regression ceiling —
-    both enforced on non-quick documents, so a committed BENCH_runtime.json
-    with a regressed tail or a histogram hot-path that got expensive fails
-    CI rather than shipping.
-  * numashare-bench-model/1 — emitted by bench_alloc_scale (allocation-search
-    scaling); rows are {name, nodes, cores_per_node, apps, unit, value} and
-    the document carries a speedup `gate` object plus `peak_rss_kb`.
-  * numashare-bench-foreign/1 — emitted by bench_foreign (foreign-workload
-    arbitration, E19); rows are {name, scenario, unit, value} and the
-    document carries an aware-vs-blind advantage `gate` object.
-  * numashare-bench-memory/1 — emitted by bench_datablock (memory-side
-    control, E21); rows are {name, scenario, unit, value} and the document
-    carries two gates: the locality-aware vs locality-blind stealing
-    advantage (deterministic virtual-time pricing, >= 1.3x on the bw_skew
-    scenario, enforced in every run) and the steal-path p99 regression
-    (real timing with a documented absolute noise floor, enforced only when
-    the document says so — full unsanitized runs).
-  * numashare-bench-daemon/1 — emitted by bench_daemon_scale (daemon
-    tick-path scaling, E22); rows are {name, scenario, unit, value} with
-    per-scenario tick-latency percentiles checked for monotonicity
-    (p50 <= p99 <= p999 <= max). The gate object records the
-    bitmap-vs-full-scan tick throughput ratio at 1024 slots / 32 active
-    clients (>= 8x) and the loaded p99 tick latency at 1024 active clients
-    against its documented bound; both are wall-time measurements, so they
-    are replayed only on full (non-quick, non-sanitized) documents.
+Rows. A result row is {name, scenario, unit, value} or a latency distribution
+{name, scenario, unit: "ns", [count,] p50, p99, p999, max}. (name, scenario)
+is unique, every number is positive and finite, percentiles are monotone and
+a recorded count is non-zero.
 
-The schema is dispatched from the document itself. Checks cover the schema
-tag, the required top-level fields, and that every result row is well-formed
-(known unit, positive finite value, sane dimensions). For the model schema a
-non-quick document must additionally have a measured, passing gate at the
-canonical 8x64x8 configuration with bounded peak RSS — so a committed
-BENCH_model.json that silently regressed the >=10x speedup (or started
-materializing the candidate set) fails CI rather than shipping. The foreign
-gate is pure model arithmetic (no timing involved), so it must pass in every
-run, quick and sanitized included: foreign-aware placement must beat
-foreign-blind by >= 1.3x on the gate scenario.
+Gates. A gate is {metric, op, limit | ref [, scale] [, offset], enforce}.
+`metric` and `ref` address a row as "name@scenario", plus ".p99" (or another
+percentile field) for a distribution. The bound is `limit`, or
+scale * ref + offset. `op` is <=, >= or ==. `enforce` says which documents
+the verdict counts on: always, full (quick=false) or full_unsanitized
+(quick=false and sanitized=false). Every verdict is recomputed from the rows;
+an enforced gate whose rows are missing fails.
 
-Usage: check_bench_json.py BENCH.json [--require NAME ...]
+Pins. PINS names, per bench, what its document must carry: its units, the
+shape of its scenario names, the row names present in every document (and in
+full documents), the scenarios, per-row flags, and its gates at today's limits
+and enforce levels, so a document cannot pass by dropping or loosening a gate.
+
+Usage: check_bench_json.py BENCH.json
 """
-import argparse
 import json
 import math
+import operator
+import re
 import sys
 
-RUNTIME_SCHEMA = "numashare-bench-runtime/1"
-RUNTIME_SCHEMA_V2 = "numashare-bench-runtime/2"
-MODEL_SCHEMA = "numashare-bench-model/1"
-FOREIGN_SCHEMA = "numashare-bench-foreign/1"
-MEMORY_SCHEMA = "numashare-bench-memory/1"
-DAEMON_SCHEMA = "numashare-bench-daemon/1"
+SCHEMA = "numashare-bench/1"
+PERCENTILES = ("p50", "p99", "p999", "max")
+OPS = {"<=": operator.le, ">=": operator.ge, "==": operator.eq}
+ENFORCE = {
+    "always": lambda doc: True,
+    "full": lambda doc: not doc["quick"],
+    "full_unsanitized": lambda doc: not doc["quick"] and not doc["sanitized"],
+}
 
-RUNTIME_UNITS = {"tasks_per_sec", "ns_per_steal", "ns_median", "x"}
-MODEL_UNITS = {"us_per_search", "us_per_solve", "evals", "kb", "x"}
-FOREIGN_UNITS = {"gflops", "x", "us_per_search", "us_per_scan"}
-MEMORY_UNITS = {"gbps", "x", "ns", "ms", "count"}
-DAEMON_UNITS = {"ticks/s", "ns", "x"}
+PINS = {
+    "bench_spawn": {
+        "units": {"tasks_per_sec", "ns_per_steal", "ns_median", "x", "ns"},
+        # Worker count (1..1024); eb74b81_ rows are the committed baseline.
+        "scenario": r"(?:eb74b81_)?w(\d+)",
+        "names": ["spawn_retire_external", "spawn_retire_nested", "steal_drain",
+                  "handoff_latency", "wait_idle_latency"],
+        # Quick runs may legitimately miss a distribution (e.g. no steals).
+        "full_names": ["handoff", "steal", "wake", "enact_lag"],
+        "gates": [
+            {"metric": "obs_overhead@w4", "op": "<=", "limit": 1.02, "enforce": "full"},
+            {"metric": "handoff@w1.p99", "op": "<=", "limit": 25000, "enforce": "full"},
+        ],
+    },
+    "bench_alloc_scale": {
+        "units": {"us_per_search", "us_per_solve", "evals", "kb", "x"},
+        # nodes x cores_per_node x apps, each 1..1024.
+        "scenario": r"(\d+)x(\d+)x(\d+)",
+        "names": ["solve", "solve_into", "search_before", "search_after", "search_speedup",
+                  "search_evals", "search_candidates", "refine", "peak_rss", "peak_rss_full"],
+        # Every search_before row says whether its brute-force time was estimated.
+        "flags": {"search_before": "estimated"},
+        "gates": [
+            {"metric": "search_before@8x64x8", "op": ">=", "ref": "search_after@8x64x8",
+             "scale": 10, "enforce": "full"},
+            # The streaming phase must not materialize the candidate set: 512 MB.
+            {"metric": "peak_rss@8x64x8", "op": "<=", "limit": 524288, "enforce": "always"},
+            {"metric": "peak_rss_full@8x64x8", "op": ">=", "ref": "peak_rss@8x64x8",
+             "enforce": "always"},
+        ],
+    },
+    "bench_foreign": {
+        "units": {"gflops", "x", "us_per_search", "us_per_scan", "ns"},
+        "names": ["blind", "aware", "advantage", "aware_search", "scan"],
+        "gates": [
+            {"metric": "aware@bw_shift", "op": ">=", "ref": "blind@bw_shift", "scale": 1.3,
+             "enforce": "always"},
+        ],
+    },
+    "bench_datablock": {
+        "units": {"gbps", "x", "ns", "ms", "count"},
+        "names": ["blind", "aware", "advantage", "migrate_payoff"],
+        # A trimmed quick round may drain before any thief records a steal.
+        "full_names": ["steal_p99_blind", "steal_p99_aware", "steal_p99_ratio"],
+        "gates": [
+            {"metric": "aware@bw_skew", "op": ">=", "ref": "blind@bw_skew", "scale": 1.3,
+             "enforce": "always"},
+            {"metric": "steal_p99_aware@steal_2x2", "op": "<=", "ref": "steal_p99_blind@steal_2x2",
+             "scale": 1.05, "offset": 1000, "enforce": "full_unsanitized"},
+        ],
+    },
+    "bench_daemon_scale": {
+        "units": {"ticks/s", "ns", "x", "slots"},
+        "names": ["ticks_per_sec", "tick", "speedup", "capacity"],
+        "scenarios": ["bitmap_1024cap_32active", "full_scan_1024cap_32active",
+                      "sweep16_1024cap_32active", "active_32", "active_256", "active_1024"],
+        "gates": [
+            {"metric": "ticks_per_sec@bitmap_1024cap_32active", "op": ">=",
+             "ref": "ticks_per_sec@full_scan_1024cap_32active", "scale": 8,
+             "enforce": "full_unsanitized"},
+            {"metric": "tick@active_1024.p99", "op": "<=", "limit": 25000000,
+             "enforce": "full_unsanitized"},
+            {"metric": "capacity@registry", "op": "==", "limit": 1024, "enforce": "always"},
+        ],
+    },
+}
 
-RUNTIME_DEFAULT_REQUIRE = ["spawn_retire_external", "spawn_retire_nested", "steal_drain",
-                           "handoff_latency", "wait_idle_latency"]
-# v2 latency rows that must be present on a full (non-quick) run; quick runs
-# may legitimately miss e.g. steals when the trimmed churn never triggers one.
-RUNTIME_LATENCY_REQUIRE = ["handoff", "steal", "wake", "enact_lag"]
-MODEL_DEFAULT_REQUIRE = ["solve", "solve_into", "search_before", "search_after",
-                         "search_speedup", "search_evals", "search_candidates",
-                         "refine", "peak_rss"]
-FOREIGN_DEFAULT_REQUIRE = ["blind", "aware", "advantage", "aware_search", "scan"]
-MEMORY_DEFAULT_REQUIRE = ["blind", "aware", "advantage", "migrate_payoff"]
-# Steal rows that must be present on a full (non-quick) run; a trimmed quick
-# round may legitimately drain before any thief records a steal.
-MEMORY_STEAL_REQUIRE = ["steal_p99_blind", "steal_p99_aware", "steal_p99_ratio"]
-DAEMON_DEFAULT_REQUIRE = ["ticks_per_sec", "tick_p50", "tick_p99", "speedup"]
-# Scenarios every document must report: the three scan modes of the gate
-# phase and the loaded-tail sweep points.
-DAEMON_REQUIRED_SCENARIOS = ["bitmap_1024cap_32active", "full_scan_1024cap_32active",
-                             "sweep16_1024cap_32active", "active_32", "active_256",
-                             "active_1024"]
 
-FOREIGN_GATE_SCENARIO = "bw_shift"
-MEMORY_GATE_SCENARIO = "bw_skew"
-
-MODEL_GATE_CONFIG = {"nodes": 8, "cores_per_node": 64, "apps": 8}
-# peak_rss_kb snapshots the streaming-only phase (the brute-force reference
-# phase runs afterwards and may legitimately reach gigabytes): visiting
-# ~5.5e8 candidates must not grow the process past a flat baseline.
-MODEL_PEAK_RSS_LIMIT_KB = 512 * 1024
+class BenchError(Exception):
+    pass
 
 
-def fail(msg: str) -> None:
-    print(f"check_bench_json: FAIL: {msg}", file=sys.stderr)
-    sys.exit(1)
+def require(cond, msg):
+    if not cond:
+        raise BenchError(msg)
 
 
-def check_common(doc: dict) -> None:
+def positive_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and \
+        math.isfinite(float(v)) and v > 0
+
+
+def check_row(where, r, pin):
+    for field in ("name", "scenario", "unit"):
+        require(isinstance(r.get(field), str) and r[field],
+                f"{where}: field {field!r} missing or not a string")
+    require(r["unit"] in pin["units"], f"{where}: unknown unit {r['unit']!r}")
+    m = re.fullmatch(pin.get("scenario", r"\w+"), r["scenario"])
+    require(m is not None, f"{where}: malformed scenario {r['scenario']!r}")
+    for dim in m.groups():
+        require(0 < int(dim) <= 1024, f"{where}: implausible dimension {dim} "
+                                      f"in scenario {r['scenario']!r}")
+    if "value" in r:
+        require(not any(f in r for f in PERCENTILES + ("count",)),
+                f"{where}: a row carries either a value or percentiles, not both")
+        require(positive_number(r["value"]),
+                f"{where}: value {r['value']!r} is not a positive finite number")
+        return
+    require(r["unit"] == "ns", f"{where}: distribution rows must be in ns, got {r['unit']!r}")
+    for field in PERCENTILES:
+        require(positive_number(r.get(field)),
+                f"{where}: {field} {r.get(field)!r} is not a positive finite number")
+    q = [r[f] for f in PERCENTILES]
+    require(q == sorted(q), f"{where}: percentiles not monotone: " +
+            " ".join(f"{f}={r[f]}" for f in PERCENTILES))
+    if "count" in r:
+        require(isinstance(r["count"], int) and not isinstance(r["count"], bool)
+                and r["count"] > 0, f"{where}: empty distribution (count={r['count']!r})")
+
+
+def lookup(rows, address):
+    """Value of "name@scenario[.field]", or None when the row is absent."""
+    m = re.fullmatch(r"(\w+)@(\w+)(?:\.(\w+))?", address or "")
+    require(m is not None, f"malformed row address {address!r}")
+    name, scenario, field = m.groups()
+    r = rows.get((name, scenario))
+    if r is None:
+        return None
+    field = field or "value"
+    require(field in r and field in ("value",) + PERCENTILES,
+            f"{address}: row has no field {field!r}")
+    return float(r[field])
+
+
+def normalize(gate):
+    """The gate as a comparable tuple, with defaults filled in."""
+    return (gate.get("metric"), gate.get("op"), gate.get("limit"), gate.get("ref"),
+            gate.get("scale", 1), gate.get("offset", 0), gate.get("enforce"))
+
+
+def check_gate(where, gate, rows, doc):
+    """Replays one gate; returns its report line."""
+    require(isinstance(gate, dict), f"{where}: not an object")
+    require(gate.get("op") in OPS, f"{where}: op {gate.get('op')!r} is not <=, >= or ==")
+    require(gate.get("enforce") in ENFORCE,
+            f"{where}: enforce {gate.get('enforce')!r} is not one of {', '.join(ENFORCE)}")
+    require(("limit" in gate) != ("ref" in gate), f"{where}: needs exactly one of limit, ref")
+    for field in ("limit", "scale", "offset"):
+        v = gate.get(field, 0)
+        require(isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v),
+                f"{where}: {field} {v!r} is not a finite number")
+    require("ref" in gate or not ("scale" in gate or "offset" in gate),
+            f"{where}: scale and offset apply only to a ref")
+    actual = lookup(rows, gate.get("metric"))
+    ref = lookup(rows, gate["ref"]) if "ref" in gate else None
+    label = f"{gate['metric']} {gate['op']} " + (
+        f"{gate['limit']}" if "limit" in gate else
+        f"{gate.get('scale', 1)} x {gate['ref']}" +
+        (f" + {gate['offset']}" if gate.get("offset") else ""))
+    enforced = ENFORCE[gate["enforce"]](doc)
+    if actual is None or ("ref" in gate and ref is None):
+        require(not enforced, f"gate {label} ({gate['enforce']}): row missing")
+        return f"  gate {label}: not measured ({gate['enforce']}, not enforced)"
+    bound = gate["limit"] if "limit" in gate else \
+        gate.get("scale", 1) * ref + gate.get("offset", 0)
+    ok = OPS[gate["op"]](actual, bound)
+    require(ok or not enforced,
+            f"gate {label} ({gate['enforce']}) failed: {actual:g} vs bound {bound:g}")
+    verdict = "PASS" if ok else "FAIL (not enforced)"
+    return f"  gate {label}: {actual:g} vs {bound:g} {verdict} ({gate['enforce']})"
+
+
+def check(doc):
+    """Validates a parsed document; returns the gate report lines."""
+    require(isinstance(doc, dict), "document is not a JSON object")
+    require(doc.get("schema") == SCHEMA, f"schema is {doc.get('schema')!r}, expected {SCHEMA!r}")
     for field, kind in (("bench", str), ("quick", bool), ("sanitized", bool),
-                        ("host_cpus", int), ("results", list)):
-        if not isinstance(doc.get(field), kind):
-            fail(f"field {field!r} missing or not a {kind.__name__}")
-    if not doc["results"]:
-        fail("results array is empty")
+                        ("host_cpus", int), ("protocol", str), ("results", list),
+                        ("gates", list)):
+        require(isinstance(doc.get(field), kind), f"field {field!r} missing or not a {kind.__name__}")
+    pin = PINS.get(doc["bench"])
+    require(pin is not None, f"unknown bench {doc['bench']!r}: add it to PINS")
+    require(doc["results"], "results array is empty")
 
-
-def check_row_value(where: str, row: dict) -> None:
-    v = row.get("value")
-    if not isinstance(v, (int, float)):
-        fail(f"{where}: field 'value' missing or mistyped")
-    if not math.isfinite(float(v)) or float(v) <= 0:
-        fail(f"{where}: value {v} is not a positive finite number")
-
-
-def check_runtime(doc: dict) -> set:
-    names = set()
+    rows = {}
     for i, r in enumerate(doc["results"]):
-        where = f"results[{i}]"
-        for field, kind in (("name", str), ("workers", int), ("unit", str)):
-            if not isinstance(r.get(field), kind):
-                fail(f"{where}: field {field!r} missing or mistyped")
-        if r["unit"] not in RUNTIME_UNITS:
-            fail(f"{where}: unknown unit {r['unit']!r}")
-        if not (0 < r["workers"] <= 1024):
-            fail(f"{where}: implausible worker count {r['workers']}")
-        check_row_value(where, r)
-        names.add(r["name"])
-    return names
+        require(isinstance(r, dict), f"results[{i}]: not an object")
+        check_row(f"results[{i}]", r, pin)
+        key = (r["name"], r["scenario"])
+        require(key not in rows, f"results[{i}]: duplicate row {key[0]}@{key[1]}")
+        rows[key] = r
+        flag = pin.get("flags", {}).get(r["name"])
+        if flag is not None:
+            require(isinstance(r.get(flag), bool),
+                    f"results[{i}]: {r['name']} row must carry a bool {flag!r}")
 
-
-def check_runtime_v2(doc: dict) -> None:
-    """The /2 additions: percentile latency rows and the regression gates."""
-    latency = doc.get("latency")
-    if not isinstance(latency, list):
-        fail("v2 document: 'latency' array missing")
-    names = set()
-    for i, r in enumerate(latency):
-        where = f"latency[{i}]"
-        for field, kind in (("name", str), ("workers", int), ("unit", str),
-                            ("count", int)):
-            if not isinstance(r.get(field), kind):
-                fail(f"{where}: field {field!r} missing or mistyped")
-        if r["unit"] != "ns":
-            fail(f"{where}: latency rows must be in ns, got {r['unit']!r}")
-        if not (0 < r["workers"] <= 1024):
-            fail(f"{where}: implausible worker count {r['workers']}")
-        if r["count"] <= 0:
-            fail(f"{where}: empty distribution committed (count={r['count']})")
-        quantiles = []
-        for field in ("p50", "p99", "p999", "max"):
-            v = r.get(field)
-            if not isinstance(v, (int, float)) or not math.isfinite(float(v)) or v < 0:
-                fail(f"{where}: field {field!r} missing or not a finite non-negative number")
-            quantiles.append(float(v))
-        if not (quantiles[0] <= quantiles[1] <= quantiles[2] <= quantiles[3]):
-            fail(f"{where}: percentiles not monotone: p50={quantiles[0]} "
-                 f"p99={quantiles[1]} p999={quantiles[2]} max={quantiles[3]}")
-        names.add(r["name"])
-
-    gates = doc.get("gates")
-    if not isinstance(gates, dict):
-        fail("v2 document: 'gates' object missing")
-    for field in ("obs_overhead_x", "obs_limit_x", "handoff_p99_ns",
-                  "handoff_p99_limit_ns"):
-        v = gates.get(field)
-        if not isinstance(v, (int, float)) or not math.isfinite(float(v)) or v < 0:
-            fail(f"gates field {field!r} missing or not a finite non-negative number")
-    for field in ("measured", "pass"):
-        if not isinstance(gates.get(field), bool):
-            fail(f"gates field {field!r} missing or not a bool")
-
-    if doc["quick"]:
-        return  # smoke runs validate plumbing, not tails measured in noise
-    missing = [n for n in RUNTIME_LATENCY_REQUIRE if n not in names]
-    if missing:
-        fail(f"full run missing latency distributions: {', '.join(missing)}")
-    if not gates["measured"]:
-        fail("full run did not measure the observability gates")
-    if gates["obs_overhead_x"] > gates["obs_limit_x"]:
-        fail(f"histogram recording overhead {gates['obs_overhead_x']}x exceeds "
-             f"limit {gates['obs_limit_x']}x")
-    if gates["handoff_p99_ns"] > gates["handoff_p99_limit_ns"]:
-        fail(f"handoff p99 {gates['handoff_p99_ns']} ns exceeds regression "
-             f"ceiling {gates['handoff_p99_limit_ns']} ns")
-    if not gates["pass"]:
-        fail("gates pass flag is false on a full run")
-
-
-def check_model(doc: dict) -> set:
-    names = set()
-    for i, r in enumerate(doc["results"]):
-        where = f"results[{i}]"
-        for field, kind in (("name", str), ("nodes", int), ("cores_per_node", int),
-                            ("apps", int), ("unit", str)):
-            if not isinstance(r.get(field), kind):
-                fail(f"{where}: field {field!r} missing or mistyped")
-        if r["unit"] not in MODEL_UNITS:
-            fail(f"{where}: unknown unit {r['unit']!r}")
-        for dim in ("nodes", "cores_per_node", "apps"):
-            if not (0 < r[dim] <= 1024):
-                fail(f"{where}: implausible {dim} {r[dim]}")
-        check_row_value(where, r)
-        names.add(r["name"])
-
-    rss = doc.get("peak_rss_kb")
-    if not isinstance(rss, (int, float)) or not math.isfinite(float(rss)) or rss <= 0:
-        fail(f"peak_rss_kb {rss!r} is not a positive finite number")
-    if rss > MODEL_PEAK_RSS_LIMIT_KB:
-        fail(f"peak_rss_kb {rss} exceeds {MODEL_PEAK_RSS_LIMIT_KB} — the streaming "
-             "search must not materialize the candidate set")
-    full_rss = doc.get("peak_rss_full_kb")
-    if full_rss is not None and (not isinstance(full_rss, (int, float))
-                                 or not math.isfinite(float(full_rss)) or full_rss < rss):
-        fail(f"peak_rss_full_kb {full_rss!r} invalid or below the streaming snapshot")
-
-    gate = doc.get("gate")
-    if not isinstance(gate, dict):
-        fail("gate object missing")
-    for field, kind in (("nodes", int), ("cores_per_node", int), ("apps", int),
-                        ("measured", bool), ("before_us", (int, float)),
-                        ("after_us", (int, float)), ("speedup_x", (int, float)),
-                        ("required_x", (int, float)), ("before_estimated", bool),
-                        ("pass", bool)):
-        if not isinstance(gate.get(field), kind):
-            fail(f"gate field {field!r} missing or mistyped")
-    for dim, want in MODEL_GATE_CONFIG.items():
-        if gate[dim] != want:
-            fail(f"gate {dim} is {gate[dim]}, expected {want}")
+    names = {name for name, _ in rows}
+    missing = [n for n in pin["names"] if n not in names]
+    require(not missing, f"required result names absent: {', '.join(missing)}")
     if not doc["quick"]:
-        # A full (committed) run must actually clear the speedup gate.
-        if not gate["measured"]:
-            fail("full run did not measure the gate configuration")
-        if not gate["pass"]:
-            fail(f"gate failed: speedup {gate['speedup_x']}x < required {gate['required_x']}x")
-        if gate["speedup_x"] < gate["required_x"]:
-            fail(f"gate pass flag inconsistent with speedup {gate['speedup_x']}x")
-    return names
+        missing = [n for n in pin.get("full_names", []) if n not in names]
+        require(not missing, f"full run missing rows: {', '.join(missing)}")
+    scenarios = {scenario for _, scenario in rows}
+    missing = [s for s in pin.get("scenarios", []) if s not in scenarios]
+    require(not missing, f"required scenarios absent: {', '.join(missing)}")
+
+    carried = [normalize(g) for g in doc["gates"] if isinstance(g, dict)]
+    for want in pin["gates"]:
+        require(normalize(want) in carried,
+                f"pinned gate missing or changed: {json.dumps(want)}")
+    return [check_gate(f"gates[{i}]", g, rows, doc) for i, g in enumerate(doc["gates"])]
 
 
-def check_foreign(doc: dict) -> set:
-    names = set()
-    for i, r in enumerate(doc["results"]):
-        where = f"results[{i}]"
-        for field, kind in (("name", str), ("scenario", str), ("unit", str)):
-            if not isinstance(r.get(field), kind):
-                fail(f"{where}: field {field!r} missing or mistyped")
-        if r["unit"] not in FOREIGN_UNITS:
-            fail(f"{where}: unknown unit {r['unit']!r}")
-        check_row_value(where, r)
-        names.add(r["name"])
-
-    gate = doc.get("gate")
-    if not isinstance(gate, dict):
-        fail("gate object missing")
-    for field, kind in (("scenario", str), ("measured", bool),
-                        ("blind_gflops", (int, float)), ("aware_gflops", (int, float)),
-                        ("advantage_x", (int, float)), ("required_x", (int, float)),
-                        ("pass", bool)):
-        if not isinstance(gate.get(field), kind):
-            fail(f"gate field {field!r} missing or mistyped")
-    if gate["scenario"] != FOREIGN_GATE_SCENARIO:
-        fail(f"gate scenario is {gate['scenario']!r}, expected {FOREIGN_GATE_SCENARIO!r}")
-    # The advantage is deterministic model arithmetic — unlike the model
-    # schema's timing gate there is no quick-mode exemption.
-    if not gate["measured"]:
-        fail("gate scenario was not measured")
-    if not gate["pass"]:
-        fail(f"gate failed: advantage {gate['advantage_x']}x < "
-             f"required {gate['required_x']}x")
-    if gate["advantage_x"] < gate["required_x"]:
-        fail(f"gate pass flag inconsistent with advantage {gate['advantage_x']}x")
-    if gate["blind_gflops"] > 0 and abs(
-            gate["aware_gflops"] / gate["blind_gflops"] - gate["advantage_x"]) > 0.01:
-        fail("gate advantage_x inconsistent with aware/blind gflops")
-    return names
-
-
-def check_memory(doc: dict) -> set:
-    names = set()
-    for i, r in enumerate(doc["results"]):
-        where = f"results[{i}]"
-        for field, kind in (("name", str), ("scenario", str), ("unit", str)):
-            if not isinstance(r.get(field), kind):
-                fail(f"{where}: field {field!r} missing or mistyped")
-        if r["unit"] not in MEMORY_UNITS:
-            fail(f"{where}: unknown unit {r['unit']!r}")
-        check_row_value(where, r)
-        names.add(r["name"])
-
-    gate = doc.get("gate")
-    if not isinstance(gate, dict):
-        fail("gate object missing")
-    for field, kind in (("scenario", str), ("measured", bool),
-                        ("blind_gbps", (int, float)), ("aware_gbps", (int, float)),
-                        ("advantage_x", (int, float)), ("required_x", (int, float)),
-                        ("pass", bool)):
-        if not isinstance(gate.get(field), kind):
-            fail(f"gate field {field!r} missing or mistyped")
-    if gate["scenario"] != MEMORY_GATE_SCENARIO:
-        fail(f"gate scenario is {gate['scenario']!r}, expected {MEMORY_GATE_SCENARIO!r}")
-    # The advantage is deterministic virtual-time pricing — no quick-mode or
-    # sanitizer exemption: locality-aware stealing must beat blind >= 1.3x.
-    if not gate["measured"]:
-        fail("gate scenario was not measured")
-    if not gate["pass"]:
-        fail(f"gate failed: advantage {gate['advantage_x']}x < "
-             f"required {gate['required_x']}x")
-    if gate["advantage_x"] < gate["required_x"]:
-        fail(f"gate pass flag inconsistent with advantage {gate['advantage_x']}x")
-    if gate["blind_gbps"] > 0 and abs(
-            gate["aware_gbps"] / gate["blind_gbps"] - gate["advantage_x"]) > 0.01:
-        fail("gate advantage_x inconsistent with aware/blind gbps")
-
-    steal = doc.get("steal_gate")
-    if not isinstance(steal, dict):
-        fail("steal_gate object missing")
-    for field, kind in (("measured", bool), ("enforced", bool),
-                        ("blind_p99_ns", (int, float)), ("aware_p99_ns", (int, float)),
-                        ("ratio_x", (int, float)), ("limit_x", (int, float)),
-                        ("floor_ns", (int, float)), ("pass", bool)):
-        if not isinstance(steal.get(field), kind):
-            fail(f"steal_gate field {field!r} missing or mistyped")
-    if steal["enforced"]:
-        if not steal["measured"]:
-            fail("steal gate enforced but not measured")
-        if not steal["pass"]:
-            fail(f"steal gate failed: aware p99 {steal['aware_p99_ns']} ns vs "
-                 f"blind {steal['blind_p99_ns']} ns (limit {steal['limit_x']}x "
-                 f"+ {steal['floor_ns']} ns floor)")
-        if steal["aware_p99_ns"] > (steal["blind_p99_ns"] * steal["limit_x"]
-                                    + steal["floor_ns"]):
-            fail("steal gate pass flag inconsistent with recorded p99s")
-    # A full unsanitized run must actually enforce the timing gate — a
-    # committed BENCH_memory.json that quietly skipped it fails here.
-    if not doc["quick"] and not doc["sanitized"] and not steal["enforced"]:
-        fail("full unsanitized run did not enforce the steal gate")
-    if not doc["quick"]:
-        missing = [n for n in MEMORY_STEAL_REQUIRE if n not in names]
-        if missing:
-            fail(f"full run missing steal rows: {', '.join(missing)}")
-    return names
-
-
-def check_daemon(doc: dict) -> set:
-    names = set()
-    scenarios = set()
-    # Per-scenario percentile rows, re-assembled for the monotonicity check.
-    quantiles = {}
-    for i, r in enumerate(doc["results"]):
-        where = f"results[{i}]"
-        for field, kind in (("name", str), ("scenario", str), ("unit", str)):
-            if not isinstance(r.get(field), kind):
-                fail(f"{where}: field {field!r} missing or mistyped")
-        if r["unit"] not in DAEMON_UNITS:
-            fail(f"{where}: unknown unit {r['unit']!r}")
-        check_row_value(where, r)
-        names.add(r["name"])
-        scenarios.add(r["scenario"])
-        if r["name"] in ("tick_p50", "tick_p99", "tick_p999", "tick_max"):
-            if r["unit"] != "ns":
-                fail(f"{where}: percentile rows must be in ns, got {r['unit']!r}")
-            quantiles.setdefault(r["scenario"], {})[r["name"]] = float(r["value"])
-    for scenario, q in sorted(quantiles.items()):
-        order = ["tick_p50", "tick_p99", "tick_p999", "tick_max"]
-        missing = [n for n in order if n not in q]
-        if missing:
-            fail(f"scenario {scenario!r} missing percentile rows: {', '.join(missing)}")
-        values = [q[n] for n in order]
-        if not (values[0] <= values[1] <= values[2] <= values[3]):
-            fail(f"scenario {scenario!r}: percentiles not monotone: "
-                 f"p50={values[0]} p99={values[1]} p999={values[2]} max={values[3]}")
-    missing = [s for s in DAEMON_REQUIRED_SCENARIOS if s not in scenarios]
-    if missing:
-        fail(f"required scenarios absent: {', '.join(missing)}")
-
-    gate = doc.get("gate")
-    if not isinstance(gate, dict):
-        fail("gate object missing")
-    for field, kind in (("clients", int), ("active", int), ("measured", bool),
-                        ("bitmap_ticks_per_sec", (int, float)),
-                        ("full_scan_ticks_per_sec", (int, float)),
-                        ("speedup_x", (int, float)), ("required_x", (int, float)),
-                        ("p99_tick_ns", (int, float)), ("p99_limit_ns", (int, float)),
-                        ("pass", bool)):
-        if not isinstance(gate.get(field), kind):
-            fail(f"gate field {field!r} missing or mistyped")
-    if gate["clients"] != 1024:
-        fail(f"gate clients is {gate['clients']}, expected 1024 (registry v7 capacity)")
-    if gate["full_scan_ticks_per_sec"] > 0 and abs(
-            gate["bitmap_ticks_per_sec"] / gate["full_scan_ticks_per_sec"]
-            - gate["speedup_x"]) > 0.01 * gate["speedup_x"]:
-        fail("gate speedup_x inconsistent with bitmap/full_scan throughputs")
-    # Both gates are wall-time measurements: replayed only on documents from
-    # full, unsanitized runs (a committed BENCH_daemon.json is one).
-    if not doc["quick"] and not doc["sanitized"]:
-        if not gate["measured"]:
-            fail("full run did not measure the scan-path gate")
-        if gate["speedup_x"] < gate["required_x"]:
-            fail(f"gate failed: bitmap/full-scan speedup {gate['speedup_x']}x < "
-                 f"required {gate['required_x']}x")
-        if gate["p99_tick_ns"] > gate["p99_limit_ns"]:
-            fail(f"gate failed: loaded p99 tick {gate['p99_tick_ns']} ns exceeds "
-                 f"bound {gate['p99_limit_ns']} ns")
-        if not gate["pass"]:
-            fail("gate pass flag is false on a full run")
-    return names
-
-
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("path")
-    parser.add_argument(
-        "--require", nargs="*", default=None,
-        help="result names that must each appear at least once "
-             "(defaults depend on the document's schema)",
-    )
-    args = parser.parse_args()
-
+def main():
+    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        sys.exit(2)
+    path = sys.argv[1]
     try:
-        with open(args.path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8") as f:
             doc = json.load(f)
-    except (OSError, json.JSONDecodeError) as e:
-        fail(f"cannot parse {args.path}: {e}")
-
-    schema = doc.get("schema")
-    if schema in (RUNTIME_SCHEMA, RUNTIME_SCHEMA_V2):
-        check_common(doc)
-        names = check_runtime(doc)
-        if schema == RUNTIME_SCHEMA_V2:
-            check_runtime_v2(doc)
-        required = RUNTIME_DEFAULT_REQUIRE if args.require is None else args.require
-    elif schema == MODEL_SCHEMA:
-        check_common(doc)
-        names = check_model(doc)
-        required = MODEL_DEFAULT_REQUIRE if args.require is None else args.require
-    elif schema == FOREIGN_SCHEMA:
-        check_common(doc)
-        names = check_foreign(doc)
-        required = FOREIGN_DEFAULT_REQUIRE if args.require is None else args.require
-    elif schema == MEMORY_SCHEMA:
-        check_common(doc)
-        names = check_memory(doc)
-        required = MEMORY_DEFAULT_REQUIRE if args.require is None else args.require
-    elif schema == DAEMON_SCHEMA:
-        check_common(doc)
-        names = check_daemon(doc)
-        required = DAEMON_DEFAULT_REQUIRE if args.require is None else args.require
-    else:
-        fail(f"schema is {schema!r}, expected {RUNTIME_SCHEMA!r}, "
-             f"{RUNTIME_SCHEMA_V2!r}, {MODEL_SCHEMA!r}, {FOREIGN_SCHEMA!r}, "
-             f"{MEMORY_SCHEMA!r} or {DAEMON_SCHEMA!r}")
-
-    missing = [n for n in required if n not in names]
-    if missing:
-        fail(f"required result names absent: {', '.join(missing)}")
-
-    print(f"check_bench_json: OK: {args.path} "
-          f"({len(doc['results'])} results, schema={schema}, quick={doc['quick']}, "
+        report = check(doc)
+    except (OSError, json.JSONDecodeError, BenchError) as e:
+        print(f"check_bench_json: FAIL: {path}: {e}", file=sys.stderr)
+        sys.exit(1)
+    print(f"check_bench_json: OK: {path} ({len(doc['results'])} results, "
+          f"{len(doc['gates'])} gates, bench={doc['bench']}, quick={doc['quick']}, "
           f"sanitized={doc['sanitized']})")
+    print("\n".join(report))
 
 
 if __name__ == "__main__":

@@ -35,16 +35,12 @@ for b in build/bench/bench_*; do
   "$b"
 done
 
-# bench_spawn, bench_foreign and bench_datablock (run above) left their perf
-# trajectories in BENCH_runtime.json / BENCH_foreign.json / BENCH_memory.json;
-# validate them so a broken emitter (or a regressed arbitration or
-# locality-stealing gate) is caught locally too.
-python3 scripts/check_bench_json.py BENCH_runtime.json
-python3 scripts/check_bench_json.py BENCH_foreign.json
-python3 scripts/check_bench_json.py BENCH_memory.json
-# bench_daemon_scale (E22) emits BENCH_daemon.json: the tick-path scaling
-# gates (bitmap >= 8x full scan at 1024 slots, loaded p99 bound).
-python3 scripts/check_bench_json.py BENCH_daemon.json
+# The gated benches (run above) left their numashare-bench/1 documents in
+# BENCH_*.json; replay every gate so a broken emitter or a regressed gate is
+# caught locally too.
+for f in BENCH_*.json; do
+  python3 scripts/check_bench_json.py "$f"
+done
 
 echo
 echo "=== examples (quick passes) ==="

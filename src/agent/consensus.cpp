@@ -1,6 +1,7 @@
 #include "agent/consensus.hpp"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/assert.hpp"
 
@@ -57,6 +58,23 @@ Proposal fair_proposal(const topo::Machine& machine, std::uint32_t app,
   p.desired_per_node.resize(machine.node_count());
   for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
     p.desired_per_node[n] = machine.cores_in_node(n) / participants;
+  }
+  return p;
+}
+
+Proposal ai_proposal(const topo::Machine& machine, std::uint32_t app, ArithmeticIntensity ai) {
+  NS_REQUIRE(ai > 0.0, "arithmetic intensity must be positive");
+  Proposal p;
+  p.app = app;
+  p.desired_per_node.resize(machine.node_count());
+  for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
+    const auto cores = machine.cores_in_node(n);
+    const GFlops peak = machine.core(machine.node(n).cores.front()).peak_gflops;
+    const GBps per_thread = demand_gbps(peak, ai);
+    const double saturating =
+        per_thread > 0.0 ? machine.node(n).memory_bandwidth / per_thread : cores;
+    p.desired_per_node[n] = std::min<std::uint32_t>(
+        cores, static_cast<std::uint32_t>(std::ceil(std::max(1.0, saturating))));
   }
   return p;
 }

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/units.hpp"
 #include "core/allocation.hpp"
 #include "topology/machine.hpp"
 
@@ -39,6 +40,13 @@ model::Allocation arbitrate(const topo::Machine& machine,
 /// cores_in_node / participants on every node.
 Proposal fair_proposal(const topo::Machine& machine, std::uint32_t app,
                        std::uint32_t participants);
+
+/// The self-interested proposal of an app that knows its arithmetic
+/// intensity: on each node, just enough threads for its aggregate demand to
+/// saturate the node's memory bandwidth (extra threads of a memory-bound
+/// code only split the same bytes), capped at the node's cores, so a
+/// compute-bound code asks for everything. `ai` must be positive.
+Proposal ai_proposal(const topo::Machine& machine, std::uint32_t app, ArithmeticIntensity ai);
 
 /// A proposal keyed by a registry slot index instead of a dense app index —
 /// the form degraded-mode survivors exchange through the orphaned registry

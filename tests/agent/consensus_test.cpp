@@ -96,6 +96,31 @@ TEST(Consensus, SingleParticipantGetsItsAsk) {
   EXPECT_EQ(allocation.threads(0, 1), 1u);
 }
 
+TEST(Consensus, AiDerivedProposals) {
+  // Memory-bound app asks for few threads per node (its bandwidth saturates
+  // quickly); compute-bound asks for everything.
+  const auto machine = topo::Machine::symmetric(2, 8, 10.0, 32.0, 10.0);
+  const auto mem = ai_proposal(machine, 0, 0.5);       // wants ceil(32/20) = 2 per node
+  const auto compute = ai_proposal(machine, 1, 10.0);  // wants min(8, ceil(32/1)) = 8 per node
+  EXPECT_EQ(mem.desired_per_node, (std::vector<std::uint32_t>{2, 2}));
+  EXPECT_EQ(compute.desired_per_node, (std::vector<std::uint32_t>{8, 8}));
+  const auto allocation = arbitrate(machine, {mem, compute});
+  EXPECT_EQ(allocation.threads(0, 0), 2u);
+  EXPECT_EQ(allocation.threads(1, 0), 6u);  // the rest of the node
+  EXPECT_TRUE(allocation.validate(machine));
+}
+
+TEST(ConsensusDeath, AiProposalRejectsNonPositiveAi) {
+  const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0);
+  EXPECT_DEATH(ai_proposal(machine, 0, 0.0), "positive");
+  EXPECT_DEATH(ai_proposal(machine, 0, -1.0), "positive");
+}
+
+TEST(ConsensusDeath, EmptyProposalSetRejected) {
+  const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0);
+  EXPECT_DEATH(arbitrate(machine, {}), "at least one proposal");
+}
+
 TEST(ConsensusDeath, UnorderedProposalsRejected) {
   const auto machine = topo::Machine::symmetric(2, 4, 1.0, 10.0);
   Proposal p;

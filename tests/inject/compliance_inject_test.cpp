@@ -22,6 +22,7 @@
 #include "daemon/client.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/journal.hpp"
+#include "daemon/registry.hpp"
 #include "inject/fault.hpp"
 #include "runtime/runtime.hpp"
 #include "topology/machine.hpp"
@@ -223,10 +224,23 @@ TEST_F(ComplianceInject, StalledLaggardCoresAreReGrantedToCompliantPeer) {
   ASSERT_EQ(waitpid(laggard, &status, 0), laggard);
 
   // Let the daemon evict the killed laggard, then shut down for the journal.
+  // The loop thread owns the daemon's bookkeeping, so the wait watches the
+  // registry's atomic slot states instead, and stats() is read only after
+  // stop() has joined the loop.
+  const auto view = Registry::open(registry);
+  ASSERT_NE(view, nullptr);
+  const auto all_free = [&] {
+    for (std::uint32_t i = 0; i < kMaxClients; ++i) {
+      if (view->slot(i).state() != SlotState::kFree) return false;
+    }
+    return true;
+  };
   const auto drain = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (daemon->client_count() > 0 && std::chrono::steady_clock::now() < drain) {
+  while (!all_free() && std::chrono::steady_clock::now() < drain) {
     std::this_thread::sleep_for(5ms);
   }
+  daemon->stop();
+  EXPECT_TRUE(all_free());
   EXPECT_GE(daemon->stats().laggards, 1u);
   daemon.reset();
 
