@@ -1,6 +1,8 @@
 // E18 — allocation-search scaling: the streaming branch-and-bound engine vs
 // the materialize-then-evaluate brute force, swept over machine size and app
-// count up to 8 nodes x 64 cores x 8 apps.
+// count up to 8 nodes x 64 cores x 8 apps, plus the shape the daemon decides
+// (4x20x12: the paper's Skylake preset with join_churn's all-NUMA-perfect
+// mix, where the search solves one node class per uniform candidate).
 //
 // The paper's §IV worries that a "sophisticated, CPU-intensive scheduling
 // algorithm" would perturb the machine it manages. The constrained search
@@ -32,7 +34,9 @@
 
 #include "core/optimizer.hpp"
 #include "core/roofline.hpp"
+#include "support/search_reference.hpp"
 #include "topology/machine.hpp"
+#include "topology/presets.hpp"
 
 namespace {
 
@@ -47,12 +51,16 @@ struct Config {
   std::uint32_t nodes;
   std::uint32_t cores_per_node;
   std::uint32_t apps;
+  /// The daemon's shape rather than the synthetic sweep: the paper's 4x20
+  /// Skylake preset and join_churn's mix at its largest membership.
+  bool shipping = false;
 };
 
 // The sweep, smallest to largest; the last entry is the gate configuration.
 constexpr Config kConfigs[] = {
-    {2, 8, 2}, {2, 16, 4}, {4, 16, 4}, {4, 32, 4},
-    {8, 16, 8}, {8, 32, 8}, {4, 64, 8}, {8, 64, 8},
+    {2, 8, 2},  {2, 16, 4}, {4, 16, 4}, {4, 32, 4}, {8, 16, 8},
+    {4, 20, 12, /*shipping=*/true},
+    {8, 32, 8}, {4, 64, 8}, {8, 64, 8},
 };
 constexpr Config kGateConfig = {8, 64, 8};
 constexpr double kRequiredSpeedup = 10.0;
@@ -107,6 +115,21 @@ std::vector<model::AppSpec> make_apps(std::uint32_t count, std::uint32_t nodes) 
   return apps;
 }
 
+/// The twelve members of perfbench's join_churn workload: the two initial
+/// clients plus the ten-joiner mix, all NUMA-perfect and mostly memory-bound.
+std::vector<model::AppSpec> shipping_apps() {
+  std::vector<model::AppSpec> apps;
+  for (const double ai : {1.0 / 32, 1.0 / 8, 1.0 / 64, 1.0 / 64, 1.0 / 32, 1.0 / 32, 1.0 / 16,
+                          1.0 / 16, 1.0 / 8, 1.0 / 8, 1.0, 1.0}) {
+    apps.push_back(model::AppSpec::numa_perfect("perfect", ai));
+  }
+  return apps;
+}
+
+std::vector<model::AppSpec> apps_for(const Config& config) {
+  return config.shipping ? shipping_apps() : make_apps(config.apps, config.nodes);
+}
+
 double peak_rss_kb() {
   struct rusage usage {};
   getrusage(RUSAGE_SELF, &usage);
@@ -140,6 +163,7 @@ bool config_skipped(std::uint64_t count) {
 }
 
 topo::Machine make_machine(const Config& config) {
+  if (config.shipping) return topo::paper_skylake_machine();
   return topo::Machine::symmetric(config.nodes, config.cores_per_node, 10.0, 32.0, 10.0);
 }
 
@@ -149,7 +173,7 @@ topo::Machine make_machine(const Config& config) {
 ConfigRun run_streaming(const Config& config) {
   const bool quick = bench::quick_mode();
   const auto machine = make_machine(config);
-  const auto apps = make_apps(config.apps, config.nodes);
+  const auto apps = apps_for(config);
   ConfigRun run;
   run.config = config;
   run.count = model::count_candidates(machine, config.apps, /*require_full=*/true,
@@ -222,9 +246,10 @@ void run_reference(const ConfigRun& run) {
   const bool quick = bench::quick_mode();
   const auto& config = run.config;
   const auto machine = make_machine(config);
-  const auto apps = make_apps(config.apps, config.nodes);
+  const auto apps = apps_for(config);
 
-  const std::uint64_t exact_limit = quick ? 20'000 : 4'000'000;
+  // The quick limit still covers the shipping shape's 75 582 candidates.
+  const std::uint64_t exact_limit = quick ? 100'000 : 4'000'000;
   double before_us = 0.0;
   bool estimated = false;
   if (run.count <= exact_limit) {

@@ -1,6 +1,7 @@
 #include "agent/policies.hpp"
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 
 #include "common/assert.hpp"
@@ -229,6 +230,8 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
   model::Allocation allocation;
   double predicted = 0.0;
   std::vector<std::uint32_t> suggested_home(views.size(), kMaxNodes);
+  SearchStats stats;
+  const auto started = std::chrono::steady_clock::now();
   if (refine) {
     model::RefineOptions refine_options;
     refine_options.objective = options_.objective;
@@ -238,7 +241,8 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
     auto result = model::refine_search(machine, specs, *last_allocation_, refine_options);
     allocation = result.allocation;
     predicted = result.solution.total_gflops;
-    last_search_kind_ = SearchKind::kRefine;
+    stats.kind = SearchKind::kRefine;
+    stats.evaluated = result.evaluated;
   } else if (options_.advise_data_placement && caps.empty() && !foreign_.any()) {
     auto joint = model::advise_joint(machine, specs, options_.objective,
                                      options_.min_threads_per_app);
@@ -251,13 +255,16 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
       }
     }
     last_full_ai_ = ai;
-    last_search_kind_ = SearchKind::kFull;
+    stats.kind = SearchKind::kFull;
   } else {
     auto result = model::exhaustive_search(machine, specs, options_.objective,
                                            /*require_full=*/true,
                                            options_.min_threads_per_app, caps, foreign_);
     allocation = result.allocation;
     predicted = result.solution.total_gflops;
+    stats.evaluated = result.evaluated;
+    stats.pruned = result.pruned;
+    stats.bound_solves = result.bound_solves;
     if (foreign_.any() && caps.empty()) {
       // Polish: the uniform candidate family cannot express "vacate one
       // node" (every app runs the same count on every node it uses), which
@@ -269,14 +276,20 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
       polish.min_threads_per_app = options_.min_threads_per_app;
       polish.foreign = foreign_;
       auto polished = model::refine_search(machine, specs, allocation, polish);
+      stats.evaluated += polished.evaluated;
       if (polished.objective_value > result.objective_value) {
         allocation = polished.allocation;
         predicted = polished.solution.total_gflops;
       }
     }
     last_full_ai_ = ai;
-    last_search_kind_ = SearchKind::kFull;
+    stats.kind = SearchKind::kFull;
   }
+  stats.search_us =
+      std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - started)
+          .count();
+  stats.predicted_gflops = predicted;
+  last_search_ = stats;
   last_ai_ = ai;
   last_homes_ = homes;
   last_allocation_ = allocation;

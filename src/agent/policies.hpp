@@ -134,6 +134,17 @@ class ModelGuidedPolicy final : public Policy {
   /// Which engine produced the last issued directives (observability for
   /// tests and status tooling).
   enum class SearchKind { kNone, kFull, kRefine };
+  /// What the latest decision cost; the daemon journals it with each
+  /// reallocation. The counters are the engines' SearchResult counters
+  /// (zero where an engine does not report them, e.g. joint placement).
+  struct SearchStats {
+    SearchKind kind = SearchKind::kNone;
+    std::uint64_t evaluated = 0;  // model solves on candidates (search + polish)
+    std::uint64_t pruned = 0;
+    std::uint64_t bound_solves = 0;
+    double predicted_gflops = 0.0;
+    double search_us = 0.0;  // wall time of the search, polish included
+  };
 
   explicit ModelGuidedPolicy(ModelGuidedOptions options = {}) : options_(options) {}
 
@@ -145,7 +156,7 @@ class ModelGuidedPolicy final : public Policy {
     last_full_ai_.clear();
     last_homes_.clear();
     last_allocation_.reset();
-    last_search_kind_ = SearchKind::kNone;
+    last_search_ = {};
   }
   /// Price opaque background consumers into every subsequent search. A
   /// change beyond the foreign drift gates forces a full re-search on the
@@ -154,7 +165,8 @@ class ModelGuidedPolicy final : public Policy {
 
   /// The allocation behind the last issued directives (empty before then).
   const std::optional<model::Allocation>& last_allocation() const { return last_allocation_; }
-  SearchKind last_search_kind() const { return last_search_kind_; }
+  SearchKind last_search_kind() const { return last_search_.kind; }
+  const SearchStats& last_search() const { return last_search_; }
 
  private:
   ModelGuidedOptions options_;
@@ -162,7 +174,7 @@ class ModelGuidedPolicy final : public Policy {
   std::vector<double> last_full_ai_;          // AI vector at the last full search
   std::vector<std::uint32_t> last_homes_;     // advertised homes behind the last decision
   std::optional<model::Allocation> last_allocation_;
-  SearchKind last_search_kind_ = SearchKind::kNone;
+  SearchStats last_search_;
   model::ForeignLoad foreign_;          // latest reported load
   model::ForeignLoad decided_foreign_;  // load priced into the last decision
   bool foreign_dirty_ = false;          // drifted past the gates since then

@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/assert.hpp"
+#include "core/roofline_detail.hpp"
 
 namespace numashare::model {
 
@@ -133,13 +134,6 @@ void apply_caps(const topo::Machine& machine, Allocation& alloc,
   }
 }
 
-void apply_caps(const topo::Machine& machine, Allocation& alloc,
-                const std::vector<std::uint32_t>& caps) {
-  std::vector<std::uint32_t> totals;
-  std::vector<std::uint32_t> freed;
-  apply_caps(machine, alloc, caps, totals, freed);
-}
-
 std::uint32_t smallest_node_cores(const topo::Machine& machine) {
   std::uint32_t min_cores = machine.cores_in_node(0);
   for (topo::NodeId n = 1; n < machine.node_count(); ++n) {
@@ -206,10 +200,7 @@ SearchBounds make_search_bounds(const topo::Machine& machine, const std::vector<
   b.flat.resize(apps.size());
   b.suffix_flat.assign(apps.size() + 1, 0.0);
   for (std::size_t a = 0; a < apps.size(); ++a) {
-    const auto& app = apps[a];
-    if (app.placement == Placement::kNumaBad) {
-      NS_REQUIRE(app.home_node < nodes_n, "NUMA-bad home node out of range");
-    }
+    const auto& app = apps[a];  // home nodes checked by detail::require_solvable
     const double home_bw =
         app.placement == Placement::kNumaBad
             ? std::max(0.0, machine.node(app.home_node).memory_bandwidth -
@@ -229,6 +220,119 @@ SearchBounds make_search_bounds(const topo::Machine& machine, const std::vector<
   return b;
 }
 
+/// True when every uniform candidate solves identically at every memory
+/// controller, so one controller stands for the whole machine (docs/MODEL.md
+/// §7 "Node classes"): a symmetric machine, every app NUMA-perfect (no
+/// remote flows, so links never enter), node-identical foreign load and no
+/// caps (the cap re-grant makes a candidate non-uniform). Each controller's
+/// bucket then holds the same groups, with the same inputs, in the same
+/// order.
+bool one_node_class(const topo::Machine& machine, const std::vector<AppSpec>& apps,
+                    const std::vector<std::uint32_t>& caps, const ForeignLoad& foreign) {
+  if (!caps.empty() || !machine.is_symmetric()) return false;
+  for (const auto& app : apps) {
+    if (app.placement != Placement::kNumaPerfect) return false;
+  }
+  const auto node_identical = [](const std::vector<double>& per_node) {
+    return std::all_of(per_node.begin(), per_node.end(),
+                       [&](double v) { return v == per_node.front(); });
+  };
+  return node_identical(foreign.busy_cores) && node_identical(foreign.bandwidth);
+}
+
+/// Scores uniform candidates when one_node_class holds: solves memory
+/// controller 0 alone, reuses its per-thread grants at every other node, and
+/// sums app and total GFLOPS over the (app, node) groups in solve_into's
+/// group order. app_gflops and total_gflops are therefore bitwise what
+/// solve_into returns; no other Solution field is filled. Allocation-free
+/// after construction.
+class NodeClassSolver {
+ public:
+  NodeClassSolver(const topo::Machine& machine, const std::vector<AppSpec>& apps,
+                  const SolveOptions& options)
+      : machine_(machine),
+        apps_(apps),
+        options_(options),
+        has_foreign_(!options.foreign.busy_cores.empty() || !options.foreign.bandwidth.empty()),
+        peak_(node_core_peak(machine, 0)) {
+    const auto apps_n = static_cast<std::uint32_t>(apps.size());
+    groups_.reserve(apps_n);
+    demand_.resize(apps_n);
+    for (AppId a = 0; a < apps_n; ++a) demand_[a] = demand_gbps(peak_, apps[a].ai);
+    members_.resize(apps_n);
+    std::iota(members_.begin(), members_.end(), 0u);
+    solution_.app_gflops.reserve(apps_n);
+  }
+
+  /// `counts[a]` is app a's thread count on every node.
+  const Solution& solve(const std::vector<std::uint32_t>& counts) {
+    // Node 0's bucket: every app with threads, in app order, all local.
+    groups_.clear();
+    std::uint32_t node_threads = 0;
+    for (AppId a = 0; a < apps_.size(); ++a) {
+      const std::uint32_t t = counts[a];
+      if (t == 0) continue;
+      GroupResult group;
+      group.app = a;
+      group.threads = t;
+      group.per_thread_demand = demand_[a];
+      groups_.push_back(group);
+      node_threads += t;
+    }
+    detail::solve_controller(machine_, 0, groups_.data(), members_.data(),
+                             static_cast<std::uint32_t>(groups_.size()), options_, breakdown_);
+
+    const auto nodes_n = machine_.node_count();
+    const double share =
+        has_foreign_ ? detail::compute_share(machine_, options_.foreign, 0, node_threads) : 1.0;
+    for (auto& g : groups_) {
+      const AppSpec& app = apps_[g.app];
+      g.per_thread_gflops = achieved_gflops(g.per_thread_granted, app.ai, peak_ * share);
+      if (app.serial_fraction <= 0.0) continue;
+      // solve_into's Amdahl pass, summed over the app's groups node by node.
+      GFlops raw = 0.0;
+      GFlops thread_peak_sum = 0.0;
+      std::uint32_t threads = 0;
+      for (topo::NodeId n = 0; n < nodes_n; ++n) {
+        raw += g.group_gflops();
+        threads += g.threads;
+        thread_peak_sum += g.threads * peak_ * share;
+      }
+      if (raw <= 0.0) continue;
+      const GFlops cap = detail::amdahl_cap(app, thread_peak_sum, threads);
+      if (raw > cap) g.per_thread_gflops *= cap / raw;
+    }
+
+    // Same additions, in the same order, as solve_into's final pass over
+    // its groups (app-major, then node); locals keep the chains in registers.
+    solution_.app_gflops.assign(apps_.size(), 0.0);
+    GFlops total = 0.0;
+    for (const auto& g : groups_) {
+      const GFlops group = g.group_gflops();
+      GFlops app_total = 0.0;
+      for (topo::NodeId n = 0; n < nodes_n; ++n) {
+        app_total += group;
+        total += group;
+      }
+      solution_.app_gflops[g.app] = app_total;
+    }
+    solution_.total_gflops = total;
+    return solution_;
+  }
+
+ private:
+  const topo::Machine& machine_;
+  const std::vector<AppSpec>& apps_;
+  const SolveOptions& options_;
+  bool has_foreign_;
+  GFlops peak_;
+  std::vector<GBps> demand_;  // per thread, per app
+  std::vector<GroupResult> groups_;
+  std::vector<std::uint32_t> members_;  // identity: node 0's bucket is every group
+  NodeBreakdown breakdown_;
+  Solution solution_;
+};
+
 /// Streaming branch-and-bound over the uniform family plus node
 /// permutations. Candidates are visited in exactly the order the reference
 /// enumeration materializes them (counts ascending per app; permutations in
@@ -245,6 +349,10 @@ struct StreamSearch {
   const std::vector<std::uint32_t>& caps;
   /// Carries the foreign load into every candidate (and bound) solve.
   SolveOptions solve_options;
+  /// Uniform candidates (leaves and bound prefixes) are scored by `classes`
+  /// instead of solve_into; node permutations always take solve_into.
+  bool node_classes = false;
+  NodeClassSolver classes;
 
   std::uint32_t apps_n = 0;
   std::uint32_t nodes_n = 0;
@@ -258,6 +366,7 @@ struct StreamSearch {
 
   SearchBounds bounds;
   Allocation workspace;  // the uniform candidate under construction, mutated in place
+  std::vector<std::uint32_t> counts;  // the workspace's uniform rows: per-node count per app
   Allocation capped;     // caps-applied copy of the workspace
   std::vector<std::uint32_t> cap_totals;
   std::vector<std::uint32_t> cap_freed;
@@ -274,14 +383,20 @@ struct StreamSearch {
         objective(objective_),
         require_full(require_full_),
         min_per_app(min_per_app_),
-        caps(caps_) {
-    solve_options.foreign = foreign_;
+        caps(caps_),
+        solve_options{.foreign = foreign_},
+        node_classes(one_node_class(machine_, apps_, caps_, foreign_)),
+        classes(machine_, apps_, solve_options) {
+    // The specs are constant within a search, so solve_into's per-call spec
+    // checks run once here for the solves the node-class path replaces.
+    detail::require_solvable(machine, apps);
     apps_n = static_cast<std::uint32_t>(apps.size());
     nodes_n = machine.node_count();
     budget = smallest_node_cores(machine);
     prune_enabled = caps.empty();
     if (prune_enabled) bounds = make_search_bounds(machine, apps, foreign_);
     workspace = Allocation(apps_n, nodes_n);
+    counts.assign(apps_n, 0);
     best.objective_value = -std::numeric_limits<double>::infinity();
   }
 
@@ -331,23 +446,33 @@ struct StreamSearch {
   }
 
   void set_row(std::uint32_t a, std::uint32_t c) {
+    counts[a] = c;
     for (topo::NodeId n = 0; n < nodes_n; ++n) workspace.set_threads(a, n, c);
   }
 
-  void evaluate_current() {
+  void evaluate_current(bool uniform) {
     const Allocation* candidate = &workspace;
     if (!caps.empty()) {
       capped = workspace;
       apply_caps(machine, capped, caps, cap_totals, cap_freed);
       candidate = &capped;
     }
-    const Solution& solution = solve_into(machine, apps, *candidate, eval_scratch, solve_options);
+    const bool by_class = uniform && node_classes;
+    const double value =
+        score(by_class ? classes.solve(counts)
+                       : solve_into(machine, apps, *candidate, eval_scratch, solve_options),
+              objective);
     ++best.evaluated;
-    const double value = score(solution, objective);
     if (value > best.objective_value) {
+      if (by_class) {
+        // A new incumbent gets the full solve: it fills best.solution and
+        // cross-checks the node-class score, which must be bitwise equal.
+        const Solution& full = solve_into(machine, apps, workspace, eval_scratch, solve_options);
+        NS_REQUIRE(score(full, objective) == value, "node-class score differs from solve_into");
+      }
       best.objective_value = value;
       best.allocation = *candidate;
-      best.solution = solution;
+      best.solution = eval_scratch.solution;
     }
   }
 
@@ -373,7 +498,7 @@ struct StreamSearch {
         }
       }
       set_row(a, c);
-      evaluate_current();
+      evaluate_current(/*uniform=*/true);
       set_row(a, 0);
     }
   }
@@ -396,7 +521,10 @@ struct StreamSearch {
         const double ub = app_ub(a, c);
         cpt = pt + ub;
         cpm = std::min(pm, ub);
-        cpl = pl + std::log(std::max(ub, 1e-12));
+        // Only the proportional-fairness bound reads the log-sum.
+        if (objective == Objective::kProportionalFairness) {
+          cpl = pl + std::log(std::max(ub, 1e-12));
+        }
         if (cuttable(combine_bound(cpt, cpm, cpl, a + 1, rem_after))) {
           ++best.pruned;
           continue;
@@ -409,14 +537,17 @@ struct StreamSearch {
         // frees bandwidth for the ones that remain, so each assigned app's
         // partial throughput upper-bounds its throughput in any completion.
         const Solution& partial =
-            solve_into(machine, apps, workspace, bound_scratch, solve_options);
+            node_classes ? classes.solve(counts)
+                         : solve_into(machine, apps, workspace, bound_scratch, solve_options);
         ++best.bound_solves;
         double p_total = partial.total_gflops;
         double p_min = std::numeric_limits<double>::infinity();
         double p_log = 0.0;
         for (std::uint32_t p = 0; p <= a; ++p) {
           p_min = std::min(p_min, partial.app_gflops[p]);
-          p_log += std::log(std::max(partial.app_gflops[p], 1e-12));
+          if (objective == Objective::kProportionalFairness) {
+            p_log += std::log(std::max(partial.app_gflops[p], 1e-12));
+          }
         }
         cpt = std::min(cpt, p_total);
         cpm = std::min(cpm, p_min);
@@ -454,14 +585,14 @@ struct StreamSearch {
           }
         }
       }
-      if (duplicate && nodes_n >= 1) {
+      if (duplicate) {
         ++best.deduped;
         continue;
       }
       for (std::uint32_t a = 0; a < apps_n; ++a) {
         workspace.set_threads(a, order[a], machine.cores_in_node(order[a]));
       }
-      evaluate_current();
+      evaluate_current(/*uniform=*/false);
       for (std::uint32_t a = 0; a < apps_n; ++a) {
         workspace.set_threads(a, order[a], 0);
       }
@@ -679,6 +810,13 @@ std::uint64_t count_candidates(const topo::Machine& machine, std::uint32_t apps,
   return n;
 }
 
+void apply_caps(const topo::Machine& machine, Allocation& allocation,
+                const std::vector<std::uint32_t>& caps) {
+  std::vector<std::uint32_t> totals;
+  std::vector<std::uint32_t> freed;
+  apply_caps(machine, allocation, caps, totals, freed);
+}
+
 SearchResult exhaustive_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,
                                Objective objective, bool require_full,
                                std::uint32_t min_threads_per_app,
@@ -696,45 +834,6 @@ SearchResult exhaustive_search(const topo::Machine& machine, const std::vector<A
   StreamSearch search(machine, apps, objective, require_full, min_threads_per_app, caps,
                       foreign);
   return search.run();
-}
-
-SearchResult exhaustive_search_reference(const topo::Machine& machine,
-                                         const std::vector<AppSpec>& apps, Objective objective,
-                                         bool require_full, std::uint32_t min_threads_per_app,
-                                         const std::vector<std::uint32_t>& caps,
-                                         const ForeignLoad& foreign) {
-  NS_REQUIRE(caps.empty() || caps.size() == apps.size(),
-             "caps must be empty or one per app");
-  require_foreign_shape(machine, foreign);
-  const std::uint32_t min_cores = smallest_node_cores(machine);
-  const auto apps_n = static_cast<std::uint32_t>(apps.size());
-  min_threads_per_app = std::min(min_threads_per_app, min_cores / std::max(1u, apps_n));
-  auto candidates = enumerate_uniform(machine, apps_n, require_full, min_threads_per_app);
-  if (apps.size() == machine.node_count()) {
-    auto perms = enumerate_node_permutations(machine);
-    candidates.insert(candidates.end(), perms.begin(), perms.end());
-  }
-  NS_REQUIRE(!candidates.empty(), "no candidate allocations");
-  if (!caps.empty()) {
-    for (auto& candidate : candidates) apply_caps(machine, candidate, caps);
-  }
-  SolveOptions solve_options;
-  solve_options.foreign = foreign;
-
-  SearchResult best;
-  best.objective_value = -std::numeric_limits<double>::infinity();
-  for (const auto& candidate : candidates) {
-    Solution solution = solve(machine, apps, candidate, solve_options);
-    ++best.evaluated;
-    ++best.visited;
-    const double value = score(solution, objective);
-    if (value > best.objective_value) {
-      best.objective_value = value;
-      best.allocation = candidate;
-      best.solution = std::move(solution);
-    }
-  }
-  return best;
 }
 
 SearchResult refine_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,

@@ -2,19 +2,21 @@
 // per-node thread counts (paper §III: "we need to be aware of the NUMA
 // architecture and also of the way memory is used by the application").
 //
-// Three engines:
+// Two engines:
 //  * exhaustive_search — streaming branch-and-bound over the
 //    restricted-but-expressive families the paper discusses
 //    (uniform-per-node counts; node-permutation assignments). Candidates are
 //    visited via an in-place enumerator (nothing is materialized) and
 //    subtrees are cut with admissible upper bounds, so it provably returns
 //    the same winner as brute force at a fraction of the solves
-//    (docs/MODEL.md "Search cost and pruning");
+//    (docs/MODEL.md "Search cost and pruning"). On symmetric machines with
+//    NUMA-perfect apps it solves one memory controller per uniform
+//    candidate and reuses it for every identical node, bitwise-exactly;
 //  * refine_search — hill-climbing over single-thread moves for general
 //    machines and for incremental re-optimization between structural ticks
-//    (churn_penalty = 0 makes it a plain greedy climb from the seed);
-//  * exhaustive_search_reference — the original materialize-then-evaluate
-//    brute force, kept for equivalence tests and before/after benchmarks.
+//    (churn_penalty = 0 makes it a plain greedy climb from the seed).
+// The original materialize-then-evaluate brute force that exhaustive_search
+// is held to lives with the tests (tests/support/search_reference.hpp).
 #pragma once
 
 #include <cstdint>
@@ -91,19 +93,12 @@ SearchResult exhaustive_search(const topo::Machine& machine, const std::vector<A
                                const std::vector<std::uint32_t>& caps = {},
                                const ForeignLoad& foreign = {});
 
-/// The original materialize-then-evaluate brute force over the same
-/// candidate families (including the historical double evaluation of
-/// node-permutation candidates on single-node machines). Test/bench-only:
-/// O(candidates) resident memory and one allocating solve per candidate.
-/// exhaustive_search must select the same allocation with the same objective
-/// value — tests/core/search_equivalence_test.cpp holds the two engines to
-/// that on randomized problems.
-SearchResult exhaustive_search_reference(const topo::Machine& machine,
-                                         const std::vector<AppSpec>& apps, Objective objective,
-                                         bool require_full = false,
-                                         std::uint32_t min_threads_per_app = 0,
-                                         const std::vector<std::uint32_t>& caps = {},
-                                         const ForeignLoad& foreign = {});
+/// The cap enforcement exhaustive_search applies to every candidate when
+/// `caps` is non-empty: shave capped apps from the last node down, then
+/// re-grant exactly the freed cores (same nodes), round-robin, to apps still
+/// under their caps. Cores idle only when every app is capped out.
+void apply_caps(const topo::Machine& machine, Allocation& allocation,
+                const std::vector<std::uint32_t>& caps);
 
 /// Closed-form size of the candidate set exhaustive_search ranges over
 /// (uniform family + node permutations when apps == node_count), after the

@@ -5,6 +5,7 @@
 
 #include "common/assert.hpp"
 #include "common/format.hpp"
+#include "core/roofline_detail.hpp"
 
 namespace numashare::model {
 
@@ -47,17 +48,129 @@ Solution solve(const topo::Machine& machine, const std::vector<AppSpec>& apps,
   return std::move(scratch.solution);
 }
 
-const Solution& solve_into(const topo::Machine& machine, const std::vector<AppSpec>& apps,
-                           const Allocation& allocation, SolveScratch& scratch,
-                           const SolveOptions& options) {
-  NS_REQUIRE(apps.size() == allocation.app_count(),
-             "app specs must index-match the allocation");
+namespace detail {
+
+void require_solvable(const topo::Machine& machine, const std::vector<AppSpec>& apps) {
   for (const auto& app : apps) {
     NS_REQUIRE(app.ai > 0.0, "arithmetic intensity must be positive");
     if (app.placement == Placement::kNumaBad) {
       NS_REQUIRE(app.home_node < machine.node_count(), "NUMA-bad home node out of range");
     }
+    NS_REQUIRE(app.serial_fraction < 1.0, "serial fraction must be in [0, 1)");
   }
+}
+
+void solve_controller(const topo::Machine& machine, topo::NodeId m, GroupResult* groups,
+                      const std::uint32_t* members, std::uint32_t count,
+                      const SolveOptions& options, NodeBreakdown& breakdown) {
+  const ForeignLoad& foreign = options.foreign;
+  breakdown = NodeBreakdown{};
+  breakdown.node = m;
+  breakdown.bandwidth = machine.node(m).memory_bandwidth;
+  // Opaque foreign consumers are served off the top: they are running
+  // regardless of what the allocator decides, so cooperating flows compete
+  // for only what they leave behind.
+  const GBps foreign_bw = m < foreign.bandwidth.size() ? std::max(0.0, foreign.bandwidth[m]) : 0.0;
+  breakdown.foreign_granted = std::min(foreign_bw, breakdown.bandwidth);
+  const GBps coop_bandwidth = breakdown.bandwidth - breakdown.foreign_granted;
+
+  // 2a. Remote flows first, each capped by its directed link. The flow
+  //     grant (whole-group GB/s) is stashed in per_thread_granted until
+  //     the optional proportional rescale, then converted to per-thread.
+  GBps remote_total = 0.0;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    auto& g = groups[members[i]];
+    if (g.exec_node == m) continue;
+    const GBps flow_demand = g.per_thread_demand * g.threads;
+    const GBps link = machine.link_bandwidth(g.exec_node, m);
+    g.per_thread_granted = std::min(flow_demand, link);
+    breakdown.remote_demand += flow_demand;
+    remote_total += g.per_thread_granted;
+  }
+  // The paper does not say what happens when the links together exceed the
+  // controller; we scale the flows proportionally so the controller's peak
+  // is never exceeded.
+  double remote_scale = 1.0;
+  if (remote_total > coop_bandwidth + kEps) {
+    remote_scale = coop_bandwidth / remote_total;
+    remote_total = coop_bandwidth;
+  }
+  breakdown.remote_granted = remote_total;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    auto& g = groups[members[i]];
+    if (g.exec_node == m) continue;
+    if (remote_scale != 1.0) g.per_thread_granted *= remote_scale;
+    g.per_thread_granted /= g.threads;
+  }
+
+  // 2b. Locals split the remainder: equal per-core baseline ...
+  const GBps remaining = std::max(0.0, coop_bandwidth - remote_total);
+  const double cores = machine.cores_in_node(m);
+  breakdown.baseline_per_core = remaining / cores;
+  GBps pool = remaining;
+  for (std::uint32_t i = 0; i < count; ++i) {
+    auto& g = groups[members[i]];
+    if (g.exec_node != m) continue;
+    breakdown.local_demand += g.per_thread_demand * g.threads;
+    g.per_thread_granted = std::min(g.per_thread_demand, breakdown.baseline_per_core);
+    pool -= g.per_thread_granted * g.threads;
+    breakdown.local_baseline_granted += g.per_thread_granted * g.threads;
+  }
+
+  // 2c. ... then the leftover, proportional to unmet demand (water-fill).
+  for (std::uint32_t round = 0; round < options.max_waterfill_rounds; ++round) {
+    if (pool <= kEps) break;
+    double weighted_deficit = 0.0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      const auto& g = groups[members[i]];
+      if (g.exec_node != m) continue;
+      weighted_deficit += (g.per_thread_demand - g.per_thread_granted) * g.threads;
+    }
+    if (weighted_deficit <= kEps) break;
+    GBps distributed = 0.0;
+    for (std::uint32_t i = 0; i < count; ++i) {
+      auto& g = groups[members[i]];
+      if (g.exec_node != m) continue;
+      const GBps deficit = g.per_thread_demand - g.per_thread_granted;
+      if (deficit <= kEps) continue;
+      const GBps share_per_thread = pool * deficit / weighted_deficit;
+      const GBps take = std::min(deficit, share_per_thread);
+      g.per_thread_granted += take;
+      distributed += take * g.threads;
+    }
+    breakdown.local_remainder_granted += distributed;
+    pool -= distributed;
+    if (options.single_shot_remainder) break;
+    if (distributed <= kEps) break;
+  }
+  breakdown.total_granted = breakdown.foreign_granted + breakdown.remote_granted +
+                            breakdown.local_baseline_granted +
+                            breakdown.local_remainder_granted;
+  NS_ASSERT(breakdown.total_granted <= breakdown.bandwidth * (1.0 + 1e-9) + kEps);
+}
+
+double compute_share(const topo::Machine& machine, const ForeignLoad& foreign,
+                     topo::NodeId node, std::uint32_t threads) {
+  if (node >= foreign.busy_cores.size()) return 1.0;
+  const double cores = machine.cores_in_node(node);
+  const double busy = std::min(std::max(0.0, foreign.busy_cores[node]), cores);
+  if (busy <= 0.0 || threads == 0) return 1.0;
+  const double avail = std::max(0.0, cores - busy);
+  return std::min(1.0, avail / threads);
+}
+
+GFlops amdahl_cap(const AppSpec& app, GFlops thread_peak_sum, std::uint32_t threads) {
+  return (thread_peak_sum / threads) * app.effective_threads(threads);
+}
+
+}  // namespace detail
+
+const Solution& solve_into(const topo::Machine& machine, const std::vector<AppSpec>& apps,
+                           const Allocation& allocation, SolveScratch& scratch,
+                           const SolveOptions& options) {
+  NS_REQUIRE(apps.size() == allocation.app_count(),
+             "app specs must index-match the allocation");
+  detail::require_solvable(machine, apps);
   const ForeignLoad& foreign = options.foreign;
   const bool has_foreign = !foreign.busy_cores.empty() || !foreign.bandwidth.empty();
   if (!foreign.busy_cores.empty()) {
@@ -68,14 +181,6 @@ const Solution& solve_into(const topo::Machine& machine, const std::vector<AppSp
     NS_REQUIRE(foreign.bandwidth.size() == machine.node_count(),
                "foreign bandwidth must have one entry per node");
   }
-  const auto foreign_bw = [&](topo::NodeId m) -> GBps {
-    return m < foreign.bandwidth.size() ? std::max(0.0, foreign.bandwidth[m]) : 0.0;
-  };
-  const auto foreign_cores = [&](topo::NodeId m) -> double {
-    if (m >= foreign.busy_cores.size()) return 0.0;
-    const double cores = machine.cores_in_node(m);
-    return std::min(std::max(0.0, foreign.busy_cores[m]), cores);
-  };
 
   Solution& solution = scratch.solution;
   solution.groups.clear();
@@ -118,90 +223,10 @@ const Solution& solve_into(const topo::Machine& machine, const std::vector<AppSp
   // 2. Solve each memory controller independently (the model couples nodes
   //    only through the static link caps, so controllers are separable).
   for (topo::NodeId m = 0; m < machine.node_count(); ++m) {
-    auto& breakdown = solution.nodes[m];
-    breakdown.node = m;
-    breakdown.bandwidth = machine.node(m).memory_bandwidth;
-    // Opaque foreign consumers are served off the top: they are running
-    // regardless of what the allocator decides, so cooperating flows compete
-    // for only what they leave behind.
-    breakdown.foreign_granted = std::min(foreign_bw(m), breakdown.bandwidth);
-    const GBps coop_bandwidth = breakdown.bandwidth - breakdown.foreign_granted;
     const std::uint32_t begin = scratch.bucket_offset[m];
-    const std::uint32_t end = scratch.bucket_offset[m + 1];
-
-    // 2a. Remote flows first, each capped by its directed link. The flow
-    //     grant (whole-group GB/s) is stashed in per_thread_granted until
-    //     the optional proportional rescale, then converted to per-thread.
-    GBps remote_total = 0.0;
-    for (std::uint32_t i = begin; i < end; ++i) {
-      auto& g = solution.groups[scratch.bucket_groups[i]];
-      if (g.exec_node == m) continue;
-      const GBps flow_demand = g.per_thread_demand * g.threads;
-      const GBps link = machine.link_bandwidth(g.exec_node, m);
-      g.per_thread_granted = std::min(flow_demand, link);
-      breakdown.remote_demand += flow_demand;
-      remote_total += g.per_thread_granted;
-    }
-    // The paper does not say what happens when the links together exceed the
-    // controller; we scale the flows proportionally so the controller's peak
-    // is never exceeded.
-    double remote_scale = 1.0;
-    if (remote_total > coop_bandwidth + kEps) {
-      remote_scale = coop_bandwidth / remote_total;
-      remote_total = coop_bandwidth;
-    }
-    breakdown.remote_granted = remote_total;
-    for (std::uint32_t i = begin; i < end; ++i) {
-      auto& g = solution.groups[scratch.bucket_groups[i]];
-      if (g.exec_node == m) continue;
-      if (remote_scale != 1.0) g.per_thread_granted *= remote_scale;
-      g.per_thread_granted /= g.threads;
-    }
-
-    // 2b. Locals split the remainder: equal per-core baseline ...
-    const GBps remaining = std::max(0.0, coop_bandwidth - remote_total);
-    const double cores = machine.cores_in_node(m);
-    breakdown.baseline_per_core = remaining / cores;
-    GBps pool = remaining;
-    for (std::uint32_t i = begin; i < end; ++i) {
-      auto& g = solution.groups[scratch.bucket_groups[i]];
-      if (g.exec_node != m) continue;
-      breakdown.local_demand += g.per_thread_demand * g.threads;
-      g.per_thread_granted = std::min(g.per_thread_demand, breakdown.baseline_per_core);
-      pool -= g.per_thread_granted * g.threads;
-      breakdown.local_baseline_granted += g.per_thread_granted * g.threads;
-    }
-
-    // 2c. ... then the leftover, proportional to unmet demand (water-fill).
-    for (std::uint32_t round = 0; round < options.max_waterfill_rounds; ++round) {
-      if (pool <= kEps) break;
-      double weighted_deficit = 0.0;
-      for (std::uint32_t i = begin; i < end; ++i) {
-        const auto& g = solution.groups[scratch.bucket_groups[i]];
-        if (g.exec_node != m) continue;
-        weighted_deficit += (g.per_thread_demand - g.per_thread_granted) * g.threads;
-      }
-      if (weighted_deficit <= kEps) break;
-      GBps distributed = 0.0;
-      for (std::uint32_t i = begin; i < end; ++i) {
-        auto& g = solution.groups[scratch.bucket_groups[i]];
-        if (g.exec_node != m) continue;
-        const GBps deficit = g.per_thread_demand - g.per_thread_granted;
-        if (deficit <= kEps) continue;
-        const GBps share_per_thread = pool * deficit / weighted_deficit;
-        const GBps take = std::min(deficit, share_per_thread);
-        g.per_thread_granted += take;
-        distributed += take * g.threads;
-      }
-      breakdown.local_remainder_granted += distributed;
-      pool -= distributed;
-      if (options.single_shot_remainder) break;
-      if (distributed <= kEps) break;
-    }
-    breakdown.total_granted = breakdown.foreign_granted + breakdown.remote_granted +
-                              breakdown.local_baseline_granted +
-                              breakdown.local_remainder_granted;
-    NS_ASSERT(breakdown.total_granted <= breakdown.bandwidth * (1.0 + 1e-9) + kEps);
+    detail::solve_controller(machine, m, solution.groups.data(),
+                             scratch.bucket_groups.data() + begin,
+                             scratch.bucket_offset[m + 1] - begin, options, solution.nodes[m]);
   }
 
   // 3. Roofline: bandwidth -> GFLOPS, capped at the compute peak. Foreign
@@ -216,13 +241,8 @@ const Solution& solve_into(const topo::Machine& machine, const std::vector<AppSp
     for (const auto& g : solution.groups) scratch.node_threads[g.exec_node] += g.threads;
   }
   const auto compute_share = [&](topo::NodeId n) -> double {
-    if (!has_foreign) return 1.0;
-    const double fc = foreign_cores(n);
-    if (fc <= 0.0) return 1.0;
-    const double threads = scratch.node_threads[n];
-    if (threads <= 0.0) return 1.0;
-    const double avail = std::max(0.0, machine.cores_in_node(n) - fc);
-    return std::min(1.0, avail / threads);
+    return has_foreign ? detail::compute_share(machine, foreign, n, scratch.node_threads[n])
+                       : 1.0;
   };
   for (auto& g : solution.groups) {
     const GFlops peak = core_peak_on_node(machine, g.exec_node) * compute_share(g.exec_node);
@@ -238,7 +258,6 @@ const Solution& solve_into(const topo::Machine& machine, const std::vector<AppSp
   //     fastest node.
   for (AppId a = 0; a < apps.size(); ++a) {
     if (apps[a].serial_fraction <= 0.0) continue;
-    NS_REQUIRE(apps[a].serial_fraction < 1.0, "serial fraction must be in [0, 1)");
     GFlops raw = 0.0;
     GFlops thread_peak_sum = 0.0;  // sum over threads of their core's peak
     std::uint32_t threads = 0;
@@ -250,7 +269,7 @@ const Solution& solve_into(const topo::Machine& machine, const std::vector<AppSp
           g.threads * core_peak_on_node(machine, g.exec_node) * compute_share(g.exec_node);
     }
     if (threads == 0 || raw <= 0.0) continue;
-    const GFlops cap = (thread_peak_sum / threads) * apps[a].effective_threads(threads);
+    const GFlops cap = detail::amdahl_cap(apps[a], thread_peak_sum, threads);
     if (raw <= cap) continue;
     const double derate = cap / raw;
     for (auto& g : solution.groups) {

@@ -791,12 +791,14 @@ void Daemon::mirror_foreign_shard() {
 void Daemon::journal_allocation(double now) {
   if (!journal_.ok()) return;
   // When the (possibly wrapped) policy is model-guided, attach the actual
-  // per-node allocation behind the directives; otherwise names only.
+  // per-node allocation behind the directives and what the search behind it
+  // cost; otherwise names only.
   agent::Policy* policy = &agent_->policy();
   if (auto* wrapper = dynamic_cast<AdvertisedAiPolicy*>(policy)) policy = &wrapper->inner();
   const model::Allocation* allocation = nullptr;
-  if (auto* model_guided = dynamic_cast<agent::ModelGuidedPolicy*>(policy)) {
-    if (model_guided->last_allocation()) allocation = &*model_guided->last_allocation();
+  const auto* model_guided = dynamic_cast<agent::ModelGuidedPolicy*>(policy);
+  if (model_guided != nullptr && model_guided->last_allocation()) {
+    allocation = &*model_guided->last_allocation();
   }
   const auto& views = agent_->views();
   std::string apps = "[";
@@ -814,9 +816,20 @@ void Daemon::journal_allocation(double now) {
     apps += "}";
   }
   apps += "]";
-  journal_.record(now, "reallocate",
-                  {{"generation", jnum(agent_->generation())},
-                   {"apps", std::move(apps)}});
+  std::vector<std::pair<std::string_view, std::string>> fields{
+      {"generation", jnum(agent_->generation())}, {"apps", std::move(apps)}};
+  if (allocation != nullptr) {
+    using Kind = agent::ModelGuidedPolicy::SearchKind;
+    const auto& search = model_guided->last_search();
+    fields.insert(fields.end(),
+                  {{"search", jstr(search.kind == Kind::kRefine ? "refine" : "full")},
+                   {"evaluated", jnum(search.evaluated)},
+                   {"pruned", jnum(search.pruned)},
+                   {"bound_solves", jnum(search.bound_solves)},
+                   {"predicted_gflops", jnum(search.predicted_gflops)},
+                   {"search_us", jnum(search.search_us)}});
+  }
+  journal_.record(now, "reallocate", fields);
 }
 
 void Daemon::journal_snapshot(double now) {

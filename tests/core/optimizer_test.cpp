@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/paper_scenarios.hpp"
+#include "support/search_reference.hpp"
 #include "topology/presets.hpp"
 
 namespace numashare::model {

@@ -1,8 +1,11 @@
 // Equivalence property suite for the streaming branch-and-bound search: on
 // randomized machines (symmetric and lopsided), app mixes (NUMA-perfect /
-// NUMA-bad / serial fractions), objectives, constraint flavours and
-// administrative caps, exhaustive_search must select exactly the allocation
-// and objective value the materialize-then-evaluate brute force selects.
+// NUMA-bad / serial fractions), objectives, constraint flavours,
+// administrative caps and foreign load, exhaustive_search must select
+// exactly the allocation and objective value the materialize-then-evaluate
+// brute force selects. A second family draws the daemon's scale (up to 12
+// NUMA-perfect apps on up to 4x20 cores), where the search scores uniform
+// candidates one node class at a time, plus near misses that must not.
 // Both engines evaluate candidates through the same solver arithmetic and
 // replace the incumbent only on strict improvement, so the comparison is
 // exact (==), not approximate — any admissibility bug in the pruning bounds
@@ -15,6 +18,7 @@
 
 #include "common/rng.hpp"
 #include "core/optimizer.hpp"
+#include "support/search_reference.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::model {
@@ -26,6 +30,7 @@ struct Problem {
   bool require_full = false;
   std::uint32_t min_per_app = 0;
   std::vector<std::uint32_t> caps;
+  ForeignLoad foreign;
 };
 
 Problem random_problem(std::uint64_t seed) {
@@ -82,30 +87,150 @@ class SearchEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, SearchEquivalence,
                          ::testing::Range<std::uint64_t>(1000, 1064));
 
+/// Holds exhaustive_search to the brute force on `p` under `objective`.
+void expect_matches_brute_force(const Problem& p, Objective objective, std::uint64_t seed) {
+  const auto reference = exhaustive_search_reference(
+      p.machine, p.apps, objective, p.require_full, p.min_per_app, p.caps, p.foreign);
+  const auto pruned = exhaustive_search(p.machine, p.apps, objective, p.require_full,
+                                        p.min_per_app, p.caps, p.foreign);
+  // Exact, not approximate: both engines run identical solver arithmetic
+  // on the candidates they do evaluate, and pruning may only remove
+  // candidates that provably cannot strictly beat the incumbent.
+  EXPECT_EQ(pruned.objective_value, reference.objective_value)
+      << "objective " << to_string(objective) << " seed " << seed;
+  EXPECT_TRUE(pruned.allocation == reference.allocation)
+      << "objective " << to_string(objective) << " seed " << seed << "\npruned "
+      << pruned.allocation.to_string() << "\nreference " << reference.allocation.to_string();
+  EXPECT_LE(pruned.evaluated, reference.evaluated);
+  if (!p.caps.empty()) {
+    // Caps disable pruning (the re-grant breaks per-app bound
+    // admissibility): every candidate except deduped permutation twins is
+    // evaluated, exactly like the reference.
+    EXPECT_EQ(pruned.evaluated + pruned.deduped, reference.evaluated);
+    EXPECT_EQ(pruned.pruned, 0u);
+  }
+}
+
 TEST_P(SearchEquivalence, PrunedMatchesBruteForce) {
   const auto p = random_problem(GetParam());
-  for (const auto objective : kObjectives) {
-    const auto reference = exhaustive_search_reference(p.machine, p.apps, objective,
-                                                       p.require_full, p.min_per_app, p.caps);
-    const auto pruned =
-        exhaustive_search(p.machine, p.apps, objective, p.require_full, p.min_per_app, p.caps);
-    // Exact, not approximate: both engines run identical solver arithmetic
-    // on the candidates they do evaluate, and pruning may only remove
-    // candidates that provably cannot strictly beat the incumbent.
-    EXPECT_EQ(pruned.objective_value, reference.objective_value)
-        << "objective " << to_string(objective) << " seed " << GetParam();
-    EXPECT_TRUE(pruned.allocation == reference.allocation)
-        << "objective " << to_string(objective) << " seed " << GetParam() << "\npruned "
-        << pruned.allocation.to_string() << "\nreference " << reference.allocation.to_string();
-    EXPECT_LE(pruned.evaluated, reference.evaluated);
-    if (!p.caps.empty()) {
-      // Caps disable pruning (the re-grant breaks per-app bound
-      // admissibility): every candidate except deduped permutation twins is
-      // evaluated, exactly like the reference.
-      EXPECT_EQ(pruned.evaluated + pruned.deduped, reference.evaluated);
-      EXPECT_EQ(pruned.pruned, 0u);
+  for (const auto objective : kObjectives) expect_matches_brute_force(p, objective, GetParam());
+}
+
+/// The node-class family: what the daemon decides, and the near misses
+/// that must take the per-node solve instead.
+enum class Shape {
+  kNodeClass,          // symmetric, all NUMA-perfect, node-identical foreign, no caps
+  kOneNumaBad,         // ... but one app keeps its data on one node
+  kOneNodeForeign,     // ... but one node's foreign load differs
+  kCapped,             // ... but with administrative caps
+  kAsymmetricNode,     // ... but with a bolted-on node of its own shape
+};
+
+/// Candidate ceiling per drawn problem: the brute force materializes and
+/// solves every candidate, and the search-equiv label also runs under
+/// ASan/UBSan.
+constexpr std::uint64_t kMaxNodeClassCandidates = 8000;
+
+Problem node_class_problem(std::uint64_t seed, Shape shape) {
+  Xoshiro256 rng(seed);
+  Problem p;
+  std::uint32_t nodes = 0;
+  std::uint32_t cores = 0;
+  std::uint32_t n_apps = 0;
+  do {
+    nodes = 1 + static_cast<std::uint32_t>(rng.uniform_u64(4));
+    cores = 8 + static_cast<std::uint32_t>(rng.uniform_u64(13));
+    n_apps = 4 + static_cast<std::uint32_t>(rng.uniform_u64(std::min(cores, 12u) - 3));
+    p.require_full = rng.uniform() < 0.7;
+    // The daemon keeps every app running with one thread per node.
+    p.min_per_app = rng.uniform() < 0.75 ? 1 : static_cast<std::uint32_t>(rng.uniform_u64(3));
+    p.machine = topo::Machine::symmetric(nodes, cores, rng.uniform(0.25, 16.0),
+                                         rng.uniform(4.0, 150.0), rng.uniform(0.5, 40.0));
+  } while (count_candidates(p.machine, n_apps, p.require_full, p.min_per_app) >
+           kMaxNodeClassCandidates);
+  // Per-thread demand from 1/8 to 16 times the per-core baseline share, so
+  // a mix spans satisfied, water-filled and starved apps.
+  const double peak = p.machine.core(0).peak_gflops;
+  const double baseline = p.machine.node(0).memory_bandwidth / cores;
+  for (std::uint32_t a = 0; a < n_apps; ++a) {
+    const double ai = peak / (baseline * std::exp2(rng.uniform(-3.0, 4.0)));
+    p.apps.push_back(AppSpec::numa_perfect("perfect", ai));
+    if (rng.uniform() < 0.3) p.apps.back().serial_fraction = rng.uniform(0.05, 0.7);
+  }
+  if (shape == Shape::kAsymmetricNode) {
+    const auto extra = p.machine.add_node(1 + static_cast<std::uint32_t>(rng.uniform_u64(20)),
+                                          rng.uniform(0.25, 16.0), rng.uniform(4.0, 150.0));
+    for (topo::NodeId n = 0; n < extra; ++n) {
+      p.machine.set_link_bandwidth(n, extra, rng.uniform(0.5, 40.0));
+      p.machine.set_link_bandwidth(extra, n, rng.uniform(0.5, 40.0));
     }
   }
+  const auto total_nodes = p.machine.node_count();
+  // Node-identical foreign load (either vector may be empty).
+  if (rng.uniform() < 0.5) p.foreign.busy_cores.assign(total_nodes, rng.uniform(0.0, cores));
+  if (rng.uniform() < 0.5) {
+    p.foreign.bandwidth.assign(total_nodes,
+                               rng.uniform(0.0, p.machine.node(0).memory_bandwidth));
+  }
+  switch (shape) {
+    case Shape::kNodeClass:
+    case Shape::kAsymmetricNode:
+      break;
+    case Shape::kOneNumaBad: {
+      auto& app = p.apps[rng.uniform_u64(n_apps)];
+      app = AppSpec::numa_bad("bad", app.ai, static_cast<topo::NodeId>(rng.uniform_u64(nodes)));
+      break;
+    }
+    case Shape::kOneNodeForeign: {
+      const auto odd = static_cast<topo::NodeId>(rng.uniform_u64(total_nodes));
+      if (rng.uniform() < 0.5) {
+        p.foreign.busy_cores.resize(total_nodes, 0.0);
+        p.foreign.busy_cores[odd] += rng.uniform(0.5, cores);
+      } else {
+        p.foreign.bandwidth.resize(total_nodes, 0.0);
+        p.foreign.bandwidth[odd] += rng.uniform(1.0, p.machine.node(0).memory_bandwidth);
+      }
+      break;
+    }
+    case Shape::kCapped:
+      p.caps.assign(n_apps, 0xffffffffu);
+      for (auto& cap : p.caps) {
+        if (rng.uniform() < 0.6) {
+          cap = static_cast<std::uint32_t>(rng.uniform_u64(p.machine.core_count() + 1));
+        }
+      }
+      break;
+  }
+  return p;
+}
+
+class NodeClassEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+INSTANTIATE_TEST_SUITE_P(Seeds, NodeClassEquivalence,
+                         ::testing::Range<std::uint64_t>(2000, 2048));
+
+TEST_P(NodeClassEquivalence, MatchesBruteForce) {
+  // Half the seeds draw node-class problems; the rest cycle through the
+  // four fall-back shapes.
+  const std::uint64_t seed = GetParam();
+  const Shape shape = seed % 2 == 0 ? Shape::kNodeClass : static_cast<Shape>(1 + (seed / 2) % 4);
+  const auto p = node_class_problem(seed, shape);
+  for (const auto objective : kObjectives) expect_matches_brute_force(p, objective, seed);
+}
+
+TEST(NodeClassSearch, ShippingShape) {
+  // What the daemon decides at its largest join_churn membership: the
+  // paper's 4x20 Skylake preset, 12 NUMA-perfect memory-bound-heavy apps,
+  // every core granted and every app kept running (75 582 candidates).
+  Problem p;
+  p.machine = topo::Machine::symmetric(4, 20, 0.29, 100.0, 10.0);
+  for (const double ai : {1.0 / 32, 1.0 / 8, 1.0 / 64, 1.0 / 64, 1.0 / 32, 1.0 / 32, 1.0 / 16,
+                          1.0 / 16, 1.0 / 8, 1.0 / 8, 1.0, 1.0}) {
+    p.apps.push_back(AppSpec::numa_perfect("perfect", ai));
+  }
+  p.require_full = true;
+  p.min_per_app = 1;
+  expect_matches_brute_force(p, Objective::kTotalGflops, 0);
 }
 
 TEST_P(SearchEquivalence, RefineWithoutPenaltyMatchesGreedy) {

@@ -12,6 +12,7 @@
 
 #include <chrono>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "agent/channel.hpp"
@@ -198,6 +199,16 @@ TEST(Daemon, JoinEvictLeaveLifecycle) {
   for (const auto& entry : entries) {
     if (entry.event != "evict") continue;
     EXPECT_EQ(journal_field(entry.raw, "reason").value_or(""), "\"heartbeat-timeout\"");
+  }
+  // Every model-guided decision journals what its search cost.
+  for (const auto& entry : entries) {
+    if (entry.event != "reallocate") continue;
+    const auto search = journal_field(entry.raw, "search").value_or("");
+    EXPECT_TRUE(search == "\"full\"" || search == "\"refine\"") << entry.raw;
+    EXPECT_GE(std::stoull(journal_field(entry.raw, "evaluated").value_or("0")), 1u) << entry.raw;
+    for (const char* key : {"pruned", "bound_solves", "predicted_gflops", "search_us"}) {
+      EXPECT_TRUE(journal_field(entry.raw, key).has_value()) << key << " in " << entry.raw;
+    }
   }
   std::remove(journal.c_str());
 }

@@ -7,6 +7,7 @@
 
 #include "core/optimizer.hpp"
 #include "core/roofline.hpp"
+#include "support/search_reference.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::model {

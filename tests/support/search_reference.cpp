@@ -1,0 +1,52 @@
+#include "support/search_reference.hpp"
+
+#include <algorithm>
+#include <limits>
+#include <utility>
+
+#include "common/assert.hpp"
+
+namespace numashare::model {
+
+SearchResult exhaustive_search_reference(const topo::Machine& machine,
+                                         const std::vector<AppSpec>& apps, Objective objective,
+                                         bool require_full, std::uint32_t min_threads_per_app,
+                                         const std::vector<std::uint32_t>& caps,
+                                         const ForeignLoad& foreign) {
+  NS_REQUIRE(caps.empty() || caps.size() == apps.size(),
+             "caps must be empty or one per app");
+  std::uint32_t min_cores = machine.cores_in_node(0);
+  for (topo::NodeId n = 1; n < machine.node_count(); ++n) {
+    min_cores = std::min(min_cores, machine.cores_in_node(n));
+  }
+  const auto apps_n = static_cast<std::uint32_t>(apps.size());
+  min_threads_per_app = std::min(min_threads_per_app, min_cores / std::max(1u, apps_n));
+  auto candidates = enumerate_uniform(machine, apps_n, require_full, min_threads_per_app);
+  if (apps.size() == machine.node_count()) {
+    auto perms = enumerate_node_permutations(machine);
+    candidates.insert(candidates.end(), perms.begin(), perms.end());
+  }
+  NS_REQUIRE(!candidates.empty(), "no candidate allocations");
+  if (!caps.empty()) {
+    for (auto& candidate : candidates) apply_caps(machine, candidate, caps);
+  }
+  SolveOptions solve_options;
+  solve_options.foreign = foreign;
+
+  SearchResult best;
+  best.objective_value = -std::numeric_limits<double>::infinity();
+  for (const auto& candidate : candidates) {
+    Solution solution = solve(machine, apps, candidate, solve_options);
+    ++best.evaluated;
+    ++best.visited;
+    const double value = score(solution, objective);
+    if (value > best.objective_value) {
+      best.objective_value = value;
+      best.allocation = candidate;
+      best.solution = std::move(solution);
+    }
+  }
+  return best;
+}
+
+}  // namespace numashare::model

@@ -1,0 +1,26 @@
+// The original materialize-then-evaluate brute force over exhaustive_search's
+// candidate families, kept as the oracle the streaming search is held to
+// (tests/core/search_equivalence_test.cpp) and as the "before" engine of the
+// search-scaling bench (bench/bench_alloc_scale.cpp). Test/bench-only: it
+// holds O(candidates) memory and runs one allocating solve per candidate.
+#pragma once
+
+#include <cstdint>
+#include <vector>
+
+#include "core/optimizer.hpp"
+
+namespace numashare::model {
+
+/// Same candidates as exhaustive_search (including the historical double
+/// evaluation of node-permutation candidates on single-node machines), each
+/// solved with the validating solve() wrapper. exhaustive_search must select
+/// the same allocation with the same objective value.
+SearchResult exhaustive_search_reference(const topo::Machine& machine,
+                                         const std::vector<AppSpec>& apps, Objective objective,
+                                         bool require_full = false,
+                                         std::uint32_t min_threads_per_app = 0,
+                                         const std::vector<std::uint32_t>& caps = {},
+                                         const ForeignLoad& foreign = {});
+
+}  // namespace numashare::model
