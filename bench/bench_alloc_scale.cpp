@@ -98,9 +98,9 @@ struct ReferenceCost {
 
 std::vector<ReferenceCost> g_reference_costs;
 
-/// The same mix family bench_model_perf sweeps, but with geometrically spaced
-/// AIs (0.1 x 2^a) so the sweep always spans memory-bound through
-/// compute-bound behaviour, plus NUMA-bad homes and serial fractions.
+/// Geometrically spaced AIs (0.1 x 2^a) so the sweep always spans
+/// memory-bound through compute-bound behaviour, plus NUMA-bad homes and
+/// serial fractions.
 std::vector<model::AppSpec> make_apps(std::uint32_t count, std::uint32_t nodes) {
   std::vector<model::AppSpec> apps;
   for (std::uint32_t a = 0; a < count; ++a) {
@@ -218,8 +218,8 @@ ConfigRun run_streaming(const Config& config) {
   record("search_evals", config, "evals", static_cast<double>(after.evaluated));
   record("search_candidates", config, "evals", static_cast<double>(run.count));
 
-  // Steady-state incremental tick: refine from the enacted winner after a
-  // modest AI drift on one app.
+  // The refine climb (the engine above kMaxSearchSolves candidates), seeded
+  // from the winner after a modest AI drift on one app.
   auto drifted = apps;
   drifted[0].ai *= 1.2;
   model::RefineOptions refine_options;

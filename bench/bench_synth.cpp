@@ -1,5 +1,6 @@
 // E11 — §III.B substrate: the synthetic tunable-AI benchmark and STREAM,
-// run for real on the host, plus the simulator-backed calibration loop.
+// run for real on the host, plus the simulator-backed calibration loop and
+// the cost of one simulator epoch.
 // Host numbers are hardware truth for whatever machine this runs on; the
 // reproducible Table III column lives in bench_table3.
 #include "bench_support.hpp"
@@ -10,6 +11,7 @@
 #include "synth/harness.hpp"
 #include "synth/stream.hpp"
 #include "topology/discovery.hpp"
+#include "topology/machine.hpp"
 
 namespace {
 
@@ -121,6 +123,30 @@ void BM_StreamTriad(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StreamTriad)->Unit(benchmark::kMillisecond);
+
+// One epoch of the simulated hardware the calibration loop runs against:
+// every node serves one local and one remote group.
+void BM_SimEpoch(benchmark::State& state) {
+  const auto nodes = static_cast<std::uint32_t>(state.range(0));
+  const auto machine = topo::Machine::symmetric(nodes, 8, 10.0, 32.0, 10.0);
+  sim::MachineSim machine_sim(machine, sim::SimEffects{});
+  std::vector<sim::GroupLoad> loads;
+  for (topo::NodeId n = 0; n < nodes; ++n) {
+    sim::GroupLoad load;
+    load.exec_node = n;
+    load.memory_node = (n + 1) % nodes;
+    load.threads = 4;
+    load.per_thread_demand = 5.0;
+    load.ai = 0.5;
+    loads.push_back(load);
+    load.memory_node = n;
+    loads.push_back(load);
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(machine_sim.epoch(loads, 1e-3).size());
+  }
+}
+BENCHMARK(BM_SimEpoch)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
 
 }  // namespace
 

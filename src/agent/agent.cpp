@@ -201,9 +201,8 @@ std::uint32_t Agent::step(double now) {
   // were always discarded anyway). Apps with nothing queued are *clean* —
   // their view is left untouched and no per-sample work runs at all, which
   // is what keeps the daemon tick proportional to activity at 1000+
-  // clients. Downstream, the model-guided policy's drift gates feed its
-  // refine_search incremental path, so a quiet membership also skips the
-  // full partition solve.
+  // clients. Downstream, the model-guided policy's drift gates skip the
+  // re-search outright, so a quiet membership also skips the partition solve.
   Telemetry newest;  // hoisted: drain_newest overwrites it whole, and
                      // re-zeroing ~300 B per app would dominate a clean pass
   for (std::size_t a = 0; a < apps_.size(); ++a) {

@@ -21,46 +21,56 @@ std::vector<Directive> OversubscribedPolicy::decide(const topo::Machine&,
   return out;
 }
 
+namespace {
+
+/// Round-robin waterfill of every node's cores honouring per-app caps
+/// (AppView::thread_cap, set by the compliance watchdog). The round-robin
+/// cursor carries over from node to node, so uncapped the totals are the
+/// classic fair split — core_count/apps with the remainder to the first
+/// apps — and every node is split as evenly as it can be; a capped app's
+/// unreachable share flows to its peers instead of idling. With more apps
+/// than cores, the first core_count() apps hold one core each and the rest
+/// hold none.
+model::Allocation fair_share(const topo::Machine& machine, const std::vector<AppView>& views) {
+  const auto apps = static_cast<std::uint32_t>(views.size());
+  model::Allocation allocation(apps, machine.node_count());
+  std::vector<std::uint32_t> totals(apps, 0);
+  std::uint32_t next = 0;  // the app the next core goes to, unless capped out
+  for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
+    std::uint32_t budget = machine.cores_in_node(n);
+    // A full cycle of capped-out apps means every app is capped: the
+    // leftover cores idle.
+    for (std::uint32_t skipped = 0; budget > 0 && skipped < apps; next = (next + 1) % apps) {
+      if (totals[next] >= views[next].thread_cap) {
+        ++skipped;
+        continue;
+      }
+      allocation.set_threads(next, n, allocation.threads(next, n) + 1);
+      ++totals[next];
+      --budget;
+      skipped = 0;
+    }
+  }
+  return allocation;
+}
+
+}  // namespace
+
 std::vector<Directive> FairSharePolicy::decide(const topo::Machine& machine,
                                                const std::vector<AppView>& views) {
   std::vector<Directive> out(views.size(), Directive::none());
   if (views.empty()) return out;
   if (issued_ && last_app_count_ == views.size()) return out;
 
-  const auto apps = static_cast<std::uint32_t>(views.size());
-  // Round-robin waterfill honouring per-app caps (AppView::thread_cap, set by
-  // the compliance watchdog). With everyone uncapped this yields exactly the
-  // classic fair split — core_count/apps with the remainder to the first
-  // apps — while a capped app's unreachable share flows to its peers instead
-  // of idling.
-  std::vector<std::uint32_t> totals(apps, 0);
-  const auto waterfill = [&](std::uint32_t budget, auto&& grant) {
-    while (budget > 0) {
-      bool granted = false;
-      for (std::uint32_t a = 0; a < apps && budget > 0; ++a) {
-        if (totals[a] >= views[a].thread_cap) continue;
-        grant(a);
-        ++totals[a];
-        --budget;
-        granted = true;
-      }
-      if (!granted) break;  // every app capped out; leftover cores idle
+  const auto allocation = fair_share(machine, views);
+  for (std::uint32_t a = 0; a < views.size(); ++a) {
+    if (flavor_ == Flavor::kTotalThreads) {
+      out[a] = Directive::total(allocation.app_total(a));
+      continue;
     }
-  };
-  if (flavor_ == Flavor::kTotalThreads) {
-    waterfill(machine.core_count(), [](std::uint32_t) {});
-    for (std::uint32_t a = 0; a < apps; ++a) {
-      out[a] = Directive::total(totals[a]);
-    }
-  } else {
-    std::vector<std::vector<std::uint32_t>> per_node(apps,
-                                                     std::vector<std::uint32_t>(machine.node_count()));
-    for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
-      waterfill(machine.cores_in_node(n), [&](std::uint32_t a) { ++per_node[a][n]; });
-    }
-    for (std::uint32_t a = 0; a < apps; ++a) {
-      out[a] = Directive::per_node(std::move(per_node[a]));
-    }
+    std::vector<std::uint32_t> per_node(machine.node_count());
+    for (topo::NodeId n = 0; n < machine.node_count(); ++n) per_node[n] = allocation.threads(a, n);
+    out[a] = Directive::per_node(std::move(per_node));
   }
   issued_ = true;
   last_app_count_ = views.size();
@@ -179,12 +189,10 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
 
   std::vector<model::AppSpec> specs;
   specs.reserve(views.size());
-  std::vector<std::uint32_t> homes(views.size(), kMaxNodes);
   for (std::size_t a = 0; a < views.size(); ++a) {
     const auto home = views[a].latest.data_home_node;
     if (home < machine.node_count()) {
       specs.push_back(model::AppSpec::numa_bad(views[a].name, ai[a], home));
-      homes[a] = home;
     } else {
       specs.push_back(model::AppSpec::numa_perfect(views[a].name, ai[a]));
     }
@@ -203,46 +211,36 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
     }
   }
 
-  // A tick is "non-structural" when the problem only moved a little: same
-  // membership (enforced by on_membership_change), same advertised homes, no
-  // administrative caps or placement co-optimization, and every AI within
-  // the structural-drift band of the last *full* search. Those ticks refine
-  // the previous allocation with a seeded hill-climb instead of re-running
-  // the full pruned enumeration.
-  // A foreign-load change is always structural: the whole point of pricing
-  // it is to potentially vacate a node, which a seeded local climb from the
-  // pre-foreign allocation may not find.
-  bool refine = options_.incremental_refine && last_allocation_.has_value() &&
-                caps.empty() && !options_.advise_data_placement && !foreign_dirty_ &&
-                last_homes_ == homes && last_full_ai_.size() == ai.size() &&
-                last_allocation_->app_count() == views.size() &&
-                last_allocation_->node_count() == machine.node_count();
-  if (refine) {
-    for (std::size_t a = 0; a < ai.size(); ++a) {
-      if (std::abs(ai[a] - last_full_ai_[a]) >
-          options_.structural_ai_drift * last_full_ai_[a]) {
-        refine = false;
-        break;
-      }
-    }
-  }
+  // The engine is chosen from the problem size alone. Up to kMaxSearchSolves
+  // candidates the exact search runs; beyond it (e.g. 21+ apps on 20-core
+  // nodes, where the per-app floor clamps to zero and the candidate count
+  // explodes) a climb seeded with the cap-honouring fair share runs under
+  // the same solve budget, so no decision can wedge the daemon tick.
+  const bool exact =
+      model::count_candidates(machine, static_cast<std::uint32_t>(views.size()),
+                              /*require_full=*/true, options_.min_threads_per_app) <=
+      model::kMaxSearchSolves;
 
   model::Allocation allocation;
   double predicted = 0.0;
   std::vector<std::uint32_t> suggested_home(views.size(), kMaxNodes);
   SearchStats stats;
   const auto started = std::chrono::steady_clock::now();
-  if (refine) {
+  if (!exact) {
+    // Placement advice is skipped here: advise_joint runs one exhaustive
+    // search per home variant.
     model::RefineOptions refine_options;
     refine_options.objective = options_.objective;
-    refine_options.churn_penalty = options_.churn_penalty;
     refine_options.min_threads_per_app = options_.min_threads_per_app;
+    refine_options.caps = caps;
     refine_options.foreign = foreign_;
-    auto result = model::refine_search(machine, specs, *last_allocation_, refine_options);
+    auto result =
+        model::refine_search(machine, specs, fair_share(machine, views), refine_options);
     allocation = result.allocation;
     predicted = result.solution.total_gflops;
     stats.kind = SearchKind::kRefine;
     stats.evaluated = result.evaluated;
+    stats.truncated = result.truncated;
   } else if (options_.advise_data_placement && caps.empty() && !foreign_.any()) {
     auto joint = model::advise_joint(machine, specs, options_.objective,
                                      options_.min_threads_per_app);
@@ -254,7 +252,6 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
         suggested_home[a] = joint.apps[a].home_node;
       }
     }
-    last_full_ai_ = ai;
     stats.kind = SearchKind::kFull;
   } else {
     auto result = model::exhaustive_search(machine, specs, options_.objective,
@@ -277,12 +274,12 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
       polish.foreign = foreign_;
       auto polished = model::refine_search(machine, specs, allocation, polish);
       stats.evaluated += polished.evaluated;
+      stats.truncated = polished.truncated;
       if (polished.objective_value > result.objective_value) {
         allocation = polished.allocation;
         predicted = polished.solution.total_gflops;
       }
     }
-    last_full_ai_ = ai;
     stats.kind = SearchKind::kFull;
   }
   stats.search_us =
@@ -291,7 +288,6 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
   stats.predicted_gflops = predicted;
   last_search_ = stats;
   last_ai_ = ai;
-  last_homes_ = homes;
   last_allocation_ = allocation;
   decided_foreign_ = foreign_;
   foreign_dirty_ = false;

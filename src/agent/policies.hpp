@@ -15,7 +15,10 @@
 //    between the two applications based on their progress counters.
 //  * ModelGuidedPolicy — the NUMA-aware brain of §III: feed per-app
 //    arithmetic intensities (self-advertised in telemetry) to the roofline
-//    model's optimizer and issue per-node thread targets.
+//    model's optimizer and issue per-node thread targets. The problem size
+//    picks the engine: the exact exhaustive_search while count_candidates()
+//    is within model::kMaxSearchSolves, else a refine_search climb seeded
+//    with the fair share and bounded by the same solve budget.
 #pragma once
 
 #include <cstdint>
@@ -104,22 +107,9 @@ struct ModelGuidedOptions {
   double ai_drift_threshold = 0.10;
   /// Also co-optimize data placement (core/placement.hpp) and attach
   /// kSuggestDataHome suggestions for NUMA-bad apps whose advertised home
-  /// differs from the recommended one.
+  /// differs from the recommended one. Only on the exact engine: the
+  /// advisor runs one exhaustive search per home variant.
   bool advise_data_placement = false;
-  /// Incremental re-optimization: on a non-structural tick (same membership
-  /// and advertised data homes, no administrative caps, no placement
-  /// co-optimization, and every AI within structural_ai_drift of the last
-  /// full search) seed model::refine_search from the previous allocation
-  /// instead of re-running the full pruned search. Off by default — the full
-  /// search is the reference behavior; large machines turn this on to keep
-  /// the steady-state tick near the cost of a single hill-climb.
-  bool incremental_refine = false;
-  /// Relative AI drift (vs the AI vector of the last *full* search) beyond
-  /// which a tick counts as structural and falls back to the full search.
-  double structural_ai_drift = 0.5;
-  /// Churn penalty handed to refine_search (relative to the seed objective):
-  /// biases incremental moves toward staying near the enacted allocation.
-  double churn_penalty = 0.0;
   /// Foreign-load drift gates: re-optimize when any node's foreign busy
   /// cores move by more than this many cores, or its foreign bandwidth by
   /// more than this many GB/s, since the load priced into the last decision.
@@ -132,7 +122,9 @@ class ModelGuidedPolicy final : public Policy {
  public:
   using Options = ModelGuidedOptions;
   /// Which engine produced the last issued directives (observability for
-  /// tests and status tooling).
+  /// tests and status tooling): kFull is the exact search, kRefine the
+  /// fair-share-seeded climb that replaces it above kMaxSearchSolves
+  /// candidates.
   enum class SearchKind { kNone, kFull, kRefine };
   /// What the latest decision cost; the daemon journals it with each
   /// reallocation. The counters are the engines' SearchResult counters
@@ -144,6 +136,7 @@ class ModelGuidedPolicy final : public Policy {
     std::uint64_t bound_solves = 0;
     double predicted_gflops = 0.0;
     double search_us = 0.0;  // wall time of the search, polish included
+    bool truncated = false;  // a climb stopped at the solve budget
   };
 
   explicit ModelGuidedPolicy(ModelGuidedOptions options = {}) : options_(options) {}
@@ -153,14 +146,12 @@ class ModelGuidedPolicy final : public Policy {
                                 const std::vector<AppView>& views) override;
   void on_membership_change() override {
     last_ai_.clear();
-    last_full_ai_.clear();
-    last_homes_.clear();
     last_allocation_.reset();
     last_search_ = {};
   }
   /// Price opaque background consumers into every subsequent search. A
-  /// change beyond the foreign drift gates forces a full re-search on the
-  /// next decide() even when app AIs are steady.
+  /// change beyond the foreign drift gates forces a re-search on the next
+  /// decide() even when app AIs are steady.
   void on_foreign_load(const model::ForeignLoad& load) override;
 
   /// The allocation behind the last issued directives (empty before then).
@@ -171,8 +162,6 @@ class ModelGuidedPolicy final : public Policy {
  private:
   ModelGuidedOptions options_;
   std::vector<double> last_ai_;
-  std::vector<double> last_full_ai_;          // AI vector at the last full search
-  std::vector<std::uint32_t> last_homes_;     // advertised homes behind the last decision
   std::optional<model::Allocation> last_allocation_;
   SearchStats last_search_;
   model::ForeignLoad foreign_;          // latest reported load

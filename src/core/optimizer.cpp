@@ -622,18 +622,15 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
 
   const auto apps_n = static_cast<AppId>(apps.size());
   const auto nodes_n = machine.node_count();
+  const auto cap = [&](AppId a) {
+    return options.caps.empty() ? std::numeric_limits<std::uint32_t>::max() : options.caps[a];
+  };
 
   Allocation current = seed;  // mutated per candidate move, restored after
   std::vector<std::uint32_t> totals(apps_n, 0);
   for (AppId a = 0; a < apps_n; ++a) {
     for (topo::NodeId n = 0; n < nodes_n; ++n) totals[a] += current.threads(a, n);
   }
-
-  const bool penalized = options.churn_penalty > 0.0;
-  const double per_unit =
-      penalized ? options.churn_penalty * std::abs(best.objective_value) : 0.0;
-  std::int64_t churn = 0;  // L1 distance of the incumbent from the seed
-  double incumbent_ranked = best.objective_value;
 
   struct Move {
     enum class Kind : std::uint8_t { kAdd, kDrop, kShift };
@@ -642,117 +639,71 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
     AppId b = 0;  // shift target
     topo::NodeId n = 0;
   };
-
-  const auto cell_delta = [&](AppId a, topo::NodeId n, std::int32_t d) -> std::int64_t {
-    const auto cur = static_cast<std::int64_t>(current.threads(a, n));
-    const auto anchor = static_cast<std::int64_t>(seed.threads(a, n));
-    return std::abs(cur + d - anchor) - std::abs(cur - anchor);
-  };
-  const auto move_delta = [&](const Move& m) -> std::int64_t {
-    if (!penalized) return 0;
+  // Apply (sign = +1) or revert (sign = -1) a move.
+  const auto step = [&](const Move& m, int sign) {
+    const auto bump = [&](AppId app, int d) {
+      current.set_threads(app, m.n, current.threads(app, m.n) + d);
+      totals[app] += d;
+    };
     switch (m.kind) {
-      case Move::Kind::kAdd: return cell_delta(m.a, m.n, +1);
-      case Move::Kind::kDrop: return cell_delta(m.a, m.n, -1);
-      case Move::Kind::kShift: return cell_delta(m.a, m.n, -1) + cell_delta(m.b, m.n, +1);
-    }
-    return 0;
-  };
-  const auto do_move = [&](const Move& m) {
-    switch (m.kind) {
-      case Move::Kind::kAdd:
-        current.set_threads(m.a, m.n, current.threads(m.a, m.n) + 1);
-        ++totals[m.a];
-        break;
-      case Move::Kind::kDrop:
-        current.set_threads(m.a, m.n, current.threads(m.a, m.n) - 1);
-        --totals[m.a];
-        break;
+      case Move::Kind::kAdd: bump(m.a, sign); break;
+      case Move::Kind::kDrop: bump(m.a, -sign); break;
       case Move::Kind::kShift:
-        current.set_threads(m.a, m.n, current.threads(m.a, m.n) - 1);
-        current.set_threads(m.b, m.n, current.threads(m.b, m.n) + 1);
-        --totals[m.a];
-        ++totals[m.b];
-        break;
-    }
-  };
-  const auto undo_move = [&](const Move& m) {
-    switch (m.kind) {
-      case Move::Kind::kAdd:
-        current.set_threads(m.a, m.n, current.threads(m.a, m.n) - 1);
-        --totals[m.a];
-        break;
-      case Move::Kind::kDrop:
-        current.set_threads(m.a, m.n, current.threads(m.a, m.n) + 1);
-        ++totals[m.a];
-        break;
-      case Move::Kind::kShift:
-        current.set_threads(m.a, m.n, current.threads(m.a, m.n) + 1);
-        current.set_threads(m.b, m.n, current.threads(m.b, m.n) - 1);
-        ++totals[m.a];
-        --totals[m.b];
+        bump(m.a, -sign);
+        bump(m.b, sign);
         break;
     }
   };
 
+  // Improvements below this relative gain do not count, so floating-point
+  // noise cannot ping-pong the climb.
+  constexpr double kMinRelativeGain = 1e-9;
   Solution round_best_solution;
-  for (std::uint32_t round = 0; round < options.max_rounds; ++round) {
-    double round_best_ranked = incumbent_ranked;
-    double round_best_raw = best.objective_value;
+  while (!best.truncated) {
+    double round_best = best.objective_value;
     Move round_best_move;
-    std::int64_t round_best_delta = 0;
     bool improved = false;
 
     const auto consider = [&](const Move& m) {
-      const std::int64_t delta = move_delta(m);
-      do_move(m);
+      if (best.evaluated >= kMaxSearchSolves) {
+        best.truncated = true;
+        return;
+      }
+      step(m, +1);
       const Solution& solution = solve_into(machine, apps, current, eval, solve_options);
       ++best.evaluated;
-      const double raw = score(solution, options.objective);
-      const double ranked = penalized ? raw - per_unit * static_cast<double>(churn + delta) : raw;
-      const double threshold =
-          round_best_ranked + std::abs(round_best_ranked) * options.min_relative_gain + 1e-15;
-      if (ranked > threshold) {
-        round_best_ranked = ranked;
-        round_best_raw = raw;
+      const double value = score(solution, options.objective);
+      if (value > round_best + std::abs(round_best) * kMinRelativeGain + 1e-15) {
+        round_best = value;
         round_best_move = m;
-        round_best_delta = delta;
         round_best_solution = solution;
         improved = true;
       }
-      undo_move(m);
+      step(m, -1);
     };
 
-    for (topo::NodeId n = 0; n < nodes_n; ++n) {
+    for (topo::NodeId n = 0; n < nodes_n && !best.truncated; ++n) {
       const std::uint32_t used = current.node_total(n);
       for (AppId a = 0; a < apps_n; ++a) {
-        const std::uint32_t have = current.threads(a, n);
         // Add a thread on a free core.
-        if (used < machine.cores_in_node(n)) {
+        if (used < machine.cores_in_node(n) && totals[a] < cap(a)) {
           consider({Move::Kind::kAdd, a, a, n});
         }
-        if (have == 0) continue;
-        const bool may_shrink = totals[a] > options.min_threads_per_app;
+        if (current.threads(a, n) == 0 || totals[a] <= options.min_threads_per_app) continue;
         // Drop a thread (helps sub-linear-scaling mixes).
-        if (may_shrink) {
-          consider({Move::Kind::kDrop, a, a, n});
-        }
+        consider({Move::Kind::kDrop, a, a, n});
         // Shift a thread to another app on the same node.
-        if (may_shrink) {
-          for (AppId b = 0; b < apps_n; ++b) {
-            if (b == a) continue;
-            consider({Move::Kind::kShift, a, b, n});
-          }
+        for (AppId b = 0; b < apps_n; ++b) {
+          if (b != a && totals[b] < cap(b)) consider({Move::Kind::kShift, a, b, n});
         }
       }
     }
 
     if (!improved) break;
-    do_move(round_best_move);
-    churn += round_best_delta;
-    incumbent_ranked = round_best_ranked;
+    step(round_best_move, +1);
     best.allocation = current;
     best.solution = round_best_solution;
-    best.objective_value = round_best_raw;
+    best.objective_value = round_best;
   }
   return best;
 }
@@ -840,6 +791,8 @@ SearchResult refine_search(const topo::Machine& machine, const std::vector<AppSp
                            const Allocation& seed, const RefineOptions& options) {
   std::string error;
   NS_REQUIRE(seed.validate(machine, &error), error.c_str());
+  NS_REQUIRE(options.caps.empty() || options.caps.size() == apps.size(),
+             "caps must be empty or one per app");
   require_foreign_shape(machine, options.foreign);
   return climb(machine, apps, seed, options);
 }

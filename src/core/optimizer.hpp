@@ -12,9 +12,12 @@
 //    (docs/MODEL.md "Search cost and pruning"). On symmetric machines with
 //    NUMA-perfect apps it solves one memory controller per uniform
 //    candidate and reuses it for every identical node, bitwise-exactly;
-//  * refine_search — hill-climbing over single-thread moves for general
-//    machines and for incremental re-optimization between structural ticks
-//    (churn_penalty = 0 makes it a plain greedy climb from the seed).
+//  * refine_search — hill-climbing over single-thread moves from a seed
+//    allocation, bounded by kMaxSearchSolves. It is the engine for problems
+//    whose candidate count exceeds that bound, and the polish that lets a
+//    foreign-aware caller vacate a hogged node.
+// A caller picks the engine from count_candidates() before searching
+// (ModelGuidedPolicy does); exhaustive_search itself has no budget.
 // The original materialize-then-evaluate brute force that exhaustive_search
 // is held to lives with the tests (tests/support/search_reference.hpp).
 #pragma once
@@ -55,7 +58,15 @@ struct SearchResult {
   std::uint64_t pruned = 0;
   std::uint64_t bound_solves = 0;
   std::uint64_t deduped = 0;
+  /// refine_search only: the climb spent kMaxSearchSolves solves before
+  /// reaching a local optimum and returned its incumbent.
+  bool truncated = false;
 };
+
+/// The solve budget that picks and bounds the engines: a caller runs
+/// exhaustive_search only when count_candidates() is at most this, and
+/// refine_search never spends more model solves than this.
+inline constexpr std::uint64_t kMaxSearchSolves = std::uint64_t{1} << 17;
 
 /// All allocations where app `a` runs counts[a] threads on *every* node, the
 /// per-node sum not exceeding the core count. `require_full` keeps only
@@ -110,20 +121,14 @@ std::uint64_t count_candidates(const topo::Machine& machine, std::uint32_t apps,
 
 struct RefineOptions {
   Objective objective = Objective::kTotalGflops;
-  std::uint32_t max_rounds = 1000;
-  /// Improvements smaller than this (relative) do not count, preventing
-  /// floating-point ping-pong.
-  double min_relative_gain = 1e-9;
-  /// Churn penalty: each unit of L1 distance between a candidate and the
-  /// seed allocation costs this fraction of the seed's |objective value|
-  /// when ranking moves. 0 disables — pure hill-climbing from the seed.
-  /// The returned objective_value is always the raw (unpenalized) score of
-  /// the final allocation.
-  double churn_penalty = 0.0;
   /// No move may push an app's *total* thread count below this floor (the
-  /// incremental analogue of exhaustive_search's per-node minimum: it keeps
-  /// every app running between full searches).
+  /// analogue of exhaustive_search's per-node minimum: it keeps every app
+  /// that holds a thread running).
   std::uint32_t min_threads_per_app = 0;
+  /// Per-app ceiling on *total* threads (empty = uncapped), as in
+  /// exhaustive_search. No move takes an app above its cap; a seed already
+  /// above it may only shrink there.
+  std::vector<std::uint32_t> caps;
   /// Opaque background consumers priced into every candidate solve (empty =
   /// none). The climb's drop moves are what let a policy *vacate* a
   /// foreign-occupied node — the uniform exhaustive family cannot express
@@ -134,14 +139,10 @@ struct RefineOptions {
 
 /// Hill-climb from `seed` using single-thread moves: remove a thread, add
 /// one on a free core, or shift one between apps on the same node, taking
-/// the best move each round until none improves (a local optimum). Serves
-/// as the general-machine search and as incremental re-optimization for
-/// non-structural ticks, seeded from the previous decision's allocation
-/// instead of re-running the full search. The optional churn penalty biases
-/// the climb toward staying near the seed — thread moves are not free for
-/// the runtimes enacting them (paper §V favours gentle moves). Caps are not
-/// supported here; callers with administrative caps fall back to the full
-/// search.
+/// the best move each round until none improves (a local optimum) or the
+/// climb has spent kMaxSearchSolves solves (then `truncated` is set and the
+/// incumbent returned; it never scores below the seed). The budget counts
+/// solves, not time, so the result is a pure function of the inputs.
 SearchResult refine_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,
                            const Allocation& seed, const RefineOptions& options = {});
 

@@ -827,7 +827,8 @@ void Daemon::journal_allocation(double now) {
                    {"pruned", jnum(search.pruned)},
                    {"bound_solves", jnum(search.bound_solves)},
                    {"predicted_gflops", jnum(search.predicted_gflops)},
-                   {"search_us", jnum(search.search_us)}});
+                   {"search_us", jnum(search.search_us)},
+                   {"truncated", jbool(search.truncated)}});
   }
   journal_.record(now, "reallocate", fields);
 }

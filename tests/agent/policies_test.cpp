@@ -18,6 +18,17 @@ AppView view(const std::string& name, std::uint64_t progress = 0, double ai = 0.
   return v;
 }
 
+/// Per-app thread totals of per-node directives.
+std::vector<std::uint32_t> totals_of(const std::vector<Directive>& directives) {
+  std::vector<std::uint32_t> out;
+  for (const auto& d : directives) {
+    std::uint32_t total = 0;
+    for (auto t : d.node_threads) total += t;
+    out.push_back(total);
+  }
+  return out;
+}
+
 TEST(OversubscribedPolicy, ClearsOnceThenSilent) {
   OversubscribedPolicy policy;
   const auto machine = topo::paper_model_machine();
@@ -53,6 +64,44 @@ TEST(FairSharePolicy, PerNodeFlavorSplitsEachNode) {
     ASSERT_EQ(d.kind, Directive::Kind::kNodeThreads);
     ASSERT_EQ(d.node_threads.size(), 4u);
     for (auto t : d.node_threads) EXPECT_EQ(t, 2u);
+  }
+}
+
+TEST(FairSharePolicy, RemainderRotatesAcrossNodes) {
+  // The round-robin carries over from node to node: 3 apps on 2x4 get
+  // 3/3/2 (not 4/2/2), and 21 apps on 4x20 leave nobody at zero.
+  FairSharePolicy policy(FairSharePolicy::Flavor::kPerNode);
+  const auto small = topo::Machine::symmetric(2, 4, 1.0, 10.0);
+  EXPECT_EQ(totals_of(policy.decide(small, {view("a"), view("b"), view("c")})),
+            (std::vector<std::uint32_t>{3, 3, 2}));
+
+  FairSharePolicy wide(FairSharePolicy::Flavor::kPerNode);
+  const auto skylake = topo::paper_skylake_machine();  // 4 nodes x 20 cores
+  std::vector<AppView> views;
+  for (int a = 0; a < 21; ++a) views.push_back(view("app" + std::to_string(a)));
+  const auto got = totals_of(wide.decide(skylake, views));
+  std::uint32_t fours = 0, threes = 0, sum = 0;
+  for (auto t : got) {
+    fours += t == 4 ? 1 : 0;
+    threes += t == 3 ? 1 : 0;
+    sum += t;
+  }
+  EXPECT_EQ(fours, 17u);
+  EXPECT_EQ(threes, 4u);
+  EXPECT_EQ(sum, 80u);
+}
+
+TEST(FairSharePolicy, CappedShareFlowsToPeers) {
+  FairSharePolicy policy(FairSharePolicy::Flavor::kPerNode);
+  const auto machine = topo::paper_model_machine();  // 4 nodes x 8 cores
+  std::vector<AppView> views{view("a"), view("b"), view("c")};
+  views[0].thread_cap = 2;
+  const auto directives = policy.decide(machine, views);
+  EXPECT_EQ(totals_of(directives), (std::vector<std::uint32_t>{2, 15, 15}));
+  for (std::size_t n = 0; n < 4; ++n) {  // no core idles
+    EXPECT_EQ(directives[0].node_threads[n] + directives[1].node_threads[n] +
+                  directives[2].node_threads[n],
+              8u);
   }
 }
 
@@ -172,55 +221,19 @@ TEST(ModelGuidedPolicy, StableUntilAiDrifts) {
   // Large drift: recompute.
   views[0].latest.ai_estimate = 2.0;
   EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNodeThreads);
-}
-
-TEST(ModelGuidedPolicy, IncrementalRefineOnNonStructuralDrift) {
-  // With incremental_refine on, an AI drift past the recompute threshold but
-  // inside the structural band re-optimizes by seeding a hill-climb from the
-  // enacted allocation instead of re-running the full pruned search.
-  ModelGuidedPolicy policy({.ai_drift_threshold = 0.10,
-                            .incremental_refine = true,
-                            .structural_ai_drift = 0.5});
-  const auto machine = topo::paper_model_machine();
-  std::vector<AppView> views{view("m", 0, 0.5), view("c", 0, 10.0)};
-  EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNodeThreads);
   EXPECT_EQ(policy.last_search_kind(), ModelGuidedPolicy::SearchKind::kFull);
 
-  views[0].latest.ai_estimate = 0.6;  // 20% off the last full search: refine
-  EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNodeThreads);
-  EXPECT_EQ(policy.last_search_kind(), ModelGuidedPolicy::SearchKind::kRefine);
-  ASSERT_TRUE(policy.last_allocation().has_value());
-  EXPECT_TRUE(policy.last_allocation()->validate(machine));
-
-  views[0].latest.ai_estimate = 1.2;  // 140% off the last full search: full
-  EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNodeThreads);
-  EXPECT_EQ(policy.last_search_kind(), ModelGuidedPolicy::SearchKind::kFull);
-}
-
-TEST(ModelGuidedPolicy, RefineDisabledByMembershipChangeAndCaps) {
-  ModelGuidedPolicy policy({.ai_drift_threshold = 0.10,
-                            .incremental_refine = true,
-                            .structural_ai_drift = 0.5});
-  const auto machine = topo::paper_model_machine();
-  std::vector<AppView> views{view("m", 0, 0.5), view("c", 0, 10.0)};
-  policy.decide(machine, views);
-  views[0].latest.ai_estimate = 0.6;
-  policy.decide(machine, views);
-  ASSERT_EQ(policy.last_search_kind(), ModelGuidedPolicy::SearchKind::kRefine);
-
-  // An administrative cap is a structural event: the capped search runs.
-  views[0].latest.ai_estimate = 0.7;
+  // An administrative cap below the exact-search limit runs the capped
+  // exact search.
+  views[0].latest.ai_estimate = 4.0;
   views[1].thread_cap = 4;
-  policy.decide(machine, views);
+  const auto capped = totals_of(policy.decide(machine, views));
   EXPECT_EQ(policy.last_search_kind(), ModelGuidedPolicy::SearchKind::kFull);
-  views[1].thread_cap = 0xffffffffu;
+  EXPECT_LE(capped[1], 4u);
 
-  // Membership churn wipes the seed; the next decision is a full search.
+  // Membership churn forgets the last decision.
   policy.on_membership_change();
   EXPECT_EQ(policy.last_search_kind(), ModelGuidedPolicy::SearchKind::kNone);
-  views[0].latest.ai_estimate = 0.72;
-  policy.decide(machine, views);
-  EXPECT_EQ(policy.last_search_kind(), ModelGuidedPolicy::SearchKind::kFull);
 }
 
 }  // namespace

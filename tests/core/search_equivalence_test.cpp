@@ -234,10 +234,11 @@ TEST(NodeClassSearch, ShippingShape) {
 }
 
 TEST_P(SearchEquivalence, RefineWithoutPenaltyMatchesGreedy) {
-  // With churn_penalty = 0 refine_search is a plain greedy climb, so it must
-  // stop at a local optimum of its move set: no single add, drop or shift
-  // beats the result by more than min_relative_gain. Neighbours are rebuilt
-  // here and scored with solve(), independently of the climb's bookkeeping.
+  // refine_search is a plain greedy climb, so it must stop at a local
+  // optimum of its move set: no single add, drop or shift beats the result
+  // by more than the climb's minimum relative gain (1e-9). Neighbours are
+  // rebuilt here and scored with solve(), independently of the climb's
+  // bookkeeping.
   const auto p = random_problem(GetParam());
   const auto apps_n = static_cast<AppId>(p.apps.size());
   for (const auto objective : kObjectives) {
@@ -245,9 +246,10 @@ TEST_P(SearchEquivalence, RefineWithoutPenaltyMatchesGreedy) {
     options.objective = objective;
     const auto best =
         refine_search(p.machine, p.apps, Allocation::even(p.machine, apps_n), options);
+    ASSERT_FALSE(best.truncated);
     const double value = best.objective_value;
     EXPECT_EQ(value, score(solve(p.machine, p.apps, best.allocation), objective));
-    const double limit = value + std::abs(value) * options.min_relative_gain + 1e-15;
+    const double limit = value + std::abs(value) * 1e-9 + 1e-15;
     for (topo::NodeId n = 0; n < p.machine.node_count(); ++n) {
       for (AppId a = 0; a < apps_n; ++a) {
         // to == apps_n adds a thread for `a`, to == a drops one, else shifts one a -> to.
@@ -269,20 +271,49 @@ TEST_P(SearchEquivalence, RefineWithoutPenaltyMatchesGreedy) {
 }
 
 TEST_P(SearchEquivalence, RefineNeverWorsensTheSeed) {
-  // With a churn penalty the climb ranks moves by penalized value, but the
-  // raw objective of whatever it returns must still be >= the seed's: the
-  // penalized incumbent only improves, the penalty is non-negative, and the
-  // seed starts at zero churn.
+  // The climb only ever takes an improving move, so whatever it returns
+  // scores at least the seed.
   const auto p = random_problem(GetParam());
   const auto seed = Allocation::even(p.machine, static_cast<std::uint32_t>(p.apps.size()));
   const double seed_value = score(solve(p.machine, p.apps, seed), Objective::kTotalGflops);
-  for (const double penalty : {0.0, 0.01, 0.2}) {
-    RefineOptions options;
-    options.churn_penalty = penalty;
-    const auto refined = refine_search(p.machine, p.apps, seed, options);
-    EXPECT_GE(refined.objective_value + 1e-9 * std::max(1.0, std::abs(seed_value)), seed_value)
-        << "penalty " << penalty << " seed " << GetParam();
+  const auto refined = refine_search(p.machine, p.apps, seed);
+  EXPECT_GE(refined.objective_value + 1e-9 * std::max(1.0, std::abs(seed_value)), seed_value)
+      << "seed " << GetParam();
+}
+
+TEST_P(SearchEquivalence, RefineHonoursCaps) {
+  // From an empty seed every thread the climb grants is one it chose: none
+  // may take an app above its cap.
+  const auto p = random_problem(GetParam());
+  if (p.caps.empty()) return;
+  const auto apps_n = static_cast<std::uint32_t>(p.apps.size());
+  RefineOptions options;
+  options.caps = p.caps;
+  const auto refined =
+      refine_search(p.machine, p.apps, Allocation(apps_n, p.machine.node_count()), options);
+  for (AppId a = 0; a < apps_n; ++a) {
+    EXPECT_LE(refined.allocation.app_total(a), p.caps[a]) << "app " << a;
   }
+}
+
+TEST(RefineBudget, TruncatesAtTheSolveBudget) {
+  // 32 compute-bound apps seeded with one thread each on a 4x64 machine:
+  // every round adds one thread, and the 224 rounds of over a thousand
+  // solves each outrun the budget long before the machine fills.
+  const auto machine = topo::Machine::symmetric(4, 64, 10.0, 32.0, 10.0);
+  std::vector<AppSpec> apps;
+  Allocation seed(32, machine.node_count());
+  for (AppId a = 0; a < 32; ++a) {
+    apps.push_back(AppSpec::numa_perfect("compute", 100.0));
+    seed.set_threads(a, a % machine.node_count(), 1);
+  }
+  const double seed_value = score(solve(machine, apps, seed), Objective::kTotalGflops);
+  const auto refined = refine_search(machine, apps, seed);
+  EXPECT_TRUE(refined.truncated);
+  EXPECT_EQ(refined.evaluated, kMaxSearchSolves);
+  EXPECT_TRUE(refined.allocation.validate(machine));
+  EXPECT_GT(refined.objective_value, seed_value);
+  EXPECT_LT(refined.allocation.total(), machine.core_count());
 }
 
 TEST_P(SearchEquivalence, RefineRespectsMinThreadFloor) {

@@ -12,14 +12,18 @@
 
 #include <chrono>
 #include <cstdio>
+#include <iterator>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "agent/channel.hpp"
 #include "agent/policies.hpp"
 #include "daemon/client.hpp"
 #include "runtime/runtime.hpp"
 #include "topology/machine.hpp"
+#include "topology/presets.hpp"
 
 namespace numashare::nsd {
 namespace {
@@ -206,11 +210,80 @@ TEST(Daemon, JoinEvictLeaveLifecycle) {
     const auto search = journal_field(entry.raw, "search").value_or("");
     EXPECT_TRUE(search == "\"full\"" || search == "\"refine\"") << entry.raw;
     EXPECT_GE(std::stoull(journal_field(entry.raw, "evaluated").value_or("0")), 1u) << entry.raw;
-    for (const char* key : {"pruned", "bound_solves", "predicted_gflops", "search_us"}) {
+    for (const char* key :
+         {"pruned", "bound_solves", "predicted_gflops", "search_us", "truncated"}) {
       EXPECT_TRUE(journal_field(entry.raw, key).has_value()) << key << " in " << entry.raw;
     }
   }
   std::remove(journal.c_str());
+}
+
+TEST(OverMembership, DaemonCommandsTwentyOneClients) {
+  // The 21st client pushes the model search past its exact bound on the
+  // 4x20 preset (C(40,20) uniform candidates once the per-app floor clamps
+  // to zero). The tick that admits it must still return, command every
+  // client, and keep observing heartbeats: no client may be evicted while
+  // it beats.
+  const auto registry = unique_registry("crowd");
+  DaemonOptions options;
+  options.registry_name = registry;
+  options.heartbeat_timeout_s = 0.5;
+  options.enactment_deadline_s = 60.0;  // the clients never enact; keep them uncapped
+  options.snapshot_every_ticks = 0;
+  Daemon daemon(topo::paper_skylake_machine(), std::make_unique<agent::ModelGuidedPolicy>(),
+                options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+
+  // join_churn's memory-bound-heavy AI mix, cycled.
+  constexpr double kAiMix[] = {1.0 / 64, 1.0 / 64, 1.0 / 32, 1.0 / 32, 1.0 / 16,
+                               1.0 / 16, 1.0 / 8,  1.0 / 8,  1.0,      1.0};
+  constexpr std::size_t kClients = 21;
+  double now = 0.0;
+  std::vector<std::unique_ptr<DaemonClient>> clients;
+  for (std::size_t i = 0; i < kClients; ++i) {
+    ClientConnectOptions copts;
+    copts.registry_name = registry;
+    copts.advertised_ai = kAiMix[i % std::size(kAiMix)];
+    clients.push_back(std::make_unique<DaemonClient>("crowd-" + std::to_string(i), copts));
+    ASSERT_TRUE(connect_with_ticks(*clients.back(), daemon, now)) << "client " << i;
+  }
+  ASSERT_EQ(daemon.client_count(), kClients);
+
+  // Beat and tick across several heartbeat timeouts.
+  const auto ticks_before = daemon.stats().ticks;
+  for (int round = 0; round < 10; ++round) {
+    for (auto& client : clients) client->heartbeat();
+    daemon.tick(now += 0.2);
+  }
+  EXPECT_EQ(daemon.stats().ticks, ticks_before + 10);
+  EXPECT_EQ(daemon.stats().evictions, 0u);
+  EXPECT_EQ(daemon.client_count(), kClients);
+
+  auto& wrapper = dynamic_cast<AdvertisedAiPolicy&>(daemon.arbitration_agent().policy());
+  const auto& model = dynamic_cast<agent::ModelGuidedPolicy&>(wrapper.inner());
+  EXPECT_EQ(model.last_search().kind, agent::ModelGuidedPolicy::SearchKind::kRefine);
+  EXPECT_LE(model.last_search().evaluated, model::kMaxSearchSolves);
+
+  const auto machine = topo::paper_skylake_machine();
+  std::vector<std::uint32_t> node_load(machine.node_count(), 0);
+  for (std::size_t i = 0; i < kClients; ++i) {
+    EXPECT_TRUE(clients[i]->check_connection()) << "client " << i;
+    std::optional<agent::Command> last;
+    while (auto cmd = clients[i]->channel()->pop_command()) {
+      if (cmd->type == agent::CommandType::kSetNodeThreads) last = *cmd;
+    }
+    ASSERT_TRUE(last.has_value()) << "client " << i << " never commanded";
+    std::uint32_t total = 0;
+    for (std::uint32_t n = 0; n < last->node_count; ++n) {
+      total += last->node_threads[n];
+      node_load[n] += last->node_threads[n];
+    }
+    EXPECT_GE(total, 1u) << "client " << i;
+  }
+  for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
+    EXPECT_LE(node_load[n], machine.cores_in_node(n)) << "node " << n;
+  }
 }
 
 TEST(Daemon, ClientReconnectsAfterEviction) {

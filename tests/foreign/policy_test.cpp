@@ -1,8 +1,7 @@
 // ModelGuidedPolicy foreign awareness: reported loads re-trigger the search
 // only past the drift gates, slow creep accumulates against the load priced
-// into the last decision, a foreign change is always structural (full
-// search, never the seeded refine), and the decision itself steers
-// cooperating apps off a hogged node.
+// into the last decision, and the decision itself steers cooperating apps
+// off a hogged node.
 #include <gtest/gtest.h>
 
 #include "agent/policies.hpp"
@@ -64,21 +63,6 @@ TEST(ModelGuidedForeign, SlowCreepEventuallyTriggers) {
   EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNone);
   policy.on_foreign_load(hog(0.3, 0.0));
   EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNodeThreads);
-}
-
-TEST(ModelGuidedForeign, ForeignChangeBypassesIncrementalRefine) {
-  ModelGuidedPolicy policy(ModelGuidedOptions{.incremental_refine = true});
-  const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0);
-  const std::vector<AppView> views{view("a", 0.5), view("b", 2.0)};
-  policy.decide(machine, views);
-  EXPECT_EQ(policy.last_search_kind(), ModelGuidedPolicy::SearchKind::kFull);
-
-  // A foreign change is structural: even with refine enabled and steady AIs
-  // the next decision must re-run the full search (a seeded climb from the
-  // pre-foreign allocation may never find "vacate the hogged node").
-  policy.on_foreign_load(hog(2.0, 8.0));
-  EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNodeThreads);
-  EXPECT_EQ(policy.last_search_kind(), ModelGuidedPolicy::SearchKind::kFull);
 }
 
 TEST(ModelGuidedForeign, ForeignClearedRetriggersToo) {
