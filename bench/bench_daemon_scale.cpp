@@ -35,8 +35,6 @@
 // never the membership sizes.
 #include "bench_support.hpp"
 
-#include <unistd.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -45,12 +43,12 @@
 #include <string>
 #include <vector>
 
-#include "agent/policy.hpp"
 #include "agent/protocol.hpp"
 #include "agent/shm_channel.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/registry.hpp"
 #include "obs/histogram.hpp"
+#include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
 
 namespace {
@@ -88,24 +86,6 @@ void record(const std::string& name, const std::string& scenario, const std::str
 
 topo::Machine bench_machine() { return topo::Machine::symmetric(2, 4, 1.0, 12.0, 6.0); }
 
-/// Membership and ingest are the subject; arbitration is not. A null policy
-/// keeps the partition solver (benched in bench_alloc_scale) out of the
-/// numbers.
-class NullPolicy final : public agent::Policy {
- public:
-  const char* name() const override { return "null"; }
-  std::vector<agent::Directive> decide(const topo::Machine&,
-                                       const std::vector<agent::AppView>& views) override {
-    return std::vector<agent::Directive>(views.size());
-  }
-};
-
-std::string unique_registry(const char* tag) {
-  static int counter = 0;
-  return std::string("/ns-bench-daemon-") + tag + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter++);
-}
-
 /// One simulated client: its registry slot plus a producer-side attachment
 /// to the channel the daemon minted for it at admission.
 struct SimClient {
@@ -125,11 +105,11 @@ struct Fleet {
   double now = 0.0;
 
   explicit Fleet(const char* tag, std::uint64_t full_sweep_every_ticks) {
-    options.registry_name = unique_registry(tag);
+    options.registry_name = nsd::unique_registry(tag);
     options.full_sweep_every_ticks = full_sweep_every_ticks;
     options.snapshot_every_ticks = 0;
     options.checkpoint_every_ticks = 0;
-    daemon = std::make_unique<nsd::Daemon>(bench_machine(), std::make_unique<NullPolicy>(),
+    daemon = std::make_unique<nsd::Daemon>(bench_machine(), std::make_unique<nsd::NullPolicy>(),
                                            options);
     std::string error;
     if (!daemon->init(&error)) {

@@ -170,7 +170,7 @@ SimResult simulate(const Scenario& s, bool aware) {
     }
   }
 
-  constexpr double kParkSeconds = 500e-6;  // RuntimeOptions::idle_park_us
+  constexpr double kParkSeconds = 500e-6;  // the runtime's idle park timeout
   constexpr std::size_t kNone = ~std::size_t{0};
   SimResult result;
   while (true) {

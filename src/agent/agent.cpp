@@ -10,6 +10,11 @@
 
 namespace numashare::agent {
 
+namespace {
+/// EWMA smoothing for the per-app task and progress rates.
+constexpr double kRateAlpha = 0.3;
+}  // namespace
+
 Agent::Agent(topo::Machine machine, PolicyPtr policy, Options options)
     : machine_(std::move(machine)), policy_(std::move(policy)), options_(options) {
   NS_REQUIRE(policy_ != nullptr, "agent needs a policy");
@@ -234,13 +239,13 @@ std::uint32_t Agent::step(double now) {
             static_cast<double>(newest.tasks_executed - app.prev.tasks_executed) / dt;
         const double progress_rate =
             static_cast<double>(newest.progress - app.prev.progress) / dt;
-        const double alpha = options_.rate_alpha;
         view.task_rate = view.has_telemetry
-                             ? alpha * task_rate + (1.0 - alpha) * view.task_rate
+                             ? kRateAlpha * task_rate + (1.0 - kRateAlpha) * view.task_rate
                              : task_rate;
-        view.progress_rate = view.has_telemetry
-                                 ? alpha * progress_rate + (1.0 - alpha) * view.progress_rate
-                                 : progress_rate;
+        view.progress_rate =
+            view.has_telemetry
+                ? kRateAlpha * progress_rate + (1.0 - kRateAlpha) * view.progress_rate
+                : progress_rate;
       }
     }
     app.prev = newest;
@@ -250,14 +255,7 @@ std::uint32_t Agent::step(double now) {
     view.last_update_s = now;
   }
 
-  // 2. OS-side ground truth.
-  if (options_.sample_os_load) {
-    if (auto load = os_sampler_.sample()) {
-      os_load_.store(*load, std::memory_order_relaxed);
-    }
-  }
-
-  // 3. Decide and command.
+  // 2. Decide and command.
   const auto before = commands_sent_;
   const auto directives = policy_->decide(machine_, views_);
   NS_REQUIRE(directives.size() == apps_.size(), "policy must answer one directive per app");

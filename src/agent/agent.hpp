@@ -4,8 +4,8 @@
 // drains telemetry, refreshes per-app views (with EWMA task/progress rates),
 // asks the policy for directives, and pushes the resulting commands. It can
 // be stepped manually (deterministic tests) or run on its own thread. The
-// agent also samples OS CPU load — the paper's "agent also periodically
-// queries the operating system to check the actual CPU load".
+// paper's OS CPU-load query is the daemon's foreign scanner
+// (foreign/scanner.hpp), which prices non-participant load into the policy.
 #pragma once
 
 #include <atomic>
@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "agent/channel.hpp"
-#include "agent/os_load.hpp"
 #include "agent/policy.hpp"
 #include "topology/machine.hpp"
 
@@ -26,10 +25,6 @@ namespace numashare::agent {
 struct AgentOptions {
   /// Tick period for the background loop.
   std::int64_t period_us = 2000;
-  /// EWMA smoothing for rates.
-  double rate_alpha = 0.3;
-  /// Sample /proc/stat load each tick (off in unit tests for determinism).
-  bool sample_os_load = false;
 };
 
 class Agent {
@@ -114,8 +109,6 @@ class Agent {
   Policy& policy() { return *policy_; }
   std::uint64_t commands_sent() const { return commands_sent_; }
   std::uint64_t telemetry_received() const { return telemetry_received_; }
-  /// Last OS load sample in [0,1], or a negative value before the first one.
-  double os_load() const { return os_load_.load(std::memory_order_relaxed); }
 
  private:
   struct ManagedApp {
@@ -159,8 +152,6 @@ class Agent {
   std::atomic<std::uint64_t> arbiter_generation_{0};
   std::uint64_t commands_sent_ = 0;
   std::uint64_t telemetry_received_ = 0;
-  OsLoadSampler os_sampler_;
-  std::atomic<double> os_load_{-1.0};
 
   std::atomic<bool> running_{false};
   std::thread loop_thread_;

@@ -23,6 +23,18 @@ std::vector<Directive> OversubscribedPolicy::decide(const topo::Machine&,
 
 namespace {
 
+/// The producer-consumer policy's producer is the agent's first app, its
+/// consumer the second.
+constexpr std::size_t kProducer = 0;
+constexpr std::size_t kConsumer = 1;
+
+/// Foreign-load drift gates: re-optimize when any node's foreign busy cores
+/// move by more than this many cores, or its foreign bandwidth by more than
+/// this many GB/s, since the load priced into the last decision. Small
+/// wobble below both thresholds is absorbed without a re-search.
+constexpr double kForeignCoreDrift = 0.25;
+constexpr GBps kForeignBwDrift = 2.0;
+
 /// Round-robin waterfill of every node's cores honouring per-app caps
 /// (AppView::thread_cap, set by the compliance watchdog). The round-robin
 /// cursor carries over from node to node, so uncapped the totals are the
@@ -92,13 +104,11 @@ std::vector<Directive> StaticPartitionPolicy::decide(const topo::Machine& machin
 
 std::vector<Directive> ProducerConsumerPolicy::decide(const topo::Machine& machine,
                                                       const std::vector<AppView>& views) {
-  NS_REQUIRE(options_.producer < views.size() && options_.consumer < views.size(),
-             "producer/consumer indices out of range");
-  NS_REQUIRE(options_.producer != options_.consumer, "producer must differ from consumer");
+  NS_REQUIRE(views.size() >= 2, "producer-consumer needs a producer and a consumer app");
   std::vector<Directive> out(views.size(), Directive::none());
 
-  const auto& producer = views[options_.producer];
-  const auto& consumer = views[options_.consumer];
+  const auto& producer = views[kProducer];
+  const auto& consumer = views[kConsumer];
   if (!producer.has_telemetry || !consumer.has_telemetry) return out;
 
   const std::uint32_t cores = machine.core_count();
@@ -106,8 +116,8 @@ std::vector<Directive> ProducerConsumerPolicy::decide(const topo::Machine& machi
     producer_threads_ = cores / 2;
     consumer_threads_ = cores - producer_threads_;
     initialized_ = true;
-    out[options_.producer] = Directive::total(producer_threads_);
-    out[options_.consumer] = Directive::total(consumer_threads_);
+    out[kProducer] = Directive::total(producer_threads_);
+    out[kConsumer] = Directive::total(consumer_threads_);
     return out;
   }
 
@@ -135,8 +145,8 @@ std::vector<Directive> ProducerConsumerPolicy::decide(const topo::Machine& machi
   }
   NS_LOG_DEBUG("agent", "producer-consumer lead={} -> producer={} consumer={}", lead,
                producer_threads_, consumer_threads_);
-  out[options_.producer] = Directive::total(producer_threads_);
-  out[options_.consumer] = Directive::total(consumer_threads_);
+  out[kProducer] = Directive::total(producer_threads_);
+  out[kConsumer] = Directive::total(consumer_threads_);
   return out;
 }
 
@@ -152,9 +162,9 @@ void ModelGuidedPolicy::on_foreign_load(const model::ForeignLoad& load) {
       std::max(foreign_.bandwidth.size(), decided_foreign_.bandwidth.size()));
   for (std::size_t n = 0; n < nodes; ++n) {
     if (std::abs(at(foreign_.busy_cores, n) - at(decided_foreign_.busy_cores, n)) >
-            options_.foreign_core_drift ||
+            kForeignCoreDrift ||
         std::abs(at(foreign_.bandwidth, n) - at(decided_foreign_.bandwidth, n)) >
-            options_.foreign_bw_drift) {
+            kForeignBwDrift) {
       foreign_dirty_ = true;
       return;
     }

@@ -71,9 +71,8 @@ class StaticPartitionPolicy final : public Policy {
   bool issued_ = false;
 };
 
+/// The producer is the agent's first app (index 0), the consumer its second.
 struct ProducerConsumerOptions {
-  std::size_t producer = 0;  // index into the agent's app list
-  std::size_t consumer = 1;
   /// Keep producer progress ahead of consumer progress within this band.
   std::uint64_t min_lead = 2;
   std::uint64_t max_lead = 8;
@@ -110,12 +109,6 @@ struct ModelGuidedOptions {
   /// differs from the recommended one. Only on the exact engine: the
   /// advisor runs one exhaustive search per home variant.
   bool advise_data_placement = false;
-  /// Foreign-load drift gates: re-optimize when any node's foreign busy
-  /// cores move by more than this many cores, or its foreign bandwidth by
-  /// more than this many GB/s, since the load priced into the last decision.
-  /// Small wobble below both thresholds is absorbed without a re-search.
-  double foreign_core_drift = 0.25;
-  double foreign_bw_drift = 2.0;
 };
 
 class ModelGuidedPolicy final : public Policy {

@@ -12,6 +12,10 @@ namespace numashare::model {
 namespace {
 
 constexpr double kEps = 1e-12;
+/// Stop water-filling after this many rounds. Each round either exhausts the
+/// pool or satisfies at least one thread group, so node_count rounds always
+/// suffice; the cap is a safety net.
+constexpr std::uint32_t kMaxWaterfillRounds = 64;
 
 GFlops core_peak_on_node(const topo::Machine& machine, topo::NodeId node) {
   const auto& n = machine.node(node);
@@ -118,7 +122,7 @@ void solve_controller(const topo::Machine& machine, topo::NodeId m, GroupResult*
   }
 
   // 2c. ... then the leftover, proportional to unmet demand (water-fill).
-  for (std::uint32_t round = 0; round < options.max_waterfill_rounds; ++round) {
+  for (std::uint32_t round = 0; round < kMaxWaterfillRounds; ++round) {
     if (pool <= kEps) break;
     double weighted_deficit = 0.0;
     for (std::uint32_t i = 0; i < count; ++i) {

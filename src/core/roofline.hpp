@@ -63,10 +63,6 @@ struct ForeignLoad {
 };
 
 struct SolveOptions {
-  /// Stop water-filling after this many rounds (each round either exhausts
-  /// the pool or satisfies at least one thread group, so node_count rounds
-  /// always suffice; the cap is a safety net).
-  std::uint32_t max_waterfill_rounds = 64;
   /// When true, the remainder is handed out in one proportional shot with no
   /// re-distribution of overshoot — the paper's literal Table I/II procedure.
   /// Identical to water-filling whenever no thread's demand is exceeded.

@@ -16,6 +16,11 @@
 
 namespace numashare::nsd {
 
+namespace {
+/// Background heartbeat period (start_heartbeat()).
+constexpr std::int64_t kHeartbeatPeriodUs = 100'000;
+}  // namespace
+
 DaemonClient::DaemonClient(std::string app_name, ClientConnectOptions options)
     : app_name_(std::move(app_name)), options_(std::move(options)) {}
 
@@ -114,15 +119,11 @@ bool DaemonClient::connect(std::string* error) {
     NS_LOG_DEBUG("daemon-client", "'{}' connect attempt {} failed: {} (backoff {} us)",
                  app_name_, attempt + 1, last_error, backoff_us);
     std::this_thread::sleep_for(std::chrono::microseconds(backoff_us));
-    if (options_.decorrelated_jitter) {
-      const std::int64_t lo = std::max<std::int64_t>(1, options_.initial_backoff_us);
-      const std::int64_t hi =
-          std::min<std::int64_t>(std::max(backoff_us * 3, lo), options_.max_backoff_us);
-      backoff_us = lo + static_cast<std::int64_t>(
-                            rng.uniform_u64(static_cast<std::uint64_t>(hi - lo) + 1));
-    } else {
-      backoff_us = std::min<std::int64_t>(backoff_us * 2, options_.max_backoff_us);
-    }
+    const std::int64_t lo = std::max<std::int64_t>(1, options_.initial_backoff_us);
+    const std::int64_t hi =
+        std::min<std::int64_t>(std::max(backoff_us * 3, lo), options_.max_backoff_us);
+    backoff_us =
+        lo + static_cast<std::int64_t>(rng.uniform_u64(static_cast<std::uint64_t>(hi - lo) + 1));
   }
   if (error) {
     *error = ns_format("gave up after {} attempts: {}", options_.max_attempts, last_error);
@@ -156,7 +157,7 @@ void DaemonClient::start_heartbeat() {
     set_current_thread_name("ns-heartbeat");
     while (heartbeat_running_.load(std::memory_order_acquire)) {
       heartbeat();
-      std::this_thread::sleep_for(std::chrono::microseconds(options_.heartbeat_period_us));
+      std::this_thread::sleep_for(std::chrono::microseconds(kHeartbeatPeriodUs));
     }
   });
 }

@@ -33,18 +33,15 @@ struct ClientConnectOptions {
   /// Advertised NUMA-bad data home (agent::kMaxNodes = perfect/unknown).
   std::uint32_t data_home = agent::kMaxNodes;
 
-  /// Bounded exponential backoff for connect()/reconnect(): sleep
-  /// initial_backoff_us, double each failed attempt, clamp at
-  /// max_backoff_us, give up after max_attempts attempts.
+  /// Bounded backoff with decorrelated jitter for connect()/reconnect():
+  /// sleep initial_backoff_us, then after each failed attempt a uniform draw
+  /// from [initial, 3 * previous_sleep] clamped at max_backoff_us; give up
+  /// after max_attempts attempts. A restarted daemon then sees the
+  /// survivors' re-join CAS attempts spread out instead of a thundering herd
+  /// hitting the fresh registry in lockstep.
   std::uint32_t max_attempts = 12;
   std::int64_t initial_backoff_us = 2'000;
   std::int64_t max_backoff_us = 500'000;
-  /// Decorrelated jitter on that backoff: each failed attempt sleeps a
-  /// uniform draw from [initial, 3 * previous_sleep], clamped at max. A
-  /// restarted daemon then sees the survivors' re-join CAS attempts spread
-  /// out instead of a thundering herd hitting the fresh registry in
-  /// lockstep. Off = the deterministic doubling above.
-  bool decorrelated_jitter = true;
   /// Jitter RNG seed; 0 derives one from pid + monotonic clock.
   std::uint64_t backoff_seed = 0;
   /// Keep the slot, registry, and channel mappings when the daemon dies
@@ -56,8 +53,6 @@ struct ClientConnectOptions {
   bool hold_slot_on_daemon_loss = false;
   /// How long one attempt waits for the daemon to activate a claimed slot.
   double activation_timeout_s = 2.0;
-  /// Background heartbeat period (start_heartbeat()).
-  std::int64_t heartbeat_period_us = 100'000;
 };
 
 class DaemonClient {
@@ -80,7 +75,7 @@ class DaemonClient {
   /// Bump the registry heartbeat (call from the app's progress loop).
   void heartbeat();
 
-  /// Background heartbeat thread at options().heartbeat_period_us.
+  /// Background heartbeat thread, one heartbeat() every 100 ms.
   void start_heartbeat();
   void stop_heartbeat();
 

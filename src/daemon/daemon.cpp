@@ -26,6 +26,11 @@ namespace {
 /// into the registry slots for daemon-status.
 constexpr std::uint64_t kDropMirrorEveryTicks = 16;
 
+/// Liveness pass cadence as a fraction of DaemonOptions::heartbeat_timeout_s:
+/// the pass runs when at least timeout * fraction seconds passed since the
+/// last one. Detection latency is bounded by timeout * (1 + fraction).
+constexpr double kLivenessCheckFraction = 0.125;
+
 bool pid_is_dead(std::uint32_t pid) {
   if (pid == 0) return true;
   return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
@@ -81,8 +86,9 @@ Daemon::Daemon(topo::Machine machine, agent::PolicyPtr policy, DaemonOptions opt
   auto wrapped = std::make_unique<AdvertisedAiPolicy>(
       std::move(policy), std::move(lookup),
       [this] { return !advertised_ai_by_name_.empty(); });
-  agent::AgentOptions agent_options = options_.agent;
-  agent_ = std::make_unique<agent::Agent>(machine_, std::move(wrapped), agent_options);
+  // The daemon drives Agent::step from its own tick and never starts the
+  // agent's loop, so the agent's options are never read.
+  agent_ = std::make_unique<agent::Agent>(machine_, std::move(wrapped));
   if (options_.foreign_enabled) {
     foreign_ = std::make_unique<foreign::ForeignMonitor>(machine_, options_.foreign);
   }
@@ -429,7 +435,7 @@ std::uint32_t Daemon::tick(double now) {
   // for detection latency nobody asked for. Gated at timeout/8, a death is
   // still caught within 9/8 of the configured timeout.
   if (now - last_liveness_pass_s_ >=
-      options_.heartbeat_timeout_s * options_.liveness_check_fraction) {
+      options_.heartbeat_timeout_s * kLivenessCheckFraction) {
     last_liveness_pass_s_ = now;
     for (std::uint32_t shard = 0; shard < kRegistryShards; ++shard) {
       std::uint64_t bits = used_bits_[shard];

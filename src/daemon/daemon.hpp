@@ -59,13 +59,6 @@ struct DaemonOptions {
   /// tick (the pre-v7 behaviour, and the bench's baseline); 0 = never
   /// (bitmap-only, tests). See docs/DAEMON.md "Scaling the tick path".
   std::uint64_t full_sweep_every_ticks = 16;
-  /// Liveness pass cadence as a fraction of heartbeat_timeout_s (the pass
-  /// runs when at least timeout*fraction seconds passed since the last one).
-  /// Heartbeat silence is measured in seconds while ticks run at
-  /// microsecond-to-millisecond cadence — polling every client's heartbeat
-  /// line every tick buys nothing but cache misses. Detection latency is
-  /// bounded by timeout * (1 + fraction). 0 = check every tick.
-  double liveness_check_fraction = 0.125;
 
   // --- Compliance watchdog (healthy -> laggard -> quarantined -> evicted).
   /// A client behind the commanded epoch for this long becomes a laggard:
@@ -107,8 +100,6 @@ struct DaemonOptions {
   /// free; foreign load moves on human timescales).
   std::uint64_t foreign_scan_every_ticks = 10;
   foreign::MonitorOptions foreign;
-
-  agent::AgentOptions agent;
 };
 
 struct DaemonStats {
@@ -289,9 +280,9 @@ class Daemon {
   bool compliance_all_quiet_ = false;
   std::uint64_t compliance_pass_generation_ = ~std::uint64_t{0};
   std::uint64_t compliance_pass_telemetry_ = ~std::uint64_t{0};
-  /// Timestamp of the last liveness pass; see
-  /// DaemonOptions::liveness_check_fraction. Starts at -inf so the first
-  /// tick always checks.
+  /// Timestamp of the last liveness pass, which runs at most once per
+  /// heartbeat_timeout_s / 8 (kLivenessCheckFraction in daemon.cpp). Starts
+  /// at -inf so the first tick always checks.
   double last_liveness_pass_s_ = -1e300;
   DaemonStats stats_;
   /// Monotonic join counter; makes channel names and app names unique

@@ -21,6 +21,10 @@
 //     --duration-s=X              exit after X seconds (default: run until signal)
 //     --verbose                   info-level logging
 //
+// A numeric flag must be a whole number (no trailing text); the period,
+// heartbeat timeout and enactment deadline must be positive, and a bad
+// value exits with the usage message and code 2.
+//
 // Applications join through nsd::DaemonClient (see examples/daemon_app.cpp)
 // and are free to come and go; crashes are detected by heartbeat loss and
 // evicted, with cores redistributed to the survivors. SIGTERM/SIGINT shut
@@ -28,11 +32,17 @@
 // journaled — never dying mid-write.
 #include <signal.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -82,6 +92,44 @@ bool has_flag(int argc, char** argv, const std::string& name) {
   return false;
 }
 
+/// The named flag's value (or `fallback`) parsed whole as a finite number.
+/// Empty text, non-numeric text, trailing text ("10ms"), a negative value
+/// and, when `positive`, zero are reported on stderr and yield nullopt.
+std::optional<double> number_flag(int argc, char** argv, const std::string& name,
+                                  const std::string& fallback, bool positive) {
+  const std::string text = flag_value(argc, argv, name, fallback);
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text.c_str(), &end);
+  if (text.empty() || errno != 0 || end != text.c_str() + text.size() ||
+      !std::isfinite(value) || value < 0.0 || (positive && value == 0.0)) {
+    std::fprintf(stderr, "error: %s wants a %s number, got '%s'\n", name.c_str(),
+                 positive ? "positive" : "non-negative", text.c_str());
+    return std::nullopt;
+  }
+  return value;
+}
+
+/// The named flag's value (or `fallback`) parsed whole as a count: digits
+/// only, at most `max`, and above 0 when `positive`. Anything else is
+/// reported on stderr and yields nullopt.
+std::optional<std::uint64_t> count_flag(int argc, char** argv, const std::string& name,
+                                        const std::string& fallback, bool positive,
+                                        std::uint64_t max = ~std::uint64_t{0}) {
+  const std::string text = flag_value(argc, argv, name, fallback);
+  char* end = nullptr;
+  errno = 0;
+  // strtoull skips whitespace and negates a leading '-': insist on a digit.
+  const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
+  if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])) || errno != 0 ||
+      end != text.c_str() + text.size() || (positive && value == 0) || value > max) {
+    std::fprintf(stderr, "error: %s wants a %s count, got '%s'\n", name.c_str(),
+                 positive ? "positive" : "non-negative", text.c_str());
+    return std::nullopt;
+  }
+  return value;
+}
+
 /// "4x8:10:32:10" -> symmetric(4, 8, 10 GFLOPS, 32 GB/s, 10 GB/s).
 std::optional<topo::Machine> parse_machine(const std::string& spec) {
   if (spec == "probe") return topo::discover_host_or_flat();
@@ -126,20 +174,30 @@ int main(int argc, char** argv) {
   nsd::DaemonOptions options;
   options.registry_name = flag_value(argc, argv, "--registry", nsd::kDefaultRegistryName);
   options.journal_path = flag_value(argc, argv, "--journal", "");
-  options.period_us =
-      std::strtol(flag_value(argc, argv, "--period-ms", "10").c_str(), nullptr, 10) * 1000;
-  options.heartbeat_timeout_s =
-      std::strtod(flag_value(argc, argv, "--heartbeat-timeout-ms", "2000").c_str(), nullptr) /
-      1000.0;
-  options.snapshot_every_ticks = static_cast<std::uint64_t>(
-      std::strtoul(flag_value(argc, argv, "--snapshot-every", "100").c_str(), nullptr, 10));
-  options.enactment_deadline_s =
-      std::strtod(flag_value(argc, argv, "--enactment-deadline-ms", "1000").c_str(), nullptr) /
-      1000.0;
-  options.checkpoint_every_ticks = static_cast<std::uint64_t>(
-      std::strtoul(flag_value(argc, argv, "--checkpoint-every", "1000").c_str(), nullptr, 10));
-  options.compact_after_lines = static_cast<std::uint64_t>(
-      std::strtoul(flag_value(argc, argv, "--compact-after", "4096").c_str(), nullptr, 10));
+  constexpr bool kPositive = true;
+  // The loop sleeps the period as nanoseconds; keep that in int64 range.
+  constexpr std::uint64_t kMaxPeriodMs = std::numeric_limits<std::int64_t>::max() / 1'000'000;
+  const auto period_ms = count_flag(argc, argv, "--period-ms", "10", kPositive, kMaxPeriodMs);
+  const auto heartbeat_timeout_ms =
+      number_flag(argc, argv, "--heartbeat-timeout-ms", "2000", kPositive);
+  const auto enactment_deadline_ms =
+      number_flag(argc, argv, "--enactment-deadline-ms", "1000", kPositive);
+  const auto duration_s = number_flag(argc, argv, "--duration-s", "0", !kPositive);
+  const auto snapshot_every = count_flag(argc, argv, "--snapshot-every", "100", !kPositive);
+  const auto checkpoint_every = count_flag(argc, argv, "--checkpoint-every", "1000", !kPositive);
+  const auto compact_after = count_flag(argc, argv, "--compact-after", "4096", !kPositive);
+  const auto foreign_scan_ticks = count_flag(argc, argv, "--foreign-scan-ticks", "10", !kPositive);
+  if (!period_ms || !heartbeat_timeout_ms || !enactment_deadline_ms || !duration_s ||
+      !snapshot_every || !checkpoint_every || !compact_after || !foreign_scan_ticks) {
+    return usage();
+  }
+  options.period_us = static_cast<std::int64_t>(*period_ms) * 1000;
+  options.heartbeat_timeout_s = *heartbeat_timeout_ms / 1000.0;
+  options.enactment_deadline_s = *enactment_deadline_ms / 1000.0;
+  options.snapshot_every_ticks = *snapshot_every;
+  options.checkpoint_every_ticks = *checkpoint_every;
+  options.compact_after_lines = *compact_after;
+  options.foreign_scan_every_ticks = *foreign_scan_ticks;
   bool fsync_ok = false;
   options.fsync_policy =
       nsd::parse_fsync_policy(flag_value(argc, argv, "--fsync", "checkpoint"), &fsync_ok);
@@ -150,11 +208,7 @@ int main(int argc, char** argv) {
   options.foreign_enabled =
       has_flag(argc, argv, "--foreign") || has_flag(argc, argv, "--foreign-enforce");
   options.foreign.enforce_fences = has_flag(argc, argv, "--foreign-enforce");
-  options.foreign_scan_every_ticks = static_cast<std::uint64_t>(
-      std::strtoul(flag_value(argc, argv, "--foreign-scan-ticks", "10").c_str(), nullptr, 10));
   options.foreign.scanner.proc_root = flag_value(argc, argv, "--foreign-proc-root", "/proc");
-  const double duration_s =
-      std::strtod(flag_value(argc, argv, "--duration-s", "0").c_str(), nullptr);
 
   nsd::Daemon daemon(*machine, std::move(policy), options);
   std::string error;
@@ -176,9 +230,9 @@ int main(int argc, char** argv) {
   daemon.start();
   const auto start = std::chrono::steady_clock::now();
   while (!g_stop.load()) {
-    if (duration_s > 0.0 &&
+    if (*duration_s > 0.0 &&
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count() >=
-            duration_s) {
+            *duration_s) {
       break;
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(20));

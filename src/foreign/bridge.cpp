@@ -7,8 +7,7 @@
 namespace numashare::foreign {
 
 model::ForeignLoad to_foreign_load(const topo::Machine& machine,
-                                   const std::vector<ForeignProcess>& processes,
-                                   const BridgeOptions& options) {
+                                   const std::vector<ForeignProcess>& processes) {
   model::ForeignLoad load;
   load.busy_cores.assign(machine.node_count(), 0.0);
   load.bandwidth.assign(machine.node_count(), 0.0);
@@ -25,10 +24,7 @@ model::ForeignLoad to_foreign_load(const topo::Machine& machine,
     // numbers physical so journals and status output stay readable.
     const auto cores = static_cast<double>(machine.cores_in_node(n));
     load.busy_cores[n] = std::min(load.busy_cores[n], cores);
-    GBps per_core = options.bandwidth_per_busy_core;
-    if (per_core <= 0.0) {
-      per_core = cores > 0.0 ? machine.node(n).memory_bandwidth / cores : 0.0;
-    }
+    const GBps per_core = cores > 0.0 ? machine.node(n).memory_bandwidth / cores : 0.0;
     load.bandwidth[n] = load.busy_cores[n] * per_core;
   }
   return load;

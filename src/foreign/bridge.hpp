@@ -3,12 +3,9 @@
 //
 // Compute is direct: busy_cores[n] = sum of each process's per-node share.
 // Bandwidth cannot be observed from procfs, so it is estimated: each busy
-// core is assumed to draw `bandwidth_per_busy_core` GB/s at its node's
-// controller. The default (0) derives a fair share per node —
-// node_bandwidth / cores_in_node — i.e. a foreign core is assumed to pull
-// its proportional slice of the controller, the same baseline guarantee the
-// model grants cooperating cores. Callers with measurement infrastructure
-// (PMU counters, resctrl) can substitute a calibrated figure.
+// core is assumed to draw its node's fair share of the controller —
+// node_bandwidth / cores_in_node — the same baseline guarantee the model
+// grants cooperating cores.
 #pragma once
 
 #include "core/roofline.hpp"
@@ -17,18 +14,11 @@
 
 namespace numashare::foreign {
 
-struct BridgeOptions {
-  /// GB/s drawn per foreign busy core. 0 = per-node fair share
-  /// (node memory_bandwidth / cores_in_node).
-  GBps bandwidth_per_busy_core = 0.0;
-};
-
 /// Fold the scanned processes into a per-node ForeignLoad. Vectors are sized
 /// to machine.node_count(); an empty process list yields a load whose any()
 /// is false, which the solver treats as byte-for-byte identical to "no
 /// foreign option at all".
 model::ForeignLoad to_foreign_load(const topo::Machine& machine,
-                                   const std::vector<ForeignProcess>& processes,
-                                   const BridgeOptions& options = {});
+                                   const std::vector<ForeignProcess>& processes);
 
 }  // namespace numashare::foreign

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/assert.hpp"
+#include "foreign/bridge.hpp"
 #include "inject/fault.hpp"
 
 namespace numashare::foreign {
@@ -184,7 +185,7 @@ void ForeignMonitor::rebuild_load() {
     load_.clear();  // empty vectors: the solver's "no foreign at all" shape
     return;
   }
-  load_ = to_foreign_load(machine_, admitted, options_.bridge);
+  load_ = to_foreign_load(machine_, admitted);
 }
 
 std::vector<TrackedForeign> ForeignMonitor::tracked() const {

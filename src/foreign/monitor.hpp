@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/roofline.hpp"
-#include "foreign/bridge.hpp"
 #include "foreign/fence.hpp"
 #include "foreign/scanner.hpp"
 #include "topology/machine.hpp"
@@ -32,7 +31,6 @@ namespace numashare::foreign {
 
 struct MonitorOptions {
   ScannerOptions scanner;
-  BridgeOptions bridge;
   /// Attempt sched_setaffinity on fenced pids. Off by default: the arbiter
   /// stays advisory unless the operator opts in (--foreign-enforce).
   bool enforce_fences = false;

@@ -232,8 +232,9 @@ std::optional<ScanResult> ForeignScanner::scan(double now_seconds) {
     processes.resize(options_.max_processes);
   }
 
-  // Per-node busy cores from the per-cpu lines (saturating deltas, same
-  // regression discipline as agent/os_load).
+  // Per-node busy cores from the per-cpu lines. A counter that went
+  // backwards (CPU hotplug, a rewritten procfs tree) contributes nothing
+  // rather than an underflowed delta.
   std::vector<double> node_busy(machine_.node_count(), 0.0);
   if (primed && elapsed > 0.0) {
     for (const auto& core : machine_.cores()) {

@@ -3,9 +3,9 @@
 //
 // The paper's arbiter only commands cooperating applications; everything
 // else on the machine is invisible to it and silently distorts the model's
-// predictions. The scanner closes that gap by extending the agent's OS
-// polling (agent/os_load) from one machine-wide utilization number to
-// per-CPU and per-process granularity:
+// predictions. The scanner closes that gap: it is the daemon's query of the
+// OS CPU load (the paper's agent "periodically queries the operating system
+// to check the actual CPU load"), at per-CPU and per-process granularity:
 //
 //   <root>/stat            per-cpu "cpuN ..." lines -> busy cores per node
 //   <root>/<pid>/stat      utime/stime deltas       -> cores consumed by pid

@@ -11,6 +11,11 @@ namespace numashare::rt {
 namespace {
 thread_local Runtime* tl_runtime = nullptr;
 thread_local std::uint32_t tl_worker_id = kExternalWorker;
+
+/// Park timeout for idle workers; bounds wakeup latency without busy-wait.
+constexpr std::int64_t kIdleParkUs = 500;
+/// Seeds the per-worker victim-selection RNGs and the control RNG.
+constexpr std::uint64_t kStealSeed = 0x715e;
 }  // namespace
 
 const char* to_string(ControlMode mode) {
@@ -31,7 +36,7 @@ Runtime::Runtime(topo::Machine machine, RuntimeOptions options)
       ready_footprint_(machine_.node_count()),
       pool_(machine_.core_count()),
       blocked_per_node_(machine_.node_count()),
-      control_rng_(options_.steal_seed ^ 0x3c6ef372fe94f82bull) {
+      control_rng_(kStealSeed ^ 0x3c6ef372fe94f82bull) {
   std::string error;
   NS_REQUIRE(machine_.validate(&error), error.c_str());
   for (auto& b : blocked_per_node_) b.store(0, std::memory_order_relaxed);
@@ -54,7 +59,7 @@ Runtime::Runtime(topo::Machine machine, RuntimeOptions options)
     w->id = static_cast<std::uint32_t>(workers_.size());
     w->core = core.id;
     w->node = core.node;
-    w->rng = Xoshiro256(options_.steal_seed + 0x9e3779b9u * (w->id + 1));
+    w->rng = Xoshiro256(kStealSeed + 0x9e3779b9u * (w->id + 1));
     w->victim_order.reserve(machine_.node_count());
     workers_.push_back(std::move(w));
   }
@@ -577,7 +582,7 @@ void Runtime::worker_main(Worker& w) {
       continue;
     }
     metrics_.shard(w.id).idle_parks.fetch_add(1, std::memory_order_relaxed);
-    w.parker.park_for_us(options_.idle_park_us);
+    w.parker.park_for_us(kIdleParkUs);
     retract_idle(w);
     // A waker stamped obs::now_ns() into wake_ns when it unparked us; the
     // interval to here is the park/unpark wake latency.

@@ -66,14 +66,11 @@ enum class ControlMode : std::uint8_t {
 struct RuntimeOptions {
   std::string name = "app";
   BindMode bind_mode = BindMode::kNone;
-  /// Park timeout for idle workers; bounds wakeup latency without busy-wait.
-  std::int64_t idle_park_us = 500;
   /// A worker only pulls work homed on *other* NUMA nodes after this many
   /// consecutive empty-handed rounds — locality hints stay sticky while the
   /// home node has runnable workers, yet starvation is impossible (blocked
   /// or overloaded nodes get helped within a few idle periods).
   std::uint32_t cross_node_reluctance = 2;
-  std::uint64_t steal_seed = 0x715e;
   /// Optional execution tracer (non-owning; must outlive the runtime).
   /// Records one span per task execution and per blocking episode, plus
   /// instants for control changes — lanes are worker ids.
@@ -322,8 +319,9 @@ class Runtime {
 
   /// Workers currently published as idle; lets the submit path skip the
   /// wake scan entirely (one relaxed load of a zero) while the pool is
-  /// saturated. Racy by design — a missed wake is bounded by idle_park_us,
-  /// exactly like the pre-existing idle-flag race.
+  /// saturated. Racy by design — a missed wake is bounded by the idle park
+  /// timeout (kIdleParkUs in runtime.cpp), exactly like the pre-existing
+  /// idle-flag race.
   std::atomic<std::uint32_t> idle_count_{0};
 
   // Owns every live task (see task_pool.hpp ownership protocol); its

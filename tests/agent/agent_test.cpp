@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -75,6 +76,49 @@ TEST(Agent, ViewsTrackProgressRates) {
   EXPECT_TRUE(view.has_telemetry);
   EXPECT_EQ(view.latest.progress, 20u);
   EXPECT_GT(view.progress_rate, 0.0);
+}
+
+// The scheduler-latency watchdog end to end: a worker held inside a task
+// past the deadline stops passing its loop heartbeat, the runtime reports it
+// stalled, the adapter publishes that in telemetry, and the agent's
+// compliance state carries it ("behind because starved, not defiant").
+TEST(Agent, WatchdogStallReachesCompliance) {
+  const auto machine = machine_2x2();
+  rt::Runtime app(machine, {.name = "stall", .watchdog_deadline_us = 20'000});
+  ASSERT_NE(app.watchdog(), nullptr);
+  Channel channel;
+  RuntimeAdapter adapter(app, channel);
+  Agent agent(machine, std::make_unique<OversubscribedPolicy>());
+  agent.add_app("stall", channel);
+
+  // Bounded waits on the state itself: a loaded host delays the watchdog's
+  // poll, it does not change what the poll must eventually see.
+  const auto wait_for = [](auto predicate) {
+    const auto give_up = std::chrono::steady_clock::now() + 30s;
+    while (!predicate() && std::chrono::steady_clock::now() < give_up) {
+      std::this_thread::yield();
+    }
+    return predicate();
+  };
+
+  std::atomic<bool> release{false};
+  auto held = app.spawn([&](rt::TaskContext&) {
+    while (!release.load(std::memory_order_acquire)) std::this_thread::yield();
+  });
+  ASSERT_TRUE(wait_for([&] { return app.watchdog()->stalled_count() > 0; }));
+
+  adapter.pump();
+  agent.step(0.0);
+  EXPECT_GT(agent.views()[0].latest.stalled_workers, 0u);
+  EXPECT_GT(agent.compliance("stall").stalled_workers, 0u);
+
+  release.store(true, std::memory_order_release);
+  held->wait();
+  ASSERT_TRUE(wait_for([&] { return app.watchdog()->stalled_count() == 0; }));
+  adapter.pump();
+  agent.step(1.0);
+  EXPECT_EQ(agent.views()[0].latest.stalled_workers, 0u);
+  EXPECT_EQ(agent.compliance("stall").stalled_workers, 0u);
 }
 
 TEST(Agent, BackgroundLoopConverges) {

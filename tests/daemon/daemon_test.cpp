@@ -22,6 +22,7 @@
 #include "agent/policies.hpp"
 #include "daemon/client.hpp"
 #include "runtime/runtime.hpp"
+#include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
 #include "topology/presets.hpp"
 
@@ -30,38 +31,7 @@ namespace {
 
 using namespace std::chrono_literals;
 
-std::string unique_registry(const char* tag) {
-  static int counter = 0;
-  return std::string("/numashare-dtest-") + tag + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter++);
-}
-
-std::string unique_journal(const char* tag) {
-  static int counter = 0;
-  return "/tmp/numashare-dtest-" + std::string(tag) + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter++) + ".jsonl";
-}
-
 topo::Machine test_machine() { return topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0); }
-
-std::size_t count_events(const std::vector<JournalEntry>& entries, const std::string& event) {
-  std::size_t n = 0;
-  for (const auto& entry : entries) n += entry.event == event ? 1 : 0;
-  return n;
-}
-
-/// Run connect() on a thread while the caller manually ticks the daemon
-/// (activation requires a daemon tick, so a single thread would deadlock).
-bool connect_with_ticks(DaemonClient& client, Daemon& daemon, double& now) {
-  bool ok = false;
-  std::thread joiner([&] { ok = client.connect(); });
-  for (int i = 0; i < 2000 && !client.connected(); ++i) {
-    daemon.tick(now += 0.001);
-    std::this_thread::sleep_for(1ms);
-  }
-  joiner.join();
-  return ok;
-}
 
 TEST(Daemon, InitRequiresNoLiveOwner) {
   const auto registry = unique_registry("owner");
@@ -320,6 +290,22 @@ TEST(Daemon, ClientReconnectsAfterEviction) {
   EXPECT_TRUE(client.check_connection());
   EXPECT_NE(client.generation(), first_generation);
   EXPECT_EQ(daemon.stats().joins, 2u);
+}
+
+TEST(Daemon, AdvertisedDataHomeReachesTheSlot) {
+  const auto registry = unique_registry("home");
+  DaemonOptions options;
+  options.registry_name = registry;
+  double now = 0.0;
+  Daemon daemon(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(), options);
+  ASSERT_TRUE(daemon.init());
+
+  ClientConnectOptions copts;
+  copts.registry_name = registry;
+  copts.data_home = 1;
+  DaemonClient client("homed", copts);
+  ASSERT_TRUE(connect_with_ticks(client, daemon, now));
+  EXPECT_EQ(client.registry()->slot(client.slot_index()).data_home.load(), 1u);
 }
 
 TEST(Daemon, ConnectBackoffGivesUpWithoutDaemon) {

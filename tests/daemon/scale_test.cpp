@@ -16,9 +16,9 @@
 #include <string>
 #include <vector>
 
-#include "agent/policy.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/registry.hpp"
+#include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::nsd {
@@ -40,24 +40,7 @@ constexpr bool kSanitized = false;
 /// span many shards under ASan/TSan without timing out.
 constexpr std::uint32_t kChurnClients = kSanitized ? 96 : kMaxClients;
 
-std::string unique_registry(const char* tag) {
-  static int counter = 0;
-  return std::string("/numashare-scale-") + tag + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter++);
-}
-
 topo::Machine test_machine() { return topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0); }
-
-/// Membership churn needs no arbitration; a null policy keeps the tick cost
-/// in the path under test instead of the partition solver.
-class NullPolicy final : public agent::Policy {
- public:
-  const char* name() const override { return "null"; }
-  std::vector<agent::Directive> decide(const topo::Machine&,
-                                       const std::vector<agent::AppView>& views) override {
-    return std::vector<agent::Directive>(views.size());
-  }
-};
 
 struct SimClient {
   std::uint32_t slot = 0;

@@ -4,7 +4,6 @@
 // into the registry's foreign shard (what daemon-status renders), and
 // shutdown releases every fence with a journaled record.
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <cstdio>
 #include <string>
@@ -14,22 +13,11 @@
 #include "daemon/journal.hpp"
 #include "daemon/registry.hpp"
 #include "foreign/procfs_writer.hpp"
+#include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::nsd {
 namespace {
-
-std::string unique_registry(const char* tag) {
-  static int counter = 0;
-  return std::string("/numashare-ftest-") + tag + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter++);
-}
-
-std::string unique_journal(const char* tag) {
-  static int counter = 0;
-  return "/tmp/numashare-ftest-" + std::string(tag) + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter++) + ".jsonl";
-}
 
 DaemonOptions foreign_options(const std::string& registry, const std::string& journal,
                               const std::string& proc_root) {
@@ -47,12 +35,6 @@ DaemonOptions foreign_options(const std::string& registry, const std::string& jo
   options.foreign.gone_ticks = 2;
   options.foreign.fence_min_cores = 0.5;
   return options;
-}
-
-std::size_t count_events(const std::vector<JournalEntry>& entries, const std::string& event) {
-  std::size_t n = 0;
-  for (const auto& entry : entries) n += entry.event == event ? 1 : 0;
-  return n;
 }
 
 TEST(DaemonForeign, DetectJournalMirrorAndRelease) {

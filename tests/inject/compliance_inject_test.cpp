@@ -25,24 +25,13 @@
 #include "daemon/registry.hpp"
 #include "inject/fault.hpp"
 #include "runtime/runtime.hpp"
+#include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::nsd {
 namespace {
 
 using namespace std::chrono_literals;
-
-std::string unique_registry(const char* tag) {
-  static int counter = 0;
-  return std::string("/ns-cinj-") + tag + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter++);
-}
-
-std::string unique_journal(const char* tag) {
-  static int counter = 0;
-  return "/tmp/ns-cinj-" + std::string(tag) + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(counter++) + ".jsonl";
-}
 
 topo::Machine test_machine() { return topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0); }
 
@@ -60,23 +49,6 @@ DaemonOptions watchdog_options(const std::string& registry, const std::string& j
   options.readmit_backoff_max_s = 0.4;
   options.max_compliance_offenses = 3;
   return options;
-}
-
-bool connect_with_ticks(DaemonClient& client, Daemon& daemon, double& now) {
-  bool ok = false;
-  std::thread joiner([&] { ok = client.connect(); });
-  for (int i = 0; i < 2000 && !client.connected(); ++i) {
-    daemon.tick(now += 0.001);
-    std::this_thread::sleep_for(1ms);
-  }
-  joiner.join();
-  return ok;
-}
-
-std::size_t count_events(const std::vector<JournalEntry>& entries, const std::string& event) {
-  std::size_t n = 0;
-  for (const auto& entry : entries) n += entry.event == event ? 1 : 0;
-  return n;
 }
 
 class ComplianceInject : public ::testing::Test {

@@ -44,6 +44,7 @@
 #include "daemon/failover.hpp"
 #include "daemon/journal.hpp"
 #include "inject/fault.hpp"
+#include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::nsd {
@@ -51,16 +52,6 @@ namespace {
 
 using namespace std::chrono_literals;
 using Clock = std::chrono::steady_clock;
-
-std::string unique_registry(const char* tag, std::uint64_t n = 0) {
-  return std::string("/ns-fov-") + tag + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(n);
-}
-
-std::string unique_journal(const char* tag, std::uint64_t n = 0) {
-  return "/tmp/ns-fov-" + std::string(tag) + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(n) + ".jsonl";
-}
 
 DaemonOptions failover_daemon_options(const std::string& registry, const std::string& journal) {
   DaemonOptions options;
@@ -451,8 +442,8 @@ TEST_P(FailoverSweep, SurvivalInvariantsHoldUnderKillRestartCycles) {
 
   const auto machine =
       topo::Machine::symmetric(schedule.nodes, schedule.cores_per_node, 1.0, 10.0, 5.0);
-  const auto registry = unique_registry("seed", seed);
-  const auto journal = unique_journal("seed", seed);
+  const auto registry = unique_registry("seed-" + std::to_string(seed));
+  const auto journal = unique_journal("seed-" + std::to_string(seed));
 
   pid_t daemon_pid = spawn_daemon(machine, registry, journal, schedule.spec_for(0));
   ASSERT_GE(daemon_pid, 0);

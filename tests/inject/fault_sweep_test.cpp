@@ -52,6 +52,7 @@
 #include "daemon/journal.hpp"
 #include "inject/fault.hpp"
 #include "runtime/datablock.hpp"
+#include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::nsd {
@@ -66,16 +67,6 @@ constexpr int kExitLostSlot = 8;      // eviction observed, stopped cleanly
 constexpr int kExitAbrupt = 9;        // died without goodbye (simulated crash)
 // 43..47 are the *.die site defaults (registry claiming/joining, client
 // post_claim/pre_attach/post_attach); 48 is the daemon's post_journal_join.
-
-std::string unique_registry(const char* tag, std::uint64_t n = 0) {
-  return std::string("/ns-swp-") + tag + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(n);
-}
-
-std::string unique_journal(const char* tag, std::uint64_t n = 0) {
-  return "/tmp/ns-swp-" + std::string(tag) + "-" + std::to_string(::getpid()) + "-" +
-         std::to_string(n) + ".jsonl";
-}
 
 topo::Machine test_machine() { return topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0); }
 
@@ -117,30 +108,11 @@ ClientConnectOptions sweep_client_options(const std::string& registry) {
   return copts;
 }
 
-/// Run connect() on a thread while manually ticking the daemon (activation
-/// needs a daemon tick, so one thread would deadlock).
-bool connect_with_ticks(DaemonClient& client, Daemon& daemon, double& now) {
-  bool ok = false;
-  std::thread joiner([&] { ok = client.connect(); });
-  for (int i = 0; i < 2000 && !client.connected(); ++i) {
-    daemon.tick(now += 0.001);
-    std::this_thread::sleep_for(1ms);
-  }
-  joiner.join();
-  return ok;
-}
-
 bool all_slots_free(const Registry& registry) {
   for (std::uint32_t i = 0; i < kMaxClients; ++i) {
     if (registry.slot(i).state() != SlotState::kFree) return false;
   }
   return true;
-}
-
-std::size_t count_events(const std::vector<JournalEntry>& entries, const std::string& event) {
-  std::size_t n = 0;
-  for (const auto& entry : entries) n += entry.event == event ? 1 : 0;
-  return n;
 }
 
 std::string unquote(std::string text) {
@@ -613,8 +585,8 @@ TEST_P(FaultSweep, InvariantsHoldUnderSchedule) {
   const Schedule schedule = make_schedule(seed);
   SCOPED_TRACE("seed=" + std::to_string(seed) + " " + schedule.describe());
 
-  const auto registry_name = unique_registry("seed", seed);
-  const auto journal = unique_journal("seed", seed);
+  const auto registry_name = unique_registry("seed-" + std::to_string(seed));
+  const auto journal = unique_journal("seed-" + std::to_string(seed));
   const auto options = sweep_options(registry_name, journal);
   {
     auto daemon = std::make_unique<Daemon>(test_machine(),

@@ -7,6 +7,8 @@
 #include <thread>
 #include <vector>
 
+#include "topology/affinity.hpp"
+#include "topology/discovery.hpp"
 #include "topology/presets.hpp"
 
 namespace numashare::rt {
@@ -177,6 +179,32 @@ TEST(Runtime, AffinityHintRoutesToNode) {
   // Affinity is a hint; cross-node stealing may move a few tasks, but the
   // overwhelming majority must run on the hinted node.
   EXPECT_LT(wrong_node.load(), 100);
+}
+
+// The paper's binding styles: a per-node worker runs on its whole node's
+// cpuset, a per-core worker on its one core. Needs the host topology, since
+// binding a virtual machine's core ids would pin to whatever CPUs share them.
+TEST(Runtime, WorkersRunOnTheirBinding) {
+  if (topo::bind_current_thread(topo::current_thread_affinity()) ==
+      topo::BindResult::kUnsupported) {
+    GTEST_SKIP() << "thread affinity is not enforced on this platform";
+  }
+  const auto machine = topo::discover_host_or_flat();
+  for (const BindMode mode : {BindMode::kPerNode, BindMode::kPerCore}) {
+    Runtime rt(machine, {.name = "bind", .bind_mode = mode});
+    topo::CpuSet affinity;
+    std::uint32_t worker = kExternalWorker;
+    rt.spawn([&](TaskContext& ctx) {
+      affinity = topo::current_thread_affinity();
+      worker = ctx.worker_id;
+    })->wait();
+    ASSERT_LT(worker, rt.worker_count());
+    const auto& core = machine.core(worker);
+    const auto expected = mode == BindMode::kPerNode ? topo::CpuSet::whole_node(machine, core.node)
+                                                     : topo::CpuSet::single(core.id);
+    EXPECT_EQ(affinity, expected) << "worker " << worker << " has " << affinity.to_string()
+                                  << ", expected " << expected.to_string();
+  }
 }
 
 TEST(Runtime, ExternalWaitAndAssistExecutesTasks) {
