@@ -65,7 +65,7 @@ CoRunOutcome co_run(Regime regime) {
   mc_config.samples_per_task = 1u << 13;
   apps::MonteCarlo montecarlo(mc_rt, mc_config);
 
-  agent::Channel chs, chm, chc;
+  agent::ShmChannel chs, chm, chc;
   agent::RuntimeAdapter ads(stencil_rt, chs, stencil.ai_estimate());
   agent::RuntimeAdapter adm(matmul_rt, chm, matmul.ai_estimate());
   agent::RuntimeAdapter adc(mc_rt, chc, montecarlo.ai_estimate());

@@ -43,10 +43,7 @@
 #include <string>
 #include <vector>
 
-#include "agent/protocol.hpp"
-#include "agent/shm_channel.hpp"
 #include "daemon/daemon.hpp"
-#include "daemon/registry.hpp"
 #include "obs/histogram.hpp"
 #include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
@@ -86,22 +83,13 @@ void record(const std::string& name, const std::string& scenario, const std::str
 
 topo::Machine bench_machine() { return topo::Machine::symmetric(2, 4, 1.0, 12.0, 6.0); }
 
-/// One simulated client: its registry slot plus a producer-side attachment
-/// to the channel the daemon minted for it at admission.
-struct SimClient {
-  std::uint32_t slot = 0;
-  std::unique_ptr<agent::ShmChannel> channel;  ///< null until attach_channels()
-  std::uint64_t seq = 0;
-  std::uint64_t tasks = 0;
-};
-
 /// An in-process daemon over a full-capacity registry plus a fleet of
-/// admitted clients driven through the real slot/channel protocol.
+/// admitted clients driven through the real slot/channel protocol
+/// (nsd::SimFleet, tests/support).
 struct Fleet {
   nsd::DaemonOptions options;
   std::unique_ptr<nsd::Daemon> daemon;
-  std::unique_ptr<nsd::Registry> view;  ///< client-side mapping
-  std::vector<SimClient> clients;
+  std::unique_ptr<nsd::SimFleet> sims;
   double now = 0.0;
 
   explicit Fleet(const char* tag, std::uint64_t full_sweep_every_ticks) {
@@ -116,8 +104,8 @@ struct Fleet {
       std::fprintf(stderr, "bench_daemon_scale: daemon init failed: %s\n", error.c_str());
       std::exit(1);
     }
-    view = nsd::Registry::open(options.registry_name, &error);
-    if (view == nullptr) {
+    sims = nsd::SimFleet::open(options.registry_name, &error);
+    if (sims == nullptr) {
       std::fprintf(stderr, "bench_daemon_scale: registry open failed: %s\n", error.c_str());
       std::exit(1);
     }
@@ -127,17 +115,14 @@ struct Fleet {
 
   /// Claim-and-admit until `target` clients are active.
   void grow_to(std::uint32_t target) {
-    while (clients.size() < target) {
-      const auto claim = view->claim_slot(
-          "sim-" + std::to_string(clients.size()), /*advertised_ai=*/0.0, agent::kMaxNodes);
-      if (!claim) {
-        std::fprintf(stderr, "bench_daemon_scale: claim_slot failed at %zu clients\n",
-                     clients.size());
+    while (sims->clients().size() < target) {
+      const std::size_t size = sims->clients().size();
+      if (!sims->claim("sim-" + std::to_string(size), /*advertised_ai=*/0.0)) {
+        std::fprintf(stderr, "bench_daemon_scale: claim failed at %zu clients\n", size);
         std::exit(1);
       }
-      clients.push_back({claim->index, nullptr, 0, 0});
       // Admit in batches: one tick services every pending attention bit.
-      if (clients.size() % 64 == 0 || clients.size() == target) tick();
+      if ((size + 1) % 64 == 0 || size + 1 == target) tick();
     }
     tick();  // settle
     if (daemon->client_count() != target) {
@@ -149,38 +134,10 @@ struct Fleet {
 
   /// Producer-side channel attachments for clients that will push telemetry.
   void attach_channels() {
-    for (auto& sim : clients) {
-      if (sim.channel != nullptr) continue;
-      const auto& slot = view->slot(sim.slot);
-      std::string error;
-      sim.channel = agent::ShmChannel::attach(slot.channel_name, &error);
-      if (sim.channel == nullptr) {
-        std::fprintf(stderr, "bench_daemon_scale: channel attach failed: %s\n",
-                     error.c_str());
-        std::exit(1);
-      }
-    }
-  }
-
-  void heartbeat_all() {
-    for (const auto& sim : clients) {
-      view->slot(sim.slot).heartbeat.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  /// One fresh telemetry sample per client, timestamped off the fleet clock.
-  void push_telemetry_all() {
-    for (auto& sim : clients) {
-      agent::Telemetry t;
-      t.seq = ++sim.seq;
-      t.timestamp = now;
-      t.tasks_executed = sim.tasks += 100;
-      t.tasks_spawned = sim.tasks;
-      t.progress = sim.seq;
-      t.total_workers = 4;
-      t.running_threads = 4;
-      t.ai_estimate = 1.0 + static_cast<double>(sim.slot % 7);
-      sim.channel->push_telemetry(t);
+    std::string error;
+    if (!sims->attach_all(&error)) {
+      std::fprintf(stderr, "bench_daemon_scale: channel attach failed: %s\n", error.c_str());
+      std::exit(1);
     }
   }
 };
@@ -192,13 +149,13 @@ double measured_ticks_per_sec(Fleet& fleet, int reps, bool push_telemetry,
                               obs::LatencyHistogram& hist) {
   const int warmup = std::max(1, reps / 10);
   for (int i = 0; i < warmup; ++i) {
-    fleet.heartbeat_all();
-    if (push_telemetry) fleet.push_telemetry_all();
+    fleet.sims->heartbeat_all();
+    if (push_telemetry) fleet.sims->push_telemetry_all(fleet.now);
     fleet.tick();
   }
   for (int i = 0; i < reps; ++i) {
-    fleet.heartbeat_all();
-    if (push_telemetry) fleet.push_telemetry_all();
+    fleet.sims->heartbeat_all();
+    if (push_telemetry) fleet.sims->push_telemetry_all(fleet.now);
     const auto start = Clock::now();
     fleet.tick();
     const auto ns =
@@ -305,7 +262,7 @@ void BM_DaemonTickBitmap(benchmark::State& state) {
   fleet.grow_to(kGateActive);
   for (auto _ : state) {
     state.PauseTiming();
-    fleet.heartbeat_all();
+    fleet.sims->heartbeat_all();
     state.ResumeTiming();
     fleet.tick();
   }
@@ -316,7 +273,7 @@ void BM_DaemonTickFullScan(benchmark::State& state) {
   fleet.grow_to(kGateActive);
   for (auto _ : state) {
     state.PauseTiming();
-    fleet.heartbeat_all();
+    fleet.sims->heartbeat_all();
     state.ResumeTiming();
     fleet.tick();
   }

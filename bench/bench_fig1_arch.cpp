@@ -37,7 +37,7 @@ PipelineResult run_pipeline(bool coordinated, double seconds) {
   rt::Runtime producer(machine, {.name = "producer"});
   rt::Runtime consumer(machine, {.name = "consumer"});
 
-  agent::Channel chp, chc;
+  agent::ShmChannel chp, chc;
   agent::RuntimeAdapter adp(producer, chp), adc(consumer, chc);
 
   std::atomic<bool> stop{false};
@@ -151,7 +151,7 @@ void reproduce() {
 void BM_AgentTick(benchmark::State& state) {
   const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0);
   rt::Runtime app(machine, {.name = "tick"});
-  agent::Channel channel;
+  agent::ShmChannel channel;
   agent::RuntimeAdapter adapter(app, channel);
   agent::Agent the_agent(machine, std::make_unique<agent::FairSharePolicy>());
   the_agent.add_app("tick", channel);
@@ -166,11 +166,11 @@ BENCHMARK(BM_AgentTick);
 void BM_TelemetryRoundTrip(benchmark::State& state) {
   const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0);
   rt::Runtime app(machine, {.name = "rt"});
-  agent::Channel channel;
+  agent::ShmChannel channel;
   agent::RuntimeAdapter adapter(app, channel);
   for (auto _ : state) {
     adapter.pump();
-    benchmark::DoNotOptimize(channel.telemetry.try_pop());
+    benchmark::DoNotOptimize(channel.pop_telemetry());
   }
 }
 BENCHMARK(BM_TelemetryRoundTrip);

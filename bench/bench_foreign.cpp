@@ -33,7 +33,7 @@
 
 #include "core/optimizer.hpp"
 #include "core/roofline.hpp"
-#include "foreign/procfs_writer.hpp"
+#include "support/procfs_writer.hpp"
 #include "foreign/scanner.hpp"
 #include "obs/histogram.hpp"
 #include "topology/machine.hpp"

@@ -37,12 +37,12 @@ void busy_work() {
 CoRunResult co_run(std::uint32_t n_apps, bool coordinated, double seconds) {
   const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0);
   std::vector<std::unique_ptr<rt::Runtime>> apps;
-  std::vector<std::unique_ptr<agent::Channel>> channels;
+  std::vector<std::unique_ptr<agent::ShmChannel>> channels;
   std::vector<std::unique_ptr<agent::RuntimeAdapter>> adapters;
   for (std::uint32_t a = 0; a < n_apps; ++a) {
     apps.push_back(
         std::make_unique<rt::Runtime>(machine, rt::RuntimeOptions{.name = "co" + std::to_string(a)}));
-    channels.push_back(std::make_unique<agent::Channel>());
+    channels.push_back(std::make_unique<agent::ShmChannel>());
     adapters.push_back(std::make_unique<agent::RuntimeAdapter>(*apps[a], *channels[a]));
   }
 

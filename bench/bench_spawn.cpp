@@ -64,7 +64,7 @@ bench::Report g_report(
     "bench_spawn", "BENCH_runtime.json",
     "throughput/median rows: best of 3 runs; latency rows: full obs-histogram "
     "distributions (handoff/wake from a dedicated single-task phase, steal from burst "
-    "churn, enact_lag through Channel+RuntimeAdapter); obs_overhead: best-of-5 "
+    "churn, enact_lag through ShmChannel+RuntimeAdapter); obs_overhead: best-of-5 "
     "interleaved off/on at production 1/64 sampling; single shared-CPU container, so all "
     "multi-worker points are oversubscribed and tails include scheduler preemption; rows "
     "with scenario eb74b81_wN are the pre-lifecycle-rework baseline (commit eb74b81, same "
@@ -267,14 +267,14 @@ void bench_latency_percentiles(std::uint32_t workers) {
 
 void bench_enactment_lag() {
   // Issue alternating thread-target epochs through the real agent plumbing
-  // (Channel -> RuntimeAdapter) with issued_ns stamped like agent::send()
+  // (ShmChannel -> RuntimeAdapter) with issued_ns stamped like agent::send()
   // does, pumping until each epoch is enacted — the enact_lag histogram then
   // holds the full issue -> enactment-ack distribution, including shrink
   // epochs that wait for surplus workers to genuinely park.
   rt::RuntimeOptions options;
   options.name = "bspawn";
   rt::Runtime runtime(machine_for(4), options);
-  agent::Channel channel;
+  agent::ShmChannel channel;
   agent::RuntimeAdapter adapter(runtime, channel);
 
   const std::uint64_t reps = scaled(2'000);

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
   apps::MonteCarlo montecarlo(mc_rt, mc_config);
 
   // --- Figure-1 plumbing: channels, adapters, agent ----------------------
-  agent::Channel stencil_ch, matmul_ch, mc_ch;
+  agent::ShmChannel stencil_ch, matmul_ch, mc_ch;
   agent::RuntimeAdapter stencil_ad(stencil_rt, stencil_ch, stencil.ai_estimate());
   agent::RuntimeAdapter matmul_ad(matmul_rt, matmul_ch, matmul.ai_estimate());
   agent::RuntimeAdapter mc_ad(mc_rt, mc_ch, montecarlo.ai_estimate());

@@ -31,13 +31,13 @@ int main() {
   // Four runtimes: three NUMA-perfect streamers + one NUMA-bad app whose
   // data sits on node 0 while the optimizer will run it elsewhere.
   std::vector<std::unique_ptr<rt::Runtime>> apps;
-  std::vector<std::unique_ptr<agent::Channel>> channels;
+  std::vector<std::unique_ptr<agent::ShmChannel>> channels;
   std::vector<std::unique_ptr<agent::RuntimeAdapter>> adapters;
   const double ais[] = {0.5, 0.5, 0.5, 1.0};
   for (int a = 0; a < 4; ++a) {
     apps.push_back(std::make_unique<rt::Runtime>(
         machine, rt::RuntimeOptions{.name = "app" + std::to_string(a)}));
-    channels.push_back(std::make_unique<agent::Channel>());
+    channels.push_back(std::make_unique<agent::ShmChannel>());
     const auto home = a == 3 ? 0u : agent::kMaxNodes;  // only app3 is NUMA-bad
     adapters.push_back(
         std::make_unique<agent::RuntimeAdapter>(*apps[a], *channels[a], ais[a], home));

@@ -65,7 +65,7 @@ int main(int argc, char** argv) {
   rt::Runtime main_app(machine, {.name = "main-app"});
   rt::Runtime library(machine, {.name = "library"});
 
-  agent::Channel main_channel, library_channel;
+  agent::ShmChannel main_channel, library_channel;
   agent::RuntimeAdapter main_adapter(main_app, main_channel);
   agent::RuntimeAdapter library_adapter(library, library_channel);
   agent::Agent coordinator(machine, std::make_unique<DelegationPolicy>(),

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
                        {.name = "producer", .tracer = trace_path ? &tracer : nullptr});
   rt::Runtime consumer(machine, {.name = "consumer"});
 
-  agent::Channel producer_channel, consumer_channel;
+  agent::ShmChannel producer_channel, consumer_channel;
   agent::RuntimeAdapter producer_adapter(producer, producer_channel);
   agent::RuntimeAdapter consumer_adapter(consumer, consumer_channel);
 

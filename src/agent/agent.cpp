@@ -28,7 +28,7 @@ std::size_t Agent::index_of_locked(const std::string& name) const {
   return it == index_by_name_.end() ? apps_.size() : it->second;
 }
 
-std::size_t Agent::add_app(std::string name, ChannelBase& channel) {
+std::size_t Agent::add_app(std::string name, ShmChannel& channel) {
   std::lock_guard lock(membership_mutex_);
   // remove_app() is keyed by name; duplicates would make it ambiguous.
   NS_REQUIRE(index_by_name_.find(name) == index_by_name_.end(), "duplicate app name");

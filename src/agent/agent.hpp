@@ -40,7 +40,7 @@ class Agent {
   /// Register an application; the agent keeps a non-owning channel ref.
   /// Returns the app's index (the order policies see). Safe to call while
   /// the background loop runs; the membership change lands between steps.
-  std::size_t add_app(std::string name, ChannelBase& channel);
+  std::size_t add_app(std::string name, ShmChannel& channel);
 
   /// Deregister the named application (join's inverse). Later apps shift
   /// down one index; the policy is notified so it re-partitions. Returns
@@ -113,7 +113,7 @@ class Agent {
  private:
   struct ManagedApp {
     std::string name;
-    ChannelBase* channel = nullptr;
+    ShmChannel* channel = nullptr;
     std::uint64_t command_seq = 0;
     /// Compliance epoch counter: bumped (and stamped into the command) on
     /// every thread-target command that actually reaches the ring.

@@ -12,7 +12,7 @@
 
 namespace numashare::agent {
 
-RuntimeAdapter::RuntimeAdapter(rt::Runtime& runtime, ChannelBase& channel, double app_ai,
+RuntimeAdapter::RuntimeAdapter(rt::Runtime& runtime, ShmChannel& channel, double app_ai,
                                std::uint32_t data_home_node)
     : runtime_(runtime), channel_(channel), ai_estimate_(app_ai),
       auto_ai_(app_ai <= 0.0), data_home_node_(data_home_node) {

@@ -1,150 +1,25 @@
-// Transport between the agent and one runtime, plus the runtime-side pump.
+// The runtime-side end of the agent link.
 //
-// A Channel is a pair of ShmRings (commands in, telemetry out) — the
-// in-process stand-in for the shared-memory link a separate agent process
-// uses (agent::ShmChannel puts the very same ring pair in a POSIX shm
-// segment). RuntimeAdapter is the runtime-side endpoint: it applies
-// arriving commands to the Runtime's control surface and publishes periodic
-// telemetry snapshots, either pumped manually (tests) or from a background
-// thread (examples, benches).
+// RuntimeAdapter is the runtime's endpoint of one agent::ShmChannel
+// (shm_channel.hpp): it applies arriving commands to the Runtime's control
+// surface and publishes periodic telemetry snapshots, either pumped manually
+// (tests) or from a background thread (examples, benches). The channel is a
+// named segment when the agent is another process (the daemon) and a private
+// mapping when it shares this one; the adapter cannot tell them apart.
 #pragma once
 
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <optional>
 #include <thread>
-#include <type_traits>
+#include <vector>
 
 #include "agent/protocol.hpp"
+#include "agent/shm_channel.hpp"
 #include "common/stats.hpp"
 #include "runtime/runtime.hpp"
 
 namespace numashare::agent {
-
-/// Fixed-capacity POD SPSC ring suitable for shared memory: no pointers, no
-/// heap, only address-free atomics and trivially-copyable slots.
-template <typename T, std::size_t N>
-class ShmRing {
-  static_assert((N & (N - 1)) == 0 && N >= 2, "capacity must be a power of two");
-  static_assert(std::is_trivially_copyable_v<T>, "slots must be trivially copyable");
-
- public:
-  void init() {
-    head_.store(0, std::memory_order_relaxed);
-    tail_.store(0, std::memory_order_relaxed);
-  }
-
-  bool try_push(const T& value) {
-    const std::uint64_t head = head_.load(std::memory_order_relaxed);
-    const std::uint64_t tail = tail_.load(std::memory_order_acquire);
-    if (head - tail >= N) return false;
-    slots_[head & (N - 1)] = value;
-    head_.store(head + 1, std::memory_order_release);
-    return true;
-  }
-
-  std::optional<T> try_pop() {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail == head) return std::nullopt;
-    T value = slots_[tail & (N - 1)];
-    tail_.store(tail + 1, std::memory_order_release);
-    return value;
-  }
-
-  std::uint64_t size() const {
-    return head_.load(std::memory_order_acquire) - tail_.load(std::memory_order_acquire);
-  }
-  bool empty() const { return size() == 0; }
-  static constexpr std::size_t capacity() { return N; }
-
-  /// Consumer-side batch drain in O(1): copy the NEWEST committed slot into
-  /// `out` and advance the cursor past everything queued, returning how many
-  /// entries were consumed (0 = empty, `out` untouched). Safe against a
-  /// concurrent producer: slot head-1 is committed (its release store of
-  /// head happens-before our acquire load), and the producer cannot reuse
-  /// that cell until position head-1+N becomes writable, which needs the
-  /// tail — which only we advance — to move past head-1 first.
-  std::uint64_t drain_to_newest(T& out) {
-    const std::uint64_t tail = tail_.load(std::memory_order_relaxed);
-    const std::uint64_t head = head_.load(std::memory_order_acquire);
-    if (tail == head) return 0;
-    out = slots_[(head - 1) & (N - 1)];
-    tail_.store(head, std::memory_order_release);
-    return head - tail;
-  }
-
- private:
-  alignas(64) std::atomic<std::uint64_t> head_;
-  alignas(64) std::atomic<std::uint64_t> tail_;
-  T slots_[N];
-};
-
-/// Transport abstraction: the agent pushes commands / pops telemetry, the
-/// runtime adapter does the reverse. Two implementations: the in-process
-/// Channel below and agent::ShmChannel (shm_channel.hpp), which carries the
-/// same POD messages through a POSIX shared-memory segment between real
-/// processes — the paper's actual deployment shape.
-class ChannelBase {
- public:
-  virtual ~ChannelBase() = default;
-  // Agent side.
-  virtual bool push_command(const Command& command) = 0;
-  virtual std::optional<Telemetry> pop_telemetry() = 0;
-  // Runtime side.
-  virtual std::optional<Command> pop_command() = 0;
-  virtual bool push_telemetry(const Telemetry& telemetry) = 0;
-  /// Agent-side batched ingest: consume every queued telemetry sample,
-  /// leaving the newest in `out` and returning how many were consumed
-  /// (0 = nothing queued, `out` untouched). The agent only needs the newest
-  /// sample per tick — rates come from deltas against its own previous
-  /// newest — so transports skip the intermediate copies with an O(1)
-  /// cursor advance (ShmRing::drain_to_newest).
-  virtual std::uint64_t drain_newest(Telemetry& out) = 0;
-  // Drop accounting: cumulative try_push failures on full rings, visible
-  // from both ends so the agent can tell "quiet app" from "losing samples".
-  virtual std::uint64_t commands_dropped() const { return 0; }
-  virtual std::uint64_t telemetry_dropped() const { return 0; }
-};
-
-struct Channel final : ChannelBase {
-  ShmRing<Command, 64> commands;      // agent -> runtime
-  ShmRing<Telemetry, 256> telemetry;  // runtime -> agent
-
-  Channel() {
-    commands.init();
-    telemetry.init();
-  }
-
-  bool push_command(const Command& command) override {
-    if (commands.try_push(command)) return true;
-    commands_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  std::optional<Command> pop_command() override { return commands.try_pop(); }
-  bool push_telemetry(const Telemetry& t) override {
-    if (telemetry.try_push(t)) return true;
-    telemetry_dropped_.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  std::optional<Telemetry> pop_telemetry() override { return telemetry.try_pop(); }
-  std::uint64_t drain_newest(Telemetry& out) override {
-    return telemetry.drain_to_newest(out);
-  }
-  std::uint64_t commands_dropped() const override {
-    return commands_dropped_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t telemetry_dropped() const override {
-    return telemetry_dropped_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::uint64_t> commands_dropped_{0};
-  std::atomic<std::uint64_t> telemetry_dropped_{0};
-};
 
 class RuntimeAdapter {
  public:
@@ -153,7 +28,7 @@ class RuntimeAdapter {
   /// app_ai = 0 the adapter *derives* the AI from the runtime's
   /// report_work() counters (EWMA of delta-GFLOP / delta-GB per pump) —
   /// §III.A's access-pattern detection.
-  RuntimeAdapter(rt::Runtime& runtime, ChannelBase& channel, double app_ai = 0.0,
+  RuntimeAdapter(rt::Runtime& runtime, ShmChannel& channel, double app_ai = 0.0,
                  std::uint32_t data_home_node = kMaxNodes);
   ~RuntimeAdapter();
 
@@ -224,7 +99,7 @@ class RuntimeAdapter {
   void apply(const Command& command);
 
   rt::Runtime& runtime_;
-  ChannelBase& channel_;
+  ShmChannel& channel_;
   std::atomic<double> ai_estimate_;
   /// Auto-derivation state (pump-thread only).
   bool auto_ai_ = false;

@@ -4,9 +4,9 @@
 // (number of tasks executed, number of running threads, etc.) and it issues
 // commands instructing the runtimes to use a specified number of threads."
 //
-// Both message types are trivially copyable PODs with fixed-size payloads so
-// the very same structs could live in a shared-memory segment between real
-// processes; the in-process build moves them through lock-free SPSC rings.
+// Both message types are trivially copyable PODs with fixed-size payloads, so
+// they live in the lock-free SPSC rings of an agent::ShmChannel, whether its
+// segment is shared between processes or privately mapped in one.
 #pragma once
 
 #include <cstdint>

@@ -9,6 +9,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/assert.hpp"
 #include "common/format.hpp"
 #include "inject/fault.hpp"
 
@@ -71,6 +72,25 @@ struct ShmChannel::Layout {
   std::atomic<std::uint64_t> telemetry_dropped;
 };
 
+ShmChannel::Layout* ShmChannel::init_layout(void* mapped) {
+  auto* layout = new (mapped) Layout;
+  layout->version = kVersion;
+  layout->commands.init();
+  layout->telemetry.init();
+  layout->commands_dropped.store(0, std::memory_order_relaxed);
+  layout->telemetry_dropped.store(0, std::memory_order_relaxed);
+  // Publish the magic last: an attacher seeing it can trust the rest.
+  layout->magic.store(kMagic, std::memory_order_release);
+  return layout;
+}
+
+ShmChannel::ShmChannel() {
+  void* mapped = mmap(nullptr, sizeof(Layout), PROT_READ | PROT_WRITE,
+                      MAP_SHARED | MAP_ANONYMOUS, -1, 0);
+  NS_REQUIRE(mapped != MAP_FAILED, "mmap of a private channel failed");
+  layout_ = init_layout(mapped);
+}
+
 ShmChannel::ShmChannel(std::string name, Layout* layout, bool creator)
     : name_(std::move(name)), layout_(layout), creator_(creator) {}
 
@@ -92,15 +112,7 @@ std::unique_ptr<ShmChannel> ShmChannel::create(const std::string& name, std::str
     shm_unlink(name.c_str());
     return fail("mmap");
   }
-  auto* layout = new (mapped) Layout;
-  layout->version = kVersion;
-  layout->commands.init();
-  layout->telemetry.init();
-  layout->commands_dropped.store(0, std::memory_order_relaxed);
-  layout->telemetry_dropped.store(0, std::memory_order_relaxed);
-  // Publish the magic last: an attacher seeing it can trust the rest.
-  layout->magic.store(kMagic, std::memory_order_release);
-  return std::unique_ptr<ShmChannel>(new ShmChannel(name, layout, /*creator=*/true));
+  return std::unique_ptr<ShmChannel>(new ShmChannel(name, init_layout(mapped), /*creator=*/true));
 }
 
 std::unique_ptr<ShmChannel> ShmChannel::attach(const std::string& name, std::string* error) {
@@ -186,16 +198,18 @@ std::uint64_t ShmChannel::commands_queued() const { return layout_->commands.siz
 
 std::uint64_t ShmChannel::telemetry_queued() const { return layout_->telemetry.size(); }
 
-std::size_t cleanup_stale_segments(const std::string& prefix, std::string* error) {
+std::size_t cleanup_stale_segments(const std::string& registry_name, std::string* error) {
   // POSIX shm names live as files under /dev/shm on Linux, minus the
   // leading '/'. Scanning the directory is the only portable-enough way to
   // enumerate them; shm_open offers no listing API.
-  std::string want = prefix;
+  std::string want = registry_name;
   if (!want.empty() && want.front() == '/') want.erase(0, 1);
   if (want.empty()) {
-    if (error) *error = "refusing to cleanup with an empty prefix";
+    if (error) *error = "refusing to cleanup with an empty registry name";
     return 0;
   }
+  // The daemon's channel naming (Daemon::admit).
+  const std::string channels = want + "-chan-";
   DIR* dir = opendir("/dev/shm");
   if (dir == nullptr) {
     if (error) *error = ns_format("opendir(/dev/shm): {}", std::strerror(errno));
@@ -204,7 +218,7 @@ std::size_t cleanup_stale_segments(const std::string& prefix, std::string* error
   std::size_t removed = 0;
   while (const dirent* entry = readdir(dir)) {
     const std::string file = entry->d_name;
-    if (file.rfind(want, 0) != 0) continue;
+    if (file != want && file.rfind(channels, 0) != 0) continue;
     const std::string shm_name = "/" + file;
     if (shm_unlink(shm_name.c_str()) == 0) ++removed;
   }

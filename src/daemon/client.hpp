@@ -103,7 +103,7 @@ class DaemonClient {
 
   /// The app side of the pair's channel (attach RuntimeAdapter here).
   /// Null before connect().
-  agent::ChannelBase* channel() { return channel_.get(); }
+  agent::ShmChannel* channel() { return channel_.get(); }
 
   /// The arbitrated machine's node layout, as published in the registry —
   /// build the local runtime over this shape so the daemon's per-node

@@ -12,9 +12,9 @@
 //  * crash detection — heartbeat silence plus kill(pid, 0);
 //  * eviction — the dead client's app is deregistered, its channel
 //    unlinked, its cores redistributed by the policy on the next tick;
-//  * crash recovery — on startup the daemon removes every stale segment
-//    left under its name prefix by a previous incarnation (only after
-//    checking no live daemon still owns the registry);
+//  * crash recovery — on startup the daemon removes the stale registry and
+//    channel segments a previous incarnation left under its name (only
+//    after checking no live daemon still owns the registry);
 //  * observability — every membership event and reallocation goes to the
 //    JSONL journal (journal.hpp), and `numashare_cli daemon-status` reads
 //    live state straight out of the registry segment.
@@ -40,7 +40,7 @@ namespace numashare::nsd {
 struct DaemonOptions {
   std::string registry_name = kDefaultRegistryName;
   /// Per-client channel segments are named <registry_name>-chan-<slot>-<gen>.
-  /// Startup cleanup unlinks everything starting with <registry_name>.
+  /// Startup cleanup unlinks <registry_name> and <registry_name>-chan-*.
   std::string journal_path;  ///< empty = journaling disabled
   /// Evict a client whose heartbeat counter has not changed for this long.
   double heartbeat_timeout_s = 2.0;

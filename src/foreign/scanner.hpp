@@ -11,10 +11,10 @@
 //   <root>/<pid>/stat      utime/stime deltas       -> cores consumed by pid
 //   <root>/<pid>/status    Name: / Cpus_allowed:    -> identity + placement
 //
-// The procfs root is a constructor parameter so tests and the simulator can
+// The procfs root is a constructor parameter so tests and benches can
 // script whole fleets of fake processes through a temp directory
-// (foreign/procfs_writer) — the parsing and attribution logic is identical
-// against the real /proc.
+// (tests/support/procfs_writer) — the parsing and attribution logic is
+// identical against the real /proc.
 //
 // Node attribution: a pid's measured CPU share is split across NUMA nodes
 // proportionally to how many of each node's cores its Cpus_allowed mask

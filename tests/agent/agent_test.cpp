@@ -30,7 +30,7 @@ TEST(Agent, FairShareDrivesTwoRuntimes) {
   const auto machine = machine_2x2();
   rt::Runtime app1(machine, {.name = "app1"});
   rt::Runtime app2(machine, {.name = "app2"});
-  Channel ch1, ch2;
+  ShmChannel ch1, ch2;
   RuntimeAdapter ad1(app1, ch1), ad2(app2, ch2);
 
   Agent agent(machine, std::make_unique<FairSharePolicy>());
@@ -59,7 +59,7 @@ TEST(Agent, FairShareDrivesTwoRuntimes) {
 TEST(Agent, ViewsTrackProgressRates) {
   const auto machine = machine_2x2();
   rt::Runtime app(machine, {.name = "rates"});
-  Channel ch;
+  ShmChannel ch;
   RuntimeAdapter adapter(app, ch);
   Agent agent(machine, std::make_unique<OversubscribedPolicy>());
   agent.add_app("rates", ch);
@@ -86,7 +86,7 @@ TEST(Agent, WatchdogStallReachesCompliance) {
   const auto machine = machine_2x2();
   rt::Runtime app(machine, {.name = "stall", .watchdog_deadline_us = 20'000});
   ASSERT_NE(app.watchdog(), nullptr);
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(app, channel);
   Agent agent(machine, std::make_unique<OversubscribedPolicy>());
   agent.add_app("stall", channel);
@@ -125,7 +125,7 @@ TEST(Agent, BackgroundLoopConverges) {
   const auto machine = machine_2x2();
   rt::Runtime app1(machine, {.name = "bg1"});
   rt::Runtime app2(machine, {.name = "bg2"});
-  Channel ch1, ch2;
+  ShmChannel ch1, ch2;
   RuntimeAdapter ad1(app1, ch1), ad2(app2, ch2);
   ad1.start(500);
   ad2.start(500);
@@ -148,7 +148,7 @@ TEST(Agent, ProducerConsumerKeepsLeadBounded) {
   const auto machine = topo::Machine::symmetric(1, 8, 1.0, 10.0);
   rt::Runtime producer(machine, {.name = "prod"});
   rt::Runtime consumer(machine, {.name = "cons"});
-  Channel chp, chc;
+  ShmChannel chp, chc;
   RuntimeAdapter adp(producer, chp), adc(consumer, chc);
 
   ProducerConsumerPolicy::Options options;
@@ -193,7 +193,7 @@ TEST(AgentDeath, PolicyRequired) {
 // dynamic_membership_test.cpp. Duplicate names are still rejected.
 TEST(AgentDeath, DuplicateNameRejected) {
   Agent agent(machine_2x2(), std::make_unique<OversubscribedPolicy>());
-  Channel ch1, ch2;
+  ShmChannel ch1, ch2;
   agent.add_app("same", ch1);
   EXPECT_DEATH(agent.add_app("same", ch2), "duplicate");
 }

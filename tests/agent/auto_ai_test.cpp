@@ -15,7 +15,7 @@ namespace {
 
 topo::Machine machine_2x2() { return topo::Machine::symmetric(2, 2, 1.0, 10.0); }
 
-std::optional<Telemetry> last_telemetry(ChannelBase& channel) {
+std::optional<Telemetry> last_telemetry(ShmChannel& channel) {
   std::optional<Telemetry> last;
   while (auto t = channel.pop_telemetry()) last = *t;
   return last;
@@ -23,7 +23,7 @@ std::optional<Telemetry> last_telemetry(ChannelBase& channel) {
 
 TEST(AutoAi, ReportWorkCountersReachTelemetry) {
   rt::Runtime runtime(machine_2x2(), {.name = "work"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel, /*app_ai=*/0.0);
   runtime.report_work(2.5, 0.5);
   adapter.pump();
@@ -35,7 +35,7 @@ TEST(AutoAi, ReportWorkCountersReachTelemetry) {
 
 TEST(AutoAi, DerivesRatioFromDeltas) {
   rt::Runtime runtime(machine_2x2(), {.name = "ratio"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel, /*app_ai=*/0.0);
   adapter.pump();  // baseline (no work yet -> no estimate)
   auto t = last_telemetry(channel);
@@ -52,7 +52,7 @@ TEST(AutoAi, DerivesRatioFromDeltas) {
 
 TEST(AutoAi, TracksPhaseChange) {
   rt::Runtime runtime(machine_2x2(), {.name = "phase"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel, 0.0);
   for (int i = 0; i < 20; ++i) {
     runtime.report_work(1.0, 2.0);  // AI 0.5
@@ -68,7 +68,7 @@ TEST(AutoAi, TracksPhaseChange) {
 
 TEST(AutoAi, PureComputeCapsNotInfinity) {
   rt::Runtime runtime(machine_2x2(), {.name = "cap"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel, 0.0);
   for (int i = 0; i < 10; ++i) {
     runtime.report_work(5.0, 0.0);
@@ -81,7 +81,7 @@ TEST(AutoAi, PureComputeCapsNotInfinity) {
 
 TEST(AutoAi, DeclaredAiNotOverridden) {
   rt::Runtime runtime(machine_2x2(), {.name = "declared"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel, /*app_ai=*/0.7);
   runtime.report_work(100.0, 1.0);  // would imply AI 100
   adapter.pump();
@@ -94,7 +94,7 @@ TEST(AutoAi, RealAppsAreClassifiedCorrectly) {
   // measured values near each app's own nominal estimate.
   rt::Runtime stencil_rt(machine_2x2(), {.name = "st"});
   rt::Runtime mc_rt(machine_2x2(), {.name = "mc"});
-  Channel st_ch, mc_ch;
+  ShmChannel st_ch, mc_ch;
   RuntimeAdapter st_ad(stencil_rt, st_ch, 0.0);
   RuntimeAdapter mc_ad(mc_rt, mc_ch, 0.0);
   st_ad.pump();
@@ -127,7 +127,7 @@ TEST(AutoAi, ModelGuidedPolicyConsumesDerivedAi) {
   const auto machine = topo::Machine::symmetric(2, 4, 10.0, 32.0, 10.0);
   rt::Runtime mem(machine, {.name = "mem"});
   rt::Runtime compute(machine, {.name = "cpu"});
-  Channel mem_ch, cpu_ch;
+  ShmChannel mem_ch, cpu_ch;
   RuntimeAdapter mem_ad(mem, mem_ch, 0.0);
   RuntimeAdapter cpu_ad(compute, cpu_ch, 0.0);
   Agent agent(machine, std::make_unique<ModelGuidedPolicy>());

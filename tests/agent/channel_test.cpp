@@ -25,14 +25,14 @@ bool eventually(F predicate) {
 
 TEST(Channel, CommandsApplyToRuntime) {
   rt::Runtime runtime(machine_2x2());
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
 
   Command cmd;
   cmd.type = CommandType::kSetTotalThreads;
   cmd.total_threads = 1;
   cmd.seq = 1;
-  ASSERT_TRUE(channel.commands.try_push(cmd));
+  ASSERT_TRUE(channel.push_command(cmd));
   EXPECT_EQ(adapter.pump(), 1u);
   EXPECT_EQ(adapter.commands_applied(), 1u);
   EXPECT_EQ(adapter.last_command_seq(), 1u);
@@ -41,7 +41,7 @@ TEST(Channel, CommandsApplyToRuntime) {
 
 TEST(Channel, NodeThreadsCommand) {
   rt::Runtime runtime(machine_2x2());
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
 
   Command cmd;
@@ -49,7 +49,7 @@ TEST(Channel, NodeThreadsCommand) {
   cmd.node_count = 2;
   cmd.node_threads[0] = 2;
   cmd.node_threads[1] = 0;
-  channel.commands.try_push(cmd);
+  channel.push_command(cmd);
   adapter.pump();
   EXPECT_TRUE(eventually([&] { return runtime.running_per_node()[1] == 0; }));
   EXPECT_EQ(runtime.control_mode(), rt::ControlMode::kPerNode);
@@ -57,13 +57,13 @@ TEST(Channel, NodeThreadsCommand) {
 
 TEST(Channel, BlockCoresCommandRoundTripsMask) {
   rt::Runtime runtime(machine_2x2());
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
 
   Command cmd;
   cmd.type = CommandType::kBlockCores;
   cmd.core_mask[0] = 0b1001;  // cores 0 and 3
-  channel.commands.try_push(cmd);
+  channel.push_command(cmd);
   adapter.pump();
   EXPECT_TRUE(eventually([&] { return runtime.blocked_threads() == 2; }));
   const auto per_node = runtime.running_per_node();
@@ -73,12 +73,12 @@ TEST(Channel, BlockCoresCommandRoundTripsMask) {
 
 TEST(Channel, EmptyCoreMaskClears) {
   rt::Runtime runtime(machine_2x2());
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   runtime.set_total_thread_target(0);
   Command cmd;
   cmd.type = CommandType::kBlockCores;  // all-zero mask
-  channel.commands.try_push(cmd);
+  channel.push_command(cmd);
   adapter.pump();
   EXPECT_TRUE(eventually([&] { return runtime.running_threads() == 4; }));
   EXPECT_EQ(runtime.control_mode(), rt::ControlMode::kNone);
@@ -86,14 +86,14 @@ TEST(Channel, EmptyCoreMaskClears) {
 
 TEST(Channel, TelemetryReflectsRuntime) {
   rt::Runtime runtime(machine_2x2(), {.name = "tel"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel, /*app_ai=*/0.5, /*data_home_node=*/1);
 
   runtime.spawn([](rt::TaskContext&) {})->wait();
   runtime.wait_idle();
   runtime.report_progress(7);
   adapter.pump();
-  const auto t = channel.telemetry.try_pop();
+  const auto t = channel.pop_telemetry();
   ASSERT_TRUE(t.has_value());
   EXPECT_EQ(t->seq, 1u);
   EXPECT_EQ(t->tasks_executed, 1u);
@@ -109,13 +109,13 @@ TEST(Channel, TelemetryReflectsRuntime) {
 
 TEST(Channel, TelemetrySequencesIncrement) {
   rt::Runtime runtime(machine_2x2());
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   adapter.pump();
   adapter.pump();
   adapter.pump();
   std::uint64_t expected = 1;
-  while (auto t = channel.telemetry.try_pop()) {
+  while (auto t = channel.pop_telemetry()) {
     EXPECT_EQ(t->seq, expected++);
   }
   EXPECT_EQ(expected, 4u);
@@ -123,37 +123,37 @@ TEST(Channel, TelemetrySequencesIncrement) {
 
 TEST(Channel, AiEstimateUpdatable) {
   rt::Runtime runtime(machine_2x2());
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel, 1.0);
   adapter.set_ai_estimate(2.5);
   adapter.pump();
-  const auto t = channel.telemetry.try_pop();
+  const auto t = channel.pop_telemetry();
   ASSERT_TRUE(t.has_value());
   EXPECT_DOUBLE_EQ(t->ai_estimate, 2.5);
 }
 
 TEST(Channel, BackgroundPumpDeliversCommands) {
   rt::Runtime runtime(machine_2x2());
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   adapter.start(/*period_us=*/500);
   Command cmd;
   cmd.type = CommandType::kSetTotalThreads;
   cmd.total_threads = 2;
-  channel.commands.try_push(cmd);
+  channel.push_command(cmd);
   EXPECT_TRUE(eventually([&] { return runtime.running_threads() == 2; }));
-  EXPECT_TRUE(eventually([&] { return !channel.telemetry.empty(); }));
+  EXPECT_TRUE(eventually([&] { return channel.telemetry_queued() > 0; }));
   adapter.stop();
 }
 
 TEST(ChannelDeath, NodeCountMismatchRejected) {
   rt::Runtime runtime(machine_2x2());
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   Command cmd;
   cmd.type = CommandType::kSetNodeThreads;
   cmd.node_count = 5;
-  channel.commands.try_push(cmd);
+  channel.push_command(cmd);
   EXPECT_DEATH(adapter.pump(), "mismatch");
 }
 

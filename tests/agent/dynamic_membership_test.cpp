@@ -29,7 +29,7 @@ TEST(DynamicMembership, RemoveAppReclaimsSharesUnderFairShare) {
   const auto machine = machine_2x2();
   rt::Runtime app1(machine, {.name = "dm1"});
   rt::Runtime app2(machine, {.name = "dm2"});
-  Channel ch1, ch2;
+  ShmChannel ch1, ch2;
   RuntimeAdapter ad1(app1, ch1), ad2(app2, ch2);
 
   Agent agent(machine, std::make_unique<FairSharePolicy>());
@@ -63,7 +63,7 @@ TEST(DynamicMembership, ModelGuidedRepartitionsAfterEviction) {
   const auto machine = topo::Machine::symmetric(2, 2, 10.0, 32.0, 10.0);
   rt::Runtime mem(machine, {.name = "mem"});
   rt::Runtime compute(machine, {.name = "compute"});
-  Channel chm, chc;
+  ShmChannel chm, chc;
   RuntimeAdapter adm(mem, chm, 0.5), adc(compute, chc, 10.0);
 
   auto policy = std::make_unique<ModelGuidedPolicy>();
@@ -104,7 +104,7 @@ TEST(DynamicMembership, AddAppWhileRunning) {
   const auto machine = machine_2x2();
   rt::Runtime app1(machine, {.name = "early"});
   rt::Runtime app2(machine, {.name = "late"});
-  Channel ch1, ch2;
+  ShmChannel ch1, ch2;
   RuntimeAdapter ad1(app1, ch1), ad2(app2, ch2);
   ad1.start(500);
   ad2.start(500);
@@ -127,7 +127,7 @@ TEST(DynamicMembership, AddAppWhileRunning) {
 
 TEST(DynamicMembership, GenerationTracksEveryChange) {
   Agent agent(machine_2x2(), std::make_unique<FairSharePolicy>());
-  Channel ch1, ch2;
+  ShmChannel ch1, ch2;
   const auto g0 = agent.generation();
   agent.add_app("a", ch1);
   EXPECT_GT(agent.generation(), g0);
@@ -148,7 +148,7 @@ TEST(DynamicMembership, GenerationTracksEveryChange) {
 
 TEST(DynamicMembership, TelemetryDropsSurfaceInViews) {
   const auto machine = machine_2x2();
-  Channel ch;
+  ShmChannel ch;
   Agent agent(machine, std::make_unique<FairSharePolicy>());
   agent.add_app("chatty", ch);
 

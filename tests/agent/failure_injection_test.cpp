@@ -30,7 +30,7 @@ bool eventually(F predicate) {
 
 TEST(FailureInjection, AgentDeathLeavesRuntimeWorking) {
   rt::Runtime runtime(machine_2x2(), {.name = "orphan"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   {
     Agent agent(machine_2x2(), std::make_unique<FairSharePolicy>(
@@ -63,7 +63,7 @@ TEST(FailureInjection, StalledAdapterOnlyCostsFreshness) {
   // The agent keeps sending while the app never pumps: the command ring
   // fills, sends are dropped and accounted, nothing blocks.
   rt::Runtime runtime(machine_2x2(), {.name = "stalled"});
-  Channel channel;
+  ShmChannel channel;
   Agent agent(machine_2x2(), std::make_unique<OversubscribedPolicy>());
   agent.add_app("stalled", channel);
   Command cmd;
@@ -73,7 +73,7 @@ TEST(FailureInjection, StalledAdapterOnlyCostsFreshness) {
   for (int i = 0; i < 200; ++i) {
     if (channel.push_command(cmd)) ++accepted;
   }
-  EXPECT_EQ(accepted, channel.commands.capacity());
+  EXPECT_EQ(accepted, ShmChannel::kCommandSlots);
   // The runtime was never pumped: untouched.
   EXPECT_EQ(runtime.running_threads(), 4u);
 }
@@ -82,10 +82,10 @@ TEST(FailureInjection, TelemetryFloodDropsOldestPressure) {
   // An agent that never reads telemetry: the adapter keeps pumping without
   // blocking; the ring saturates at capacity.
   rt::Runtime runtime(machine_2x2(), {.name = "flood"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   for (int i = 0; i < 1000; ++i) adapter.pump();
-  EXPECT_EQ(channel.telemetry.size(), channel.telemetry.capacity());
+  EXPECT_EQ(channel.telemetry_queued(), ShmChannel::kTelemetrySlots);
   // Commands still flow once pushed.
   Command cmd;
   cmd.type = CommandType::kSetTotalThreads;
@@ -99,7 +99,7 @@ TEST(FailureInjection, LateJoinerCatchesUp) {
   // An app that starts pumping long after the agent issued commands applies
   // the queued backlog in order and lands on the final state.
   rt::Runtime runtime(machine_2x2(), {.name = "late"});
-  Channel channel;
+  ShmChannel channel;
   for (std::uint32_t target : {1u, 3u, 2u}) {
     Command cmd;
     cmd.type = CommandType::kSetTotalThreads;
@@ -116,7 +116,7 @@ TEST(FailureInjection, PolicyExceptionSafetyViaEmptyViews) {
   Agent agent(machine_2x2(), std::make_unique<ProducerConsumerPolicy>());
   rt::Runtime a(machine_2x2(), {.name = "fa"});
   rt::Runtime b(machine_2x2(), {.name = "fb"});
-  Channel cha, chb;
+  ShmChannel cha, chb;
   agent.add_app("fa", cha);
   agent.add_app("fb", chb);
   EXPECT_EQ(agent.step(0.0), 0u);  // no telemetry -> no commands

@@ -29,7 +29,7 @@ Command node_threads_command(std::uint32_t node0, std::uint32_t node1,
   return cmd;
 }
 
-std::optional<Telemetry> drain_latest(Channel& channel) {
+std::optional<Telemetry> drain_latest(ShmChannel& channel) {
   std::optional<Telemetry> last;
   while (auto t = channel.pop_telemetry()) last = t;
   return last;
@@ -38,7 +38,7 @@ std::optional<Telemetry> drain_latest(Channel& channel) {
 TEST(MigrationTick, ChangedNodeTargetsMigrateData) {
   rt::Runtime runtime(machine_2x2());
   auto db = runtime.create_datablock(1u << 16, 0);
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   ASSERT_TRUE(adapter.migrate_on_realloc());  // default on
 
@@ -56,7 +56,7 @@ TEST(MigrationTick, ChangedNodeTargetsMigrateData) {
 TEST(MigrationTick, ReassertedTargetsDoNotChurn) {
   rt::Runtime runtime(machine_2x2());
   auto db = runtime.create_datablock(1u << 16, 0);
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
 
   channel.push_command(node_threads_command(0, 2, 1));
@@ -76,7 +76,7 @@ TEST(MigrationTick, ReassertedTargetsDoNotChurn) {
 TEST(MigrationTick, DisabledMigrationLeavesDataInPlace) {
   rt::Runtime runtime(machine_2x2());
   auto db = runtime.create_datablock(1u << 16, 0);
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   adapter.set_migrate_on_realloc(false);
 
@@ -88,7 +88,7 @@ TEST(MigrationTick, DisabledMigrationLeavesDataInPlace) {
 
 TEST(MigrationTick, AutoDataHomeTracksResidency) {
   rt::Runtime runtime(machine_2x2());
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
 
   // No blocks: no home to advertise.
@@ -109,7 +109,7 @@ TEST(MigrationTick, AutoDataHomeTracksResidency) {
 
 TEST(MigrationTick, AutoDataHomeReportsSpreadDataAsHomeless) {
   rt::Runtime runtime(machine_2x2());
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   adapter.enable_auto_data_home();
 

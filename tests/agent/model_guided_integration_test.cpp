@@ -36,12 +36,12 @@ TEST(ModelGuidedIntegration, DrivesRuntimesToPaperSplit) {
   const double ais[] = {0.5, 0.5, 0.5, 10.0};
 
   std::vector<std::unique_ptr<rt::Runtime>> apps;
-  std::vector<std::unique_ptr<Channel>> channels;
+  std::vector<std::unique_ptr<ShmChannel>> channels;
   std::vector<std::unique_ptr<RuntimeAdapter>> adapters;
   for (int a = 0; a < 4; ++a) {
     apps.push_back(std::make_unique<rt::Runtime>(
         machine, rt::RuntimeOptions{.name = "mg" + std::to_string(a)}));
-    channels.push_back(std::make_unique<Channel>());
+    channels.push_back(std::make_unique<ShmChannel>());
     adapters.push_back(
         std::make_unique<RuntimeAdapter>(*apps[a], *channels[a], ais[a]));
   }
@@ -87,7 +87,7 @@ TEST(ModelGuidedIntegration, CommandCountStableAtFixedPoint) {
   const auto machine = topo::Machine::symmetric(2, 2, 10.0, 32.0, 10.0);
   rt::Runtime app1(machine, {.name = "s1"});
   rt::Runtime app2(machine, {.name = "s2"});
-  Channel ch1, ch2;
+  ShmChannel ch1, ch2;
   RuntimeAdapter ad1(app1, ch1, 0.5), ad2(app2, ch2, 10.0);
   Agent agent(machine, std::make_unique<ModelGuidedPolicy>());
   agent.add_app("s1", ch1);

@@ -54,7 +54,7 @@ TEST(PlacementFlow, NoSuggestionWhenPlacementAdviceDisabled) {
 TEST(PlacementFlow, SuggestionReachesHandlerAndUpdatesTelemetry) {
   const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0);
   rt::Runtime runtime(machine, {.name = "mig"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel, /*app_ai=*/1.0, /*data_home_node=*/0);
 
   // The "application": a datablock it migrates when advised.
@@ -68,14 +68,14 @@ TEST(PlacementFlow, SuggestionReachesHandlerAndUpdatesTelemetry) {
   suggestion.type = CommandType::kSuggestDataHome;
   suggestion.suggested_home = 1;
   suggestion.seq = 1;
-  ASSERT_TRUE(channel.commands.try_push(suggestion));
+  ASSERT_TRUE(channel.push_command(suggestion));
   adapter.pump();
 
   EXPECT_EQ(data->node(), 1u);
   EXPECT_EQ(runtime.datablocks().bytes_on_node(1), 1024u);
   // The next telemetry sample advertises the new home.
   std::optional<Telemetry> last;
-  while (auto t = channel.telemetry.try_pop()) last = *t;
+  while (auto t = channel.pop_telemetry()) last = *t;
   ASSERT_TRUE(last.has_value());
   EXPECT_EQ(last->data_home_node, 1u);
 }
@@ -83,14 +83,14 @@ TEST(PlacementFlow, SuggestionReachesHandlerAndUpdatesTelemetry) {
 TEST(PlacementFlow, OutOfRangeSuggestionIgnored) {
   const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0);
   rt::Runtime runtime(machine, {.name = "rng"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   bool called = false;
   adapter.set_data_home_handler([&](topo::NodeId) { called = true; });
   Command suggestion;
   suggestion.type = CommandType::kSuggestDataHome;
   suggestion.suggested_home = 99;
-  channel.commands.try_push(suggestion);
+  channel.push_command(suggestion);
   adapter.pump();
   EXPECT_FALSE(called);
 }
@@ -98,12 +98,12 @@ TEST(PlacementFlow, OutOfRangeSuggestionIgnored) {
 TEST(PlacementFlow, NoHandlerMeansAdvisoryDropped) {
   const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0);
   rt::Runtime runtime(machine, {.name = "nohandler"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
   Command suggestion;
   suggestion.type = CommandType::kSuggestDataHome;
   suggestion.suggested_home = 1;
-  channel.commands.try_push(suggestion);
+  channel.push_command(suggestion);
   EXPECT_EQ(adapter.pump(), 1u);  // consumed without effect, no crash
 }
 
@@ -123,7 +123,7 @@ TEST(PlacementFlow, AgentTransmitsSuggestionsThroughDirectives) {
   };
 
   rt::Runtime runtime(machine, {.name = "stub"});
-  Channel channel;
+  ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel, 1.0, 0);
   std::uint32_t suggested = kMaxNodes;
   adapter.set_data_home_handler([&](topo::NodeId node) { suggested = node; });

@@ -1,6 +1,6 @@
-// ShmRing, the one SPSC ring both transports use, and the coalesced
-// telemetry drain (ChannelBase::drain_newest) every daemon tick ingests
-// through, on the in-process Channel and on ShmChannel alike.
+// ShmRing, the one SPSC ring, and the coalesced telemetry drain
+// (ShmChannel::drain_newest) every daemon tick ingests through, on a private
+// channel and on two mappings of a named segment alike.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -84,8 +84,9 @@ bool is_whole(const Telemetry& t) {
   return whole;
 }
 
-/// Runtime-side producer and agent-side consumer of one transport: a single
-/// in-process Channel, or two mappings of one ShmChannel segment.
+/// Runtime-side producer and agent-side consumer of one channel: a single
+/// private mapping (labelled "Channel"), or two mappings of one named
+/// segment (labelled "ShmChannel").
 class ChannelDrain : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
@@ -98,10 +99,10 @@ class ChannelDrain : public ::testing::TestWithParam<bool> {
     consumer_ = agent_side_.get();
   }
 
-  Channel channel_;
+  ShmChannel channel_;
   std::unique_ptr<ShmChannel> agent_side_, app_side_;
-  ChannelBase* producer_ = &channel_;
-  ChannelBase* consumer_ = &channel_;
+  ShmChannel* producer_ = &channel_;
+  ShmChannel* consumer_ = &channel_;
 };
 
 INSTANTIATE_TEST_SUITE_P(Transports, ChannelDrain, ::testing::Bool(),

@@ -57,6 +57,41 @@ TEST(ShmChannel, CreateAttachRoundTrip) {
   EXPECT_EQ(sample->running_threads, 5u);
 }
 
+TEST(ShmChannel, PrivateMappingRoundTripAndDrops) {
+  // The default constructor: same Layout, no name, nothing to unlink.
+  ShmChannel channel;
+  EXPECT_TRUE(channel.name().empty());
+  EXPECT_FALSE(channel.is_creator());
+
+  Command cmd;
+  cmd.type = CommandType::kSetTotalThreads;
+  cmd.total_threads = 3;
+  cmd.seq = 42;
+  EXPECT_TRUE(channel.push_command(cmd));
+  EXPECT_EQ(channel.commands_queued(), 1u);
+  const auto received = channel.pop_command();
+  ASSERT_TRUE(received.has_value());
+  EXPECT_EQ(received->total_threads, 3u);
+  EXPECT_EQ(received->seq, 42u);
+
+  Telemetry t;
+  t.seq = 7;
+  t.running_threads = 5;
+  EXPECT_TRUE(channel.push_telemetry(t));
+  const auto sample = channel.pop_telemetry();
+  ASSERT_TRUE(sample.has_value());
+  EXPECT_EQ(sample->seq, 7u);
+  EXPECT_EQ(sample->running_threads, 5u);
+
+  // Full rings count drops in the Layout, exactly as for a named segment.
+  for (std::size_t i = 0; i < ShmChannel::kTelemetrySlots + 10; ++i) channel.push_telemetry(t);
+  for (std::size_t i = 0; i < ShmChannel::kCommandSlots + 3; ++i) channel.push_command(cmd);
+  EXPECT_EQ(channel.telemetry_dropped(), 10u);
+  EXPECT_EQ(channel.commands_dropped(), 3u);
+  EXPECT_EQ(channel.telemetry_queued(), ShmChannel::kTelemetrySlots);
+  EXPECT_EQ(channel.commands_queued(), ShmChannel::kCommandSlots);
+}
+
 TEST(ShmChannel, CreateTwiceFails) {
   const auto name = unique_name("dup");
   auto first = ShmChannel::create(name);
@@ -123,24 +158,28 @@ TEST(ShmChannel, DropCountersVisibleFromBothMappings) {
 
 TEST(ShmChannel, CleanupStaleSegmentsMatchesPrefixOnly) {
   const auto prefix = unique_name("stale");
-  // Three "orphaned" segments under the prefix (as a crashed daemon leaves
-  // behind) and one live channel under an unrelated name.
+  // Three "orphaned" segments of a registry named `prefix` (as a crashed
+  // daemon leaves behind), one live channel under an unrelated name, and a
+  // neighbouring registry whose name merely starts with `prefix`.
   auto a = ShmChannel::create(prefix + "-chan-0-1");
   auto b = ShmChannel::create(prefix + "-chan-1-2");
   auto c = ShmChannel::create(prefix);
   const auto other_name = unique_name("survivor");
   auto other = ShmChannel::create(other_name);
+  auto neighbour = ShmChannel::create(prefix + "2");
   ASSERT_NE(a, nullptr);
   ASSERT_NE(b, nullptr);
   ASSERT_NE(c, nullptr);
   ASSERT_NE(other, nullptr);
+  ASSERT_NE(neighbour, nullptr);
 
   std::string error;
   EXPECT_EQ(cleanup_stale_segments(prefix, &error), 3u) << error;
   // Unlinked: new attaches fail even though our mappings remain valid.
   EXPECT_EQ(ShmChannel::attach(prefix + "-chan-0-1"), nullptr);
-  // The unrelated segment survived and is still attachable.
+  // The unrelated segment and the neighbour survived and are attachable.
   EXPECT_NE(ShmChannel::attach(other_name), nullptr);
+  EXPECT_NE(ShmChannel::attach(prefix + "2"), nullptr);
   // Idempotent: nothing left to clean.
   EXPECT_EQ(cleanup_stale_segments(prefix), 0u);
 

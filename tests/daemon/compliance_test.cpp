@@ -55,7 +55,7 @@ struct Echo {
   std::uint64_t epoch = 0;
   std::uint32_t target = agent::kUnconstrained;
 
-  void drain(agent::ChannelBase& channel) {
+  void drain(agent::ShmChannel& channel) {
     while (auto cmd = channel.pop_command()) {
       if (cmd->epoch == 0) continue;  // advisory, not a thread target
       if (cmd->epoch < epoch) continue;
@@ -81,7 +81,7 @@ struct Echo {
 
   /// Publish a telemetry sample claiming the newest drained epoch is fully
   /// enacted (running threads at the target).
-  void ack(agent::ChannelBase& channel) {
+  void ack(agent::ShmChannel& channel) {
     agent::Telemetry tel;
     tel.seq = ++seq;
     tel.running_threads = target == agent::kUnconstrained ? 2 : target;

@@ -70,6 +70,33 @@ TEST(Daemon, StartupCleansStaleSegments) {
   EXPECT_EQ(daemon.stats().stale_segments_cleaned, 3u);
 }
 
+TEST(Daemon, StartupSparesADaemonWhoseNameExtendsOurs) {
+  // A live daemon on <r>2 with an admitted client: a daemon starting on <r>
+  // must clean only its own names, not every name that starts with <r>.
+  const auto registry = unique_registry("prefix");
+  const auto neighbour_registry = registry + "2";
+  DaemonOptions neighbour_options;
+  neighbour_options.registry_name = neighbour_registry;
+  Daemon neighbour(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(),
+                   neighbour_options);
+  ASSERT_TRUE(neighbour.init());
+  ClientConnectOptions copts;
+  copts.registry_name = neighbour_registry;
+  DaemonClient client("neighbour", copts);
+  double now = 0.0;
+  ASSERT_TRUE(connect_with_ticks(client, neighbour, now));
+  const std::string channel_name = client.channel()->name();
+
+  DaemonOptions options;
+  options.registry_name = registry;
+  Daemon daemon(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(), options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+  EXPECT_EQ(daemon.stats().stale_segments_cleaned, 0u);
+  EXPECT_NE(Registry::open(neighbour_registry, &error), nullptr) << error;
+  EXPECT_NE(agent::ShmChannel::attach(channel_name, &error), nullptr) << error;
+}
+
 TEST(Daemon, JoinEvictLeaveLifecycle) {
   const auto registry = unique_registry("life");
   const auto journal = unique_journal("life");

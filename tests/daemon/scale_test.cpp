@@ -4,11 +4,11 @@
 // registry/health state, and that the periodic sweep converges slots whose
 // attention bit was lost.
 //
-// Clients are simulated in-process by driving the slot protocol directly
-// (claim_slot / heartbeat / kLeaving CAS) against a second mapping of the
-// registry, exactly what DaemonClient does, minus the channel attach — the
-// daemon still mints a real ShmChannel per admitted slot, so the full 1024-
-// client run also exercises segment churn.
+// Clients are simulated in-process by nsd::SimFleet (tests/support), which
+// drives the slot protocol (claim / heartbeat / kLeaving CAS) against a
+// second mapping of the registry, exactly what DaemonClient does, minus the
+// channel attach — the daemon still mints a real ShmChannel per admitted
+// slot, so the full 1024-client run also exercises segment churn.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -42,11 +42,6 @@ constexpr std::uint32_t kChurnClients = kSanitized ? 96 : kMaxClients;
 
 topo::Machine test_machine() { return topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0); }
 
-struct SimClient {
-  std::uint32_t slot = 0;
-  std::uint64_t active_word = 0;  ///< the exact word activation produced
-};
-
 /// Final daemon + registry state after a churn script, for convergence
 /// comparison across scan modes.
 struct ChurnResult {
@@ -74,8 +69,8 @@ ChurnResult run_churn(std::uint64_t full_sweep_every_ticks, const char* tag) {
   std::string error;
   EXPECT_TRUE(daemon.init(&error)) << error;
 
-  auto client_view = Registry::open(options.registry_name, &error);
-  EXPECT_NE(client_view, nullptr) << error;
+  auto fleet = SimFleet::open(options.registry_name, &error);
+  EXPECT_NE(fleet, nullptr) << error;
 
   double now = 0.0;
   std::uint64_t rng = 0x9e3779b97f4a7c15ull;
@@ -86,35 +81,20 @@ ChurnResult run_churn(std::uint64_t full_sweep_every_ticks, const char* tag) {
 
   constexpr std::uint32_t kRounds = 32;
   const std::uint32_t join_batch = (kChurnClients + kRounds / 2 - 1) / (kRounds / 2);
-  std::vector<SimClient> active;
   std::uint32_t joined = 0;
   for (std::uint32_t round = 0; round < kRounds; ++round) {
     // Join a batch until the target membership has passed through.
     for (std::uint32_t j = 0; j < join_batch && joined < kChurnClients; ++j, ++joined) {
-      const auto claim =
-          client_view->claim_slot("churn-" + std::to_string(joined), 4.0, agent::kMaxNodes);
-      EXPECT_TRUE(claim.has_value());
-      if (!claim) continue;
-      active.push_back(
-          {claim->index, next_word(claim->joining_word, SlotState::kActive)});
+      EXPECT_TRUE(fleet->claim("churn-" + std::to_string(joined), 4.0));
     }
     daemon.tick(now += 0.01);
     // Every admitted client heartbeats; a subset leaves.
-    for (const auto& sim : active) {
-      client_view->slot(sim.slot).heartbeat.fetch_add(1, std::memory_order_relaxed);
-    }
+    fleet->heartbeat_all();
+    const auto members = static_cast<std::uint32_t>(fleet->clients().size());
     const std::uint32_t leave_count =
-        round % 2 == 1 ? std::min<std::uint32_t>(join_batch / 2,
-                                                 static_cast<std::uint32_t>(active.size()))
-                       : 0;
+        round % 2 == 1 ? std::min<std::uint32_t>(join_batch / 2, members) : 0;
     for (std::uint32_t l = 0; l < leave_count; ++l) {
-      const std::uint32_t pick = next() % static_cast<std::uint32_t>(active.size());
-      auto& sim = active[pick];
-      std::uint64_t expected = sim.active_word;
-      EXPECT_TRUE(
-          client_view->slot(sim.slot).try_transition(expected, SlotState::kLeaving));
-      raise_attention(client_view->header(), sim.slot);
-      active.erase(active.begin() + pick);
+      EXPECT_TRUE(fleet->leave(next() % static_cast<std::uint32_t>(fleet->clients().size())));
     }
     daemon.tick(now += 0.01);
   }
@@ -127,11 +107,11 @@ ChurnResult run_churn(std::uint64_t full_sweep_every_ticks, const char* tag) {
   result.leaves = daemon.stats().leaves;
   result.evictions = daemon.stats().evictions;
   for (std::uint32_t i = 0; i < kMaxClients; ++i) {
-    result.states.push_back(client_view->slot(i).state());
-    result.health.push_back(client_view->slot(i).health.load(std::memory_order_relaxed));
+    result.states.push_back(fleet->registry().slot(i).state());
+    result.health.push_back(fleet->registry().slot(i).health.load(std::memory_order_relaxed));
   }
   EXPECT_EQ(result.joins, kChurnClients);
-  EXPECT_EQ(result.client_count, active.size());
+  EXPECT_EQ(result.client_count, fleet->clients().size());
   return result;
 }
 
@@ -153,12 +133,11 @@ TEST(DaemonScale, BitmapPathServicesWithoutSweeps) {
   std::string error;
   ASSERT_TRUE(daemon.init(&error)) << error;
 
-  auto client_view = Registry::open(options.registry_name, &error);
-  ASSERT_NE(client_view, nullptr) << error;
-  const auto claim = client_view->claim_slot("solo", 2.0, agent::kMaxNodes);
-  ASSERT_TRUE(claim.has_value());
+  auto fleet = SimFleet::open(options.registry_name, &error);
+  ASSERT_NE(fleet, nullptr) << error;
+  ASSERT_TRUE(fleet->claim("solo", 2.0));
   daemon.tick(0.01);
-  EXPECT_EQ(client_view->slot(claim->index).state(), SlotState::kActive);
+  EXPECT_TRUE(fleet->active(fleet->clients().front()));
   EXPECT_EQ(daemon.stats().full_sweeps, 0u);
   EXPECT_GT(daemon.stats().attention_visits, 0u);
 }

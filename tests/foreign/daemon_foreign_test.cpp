@@ -12,7 +12,7 @@
 #include "daemon/daemon.hpp"
 #include "daemon/journal.hpp"
 #include "daemon/registry.hpp"
-#include "foreign/procfs_writer.hpp"
+#include "support/procfs_writer.hpp"
 #include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
 

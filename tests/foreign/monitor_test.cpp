@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "foreign/procfs_writer.hpp"
+#include "support/procfs_writer.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::foreign {

@@ -1,4 +1,4 @@
-// ForeignScanner over scripted procfs trees (foreign/procfs_writer): CPU
+// ForeignScanner over scripted procfs trees (support/procfs_writer): CPU
 // share measurement from tick deltas, EWMA smoothing, Cpus_allowed node
 // attribution, participant exclusion, and the re-priming discipline for
 // vanished/reused pids.
@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "foreign/procfs_writer.hpp"
+#include "support/procfs_writer.hpp"
 #include "topology/machine.hpp"
 
 namespace numashare::foreign {

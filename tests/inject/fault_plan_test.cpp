@@ -199,6 +199,26 @@ TEST_F(FaultPlanTest, ChannelDropIsSilentInTransitLoss) {
   EXPECT_EQ(gaps, 1u);  // 1 -> 3
 }
 
+TEST_F(FaultPlanTest, PrivateChannelDropIsSilentInTransitLoss) {
+  // A default-constructed (private) channel passes the same fault sites as
+  // a named segment: in-process agents are covered by the same plans.
+  agent::ShmChannel channel;
+  ASSERT_TRUE(install_spec("shm.cmd.drop@seq=2"));
+  for (std::uint64_t seq = 1; seq <= 3; ++seq) {
+    agent::Command cmd;
+    cmd.seq = seq;
+    EXPECT_TRUE(channel.push_command(cmd));
+  }
+  EXPECT_EQ(channel.commands_dropped(), 0u);
+  EXPECT_EQ(channel.commands_queued(), 2u);
+  const auto first = channel.pop_command();
+  const auto second = channel.pop_command();
+  ASSERT_TRUE(first.has_value());
+  ASSERT_TRUE(second.has_value());
+  EXPECT_EQ(first->seq, 1u);
+  EXPECT_EQ(second->seq, 3u);
+}
+
 TEST_F(FaultPlanTest, ChannelDupDeliversTwice) {
   auto channel = agent::ShmChannel::create(unique_channel("dup"));
   ASSERT_NE(channel, nullptr);

@@ -40,4 +40,65 @@ bool connect_with_ticks(DaemonClient& client, Daemon& daemon, double& now) {
   return ok;
 }
 
+std::unique_ptr<SimFleet> SimFleet::open(const std::string& registry_name,
+                                         std::string* error) {
+  auto view = Registry::open(registry_name, error);
+  if (view == nullptr) return nullptr;
+  return std::unique_ptr<SimFleet>(new SimFleet(std::move(view)));
+}
+
+bool SimFleet::claim(const std::string& name, double advertised_ai) {
+  const auto claim = view_->claim_slot(name, advertised_ai, agent::kMaxNodes);
+  if (!claim) return false;
+  Client client;
+  client.slot = claim->index;
+  client.active_word = next_word(claim->joining_word, SlotState::kActive);
+  clients_.push_back(std::move(client));
+  return true;
+}
+
+bool SimFleet::active(const Client& client) const {
+  return view_->slot(client.slot).state_word.load(std::memory_order_acquire) ==
+         client.active_word;
+}
+
+bool SimFleet::attach_all(std::string* error) {
+  for (auto& client : clients_) {
+    if (client.channel != nullptr) continue;
+    client.channel = agent::ShmChannel::attach(view_->slot(client.slot).channel_name, error);
+    if (client.channel == nullptr) return false;
+  }
+  return true;
+}
+
+void SimFleet::heartbeat_all() {
+  for (const auto& client : clients_) {
+    view_->slot(client.slot).heartbeat.fetch_add(1, std::memory_order_relaxed);
+  }
+}
+
+void SimFleet::push_telemetry_all(double now) {
+  for (auto& client : clients_) {
+    agent::Telemetry t;
+    t.seq = ++client.seq;
+    t.timestamp = now;
+    t.tasks_executed = 100 * client.seq;
+    t.tasks_spawned = t.tasks_executed;
+    t.progress = client.seq;
+    t.total_workers = 4;
+    t.running_threads = 4;
+    t.ai_estimate = 1.0 + static_cast<double>(client.slot % 7);
+    client.channel->push_telemetry(t);
+  }
+}
+
+bool SimFleet::leave(std::size_t index) {
+  const Client& client = clients_[index];
+  std::uint64_t expected = client.active_word;
+  const bool left = view_->slot(client.slot).try_transition(expected, SlotState::kLeaving);
+  if (left) raise_attention(view_->header(), client.slot);
+  clients_.erase(clients_.begin() + static_cast<std::ptrdiff_t>(index));
+  return left;
+}
+
 }  // namespace numashare::nsd

@@ -1,17 +1,22 @@
 // Helpers shared by the daemon-level tests (daemon, compliance, scale,
 // foreign, fault-injection and failover suites) and bench_daemon_scale:
 // per-process shm and journal names, journal event counting, the
-// connect-while-ticking handshake, and a policy that never arbitrates.
+// connect-while-ticking handshake, a policy that never arbitrates, and a
+// simulated client fleet.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "agent/policy.hpp"
+#include "agent/shm_channel.hpp"
 #include "daemon/client.hpp"
 #include "daemon/daemon.hpp"
 #include "daemon/journal.hpp"
+#include "daemon/registry.hpp"
 
 namespace numashare::nsd {
 
@@ -40,6 +45,47 @@ class NullPolicy final : public agent::Policy {
                                        const std::vector<agent::AppView>& views) override {
     return std::vector<agent::Directive>(views.size());
   }
+};
+
+/// Simulated clients driven from the caller's thread through a second
+/// mapping of a daemon's registry. Each speaks the slot protocol as
+/// DaemonClient does (claim, heartbeat, kLeaving CAS plus attention bit) but
+/// never blocks on activation, so one thread ticks the daemon and the fleet.
+class SimFleet {
+ public:
+  struct Client {
+    std::uint32_t slot = 0;
+    std::uint64_t active_word = 0;  ///< the exact word its activation produces
+    std::unique_ptr<agent::ShmChannel> channel;  ///< null until attach_all()
+    std::uint64_t seq = 0;                       ///< telemetry samples pushed
+  };
+
+  /// Map `registry_name` client-side; null (with `error`) when it cannot.
+  static std::unique_ptr<SimFleet> open(const std::string& registry_name,
+                                        std::string* error = nullptr);
+
+  Registry& registry() { return *view_; }
+  const std::vector<Client>& clients() const { return clients_; }
+
+  /// Claim and publish a slot as `name`; false when no slot is free.
+  bool claim(const std::string& name, double advertised_ai);
+  /// Whether the daemon has activated this client's claim.
+  bool active(const Client& client) const;
+  /// Attach the runtime end of every client's channel not yet attached
+  /// (every client must be active); false (with `error`) on failure.
+  bool attach_all(std::string* error = nullptr);
+  void heartbeat_all();
+  /// One telemetry sample per client, stamped `now` (clients attached).
+  void push_telemetry_all(double now);
+  /// Publish kLeaving for client `index`, flag its slot and drop it from
+  /// the fleet. False when the slot was no longer in its activated state.
+  bool leave(std::size_t index);
+
+ private:
+  explicit SimFleet(std::unique_ptr<Registry> view) : view_(std::move(view)) {}
+
+  std::unique_ptr<Registry> view_;
+  std::vector<Client> clients_;
 };
 
 }  // namespace numashare::nsd
