@@ -22,8 +22,15 @@ shape of its scenario names, the row names present in every document (and in
 full documents), the scenarios, per-row flags, and its gates at today's limits
 and enforce levels, so a document cannot pass by dropping or loosening a gate.
 
-Usage: check_bench_json.py BENCH.json
+Diff. With --against COMMITTED, the checker then prints one line per
+(name, scenario) row found in either document: the committed value, the new
+value and the relative change. A distribution row compares its p99. A row
+in only one document reads `added` or `removed`. The exit code is still the
+validation result of BENCH.json alone.
+
+Usage: check_bench_json.py BENCH.json [--against COMMITTED.json]
 """
+import argparse
 import json
 import math
 import operator
@@ -242,22 +249,66 @@ def check(doc):
     return [check_gate(f"gates[{i}]", g, rows, doc) for i, g in enumerate(doc["gates"])]
 
 
+def compared(doc):
+    """{"name@scenario[.p99]": number} for every well-formed row."""
+    out = {}
+    for r in doc.get("results", []) if isinstance(doc, dict) else []:
+        if not isinstance(r, dict):
+            continue
+        address = f"{r.get('name')}@{r.get('scenario')}"
+        field = "value" if "value" in r else "p99"
+        if positive_number(r.get(field)):
+            out[address + ("" if field == "value" else ".p99")] = float(r[field])
+    return out
+
+
+def diff(committed, new):
+    """One line per row of either document: committed, new, relative change."""
+    old_rows, new_rows = compared(committed), compared(new)
+    lines = []
+    for address in sorted(old_rows.keys() | new_rows.keys()):
+        if address not in new_rows:
+            lines.append(f"  {address}: {old_rows[address]:g} -> (none) removed")
+        elif address not in old_rows:
+            lines.append(f"  {address}: (none) -> {new_rows[address]:g} added")
+        else:
+            before, after = old_rows[address], new_rows[address]
+            lines.append(f"  {address}: {before:g} -> {after:g} "
+                         f"{(after - before) / before:+.1%}")
+    return lines
+
+
+def load(path):
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)
+
+
 def main():
-    if len(sys.argv) != 2 or sys.argv[1].startswith("-"):
-        print(__doc__, file=sys.stderr)
-        sys.exit(2)
-    path = sys.argv[1]
+    parser = argparse.ArgumentParser(description="Validate a numashare-bench/1 document.")
+    parser.add_argument("path", help="the document to validate")
+    parser.add_argument("--against", metavar="COMMITTED",
+                        help="also print per-row deltas from this document")
+    args = parser.parse_args()
+    status, doc = 0, None
     try:
-        with open(path, encoding="utf-8") as f:
-            doc = json.load(f)
+        doc = load(args.path)
         report = check(doc)
+        print(f"check_bench_json: OK: {args.path} ({len(doc['results'])} results, "
+              f"{len(doc['gates'])} gates, bench={doc['bench']}, quick={doc['quick']}, "
+              f"sanitized={doc['sanitized']})")
+        print("\n".join(report))
     except (OSError, json.JSONDecodeError, BenchError) as e:
-        print(f"check_bench_json: FAIL: {path}: {e}", file=sys.stderr)
-        sys.exit(1)
-    print(f"check_bench_json: OK: {path} ({len(doc['results'])} results, "
-          f"{len(doc['gates'])} gates, bench={doc['bench']}, quick={doc['quick']}, "
-          f"sanitized={doc['sanitized']})")
-    print("\n".join(report))
+        print(f"check_bench_json: FAIL: {args.path}: {e}", file=sys.stderr)
+        status = 1
+    if args.against and doc is not None:
+        try:
+            committed = load(args.against)
+        except (OSError, json.JSONDecodeError) as e:
+            print(f"check_bench_json: cannot diff against {args.against}: {e}", file=sys.stderr)
+        else:
+            print(f"check_bench_json: rows of {args.path} against {args.against}:")
+            print("\n".join(diff(committed, doc)))
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -5,13 +5,17 @@ mutation that breaks a pin or a row rule fails.
 Every pinned gate is pushed just past its bound in a full, a quick and a full
 sanitized copy, and must fail exactly where its enforce level applies. Every
 pinned gate, row name and scenario is dropped, and every file gets a zero and
-a NaN value. Run: python3 scripts/test_check_bench_json.py
+a NaN value. Diff mode (--against) shows zero deltas for identical
+documents, marks a dropped row `removed`, and keeps the validation exit code.
+Run: python3 scripts/test_check_bench_json.py
 """
 import copy
 import json
 import math
 import os
+import subprocess
 import sys
+import tempfile
 import unittest
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -150,6 +154,57 @@ class CheckBenchJson(unittest.TestCase):
                 doc = copy.deepcopy(committed[bench])
                 mutate(doc)
                 self.assertEqual(verdict(doc), expect, label)
+
+
+
+def run_checker(path, against):
+    result = subprocess.run([sys.executable, os.path.join(HERE, "check_bench_json.py"), path,
+                             "--against", against], capture_output=True, text=True, check=False)
+    return result.returncode, result.stdout
+
+
+class DiffMode(unittest.TestCase):
+    def test_identical_documents_show_zero_deltas(self):
+        for bench, name in FILES.items():
+            doc = load(bench)
+            lines = cbj.diff(doc, doc)
+            self.assertEqual(len(lines), len(doc["results"]), name)
+            self.assertTrue(all(line.endswith(" +0.0%") for line in lines), name)
+            path = os.path.join(ROOT, name)
+            code, out = run_checker(path, path)
+            self.assertEqual(code, 0, out)
+            self.assertNotIn(" added", out)
+            self.assertNotIn(" removed", out)
+
+    def test_removed_row_is_marked_and_exit_code_is_validation(self):
+        committed = load("bench_spawn")
+        changed = copy.deepcopy(committed)
+        # Drop a row the validator does not require, so only the diff sees it.
+        for i, row in enumerate(changed["results"]):
+            trial = copy.deepcopy(changed)
+            del trial["results"][i]
+            if verdict(trial) == "PASS":
+                changed = trial
+                break
+        else:
+            self.fail("every bench_spawn row is required")
+        address = f"{row['name']}@{row['scenario']}" + ("" if "value" in row else ".p99")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "new.json")
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(changed, f)
+            code, out = run_checker(path, os.path.join(ROOT, FILES["bench_spawn"]))
+            self.assertEqual(code, 0, out)
+            self.assertIn(f"  {address}: ", out)
+            removed = [line for line in out.splitlines() if line.endswith(" removed")]
+            self.assertEqual(removed, [line for line in out.splitlines()
+                                       if line.startswith(f"  {address}: ")], out)
+            # An invalid document still fails with --against.
+            changed["results"] = []
+            with open(path, "w", encoding="utf-8") as f:
+                json.dump(changed, f)
+            code, out = run_checker(path, os.path.join(ROOT, FILES["bench_spawn"]))
+            self.assertEqual(code, 1, out)
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "common/threading.hpp"
-#include "core/placement.hpp"
 #include "obs/histogram.hpp"
 #include "topology/affinity.hpp"
 
@@ -22,8 +21,28 @@ RuntimeAdapter::RuntimeAdapter(rt::Runtime& runtime, ShmChannel& channel, double
 
 RuntimeAdapter::~RuntimeAdapter() { stop(); }
 
-void RuntimeAdapter::apply(const Command& command) {
-  last_seq_.store(command.seq, std::memory_order_relaxed);
+namespace {
+
+/// Bits of core-mask word `w` that name a core of a `cores`-core machine.
+std::uint64_t in_range_bits(const Command& command, std::uint32_t w, std::uint32_t cores) {
+  const std::uint32_t first = w * 64;
+  if (first >= cores) return 0;
+  const std::uint32_t width = cores - first;
+  return width >= 64 ? command.core_mask[w]
+                     : command.core_mask[w] & ((std::uint64_t{1} << width) - 1);
+}
+
+}  // namespace
+
+bool RuntimeAdapter::apply(const Command& command) {
+  const std::uint32_t nodes = runtime_.machine().node_count();
+  if (command.type == CommandType::kSetNodeThreads && command.node_count != nodes) {
+    // Dropped before it records a pending epoch: the epoch stays unacked.
+    NS_LOG_WARN("adapter", "dropping command seq {} epoch {}: {} node targets for {} nodes",
+                command.seq, command.epoch, command.node_count, nodes);
+    return false;
+  }
+  const std::uint32_t cores = runtime_.machine().core_count();
   // Record the compliance target before touching the runtime, keyed on the
   // epoch so a reordered (delayed/duplicated) older command never regresses
   // the pending ack. kUnconstrained means "no running-thread ceiling".
@@ -35,17 +54,17 @@ void RuntimeAdapter::apply(const Command& command) {
         break;
       case CommandType::kSetNodeThreads: {
         target = 0;
-        for (std::uint32_t n = 0; n < command.node_count && n < kMaxNodes; ++n) {
-          target += command.node_threads[n];
-        }
+        for (std::uint32_t n = 0; n < nodes; ++n) target += command.node_threads[n];
         break;
       }
       case CommandType::kBlockCores: {
+        // Bits past the last core block nothing, so they cannot lower the
+        // target either.
         std::uint32_t blocked = 0;
         for (std::uint32_t w = 0; w < kMaxCoreWords; ++w) {
-          blocked += static_cast<std::uint32_t>(__builtin_popcountll(command.core_mask[w]));
+          blocked += static_cast<std::uint32_t>(
+              __builtin_popcountll(in_range_bits(command, w, cores)));
         }
-        const std::uint32_t cores = runtime_.machine().core_count();
         // An empty mask is "clear controls" below; a full one still leaves
         // target 0 — enactment then requires every worker parked.
         target = blocked == 0 || blocked >= cores ? (blocked == 0 ? kUnconstrained : 0)
@@ -67,35 +86,29 @@ void RuntimeAdapter::apply(const Command& command) {
       runtime_.set_total_thread_target(command.total_threads);
       break;
     case CommandType::kBlockCores: {
-      topo::CpuSet cores;
+      topo::CpuSet blocked;
       for (std::uint32_t w = 0; w < kMaxCoreWords; ++w) {
-        std::uint64_t bits = command.core_mask[w];
+        std::uint64_t bits = in_range_bits(command, w, cores);
         while (bits) {
           const int bit = __builtin_ctzll(bits);
-          cores.set(w * 64 + static_cast<std::uint32_t>(bit));
+          blocked.set(w * 64 + static_cast<std::uint32_t>(bit));
           bits &= bits - 1;
         }
       }
-      if (cores.empty()) {
+      if (blocked.empty()) {
         runtime_.clear_thread_controls();
       } else {
-        runtime_.set_blocked_cores(cores);
+        runtime_.set_blocked_cores(blocked);
       }
       break;
     }
     case CommandType::kSetNodeThreads: {
-      NS_REQUIRE(command.node_count == runtime_.machine().node_count(),
-                 "node count mismatch in command");
-      std::vector<std::uint32_t> targets(command.node_threads,
-                                         command.node_threads + command.node_count);
+      std::vector<std::uint32_t> targets(command.node_threads, command.node_threads + nodes);
       runtime_.set_node_thread_targets(targets);
       // Reallocation tick: the agent moved this app's compute; chase it with
       // the hottest datablocks, but only when the placement actually changed
       // (a re-asserted identical allocation must not churn data).
-      if (migrate_on_realloc_.load(std::memory_order_relaxed) &&
-          targets != last_node_targets_) {
-        runtime_.migrate_datablocks_toward(targets);
-      }
+      if (targets != last_node_targets_) runtime_.migrate_datablocks_toward(targets);
       last_node_targets_ = std::move(targets);
       break;
     }
@@ -104,19 +117,16 @@ void RuntimeAdapter::apply(const Command& command) {
       break;
     case CommandType::kSuggestDataHome:
       // Advisory only: the app's handler decides. No handler = ignored.
-      if (home_handler_ && command.suggested_home < runtime_.machine().node_count()) {
-        home_handler_(command.suggested_home);
-      }
+      if (home_handler_ && command.suggested_home < nodes) home_handler_(command.suggested_home);
       break;
   }
-  commands_applied_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 std::uint32_t RuntimeAdapter::pump() {
   std::uint32_t applied = 0;
   while (auto command = channel_.pop_command()) {
-    apply(*command);
-    ++applied;
+    if (apply(*command)) ++applied;
   }
 
   const auto stats = runtime_.stats();
@@ -152,21 +162,8 @@ std::uint32_t RuntimeAdapter::pump() {
       const double ai =
           delta_gbytes > 1e-12 ? std::min(delta_gflop / delta_gbytes, kAiCap) : kAiCap;
       ai_ewma_.add(ai);
-      ai_estimate_.store(ai_ewma_.value(), std::memory_order_relaxed);
+      ai_estimate_ = ai_ewma_.value();
     }
-  }
-  if (auto_data_home_.load(std::memory_order_relaxed)) {
-    // Advertise where the data actually lives: plurality residency across
-    // the registry's per-node byte totals, kMaxNodes when no node holds a
-    // meaningful share (spread data has no home worth reporting).
-    auto& registry = runtime_.datablocks();
-    std::vector<std::uint64_t> resident(registry.node_count());
-    for (std::uint32_t n = 0; n < registry.node_count(); ++n) {
-      resident[n] = registry.bytes_on_node(n);
-    }
-    const std::uint32_t home = model::dominant_residency(resident, auto_home_min_fraction_);
-    data_home_node_.store(home < registry.node_count() ? home : kMaxNodes,
-                          std::memory_order_relaxed);
   }
   Telemetry t;
   t.seq = ++telemetry_seq_;
@@ -185,7 +182,7 @@ std::uint32_t RuntimeAdapter::pump() {
   t.outstanding_tasks = stats.outstanding_tasks;
   t.gflop_done = stats.gflop_done;
   t.gbytes_moved = stats.gbytes_moved;
-  t.ai_estimate = ai_estimate_.load(std::memory_order_relaxed);
+  t.ai_estimate = ai_estimate_;
   t.data_home_node = data_home_node_.load(std::memory_order_relaxed);
   t.enacted_epoch = enacted_epoch_;
   t.enacted_target = enacted_target_;

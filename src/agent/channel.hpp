@@ -2,10 +2,16 @@
 //
 // RuntimeAdapter is the runtime's endpoint of one agent::ShmChannel
 // (shm_channel.hpp): it applies arriving commands to the Runtime's control
-// surface and publishes periodic telemetry snapshots, either pumped manually
-// (tests) or from a background thread (examples, benches). The channel is a
-// named segment when the agent is another process (the daemon) and a private
-// mapping when it shares this one; the adapter cannot tell them apart.
+// surface and publishes periodic telemetry snapshots, either pumped by the
+// caller (daemon_app, the benches, tests) or from its own background thread.
+// The channel is a named segment when the agent is another process (the
+// daemon) and a private mapping when it shares this one; the adapter cannot
+// tell them apart.
+//
+// The adapter has no switches of its own. It advertises what the
+// constructor declares (or the AI it derives), the data home the app sets,
+// and the runtime's own counters; whether data follows a reallocation is
+// the runtime's call (RuntimeOptions::migration_budget_bytes, 0 = never).
 #pragma once
 
 #include <atomic>
@@ -36,19 +42,16 @@ class RuntimeAdapter {
   RuntimeAdapter& operator=(const RuntimeAdapter&) = delete;
 
   /// Apply all pending commands and publish one telemetry sample.
-  /// Returns the number of commands applied.
+  /// Returns the number of commands applied. A command that does not fit
+  /// this runtime (a kSetNodeThreads for another node count) is dropped and
+  /// logged, not applied: it arrived from another process, so it must not
+  /// abort this one. Its epoch then stays unacked and the sender's
+  /// compliance watchdog deals with it.
   std::uint32_t pump();
 
   /// Start/stop a background pump at the given period.
   void start(std::int64_t period_us = 1000);
   void stop();
-
-  std::uint64_t commands_applied() const {
-    return commands_applied_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t last_command_seq() const {
-    return last_seq_.load(std::memory_order_relaxed);
-  }
 
   /// Compliance ack state: the newest command epoch whose thread target the
   /// runtime has fully enacted (surplus threads actually blocked), and that
@@ -57,8 +60,6 @@ class RuntimeAdapter {
   std::uint32_t enacted_target() const {
     return enacted_target_pub_.load(std::memory_order_relaxed);
   }
-
-  void set_ai_estimate(double ai) { ai_estimate_.store(ai, std::memory_order_relaxed); }
 
   /// Application hook for kSuggestDataHome: the app decides whether to
   /// migrate (e.g. Datablock::move_to at a phase boundary) and then calls
@@ -72,51 +73,28 @@ class RuntimeAdapter {
   }
   std::uint32_t data_home() const { return data_home_node_.load(std::memory_order_relaxed); }
 
-  /// Derive the advertised data home from the datablock registry's per-node
-  /// residency each pump (model::dominant_residency) instead of a static
-  /// declaration — §III.A's access-pattern detection applied to placement.
-  /// An app that calls set_data_home() later overrides the derivation until
-  /// re-enabled.
-  void enable_auto_data_home(double min_fraction = 0.5) {
-    auto_home_min_fraction_ = min_fraction;
-    auto_data_home_.store(true, std::memory_order_relaxed);
-  }
-  void disable_auto_data_home() { auto_data_home_.store(false, std::memory_order_relaxed); }
-
-  /// Reallocation-tick migration (on by default): when a kSetNodeThreads
-  /// command *changes* the per-node targets, nudge the hottest datablocks
-  /// toward the new placement (Runtime::migrate_datablocks_toward, bounded
-  /// by RuntimeOptions::migration_budget_bytes). Off = threads move, data
-  /// stays — the paper's baseline behaviour.
-  void set_migrate_on_realloc(bool enabled) {
-    migrate_on_realloc_.store(enabled, std::memory_order_relaxed);
-  }
-  bool migrate_on_realloc() const {
-    return migrate_on_realloc_.load(std::memory_order_relaxed);
-  }
-
  private:
-  void apply(const Command& command);
+  /// False when the command was dropped as malformed (see pump()).
+  bool apply(const Command& command);
 
   rt::Runtime& runtime_;
   ShmChannel& channel_;
-  std::atomic<double> ai_estimate_;
-  /// Auto-derivation state (pump-thread only).
+  /// Advertised AI: the declared app_ai, or the derived estimate when
+  /// app_ai was 0 (pump-thread only, like the derivation state below).
+  double ai_estimate_;
   bool auto_ai_ = false;
   double prev_gflop_ = 0.0;
   double prev_gbytes_ = 0.0;
   Ewma ai_ewma_{0.3};
   std::atomic<std::uint32_t> data_home_node_;
   std::function<void(topo::NodeId)> home_handler_;
-  std::atomic<bool> auto_data_home_{false};
-  double auto_home_min_fraction_ = 0.5;
-  std::atomic<bool> migrate_on_realloc_{true};
-  /// Last per-node targets applied (pump-thread only); migration fires only
-  /// when a kSetNodeThreads command actually *changes* them, so a policy
-  /// that re-asserts the same allocation every tick never churns data.
+  /// Last per-node targets applied (pump-thread only). A kSetNodeThreads
+  /// command that *changes* them nudges the hottest datablocks toward the
+  /// new placement (Runtime::migrate_datablocks_toward, bounded by
+  /// RuntimeOptions::migration_budget_bytes; a budget of 0 turns it off), so
+  /// a policy that re-asserts the same allocation every tick never churns
+  /// data.
   std::vector<std::uint32_t> last_node_targets_;
-  std::atomic<std::uint64_t> commands_applied_{0};
-  std::atomic<std::uint64_t> last_seq_{0};
   /// Enactment tracking (pump-thread only): the newest thread-target epoch
   /// applied to the runtime and its total-thread target. The epoch is
   /// "enacted" once the runtime's running thread count is at or under the

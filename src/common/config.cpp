@@ -75,8 +75,6 @@ std::optional<Config> Config::load(const std::string& path, std::string* error) 
   return parse(buffer.str(), error);
 }
 
-bool Config::has(const std::string& key) const { return values_.count(key) > 0; }
-
 std::optional<std::string> Config::get(const std::string& key) const {
   auto it = values_.find(key);
   if (it == values_.end()) return std::nullopt;
@@ -139,13 +137,6 @@ std::int64_t Config::get_int_or(const std::string& key, std::int64_t fallback) c
 
 double Config::get_double_or(const std::string& key, double fallback) const {
   return get_double(key).value_or(fallback);
-}
-
-std::vector<std::string> Config::keys() const {
-  std::vector<std::string> out;
-  out.reserve(values_.size());
-  for (const auto& [key, _] : values_) out.push_back(key);
-  return out;
 }
 
 void Config::set(const std::string& key, const std::string& value) { values_[key] = value; }

@@ -18,7 +18,6 @@ class Config {
   static std::optional<Config> load(const std::string& path, std::string* error = nullptr);
 
   /// Keys are addressed "section.key"; keys before any section are "key".
-  bool has(const std::string& key) const;
   std::optional<std::string> get(const std::string& key) const;
   std::optional<std::int64_t> get_int(const std::string& key) const;
   std::optional<double> get_double(const std::string& key) const;
@@ -30,7 +29,6 @@ class Config {
   std::int64_t get_int_or(const std::string& key, std::int64_t fallback) const;
   double get_double_or(const std::string& key, double fallback) const;
 
-  std::vector<std::string> keys() const;
   /// All section names that appeared in the file, in order of appearance.
   const std::vector<std::string>& sections() const { return sections_; }
 

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/assert.hpp"
-#include "common/format.hpp"
 
 namespace numashare {
 
@@ -22,24 +20,6 @@ void RunningStats::add(double x) {
   m2_ += delta * (x - mean_);
 }
 
-void RunningStats::merge(const RunningStats& other) {
-  if (other.count_ == 0) return;
-  if (count_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto n1 = static_cast<double>(count_);
-  const auto n2 = static_cast<double>(other.count_);
-  const double delta = other.mean_ - mean_;
-  const double n = n1 + n2;
-  mean_ += delta * n2 / n;
-  m2_ += other.m2_ + delta * delta * n1 * n2 / n;
-  count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
 void RunningStats::reset() { *this = RunningStats{}; }
 
 double RunningStats::variance() const {
@@ -48,64 +28,5 @@ double RunningStats::variance() const {
 }
 
 double RunningStats::stddev() const { return std::sqrt(variance()); }
-
-std::string RunningStats::summary() const {
-  return ns_format("n={} mean={} sd={} min={} max={}", count_, fmt_compact(mean(), 4),
-                   fmt_compact(stddev(), 4), fmt_compact(min(), 4), fmt_compact(max(), 4));
-}
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {
-  NS_REQUIRE(hi > lo, "histogram range must be non-empty");
-  NS_REQUIRE(buckets > 0, "histogram needs at least one bucket");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<long>((x - lo_) / width);
-  idx = std::clamp<long>(idx, 0, static_cast<long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i + 1);
-}
-
-double Histogram::percentile(double p) const {
-  NS_REQUIRE(p >= 0.0 && p <= 100.0, "percentile must be in [0,100]");
-  if (total_ == 0) return lo_;
-  const double target = p / 100.0 * static_cast<double>(total_);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const double next = cumulative + static_cast<double>(counts_[i]);
-    if (next >= target) {
-      if (counts_[i] == 0) return bucket_lo(i);
-      const double frac = (target - cumulative) / static_cast<double>(counts_[i]);
-      return bucket_lo(i) + frac * (bucket_hi(i) - bucket_lo(i));
-    }
-    cumulative = next;
-  }
-  return hi_;
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::size_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::string out;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const std::size_t bar =
-        peak == 0 ? 0 : counts_[i] * width / peak;
-    out += ns_format("[{}, {}) {} {}\n", fmt_compact(bucket_lo(i), 3),
-                     fmt_compact(bucket_hi(i), 3), std::string(bar, '#'), counts_[i]);
-  }
-  return out;
-}
 
 }  // namespace numashare

@@ -2,9 +2,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
-#include <string>
-#include <vector>
 
 namespace numashare {
 
@@ -12,7 +9,6 @@ namespace numashare {
 class RunningStats {
  public:
   void add(double x);
-  void merge(const RunningStats& other);
   void reset();
 
   std::size_t count() const { return count_; }
@@ -23,8 +19,6 @@ class RunningStats {
   double max() const { return count_ ? max_ : 0.0; }
   double sum() const { return sum_; }
 
-  std::string summary() const;
-
  private:
   std::size_t count_ = 0;
   double mean_ = 0.0;
@@ -32,30 +26,6 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
   double sum_ = 0.0;
-};
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range samples go to the edge
-/// buckets. Supports percentile queries by linear interpolation within a
-/// bucket, which is plenty for latency telemetry.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t count() const { return total_; }
-  double percentile(double p) const;  // p in [0, 100]
-  std::string ascii(std::size_t width = 40) const;
-
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
-  std::size_t bucket_count(std::size_t i) const { return counts_[i]; }
-  std::size_t buckets() const { return counts_.size(); }
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
 };
 
 /// Exponentially-weighted moving average; the agent's telemetry smoother.

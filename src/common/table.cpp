@@ -8,13 +8,6 @@ namespace numashare {
 
 TextTable::TextTable(std::vector<std::string> headers) : headers_(std::move(headers)) {
   NS_REQUIRE(!headers_.empty(), "table needs at least one column");
-  aligns_.assign(headers_.size(), Align::kRight);
-  aligns_[0] = Align::kLeft;
-}
-
-void TextTable::set_align(std::size_t column, Align align) {
-  NS_REQUIRE(column < aligns_.size(), "column out of range");
-  aligns_[column] = align;
 }
 
 void TextTable::add_row(std::vector<std::string> cells) {
@@ -34,12 +27,12 @@ std::string TextTable::render() const {
     }
   }
 
-  const auto pad = [&](const std::string& s, std::size_t width, Align align) {
+  const auto pad = [&](const std::string& s, std::size_t width, bool left) {
     std::string out;
     const std::size_t fill = width - std::min(width, s.size());
-    if (align == Align::kRight) out.append(fill, ' ');
+    if (!left) out.append(fill, ' ');
     out += s;
-    if (align == Align::kLeft) out.append(fill, ' ');
+    if (left) out.append(fill, ' ');
     return out;
   };
 
@@ -56,7 +49,7 @@ std::string TextTable::render() const {
   const auto render_row = [&](const std::vector<std::string>& cells) {
     std::string line = "|";
     for (std::size_t c = 0; c < cells.size(); ++c) {
-      line += " " + pad(cells[c], widths[c], aligns_[c]) + " |";
+      line += " " + pad(cells[c], widths[c], c == 0) + " |";
     }
     line += "\n";
     return line;

@@ -12,13 +12,9 @@ namespace numashare {
 
 class TextTable {
  public:
-  enum class Align { kLeft, kRight };
-
+  /// Column 0 is left-aligned, the rest right-aligned (the usual
+  /// label-then-numbers layout).
   explicit TextTable(std::vector<std::string> headers);
-
-  /// Default alignment is left for column 0, right for the rest (the usual
-  /// label-then-numbers layout); override per column if needed.
-  void set_align(std::size_t column, Align align);
 
   void add_row(std::vector<std::string> cells);
   /// A horizontal rule between row groups.
@@ -35,7 +31,6 @@ class TextTable {
   };
 
   std::vector<std::string> headers_;
-  std::vector<Align> aligns_;
   std::vector<Row> rows_;
 };
 

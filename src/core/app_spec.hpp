@@ -57,10 +57,6 @@ struct AppSpec {
   topo::NodeId memory_node(topo::NodeId exec) const {
     return placement == Placement::kNumaPerfect ? exec : home_node;
   }
-
-  bool is_remote_on(topo::NodeId exec) const {
-    return placement == Placement::kNumaBad && exec != home_node;
-  }
 };
 
 using AppId = std::uint32_t;

@@ -142,32 +142,4 @@ JointResult advise_joint(const topo::Machine& machine, std::vector<AppSpec> apps
   return result;
 }
 
-std::uint32_t dominant_residency(const std::vector<std::uint64_t>& bytes_per_node,
-                                 double min_fraction) {
-  const std::uint32_t none = static_cast<std::uint32_t>(bytes_per_node.size());
-  std::uint64_t total = 0;
-  std::uint64_t best_bytes = 0;
-  std::uint64_t second_bytes = 0;
-  std::uint32_t best = none;
-  for (std::uint32_t n = 0; n < bytes_per_node.size(); ++n) {
-    total += bytes_per_node[n];
-    if (bytes_per_node[n] > best_bytes) {
-      second_bytes = best_bytes;
-      best_bytes = bytes_per_node[n];
-      best = n;
-    } else if (bytes_per_node[n] > second_bytes) {
-      second_bytes = bytes_per_node[n];
-    }
-  }
-  if (total == 0) return none;
-  // A tie is not dominance: an exactly even split has no home worth
-  // advertising (and picking the lower index would steer the model wrong
-  // half the time).
-  if (best_bytes == second_bytes) return none;
-  if (static_cast<double>(best_bytes) < min_fraction * static_cast<double>(total)) {
-    return none;
-  }
-  return best;
-}
-
 }  // namespace numashare::model

@@ -72,14 +72,4 @@ JointResult advise_joint(const topo::Machine& machine, std::vector<AppSpec> apps
                          Objective objective = Objective::kTotalGflops,
                          std::uint32_t min_threads_per_app = 1);
 
-/// The node holding the *unique* plurality of `bytes_per_node`, provided it
-/// holds at least `min_fraction` of the total; bytes_per_node.size() ("no
-/// dominant node") otherwise, including when the total is zero or the top
-/// two nodes tie. This is how a runtime
-/// turns its datablock registry's residency accounting into the NUMA-bad
-/// home node it advertises in telemetry — measured placement instead of an
-/// app-declared constant — which then feeds the model's bandwidth pricing.
-std::uint32_t dominant_residency(const std::vector<std::uint64_t>& bytes_per_node,
-                                 double min_fraction = 0.5);
-
 }  // namespace numashare::model

@@ -170,13 +170,6 @@ struct ClientSlot {
     }
     return false;
   }
-
-  /// Walk the slot to `to` no matter who races us (daemon-side recycling).
-  void force_state(SlotState to) {
-    std::uint64_t word = state_word.load(std::memory_order_acquire);
-    while (state_of(word) != to && !try_transition(word, to)) {
-    }
-  }
 };
 
 /// Foreign-workload mirror, daemon-written after each ForeignMonitor tick so

@@ -217,11 +217,6 @@ class Runtime {
   void record_enactment_lag(std::uint64_t ns);
   /// Scheduler-latency watchdog view (null when watchdog_deadline_us == 0).
   const obs::Watchdog* watchdog() const { return watchdog_.get(); }
-  /// Monotone per-worker loop counter sampled by the watchdog; any change
-  /// proves the OS ran the worker (bumped even on idle park timeouts).
-  std::uint64_t worker_heartbeat(std::uint32_t worker) const {
-    return workers_[worker]->heartbeat.load(std::memory_order_relaxed);
-  }
 
  private:
   struct Worker {

@@ -117,13 +117,6 @@ class TaskPool {
                                           std::memory_order_relaxed));
   }
 
-  /// Telemetry: slabs ever carved (approximate under concurrency).
-  std::uint64_t slabs_allocated() const {
-    std::uint64_t n = 0;
-    for (const auto& shard : shards_) n += shard.slab_count;
-    return n;
-  }
-
  private:
   struct alignas(64) Shard {
     // Owner-only state (the external shard serializes on `mutex`).
@@ -131,7 +124,6 @@ class TaskPool {
     TaskSlot* bump = nullptr;
     std::size_t bump_left = 0;
     std::vector<std::unique_ptr<TaskSlot[]>> slabs;
-    std::uint64_t slab_count = 0;
     std::mutex mutex;  // external shard only
     // Cross-thread side: slots coming home from other shards.
     alignas(64) std::atomic<TaskSlot*> returns{nullptr};
@@ -151,7 +143,6 @@ class TaskPool {
       shard.slabs.push_back(std::make_unique<TaskSlot[]>(kSlabSlots));
       shard.bump = shard.slabs.back().get();
       shard.bump_left = kSlabSlots;
-      ++shard.slab_count;
     }
     TaskSlot* slot = shard.bump++;
     --shard.bump_left;

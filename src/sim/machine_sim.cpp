@@ -23,7 +23,6 @@ std::vector<GroupGrant> MachineSim::epoch(const std::vector<GroupLoad>& loads, d
     NS_REQUIRE(load.memory_node < machine_.node_count(), "memory node out of range");
     NS_REQUIRE(load.ai > 0.0, "arithmetic intensity must be positive");
   }
-  ++epochs_;
 
   std::vector<GBps> granted(loads.size(), 0.0);
 

@@ -47,13 +47,10 @@ class MachineSim {
   /// for a fixed (seed, call sequence).
   std::vector<GroupGrant> epoch(const std::vector<GroupLoad>& loads, double dt);
 
-  std::uint64_t epochs_simulated() const { return epochs_; }
-
  private:
   topo::Machine machine_;
   SimEffects effects_;
   Xoshiro256 rng_;
-  std::uint64_t epochs_ = 0;
 };
 
 }  // namespace numashare::sim

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "topology/presets.hpp"
@@ -34,8 +35,6 @@ TEST(Channel, CommandsApplyToRuntime) {
   cmd.seq = 1;
   ASSERT_TRUE(channel.push_command(cmd));
   EXPECT_EQ(adapter.pump(), 1u);
-  EXPECT_EQ(adapter.commands_applied(), 1u);
-  EXPECT_EQ(adapter.last_command_seq(), 1u);
   EXPECT_TRUE(eventually([&] { return runtime.running_threads() == 1; }));
 }
 
@@ -121,17 +120,6 @@ TEST(Channel, TelemetrySequencesIncrement) {
   EXPECT_EQ(expected, 4u);
 }
 
-TEST(Channel, AiEstimateUpdatable) {
-  rt::Runtime runtime(machine_2x2());
-  ShmChannel channel;
-  RuntimeAdapter adapter(runtime, channel, 1.0);
-  adapter.set_ai_estimate(2.5);
-  adapter.pump();
-  const auto t = channel.pop_telemetry();
-  ASSERT_TRUE(t.has_value());
-  EXPECT_DOUBLE_EQ(t->ai_estimate, 2.5);
-}
-
 TEST(Channel, BackgroundPumpDeliversCommands) {
   rt::Runtime runtime(machine_2x2());
   ShmChannel channel;
@@ -146,15 +134,64 @@ TEST(Channel, BackgroundPumpDeliversCommands) {
   adapter.stop();
 }
 
-TEST(ChannelDeath, NodeCountMismatchRejected) {
+TEST(Channel, NodeCountMismatchIsDroppedUnacked) {
   rt::Runtime runtime(machine_2x2());
   ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
+
+  // Commands come from another process: one sized for another machine (or
+  // past the protocol's node capacity) is dropped, not applied and not
+  // acked, and the application keeps running.
+  for (const std::uint32_t node_count : {3u, kMaxNodes + 1000}) {
+    Command cmd;
+    cmd.type = CommandType::kSetNodeThreads;
+    cmd.node_count = node_count;
+    cmd.node_threads[0] = 1;
+    cmd.node_threads[1] = 1;
+    cmd.node_threads[2] = 1;
+    cmd.seq = cmd.epoch = node_count;
+    ASSERT_TRUE(channel.push_command(cmd));
+    EXPECT_EQ(adapter.pump(), 0u);
+  }
+  EXPECT_EQ(runtime.control_mode(), rt::ControlMode::kNone);
+  EXPECT_EQ(adapter.enacted_epoch(), 0u);
+  std::optional<Telemetry> last;
+  while (auto t = channel.pop_telemetry()) last = t;
+  ASSERT_TRUE(last.has_value());
+  EXPECT_EQ(last->enacted_epoch, 0u);
+
+  // A well-formed command after it still applies and acks.
+  Command ok;
+  ok.type = CommandType::kSetNodeThreads;
+  ok.node_count = 2;
+  ok.node_threads[0] = 2;
+  ok.node_threads[1] = 2;
+  ok.seq = ok.epoch = 2000;
+  ASSERT_TRUE(channel.push_command(ok));
+  EXPECT_EQ(adapter.pump(), 1u);
+  EXPECT_EQ(runtime.control_mode(), rt::ControlMode::kPerNode);
+  EXPECT_EQ(adapter.enacted_epoch(), 2000u);
+}
+
+TEST(Channel, OutOfRangeCoreBitsDoNotLowerTheAckTarget) {
+  rt::Runtime runtime(machine_2x2());
+  ShmChannel channel;
+  RuntimeAdapter adapter(runtime, channel);
+
+  // Core 0 plus a bit for core 100, which a 4-core machine does not have:
+  // one worker parks, so the enactable target is 3 running threads.
   Command cmd;
-  cmd.type = CommandType::kSetNodeThreads;
-  cmd.node_count = 5;
-  channel.push_command(cmd);
-  EXPECT_DEATH(adapter.pump(), "mismatch");
+  cmd.type = CommandType::kBlockCores;
+  cmd.core_mask[0] = 0b1;
+  cmd.core_mask[1] = std::uint64_t{1} << (100 - 64);
+  cmd.seq = cmd.epoch = 1;
+  ASSERT_TRUE(channel.push_command(cmd));
+  EXPECT_TRUE(eventually([&] {
+    adapter.pump();
+    return adapter.enacted_epoch() == 1u;
+  }));
+  EXPECT_EQ(adapter.enacted_target(), 3u);
+  EXPECT_EQ(runtime.blocked_threads(), 1u);
 }
 
 }  // namespace

@@ -1,9 +1,7 @@
-// Migration on reallocation ticks + residency-derived data home
-// (docs/MEMORY.md): when the agent's kSetNodeThreads command changes an
-// app's per-node targets, the adapter nudges the runtime's hottest
-// datablocks toward the new placement; telemetry carries the cumulative
-// migration traffic and, opted in, a data-home node derived from where the
-// bytes actually live.
+// Migration on reallocation ticks (docs/MEMORY.md): when the agent's
+// kSetNodeThreads command changes an app's per-node targets, the adapter
+// nudges the runtime's hottest datablocks toward the new placement, and
+// telemetry carries the cumulative migration traffic.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -40,7 +38,6 @@ TEST(MigrationTick, ChangedNodeTargetsMigrateData) {
   auto db = runtime.create_datablock(1u << 16, 0);
   ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
-  ASSERT_TRUE(adapter.migrate_on_realloc());  // default on
 
   // All compute ordered onto node 1: the block follows.
   channel.push_command(node_threads_command(0, 2, 1));
@@ -74,50 +71,16 @@ TEST(MigrationTick, ReassertedTargetsDoNotChurn) {
 }
 
 TEST(MigrationTick, DisabledMigrationLeavesDataInPlace) {
-  rt::Runtime runtime(machine_2x2());
+  // A zero migration budget is the off switch: threads move, data stays.
+  rt::Runtime runtime(machine_2x2(), {.migration_budget_bytes = 0});
   auto db = runtime.create_datablock(1u << 16, 0);
   ShmChannel channel;
   RuntimeAdapter adapter(runtime, channel);
-  adapter.set_migrate_on_realloc(false);
 
   channel.push_command(node_threads_command(0, 2, 1));
   adapter.pump();
   EXPECT_EQ(db->node(), 0u);
   EXPECT_EQ(runtime.stats().bytes_migrated, 0u);
-}
-
-TEST(MigrationTick, AutoDataHomeTracksResidency) {
-  rt::Runtime runtime(machine_2x2());
-  ShmChannel channel;
-  RuntimeAdapter adapter(runtime, channel);
-
-  // No blocks: no home to advertise.
-  adapter.enable_auto_data_home();
-  adapter.pump();
-  EXPECT_EQ(drain_latest(channel)->data_home_node, kMaxNodes);
-
-  // Dominant residency on node 1 becomes the advertised home...
-  auto db = runtime.create_datablock(1u << 16, 1);
-  adapter.pump();
-  EXPECT_EQ(drain_latest(channel)->data_home_node, 1u);
-
-  // ...and follows a migration without any app involvement.
-  db->move_to(0);
-  adapter.pump();
-  EXPECT_EQ(drain_latest(channel)->data_home_node, 0u);
-}
-
-TEST(MigrationTick, AutoDataHomeReportsSpreadDataAsHomeless) {
-  rt::Runtime runtime(machine_2x2());
-  ShmChannel channel;
-  RuntimeAdapter adapter(runtime, channel);
-  adapter.enable_auto_data_home();
-
-  auto a = runtime.create_datablock(1u << 16, 0);
-  auto b = runtime.create_datablock(1u << 16, 1);
-  adapter.pump();
-  // An even split never crosses the 50% bar -> "NUMA-perfect / unknown".
-  EXPECT_EQ(drain_latest(channel)->data_home_node, kMaxNodes);
 }
 
 }  // namespace

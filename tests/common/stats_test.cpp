@@ -27,65 +27,6 @@ TEST(RunningStats, BasicMoments) {
   EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
-TEST(RunningStats, MergeMatchesSequential) {
-  RunningStats all, left, right;
-  const std::vector<double> xs{1.5, -2.0, 3.25, 8.0, 0.0, -1.0, 4.5};
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    all.add(xs[i]);
-    (i < 3 ? left : right).add(xs[i]);
-  }
-  left.merge(right);
-  EXPECT_EQ(left.count(), all.count());
-  EXPECT_NEAR(left.mean(), all.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), all.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(left.min(), all.min());
-  EXPECT_DOUBLE_EQ(left.max(), all.max());
-}
-
-TEST(RunningStats, MergeWithEmpty) {
-  RunningStats a, b;
-  a.add(1.0);
-  a.add(2.0);
-  const double mean = a.mean();
-  a.merge(b);  // no-op
-  EXPECT_DOUBLE_EQ(a.mean(), mean);
-  b.merge(a);  // copy
-  EXPECT_DOUBLE_EQ(b.mean(), mean);
-  EXPECT_EQ(b.count(), 2u);
-}
-
-TEST(Histogram, CountsAndClamping) {
-  Histogram h(0.0, 10.0, 10);
-  h.add(0.5);
-  h.add(5.5);
-  h.add(-100.0);  // clamps to first bucket
-  h.add(100.0);   // clamps to last bucket
-  EXPECT_EQ(h.count(), 4u);
-  EXPECT_EQ(h.bucket_count(0), 2u);
-  EXPECT_EQ(h.bucket_count(5), 1u);
-  EXPECT_EQ(h.bucket_count(9), 1u);
-}
-
-TEST(Histogram, PercentileMonotone) {
-  Histogram h(0.0, 100.0, 100);
-  for (int i = 0; i < 100; ++i) h.add(i + 0.5);
-  const double p50 = h.percentile(50);
-  const double p90 = h.percentile(90);
-  const double p99 = h.percentile(99);
-  EXPECT_LT(p50, p90);
-  EXPECT_LT(p90, p99);
-  EXPECT_NEAR(p50, 50.0, 2.0);
-  EXPECT_NEAR(p90, 90.0, 2.0);
-}
-
-TEST(Histogram, BucketBounds) {
-  Histogram h(1.0, 3.0, 4);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(0), 1.0);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(0), 1.5);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(3), 2.5);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(3), 3.0);
-}
-
 TEST(Ewma, ConvergesToConstant) {
   Ewma e(0.5);
   EXPECT_FALSE(e.initialized());

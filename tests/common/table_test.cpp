@@ -31,14 +31,6 @@ TEST(TextTable, SeparatorAddsRule) {
   EXPECT_EQ(rules, 4u);
 }
 
-TEST(TextTable, AlignOverride) {
-  TextTable t({"x", "y"});
-  t.set_align(1, TextTable::Align::kLeft);
-  t.add_row({"r", "9"});
-  const std::string out = t.render();
-  EXPECT_NE(out.find("| r | 9 |"), std::string::npos);
-}
-
 TEST(TextTable, WideCellGrowsColumn) {
   TextTable t({"h"});
   t.add_row({"a-much-wider-cell"});

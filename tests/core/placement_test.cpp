@@ -102,28 +102,6 @@ TEST(Placement, JointHandlesMultipleBadApps) {
   EXPECT_NEAR(result.solution.total_gflops, 40.0, 1e-9);
 }
 
-TEST(DominantResidency, PicksThePluralityNode) {
-  EXPECT_EQ(dominant_residency({100, 900}), 1u);
-  EXPECT_EQ(dominant_residency({900, 100}), 0u);
-}
-
-TEST(DominantResidency, NoDominantNodeWhenSpread) {
-  // 40% on the biggest node misses the default 50% bar -> "no home".
-  EXPECT_EQ(dominant_residency({400, 300, 300}), 3u);
-  // A lower bar accepts the same spread.
-  EXPECT_EQ(dominant_residency({400, 300, 300}, 0.3), 0u);
-}
-
-TEST(DominantResidency, EmptyAndZeroTotalsHaveNoHome) {
-  EXPECT_EQ(dominant_residency({}), 0u);
-  EXPECT_EQ(dominant_residency({0, 0}), 2u);
-}
-
-TEST(DominantResidency, ExactTieHasNoHome) {
-  // Even with a permissive bar, a tie is not dominance.
-  EXPECT_EQ(dominant_residency({500, 500}, 0.1), 2u);
-}
-
 TEST(PlacementDeath, MismatchedInputsRejected) {
   const auto machine = topo::paper_numabad_machine();
   const auto apps = mixes::three_perfect_one_bad(0);
