@@ -12,8 +12,10 @@
 //   ./examples/daemon_app matmul  10  10 &
 //   ./tools/numashare_cli daemon-status
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -35,6 +37,10 @@ int main(int argc, char** argv) {
     if (arg.rfind("--registry=", 0) == 0) options.registry_name = arg.substr(11);
   }
 
+  // Line-buffered, so a supervisor reading a pipe sees each event as it
+  // happens and a killed app loses no finished line.
+  std::setvbuf(stdout, nullptr, _IOLBF, 0);
+
   nsd::DaemonClient client(name, options);
   std::string error;
   if (!client.connect(&error)) {
@@ -50,7 +56,9 @@ int main(int argc, char** argv) {
   // The runtime must mirror the daemon's node layout (published in the
   // registry) so per-node thread targets land on matching pools.
   rt::Runtime runtime(client.arbitration_machine(), {.name = name});
-  agent::RuntimeAdapter adapter(runtime, *client.channel(), ai);
+  // The adapter reads the client's channel, which a reconnect replaces: it
+  // is rebuilt on the new channel after every reconnect.
+  std::optional<agent::RuntimeAdapter> adapter(std::in_place, runtime, *client.channel(), ai);
   client.start_heartbeat();
 
   const auto deadline =
@@ -59,13 +67,26 @@ int main(int argc, char** argv) {
   while (std::chrono::steady_clock::now() < deadline) {
     // Simulated work so progress/task rates flow through telemetry.
     runtime.report_progress();
-    adapter.pump();
+    adapter->pump();
     if (!client.check_connection()) {
       std::printf("%s: evicted (or the daemon restarted) — reconnecting\n", name.c_str());
+      adapter.reset();
+      // The heartbeat thread reads the connection that reconnect() replaces.
+      client.stop_heartbeat();
       if (!client.reconnect(&error)) {
         std::fprintf(stderr, "%s: reconnect failed: %s\n", name.c_str(), error.c_str());
         return 1;
       }
+      const std::uint32_t nodes = client.arbitration_machine().node_count();
+      if (nodes != runtime.machine().node_count()) {
+        // Per-node targets for another layout can never be enacted here.
+        std::fprintf(stderr, "%s: the new daemon arbitrates %u nodes, this runtime has %u\n",
+                     name.c_str(), nodes, runtime.machine().node_count());
+        client.disconnect();
+        return 1;
+      }
+      adapter.emplace(runtime, *client.channel(), ai);
+      client.start_heartbeat();
       std::printf("%s: rejoined as slot %u\n", name.c_str(), client.slot_index());
     }
     if (std::chrono::steady_clock::now() >= next_print) {

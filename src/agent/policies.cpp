@@ -11,16 +11,6 @@
 
 namespace numashare::agent {
 
-std::vector<Directive> OversubscribedPolicy::decide(const topo::Machine&,
-                                                    const std::vector<AppView>& views) {
-  std::vector<Directive> out(views.size(), Directive::none());
-  if (!cleared_) {
-    for (auto& d : out) d = Directive::clear();
-    cleared_ = true;
-  }
-  return out;
-}
-
 namespace {
 
 /// The producer-consumer policy's producer is the agent's first app, its
@@ -86,19 +76,6 @@ std::vector<Directive> FairSharePolicy::decide(const topo::Machine& machine,
   }
   issued_ = true;
   last_app_count_ = views.size();
-  return out;
-}
-
-std::vector<Directive> StaticPartitionPolicy::decide(const topo::Machine& machine,
-                                                     const std::vector<AppView>& views) {
-  NS_REQUIRE(targets_.size() == views.size(), "one target row per app");
-  std::vector<Directive> out(views.size(), Directive::none());
-  if (issued_) return out;
-  for (std::size_t a = 0; a < views.size(); ++a) {
-    NS_REQUIRE(targets_[a].size() == machine.node_count(), "one target per node");
-    out[a] = Directive::per_node(targets_[a]);
-  }
-  issued_ = true;
   return out;
 }
 

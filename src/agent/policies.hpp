@@ -1,15 +1,10 @@
 // The concrete allocation policies the paper discusses.
 //
-//  * OversubscribedPolicy — the baseline: no control at all, every app runs
-//    as many threads as there are cores and the OS sorts it out. This is the
-//    configuration the paper's §II argues creates "significant
-//    over-subscription".
 //  * FairSharePolicy — "a simple core allocation strategy would be to give
 //    each application a fair share of the cores, so that the total number of
 //    worker threads across all applications is equal to the total number of
 //    available CPU cores." Option-1 (total counts) or option-3 (per-node)
 //    flavours.
-//  * StaticPartitionPolicy — fixed per-node targets, never revisited.
 //  * ProducerConsumerPolicy — the paper's [10] experiment: keep the producer
 //    "only ahead by a small number of iterations" by shifting threads
 //    between the two applications based on their progress counters.
@@ -30,16 +25,6 @@
 
 namespace numashare::agent {
 
-class OversubscribedPolicy final : public Policy {
- public:
-  const char* name() const override { return "oversubscribed"; }
-  std::vector<Directive> decide(const topo::Machine&,
-                                const std::vector<AppView>& views) override;
-
- private:
-  bool cleared_ = false;
-};
-
 class FairSharePolicy final : public Policy {
  public:
   enum class Flavor { kTotalThreads, kPerNode };
@@ -54,21 +39,6 @@ class FairSharePolicy final : public Policy {
   Flavor flavor_;
   bool issued_ = false;
   std::size_t last_app_count_ = 0;
-};
-
-class StaticPartitionPolicy final : public Policy {
- public:
-  /// targets[app][node]
-  explicit StaticPartitionPolicy(std::vector<std::vector<std::uint32_t>> targets)
-      : targets_(std::move(targets)) {}
-
-  const char* name() const override { return "static-partition"; }
-  std::vector<Directive> decide(const topo::Machine& machine,
-                                const std::vector<AppView>& views) override;
-
- private:
-  std::vector<std::vector<std::uint32_t>> targets_;
-  bool issued_ = false;
 };
 
 /// The producer is the agent's first app (index 0), the consumer its second.

@@ -1,6 +1,5 @@
 #include "common/config.hpp"
 
-#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <fstream>
@@ -99,34 +98,6 @@ std::optional<double> Config::get_double(const std::string& key) const {
   return parsed;
 }
 
-std::optional<bool> Config::get_bool(const std::string& key) const {
-  auto value = get(key);
-  if (!value) return std::nullopt;
-  std::string v = *value;
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
-  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
-  return std::nullopt;
-}
-
-std::optional<std::vector<double>> Config::get_doubles(const std::string& key) const {
-  auto value = get(key);
-  if (!value) return std::nullopt;
-  std::vector<double> out;
-  std::istringstream in(*value);
-  std::string item;
-  while (std::getline(in, item, ',')) {
-    item = trim(item);
-    if (item.empty()) return std::nullopt;
-    char* end = nullptr;
-    const double parsed = std::strtod(item.c_str(), &end);
-    if (end == item.c_str() || *end != '\0') return std::nullopt;
-    out.push_back(parsed);
-  }
-  return out;
-}
-
 std::string Config::get_or(const std::string& key, const std::string& fallback) const {
   return get(key).value_or(fallback);
 }
@@ -138,7 +109,5 @@ std::int64_t Config::get_int_or(const std::string& key, std::int64_t fallback) c
 double Config::get_double_or(const std::string& key, double fallback) const {
   return get_double(key).value_or(fallback);
 }
-
-void Config::set(const std::string& key, const std::string& value) { values_[key] = value; }
 
 }  // namespace numashare

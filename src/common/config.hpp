@@ -21,9 +21,6 @@ class Config {
   std::optional<std::string> get(const std::string& key) const;
   std::optional<std::int64_t> get_int(const std::string& key) const;
   std::optional<double> get_double(const std::string& key) const;
-  std::optional<bool> get_bool(const std::string& key) const;
-  /// Comma-separated list of doubles, e.g. "1, 2.5, 3".
-  std::optional<std::vector<double>> get_doubles(const std::string& key) const;
 
   std::string get_or(const std::string& key, const std::string& fallback) const;
   std::int64_t get_int_or(const std::string& key, std::int64_t fallback) const;
@@ -31,8 +28,6 @@ class Config {
 
   /// All section names that appeared in the file, in order of appearance.
   const std::vector<std::string>& sections() const { return sections_; }
-
-  void set(const std::string& key, const std::string& value);
 
  private:
   std::map<std::string, std::string> values_;

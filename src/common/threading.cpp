@@ -1,19 +1,12 @@
 #include "common/threading.hpp"
 
 #include <chrono>
-#include <thread>
 
 #if defined(__linux__)
 #include <pthread.h>
 #endif
 
 namespace numashare {
-
-void Parker::park() {
-  std::unique_lock lock(mutex_);
-  cv_.wait(lock, [&] { return permit_; });
-  permit_ = false;
-}
 
 bool Parker::park_for_us(std::int64_t timeout_us) {
   std::unique_lock lock(mutex_);
@@ -44,21 +37,6 @@ void set_current_thread_name(const std::string& name) {
 #else
   (void)name;
 #endif
-}
-
-void Backoff::pause() {
-  if (count_ < 6) {
-    for (unsigned i = 0; i < (1u << count_); ++i) {
-#if defined(__x86_64__) || defined(__i386__)
-      __builtin_ia32_pause();
-#else
-      std::this_thread::yield();
-#endif
-    }
-    ++count_;
-  } else {
-    std::this_thread::yield();
-  }
 }
 
 }  // namespace numashare

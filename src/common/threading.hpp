@@ -1,7 +1,6 @@
 // Thread parking and naming primitives shared by the runtime's worker pool.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
@@ -9,17 +8,16 @@
 
 namespace numashare {
 
-/// One-slot park/unpark, with the "permit" semantics of LockSupport: an
-/// unpark delivered before the park makes the next park return immediately,
+/// One-slot timed park/unpark, with the "permit" semantics of LockSupport:
+/// an unpark delivered before the park makes the next park return at once,
 /// so the waker/sleeper race is benign. This is what makes the paper's
 /// "unblocking ... is also nearly immediate" property hold in our runtime.
 class Parker {
  public:
-  /// Blocks until unparked (or returns immediately if a permit is pending).
-  void park();
-
-  /// Blocks at most `timeout_us` microseconds. Returns true if unparked,
-  /// false on timeout.
+  /// Blocks at most `timeout_us` microseconds, or returns at once if a
+  /// permit is pending. Returns true if unparked (consuming the permit),
+  /// false on timeout. Every sleeper (runtime workers, the obs watchdog)
+  /// has a deadline, so there is no untimed park.
   bool park_for_us(std::int64_t timeout_us);
 
   /// Wake the parked thread (or store a permit).
@@ -33,15 +31,5 @@ class Parker {
 
 /// Set the calling thread's name (visible in /proc and debuggers).
 void set_current_thread_name(const std::string& name);
-
-/// Exponential spin-then-yield backoff for contended retry loops.
-class Backoff {
- public:
-  void pause();
-  void reset() { count_ = 0; }
-
- private:
-  unsigned count_ = 0;
-};
 
 }  // namespace numashare

@@ -10,17 +10,6 @@ namespace numashare::model {
 Allocation::Allocation(std::uint32_t apps, std::uint32_t nodes)
     : threads_(apps, std::vector<std::uint32_t>(nodes, 0)) {}
 
-Allocation Allocation::from_matrix(std::vector<std::vector<std::uint32_t>> threads) {
-  NS_REQUIRE(!threads.empty(), "allocation needs at least one app");
-  const std::size_t nodes = threads.front().size();
-  for (const auto& row : threads) {
-    NS_REQUIRE(row.size() == nodes, "ragged allocation matrix");
-  }
-  Allocation allocation;
-  allocation.threads_ = std::move(threads);
-  return allocation;
-}
-
 Allocation Allocation::even(const topo::Machine& machine, std::uint32_t apps) {
   NS_REQUIRE(apps > 0, "need at least one app");
   Allocation allocation(apps, machine.node_count());

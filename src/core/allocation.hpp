@@ -22,9 +22,6 @@ class Allocation {
   Allocation() = default;
   Allocation(std::uint32_t apps, std::uint32_t nodes);
 
-  /// threads[app][node]
-  static Allocation from_matrix(std::vector<std::vector<std::uint32_t>> threads);
-
   /// Every app gets the same count on every node: cores_per_node / apps
   /// (remainder cores left idle — the paper's even scenarios divide exactly).
   static Allocation even(const topo::Machine& machine, std::uint32_t apps);

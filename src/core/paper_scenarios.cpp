@@ -26,6 +26,9 @@ Scenario table2() {
   return s;
 }
 
+namespace {
+
+/// Figure 2 scenario c: one NUMA node per application.
 Scenario fig2_node_per_app() {
   Scenario s;
   s.id = "fig2c";
@@ -36,6 +39,8 @@ Scenario fig2_node_per_app() {
   s.paper_model_gflops = 128.0;
   return s;
 }
+
+}  // namespace
 
 std::vector<Scenario> fig2() {
   auto a = table1();

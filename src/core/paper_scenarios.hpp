@@ -31,9 +31,8 @@ struct Scenario {
 Scenario table1();
 /// Table II: even allocation (2,2,2,2) -> 140.
 Scenario table2();
-/// Figure 2 scenario c: one NUMA node per application -> 128.
-Scenario fig2_node_per_app();
-/// All three Figure 2 scenarios, in the figure's order (a, b, c).
+/// All three Figure 2 scenarios, in the figure's order: a = Table I, b =
+/// Table II, c = one NUMA node per application -> 128.
 std::vector<Scenario> fig2();
 
 /// Figure 3 / the NUMA-bad model example: even allocation -> 138(.75) and

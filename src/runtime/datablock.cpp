@@ -26,20 +26,23 @@ std::size_t Datablock::move_to(topo::NodeId target) {
   registry_->backend().migrate(fresh, old, size_, from, target);
   // Publish-then-retire: readers racing this store see either buffer, both
   // fully valid. The old buffer stays alive for stale readers until a
-  // quiescent reclaim.
+  // quiescent reclaim; its sequence is taken after the publication.
   data_.store(fresh, std::memory_order_release);
   node_.store(target, std::memory_order_release);
-  retired_.push_back({old, from});
-  retired_bytes_.fetch_add(size_, std::memory_order_relaxed);
-  registry_->on_move(size_, from, target);
+  retired_.push_back({old, from, registry_->on_move(size_, from, target)});
   return size_;
 }
 
-void Datablock::reclaim_retired() {
+std::uint64_t Datablock::reclaim_retired(std::uint64_t sequence) {
   std::scoped_lock lock(move_mutex_);
-  for (auto& [p, node] : retired_) registry_->arena_deallocate(p, size_, node);
-  retired_bytes_.store(0, std::memory_order_relaxed);
-  retired_.clear();
+  std::uint64_t freed = 0;
+  std::erase_if(retired_, [&](const Retired& r) {
+    if (r.sequence > sequence) return false;
+    registry_->arena_deallocate(r.data, size_, r.node);
+    freed += size_;
+    return true;
+  });
+  return freed;
 }
 
 DatablockRegistry::DatablockRegistry(std::uint32_t nodes, MemoryBackend* backend,
@@ -84,7 +87,8 @@ void DatablockRegistry::on_destroy(Datablock& block) {
   }
   // No movers can exist (last reference is being dropped); free the live
   // buffer and anything still retired.
-  for (auto& [p, node] : block.retired_) arena_deallocate(p, block.size_, node);
+  for (const auto& r : block.retired_) arena_deallocate(r.data, block.size_, r.node);
+  retired_bytes_.fetch_sub(block.retired_.size() * block.size_, std::memory_order_relaxed);
   arena_deallocate(block.data_.load(std::memory_order_relaxed), block.size_,
                    block.node_.load(std::memory_order_relaxed));
   live_.fetch_sub(1, std::memory_order_relaxed);
@@ -92,9 +96,13 @@ void DatablockRegistry::on_destroy(Datablock& block) {
       block.size_, std::memory_order_relaxed);
 }
 
-void DatablockRegistry::on_move(std::size_t size, topo::NodeId from, topo::NodeId to) {
+std::uint64_t DatablockRegistry::on_move(std::size_t size, topo::NodeId from,
+                                         topo::NodeId to) {
   bytes_per_node_[from].fetch_sub(size, std::memory_order_relaxed);
   bytes_per_node_[to].fetch_add(size, std::memory_order_relaxed);
+  retired_bytes_.fetch_add(size, std::memory_order_relaxed);
+  // Release: a reader of this number also sees the publication before it.
+  return retire_sequence_.fetch_add(1, std::memory_order_acq_rel) + 1;
 }
 
 std::byte* DatablockRegistry::arena_allocate(std::size_t size, topo::NodeId node) {
@@ -106,7 +114,7 @@ void DatablockRegistry::arena_deallocate(std::byte* p, std::size_t size,
   arenas_.deallocate(p, size, node);
 }
 
-std::uint64_t DatablockRegistry::reclaim_retired() {
+std::uint64_t DatablockRegistry::reclaim_retired(std::uint64_t sequence) {
   std::vector<DatablockPtr> live;
   {
     std::scoped_lock lock(blocks_mutex_);
@@ -115,21 +123,10 @@ std::uint64_t DatablockRegistry::reclaim_retired() {
       if (auto p = weak.lock()) live.push_back(std::move(p));
     }
   }
-  std::uint64_t reclaimed = 0;
-  for (auto& b : live) {
-    reclaimed += b->retired_bytes();
-    b->reclaim_retired();
-  }
-  return reclaimed;
-}
-
-std::uint64_t DatablockRegistry::retired_bytes() const {
-  std::uint64_t total = 0;
-  std::scoped_lock lock(blocks_mutex_);
-  for (const auto& [id, weak] : blocks_) {
-    if (auto p = weak.lock()) total += p->retired_bytes();
-  }
-  return total;
+  std::uint64_t freed = 0;
+  for (auto& b : live) freed += b->reclaim_retired(sequence);
+  retired_bytes_.fetch_sub(freed, std::memory_order_relaxed);
+  return freed;
 }
 
 MigrationReport DatablockRegistry::migrate_toward(

@@ -8,8 +8,9 @@
 // SystemBackend mbind pages, and faithfully priced by the SimulatedBackend
 // everywhere else. move_to() is reader-safe: the new buffer is filled, then
 // *published* with a release store, and the old buffer is *retired* — kept
-// alive until a quiescent point — so a task that loaded data() mid-move keeps
-// reading consistent (pre-move) bytes instead of racing a reallocation.
+// alive until the owning runtime's next quiescent wait_idle() (see
+// DatablockRegistry::reclaim_retired) — so a task that loaded data() mid-move
+// keeps reading consistent (pre-move) bytes instead of racing a reallocation.
 // Per-node byte accounting and per-block touch counts feed the agent's
 // placement and migration decisions.
 #pragma once
@@ -44,6 +45,9 @@ class Datablock {
   /// does; our experiments don't need it) — callers synchronize via events.
   /// Safe against a concurrent move_to(): the load is acquire and observes
   /// either the old buffer (still retired-alive) or the fully-copied new one.
+  /// A task may use the pointer until it returns. A thread outside the
+  /// runtime must reload it after any wait_idle() that may follow a move:
+  /// that call frees the buffers moved away from.
   std::byte* data() { return data_.load(std::memory_order_acquire); }
   const std::byte* data() const { return data_.load(std::memory_order_acquire); }
 
@@ -56,15 +60,9 @@ class Datablock {
   /// backend (which charges the migration cost), publish, retire the old
   /// buffer. Returns the bytes copied (0 when already resident). Safe
   /// against concurrent data() readers and concurrent movers; stale readers
-  /// keep the retired buffer until reclaim_retired() or destruction.
+  /// keep the retired buffer until the registry reclaims it or the block is
+  /// destroyed.
   std::size_t move_to(topo::NodeId node);
-
-  /// Free retired buffers. Caller asserts quiescence: no thread still holds
-  /// a data() pointer loaded before the corresponding move completed.
-  void reclaim_retired();
-  std::uint64_t retired_bytes() const {
-    return retired_bytes_.load(std::memory_order_relaxed);
-  }
 
   /// Access-frequency signal: spawn_with_data bumps this per declared
   /// access; the migrator moves the hottest blocks first.
@@ -78,16 +76,25 @@ class Datablock {
   Datablock(DatablockRegistry* registry, std::uint64_t id, std::size_t size,
             topo::NodeId node, std::byte* data);
 
+  /// A buffer moved away from, and the registry retire sequence it got.
+  struct Retired {
+    std::byte* data;
+    topo::NodeId node;
+    std::uint64_t sequence;
+  };
+  /// Free the retired buffers whose sequence is at most `sequence`; returns
+  /// the bytes freed.
+  std::uint64_t reclaim_retired(std::uint64_t sequence);
+
   DatablockRegistry* registry_;
   std::uint64_t id_;
   std::size_t size_;
   std::atomic<topo::NodeId> node_;
   std::atomic<std::byte*> data_;
   std::atomic<std::uint64_t> touches_{0};
-  std::atomic<std::uint64_t> retired_bytes_{0};
   /// Serializes movers; also guards retired_.
   std::mutex move_mutex_;
-  std::vector<std::pair<std::byte*, topo::NodeId>> retired_;
+  std::vector<Retired> retired_;
 };
 
 using DatablockPtr = std::shared_ptr<Datablock>;
@@ -130,16 +137,26 @@ class DatablockRegistry {
   MigrationReport migrate_toward(const std::vector<std::uint32_t>& node_weights,
                                  std::uint64_t byte_budget);
 
-  /// Free every live block's retired buffers (see Datablock::reclaim_retired
-  /// for the quiescence contract) and report how many bytes were pinned.
-  std::uint64_t reclaim_retired();
   /// Bytes currently held alive for stale readers across all live blocks.
-  std::uint64_t retired_bytes() const;
+  std::uint64_t retired_bytes() const {
+    return retired_bytes_.load(std::memory_order_relaxed);
+  }
+  /// Every move_to() retires its old buffer under the next number of this
+  /// sequence; returns the latest number handed out.
+  std::uint64_t retire_sequence() const {
+    return retire_sequence_.load(std::memory_order_acquire);
+  }
+  /// Free the retired buffers of every live block whose retire sequence is
+  /// at most `sequence`; returns the bytes freed. Caller asserts that no
+  /// thread still holds a data() pointer to one of them: Runtime::wait_idle()
+  /// calls it with a sequence read before it saw no task outstanding.
+  std::uint64_t reclaim_retired(std::uint64_t sequence);
 
  private:
   friend class Datablock;
   void on_destroy(Datablock& block);
-  void on_move(std::size_t size, topo::NodeId from, topo::NodeId to);
+  /// Books a move and returns the retire sequence of the buffer it left.
+  std::uint64_t on_move(std::size_t size, topo::NodeId from, topo::NodeId to);
   std::byte* arena_allocate(std::size_t size, topo::NodeId node);
   void arena_deallocate(std::byte* p, std::size_t size, topo::NodeId node);
 
@@ -148,6 +165,8 @@ class DatablockRegistry {
   std::atomic<std::uint64_t> next_id_{1};
   std::atomic<std::uint64_t> live_{0};
   std::vector<std::atomic<std::uint64_t>> bytes_per_node_;
+  std::atomic<std::uint64_t> retired_bytes_{0};
+  std::atomic<std::uint64_t> retire_sequence_{0};
   /// Live-block index for the migrator; weak so destruction never blocks on
   /// a migration pass. Guarded create/destroy are off the task hot path.
   mutable std::mutex blocks_mutex_;

@@ -10,7 +10,7 @@
 // steals, app-reported work) never bounce a shared line across sockets —
 // Chasparis et al.'s requirement that dynamic pinning decisions ride on
 // *cheap* high-rate measurements. One extra shard absorbs increments from
-// threads the runtime does not own (external submitters, assist threads).
+// threads the runtime does not own (external submitters).
 // Aggregation happens lazily, on the telemetry consumer's clock, in
 // Runtime::stats() — the only snapshot path.
 #pragma once

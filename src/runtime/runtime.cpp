@@ -209,8 +209,6 @@ EventPtr Runtime::spawn_with_data(TaskFn fn, const std::vector<DataAccess>& acce
   return done;
 }
 
-EventPtr Runtime::create_event() { return std::make_shared<Event>(); }
-
 LatchEventPtr Runtime::create_latch(std::uint32_t count) {
   NS_REQUIRE(count > 0, "latch needs a positive count");
   return std::make_shared<LatchEvent>(count);
@@ -425,9 +423,7 @@ void Runtime::run_task(TaskNode* task, TaskContext& context, std::uint64_t& reti
         .record(now > task->submit_ns ? now - task->submit_ns : 0);
   }
   {
-    const std::uint32_t lane =
-        context.worker_id == kExternalWorker ? worker_count() : context.worker_id;
-    trace::Span span(options_.tracer, "task", "rt", lane);
+    trace::Span span(options_.tracer, "task", "rt", context.worker_id);
     task->fn(context);
   }
   const std::uint32_t shard = current_shard();
@@ -452,37 +448,22 @@ void Runtime::flush_retired(std::uint64_t& retired) {
 void Runtime::wait_idle() {
   NS_REQUIRE(tl_runtime != this || tl_worker_id == kExternalWorker,
              "wait_idle from a worker thread would deadlock the pool");
-  std::unique_lock lock(idle_mutex_);
-  idle_cv_.wait(lock, [&] { return outstanding_.load(std::memory_order_acquire) == 0; });
-}
-
-void Runtime::wait_and_assist(const EventPtr& event) {
-  NS_REQUIRE(event != nullptr, "null event");
-  NS_REQUIRE(tl_runtime != this || tl_worker_id == kExternalWorker,
-             "workers must not wait_and_assist");
-  TaskContext context{*this, kExternalWorker, 0};
-  std::uint32_t next_node = 0;
-  std::uint64_t retired = 0;
-  while (!event->satisfied()) {
-    TaskNode* task = nullptr;
-    for (std::uint32_t i = 0; i < machine_.node_count() && !task; ++i) {
-      task = pop_injection((next_node + i) % machine_.node_count());
-    }
-    next_node = (next_node + 1) % machine_.node_count();
-    if (!task) {
-      for (auto& w : workers_) {
-        if ((task = w->deque.steal()) != nullptr) break;
-      }
-    }
-    if (task) {
-      run_task(task, context, retired);
-      // Assist threads flush per task: external completion visibility
-      // matters more than batching off the pool's critical path.
-      flush_retired(retired);
-    } else {
-      event->wait_for_us(200);
-    }
+  {
+    std::unique_lock lock(idle_mutex_);
+    idle_cv_.wait(lock, [&] { return outstanding_.load(std::memory_order_acquire) == 0; });
   }
+  // Free the buffers datablock moves retired (publish-then-retire). A task
+  // can hold a retired buffer only if it loaded data() before the move
+  // published the new one; such a task already counted in outstanding_ then
+  // and keeps counting until it has finished. So read the retire sequence
+  // first: if outstanding_ is zero after that read, every task that could
+  // hold a buffer retired up to it has finished, and a task created later
+  // loads the new pointer. A concurrent spawner that keeps outstanding_
+  // above zero, or a move after the read, leaves its buffers to a later
+  // wait_idle(). Nothing retired is the common case: one relaxed load.
+  if (datablocks_.retired_bytes() == 0) return;
+  const std::uint64_t sequence = datablocks_.retire_sequence();
+  if (outstanding_.load(std::memory_order_acquire) == 0) datablocks_.reclaim_retired(sequence);
 }
 
 DatablockPtr Runtime::create_datablock(std::size_t bytes, topo::NodeId node) {

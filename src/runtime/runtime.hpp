@@ -147,17 +147,14 @@ class Runtime {
                            const std::vector<EventPtr>& deps = {},
                            topo::NodeId affinity = kAnyNode);
 
-  /// A user-controlled once event (OCR "once event").
-  EventPtr create_event();
   /// A latch firing after `count` count_down() calls.
   LatchEventPtr create_latch(std::uint32_t count);
 
   /// Block the external caller until every created task has finished.
+  /// Only workers execute tasks: an external thread waits here or on the
+  /// event it needs (Event::wait). A user-controlled once event (OCR "once
+  /// event") is a plain std::make_shared<Event>().
   void wait_idle();
-
-  /// External-thread assist (paper §IV: a main thread running tasks while it
-  /// waits): executes queued tasks until `event` fires.
-  void wait_and_assist(const EventPtr& event);
 
   // --- data API ---------------------------------------------------------
   DatablockPtr create_datablock(std::size_t bytes, topo::NodeId node = 0);

@@ -26,7 +26,7 @@ inline constexpr std::uint32_t kExternalWorker = ~0u;
 /// the runtime for nested spawns.
 struct TaskContext {
   Runtime& runtime;
-  std::uint32_t worker_id;  // kExternalWorker when run by an assisting thread
+  std::uint32_t worker_id;  // the executing worker
   topo::NodeId node;        // node of the executing worker
 };
 

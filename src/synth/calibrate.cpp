@@ -1,6 +1,5 @@
 #include "synth/calibrate.hpp"
 
-#include "common/assert.hpp"
 #include "common/format.hpp"
 
 namespace numashare::synth {
@@ -47,21 +46,6 @@ std::optional<Calibration> calibrate_even_scenario(const EvenScenarioMeasurement
     return fail("memory-bound side is running at compute peak; AI too high");
   }
   return c;
-}
-
-GBps calibrate_link_bandwidth(GFlops remote_gflops, ArithmeticIntensity remote_ai,
-                              std::uint32_t links_used) {
-  NS_REQUIRE(remote_ai > 0.0, "arithmetic intensity must be positive");
-  NS_REQUIRE(links_used > 0, "at least one link");
-  return remote_gflops / remote_ai / links_used;
-}
-
-topo::Machine machine_from_calibration(const Calibration& calibration, std::uint32_t nodes,
-                                       std::uint32_t cores_per_node, GBps link_bandwidth,
-                                       std::string name) {
-  return topo::Machine::symmetric(nodes, cores_per_node, calibration.peak_gflops_per_thread,
-                                  calibration.node_bandwidth, link_bandwidth,
-                                  std::move(name));
 }
 
 }  // namespace numashare::synth

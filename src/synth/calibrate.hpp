@@ -22,7 +22,6 @@
 #include <string>
 
 #include "common/units.hpp"
-#include "topology/machine.hpp"
 
 namespace numashare::synth {
 
@@ -51,16 +50,5 @@ struct Calibration {
 /// turns out memory-bound, which would silently corrupt both estimates.
 std::optional<Calibration> calibrate_even_scenario(const EvenScenarioMeasurement& m,
                                                    std::string* error = nullptr);
-
-/// Link bandwidth from a dedicated cross-node flow: one app whose threads on
-/// one node stream from another node's memory through a single link, with
-/// nothing else running. The achieved bandwidth *is* the link capacity.
-GBps calibrate_link_bandwidth(GFlops remote_gflops, ArithmeticIntensity remote_ai,
-                              std::uint32_t links_used);
-
-/// Assemble a Machine from the calibrated parameters (symmetric).
-topo::Machine machine_from_calibration(const Calibration& calibration, std::uint32_t nodes,
-                                       std::uint32_t cores_per_node, GBps link_bandwidth,
-                                       std::string name = "calibrated");
 
 }  // namespace numashare::synth

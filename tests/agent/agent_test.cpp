@@ -8,6 +8,7 @@
 #include <thread>
 
 #include "agent/policies.hpp"
+#include "support/daemon_support.hpp"
 #include "topology/presets.hpp"
 
 namespace numashare::agent {
@@ -61,7 +62,7 @@ TEST(Agent, ViewsTrackProgressRates) {
   rt::Runtime app(machine, {.name = "rates"});
   ShmChannel ch;
   RuntimeAdapter adapter(app, ch);
-  Agent agent(machine, std::make_unique<OversubscribedPolicy>());
+  Agent agent(machine, std::make_unique<nsd::ClearOncePolicy>());
   agent.add_app("rates", ch);
 
   app.report_progress(10);
@@ -88,7 +89,7 @@ TEST(Agent, WatchdogStallReachesCompliance) {
   ASSERT_NE(app.watchdog(), nullptr);
   ShmChannel channel;
   RuntimeAdapter adapter(app, channel);
-  Agent agent(machine, std::make_unique<OversubscribedPolicy>());
+  Agent agent(machine, std::make_unique<nsd::ClearOncePolicy>());
   agent.add_app("stall", channel);
 
   // Bounded waits on the state itself: a loaded host delays the watchdog's
@@ -192,7 +193,7 @@ TEST(AgentDeath, PolicyRequired) {
 // Registration after start() is legal now (dynamic membership) — covered in
 // dynamic_membership_test.cpp. Duplicate names are still rejected.
 TEST(AgentDeath, DuplicateNameRejected) {
-  Agent agent(machine_2x2(), std::make_unique<OversubscribedPolicy>());
+  Agent agent(machine_2x2(), std::make_unique<nsd::ClearOncePolicy>());
   ShmChannel ch1, ch2;
   agent.add_app("same", ch1);
   EXPECT_DEATH(agent.add_app("same", ch2), "duplicate");

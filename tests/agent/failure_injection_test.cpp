@@ -10,6 +10,7 @@
 
 #include "agent/agent.hpp"
 #include "agent/policies.hpp"
+#include "support/daemon_support.hpp"
 #include "topology/presets.hpp"
 
 namespace numashare::agent {
@@ -64,7 +65,7 @@ TEST(FailureInjection, StalledAdapterOnlyCostsFreshness) {
   // fills, sends are dropped and accounted, nothing blocks.
   rt::Runtime runtime(machine_2x2(), {.name = "stalled"});
   ShmChannel channel;
-  Agent agent(machine_2x2(), std::make_unique<OversubscribedPolicy>());
+  Agent agent(machine_2x2(), std::make_unique<nsd::ClearOncePolicy>());
   agent.add_app("stalled", channel);
   Command cmd;
   cmd.type = CommandType::kSetTotalThreads;

@@ -29,17 +29,6 @@ std::vector<std::uint32_t> totals_of(const std::vector<Directive>& directives) {
   return out;
 }
 
-TEST(OversubscribedPolicy, ClearsOnceThenSilent) {
-  OversubscribedPolicy policy;
-  const auto machine = topo::paper_model_machine();
-  std::vector<AppView> views{view("a"), view("b")};
-  auto first = policy.decide(machine, views);
-  ASSERT_EQ(first.size(), 2u);
-  EXPECT_EQ(first[0].kind, Directive::Kind::kClear);
-  auto second = policy.decide(machine, views);
-  EXPECT_EQ(second[0].kind, Directive::Kind::kNone);
-}
-
 TEST(FairSharePolicy, TotalFlavorSumsToCoreCount) {
   FairSharePolicy policy(FairSharePolicy::Flavor::kTotalThreads);
   const auto machine = topo::Machine::symmetric(2, 5, 1.0, 10.0);  // 10 cores
@@ -113,16 +102,6 @@ TEST(FairSharePolicy, IdempotentUntilAppSetChanges) {
   EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNone);
   views.push_back(view("c"));
   EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNodeThreads);
-}
-
-TEST(StaticPartitionPolicy, IssuesOnce) {
-  StaticPartitionPolicy policy({{2, 0}, {0, 2}});
-  const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0);
-  std::vector<AppView> views{view("a"), view("b")};
-  const auto first = policy.decide(machine, views);
-  EXPECT_EQ(first[0].node_threads, (std::vector<std::uint32_t>{2, 0}));
-  EXPECT_EQ(first[1].node_threads, (std::vector<std::uint32_t>{0, 2}));
-  EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNone);
 }
 
 TEST(ProducerConsumerPolicy, InitialEvenSplit) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "support/allocation_matrix.hpp"
 #include "topology/presets.hpp"
 
 namespace numashare::model {
@@ -54,12 +55,8 @@ TEST(Allocation, ValidateCatchesOversubscription) {
 
 TEST(Allocation, ValidateCatchesNodeCountMismatch) {
   const auto machine = topo::paper_model_machine();
-  const auto a = Allocation::from_matrix({{1, 1}});
+  const auto a = allocation_from_matrix({{1, 1}});
   EXPECT_FALSE(a.validate(machine));
-}
-
-TEST(Allocation, FromMatrixRejectsRagged) {
-  EXPECT_DEATH(Allocation::from_matrix({{1, 2}, {1}}), "ragged");
 }
 
 TEST(Allocation, ToStringReadable) {

@@ -41,7 +41,7 @@ TEST(PaperNumbers, TableII_EvenAllocation140) {
 }
 
 TEST(PaperNumbers, Fig2c_NodePerApp128) {
-  const auto s = paper::fig2_node_per_app();
+  const auto s = paper::fig2()[2];
   const auto solution = run(s);
   EXPECT_NEAR(solution.total_gflops, 128.0, 1e-9);
   // "80 for the compute-bound code and 16 for each memory-bound code".

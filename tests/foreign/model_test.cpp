@@ -7,6 +7,7 @@
 
 #include "core/optimizer.hpp"
 #include "core/roofline.hpp"
+#include "support/allocation_matrix.hpp"
 #include "support/search_reference.hpp"
 #include "topology/machine.hpp"
 
@@ -17,7 +18,7 @@ TEST(ForeignModel, AllZeroForeignMatchesBaseline) {
   const auto machine = topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0);
   const std::vector<AppSpec> apps{AppSpec::numa_perfect("mem", 0.5),
                                   AppSpec::numa_perfect("cpu", 10.0)};
-  const auto allocation = Allocation::from_matrix({{1, 1}, {1, 1}});
+  const auto allocation = allocation_from_matrix({{1, 1}, {1, 1}});
   const auto baseline = solve(machine, apps, allocation);
 
   SolveOptions options;
@@ -35,7 +36,7 @@ TEST(ForeignModel, BandwidthServedOffTheTop) {
   // 1 node x 2 cores, 10 GB/s. Two mem-bound threads demand 2 GB/s each.
   const auto machine = topo::Machine::symmetric(1, 2, 1.0, 10.0);
   const std::vector<AppSpec> apps{AppSpec::numa_perfect("mem", 0.5)};
-  const auto allocation = Allocation::from_matrix({{2}});
+  const auto allocation = allocation_from_matrix({{2}});
   ASSERT_DOUBLE_EQ(solve(machine, apps, allocation).total_gflops, 2.0);
 
   // A foreign draw of 8 GB/s leaves 2 for the cooperating threads: 1 GB/s
@@ -52,7 +53,7 @@ TEST(ForeignModel, BusyCoresTimeshareCompute) {
   // core's worth of foreign compute -> each thread holds half a core.
   const auto machine = topo::Machine::symmetric(1, 2, 1.0, 100.0);
   const std::vector<AppSpec> apps{AppSpec::numa_perfect("cpu", 10.0)};
-  const auto allocation = Allocation::from_matrix({{2}});
+  const auto allocation = allocation_from_matrix({{2}});
   ASSERT_DOUBLE_EQ(solve(machine, apps, allocation).total_gflops, 2.0);
 
   SolveOptions options;
@@ -64,7 +65,7 @@ TEST(ForeignModel, BusyCoresTimeshareCompute) {
 TEST(ForeignModel, OvercommittedForeignClampsToPhysical) {
   const auto machine = topo::Machine::symmetric(1, 2, 1.0, 10.0);
   const std::vector<AppSpec> apps{AppSpec::numa_perfect("mem", 0.5)};
-  const auto allocation = Allocation::from_matrix({{2}});
+  const auto allocation = allocation_from_matrix({{2}});
   SolveOptions options;
   options.foreign.busy_cores = {99.0};     // > 2 physical cores
   options.foreign.bandwidth = {1e6};       // > 10 GB/s controller
@@ -81,8 +82,8 @@ TEST(ForeignModel, ForeignOnlyLowersThroughput) {
   const std::vector<AppSpec> apps{AppSpec::numa_perfect("mem", 0.5),
                                   AppSpec::numa_bad("bad", 1.0, 0)};
   for (const auto& allocation :
-       {Allocation::from_matrix({{1, 1}, {1, 1}}), Allocation::from_matrix({{2, 0}, {0, 2}}),
-        Allocation::from_matrix({{0, 2}, {2, 0}})}) {
+       {allocation_from_matrix({{1, 1}, {1, 1}}), allocation_from_matrix({{2, 0}, {0, 2}}),
+        allocation_from_matrix({{0, 2}, {2, 0}})}) {
     const double blind = solve(machine, apps, allocation).total_gflops;
     SolveOptions options;
     options.foreign.busy_cores = {1.0, 0.5};
@@ -145,7 +146,7 @@ TEST(ForeignSearch, RefineVacatesHoggedNode) {
   const auto machine = topo::Machine::symmetric(2, 2, 1.0, 4.0, 5.0);
   const std::vector<AppSpec> apps{AppSpec::numa_perfect("mem", 0.5),
                                   AppSpec::numa_bad("bad", 0.5, 1)};
-  const auto seed = Allocation::from_matrix({{1, 1}, {1, 1}});
+  const auto seed = allocation_from_matrix({{1, 1}, {1, 1}});
 
   RefineOptions options;
   options.objective = Objective::kTotalGflops;

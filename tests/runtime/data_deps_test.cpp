@@ -127,7 +127,7 @@ TEST(DataDeps, AffinityFollowsWrittenBlock) {
 TEST(DataDeps, ComposesWithEventDeps) {
   auto rt = make_runtime();
   auto db = rt.create_datablock(sizeof(int), 0);
-  auto gate = rt.create_event();
+  auto gate = std::make_shared<Event>();
   std::atomic<bool> ran{false};
   auto done = rt.spawn_with_data([&](TaskContext&) { ran.store(true); },
                                  {DataAccess::write(db)}, {gate});

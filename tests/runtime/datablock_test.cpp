@@ -82,14 +82,33 @@ TEST(Datablock, MoveRetiresOldBufferUntilReclaim) {
   DatablockRegistry registry(2);
   auto db = registry.create(256, 0);
   const std::byte* before = db->data();
+  const std::uint64_t before_move = registry.retire_sequence();
   db->move_to(1);
   // Publish-then-retire: the new buffer is live, the old one is retired —
   // not freed — so a reader that loaded data() pre-move stays valid.
   EXPECT_NE(db->data(), before);
-  EXPECT_EQ(db->retired_bytes(), 256u);
   EXPECT_EQ(registry.retired_bytes(), 256u);
-  db->reclaim_retired();
-  EXPECT_EQ(db->retired_bytes(), 0u);
+  // Only buffers retired up to the given sequence are freed.
+  EXPECT_EQ(registry.reclaim_retired(before_move), 0u);
+  EXPECT_EQ(registry.retired_bytes(), 256u);
+  EXPECT_EQ(registry.reclaim_retired(registry.retire_sequence()), 256u);
+  EXPECT_EQ(registry.retired_bytes(), 0u);
+}
+
+// Reallocation churn: every migration retires the block's old buffer, and
+// the next wait_idle() with no task outstanding frees it, so flipping a block
+// between nodes does not pin one more buffer per move.
+TEST(Datablock, WaitIdleFreesMigratedAwayBuffers) {
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  Runtime rt(topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0));
+  auto db = rt.create_datablock(kBytes, 0);
+  for (int flip = 0; flip < 8; ++flip) {
+    const auto report = rt.migrate_datablocks_toward(
+        flip % 2 == 0 ? std::vector<std::uint32_t>{0, 1} : std::vector<std::uint32_t>{1, 0});
+    ASSERT_EQ(report.bytes_moved, kBytes);
+    rt.wait_idle();
+    EXPECT_EQ(rt.datablocks().retired_bytes(), 0u) << "after flip " << flip;
+  }
 }
 
 TEST(Datablock, TouchCountsAccumulate) {

@@ -124,7 +124,7 @@ TEST(LifecycleStress, DestructorReclaimsUndrainedTasks) {
   // pool destructor (leaks would trip ASan; double-destroys crash).
   for (int round = 0; round < 8; ++round) {
     Runtime rt(topo::Machine::symmetric(2, 2, 1.0, 10.0), {.name = "lcdtor"});
-    auto never = rt.create_event();
+    auto never = std::make_shared<Event>();
     std::atomic<int> executed{0};
     for (int i = 0; i < 512; ++i) {
       if (i % 7 == 0) {

@@ -34,7 +34,7 @@ TEST(LocalitySteal, SingleNodeStealsAreAllLocal) {
       latch->count_down();
     });
   }
-  rt.wait_and_assist(latch);
+  latch->wait();
   EXPECT_EQ(ran.load(), 64);
   const auto stats = rt.stats();
   EXPECT_EQ(stats.remote_steals, 0u);

@@ -19,6 +19,7 @@
 
 #include "common/rng.hpp"
 #include "runtime/datablock.hpp"
+#include "runtime/runtime.hpp"
 
 namespace numashare::rt {
 namespace {
@@ -143,12 +144,54 @@ TEST(MemoryAccounting, ConcurrentMoveAndReadIsSafe) {
 
   // Every completed move retired one buffer; with readers joined the blocks
   // are quiescent and reclaim returns the books to zero.
-  const std::uint64_t pinned = db->retired_bytes();
+  const std::uint64_t pinned = registry.retired_bytes();
   EXPECT_GT(pinned, 0u);
-  EXPECT_EQ(registry.retired_bytes(), pinned);
-  EXPECT_EQ(registry.reclaim_retired(), pinned);
-  EXPECT_EQ(db->retired_bytes(), 0u);
+  EXPECT_EQ(registry.reclaim_retired(registry.retire_sequence()), pinned);
   EXPECT_EQ(registry.retired_bytes(), 0u);
+}
+
+// wait_idle() frees retired buffers while a spawner and a mover keep running
+// against it. Tasks read the block through data() as it moves; a buffer freed
+// while a task may still read it is a use-after-free for ASan (the block is
+// half a slab, so its buffers are dedicated allocations returned to the heap)
+// and a data race for TSan.
+TEST(MemoryAccounting, WaitIdleReclaimRacesSpawnerAndMover) {
+  constexpr std::size_t kWords = NumaArena::kDefaultSlabBytes / 2 / sizeof(std::uint64_t);
+  constexpr std::uint64_t kPattern = 0xfeedu;
+  constexpr int kMoves = 1000;
+  Runtime rt(topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0));
+  auto db = rt.create_datablock(kWords * sizeof(std::uint64_t), 0);
+  for (auto& word : db->as_span<std::uint64_t>()) word = kPattern;
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> torn{0};
+  std::thread spawner([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      rt.spawn([&](TaskContext&) {
+        const auto view = db->as_span<const std::uint64_t>();
+        for (std::size_t i = 0; i < kWords; i += 64) {
+          if (view[i] != kPattern) torn.fetch_add(1, std::memory_order_relaxed);
+        }
+      });
+      std::this_thread::yield();
+    }
+  });
+  std::thread mover([&] {
+    for (int i = 0; i < kMoves; ++i) {
+      rt.migrate_datablocks_toward(i % 2 == 0 ? std::vector<std::uint32_t>{0, 1}
+                                              : std::vector<std::uint32_t>{1, 0});
+      std::this_thread::yield();
+    }
+    stop.store(true, std::memory_order_release);
+  });
+  while (!stop.load(std::memory_order_acquire)) rt.wait_idle();
+  mover.join();
+  spawner.join();
+  rt.wait_idle();
+
+  EXPECT_EQ(torn.load(), 0u);
+  EXPECT_EQ(rt.stats().blocks_migrated, std::uint64_t{kMoves});
+  EXPECT_EQ(rt.datablocks().retired_bytes(), 0u);
 }
 
 // Two movers racing the same block: the move mutex serializes them, the

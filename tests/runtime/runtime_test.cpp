@@ -72,7 +72,7 @@ TEST(Runtime, DiamondDependency) {
 
 TEST(Runtime, UserEventGatesTask) {
   Runtime rt(small_machine());
-  auto gate = rt.create_event();
+  auto gate = std::make_shared<Event>();
   std::atomic<bool> ran{false};
   auto done = rt.spawn([&](TaskContext&) { ran.store(true); }, {gate});
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -84,7 +84,7 @@ TEST(Runtime, UserEventGatesTask) {
 
 TEST(Runtime, DependingOnAlreadySatisfiedEvent) {
   Runtime rt(small_machine());
-  auto gate = rt.create_event();
+  auto gate = std::make_shared<Event>();
   gate->satisfy();
   std::atomic<bool> ran{false};
   rt.spawn([&](TaskContext&) { ran.store(true); }, {gate})->wait();
@@ -207,26 +207,6 @@ TEST(Runtime, WorkersRunOnTheirBinding) {
   }
 }
 
-TEST(Runtime, ExternalWaitAndAssistExecutesTasks) {
-  Runtime rt(small_machine());
-  // Block all workers so only the assisting external thread can make
-  // progress — proving non-worker threads really execute tasks (paper §IV).
-  rt.set_total_thread_target(0);
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  EXPECT_EQ(rt.running_threads(), 0u);
-  std::atomic<int> executed{0};
-  auto latch = rt.create_latch(10);
-  for (int i = 0; i < 10; ++i) {
-    rt.spawn([&](TaskContext& ctx) {
-      EXPECT_EQ(ctx.worker_id, kExternalWorker);
-      executed.fetch_add(1);
-      latch->count_down();
-    });
-  }
-  rt.wait_and_assist(latch);
-  EXPECT_EQ(executed.load(), 10);
-}
-
 TEST(Runtime, ProgressCounter) {
   Runtime rt(small_machine());
   rt.report_progress(3);
@@ -238,7 +218,7 @@ TEST(Runtime, DestructorReclaimsUnsatisfiedTasks) {
   std::atomic<bool> ran{false};
   {
     Runtime rt(small_machine());
-    auto never = rt.create_event();
+    auto never = std::make_shared<Event>();
     rt.spawn([&](TaskContext&) { ran.store(true); }, {never});
     // Destructor must not hang or leak (ASAN would flag the leak).
   }

@@ -128,7 +128,7 @@ TEST(Stress, RepeatedRuntimeLifecycle) {
   // Construct/destroy cycles with work in flight: no leaks (ASAN), no hangs.
   for (int round = 0; round < 10; ++round) {
     Runtime rt(topo::Machine::symmetric(2, 2, 1.0, 10.0), {.name = "cycle"});
-    auto gate = rt.create_event();
+    auto gate = std::make_shared<Event>();
     std::atomic<int> executed{0};
     for (int i = 0; i < 50; ++i) {
       rt.spawn([&](TaskContext&) { executed.fetch_add(1); });

@@ -1,8 +1,8 @@
 // Helpers shared by the daemon-level tests (daemon, compliance, scale,
-// foreign, fault-injection and failover suites) and bench_daemon_scale:
-// per-process shm and journal names, journal event counting, the
-// connect-while-ticking handshake, a policy that never arbitrates, and a
-// simulated client fleet.
+// foreign, fault-injection and failover suites), the agent tests and
+// bench_daemon_scale: per-process shm and journal names, journal event
+// counting, the connect-while-ticking handshake, two policies that never
+// arbitrate, and a simulated client fleet.
 #pragma once
 
 #include <cstddef>
@@ -45,6 +45,26 @@ class NullPolicy final : public agent::Policy {
                                        const std::vector<agent::AppView>& views) override {
     return std::vector<agent::Directive>(views.size());
   }
+};
+
+/// Clears every app's thread controls on its first decision, then answers
+/// Directive::none(): the agent sends one command per app and then only
+/// listens, for tests whose subject is telemetry, compliance or the rings.
+class ClearOncePolicy final : public agent::Policy {
+ public:
+  const char* name() const override { return "clear-once"; }
+  std::vector<agent::Directive> decide(const topo::Machine&,
+                                       const std::vector<agent::AppView>& views) override {
+    std::vector<agent::Directive> out(views.size(), agent::Directive::none());
+    if (!cleared_) {
+      for (auto& d : out) d = agent::Directive::clear();
+      cleared_ = true;
+    }
+    return out;
+  }
+
+ private:
+  bool cleared_ = false;
 };
 
 /// Simulated clients driven from the caller's thread through a second

@@ -61,7 +61,9 @@ TEST(Calibrate, RoundTripsThroughSimulator) {
   EXPECT_NEAR(c->node_bandwidth, 100.0, 0.1);
 
   // And the calibrated machine predicts the *other* scenarios correctly.
-  const auto machine = machine_from_calibration(*c, m.nodes, m.cores_per_node, 10.0);
+  const auto machine = topo::Machine::symmetric(m.nodes, m.cores_per_node,
+                                                c->peak_gflops_per_thread, c->node_bandwidth,
+                                                10.0);
   const auto row1 = model::paper::table3()[0];
   const auto predicted = model::solve(machine, row1.apps, row1.allocation);
   EXPECT_NEAR(predicted.total_gflops, 23.2, 0.05);
@@ -82,23 +84,6 @@ TEST(Calibrate, RejectsIncompleteDescription) {
   auto m = paper_even_measurement();
   m.compute_total_gflops = 0.0;
   EXPECT_FALSE(calibrate_even_scenario(m).has_value());
-}
-
-TEST(Calibrate, LinkBandwidthInversion) {
-  // A remote flow achieving 1.875 GFLOPS at AI 1/16 over 3 links: the
-  // Table III row 4 remote numbers give back the 10 GB/s links.
-  EXPECT_NEAR(calibrate_link_bandwidth(1.875, 1.0 / 16.0, 3), 10.0, 1e-9);
-}
-
-TEST(Calibrate, MachineAssembly) {
-  Calibration c;
-  c.peak_gflops_per_thread = 0.29;
-  c.node_bandwidth = 100.0;
-  const auto machine = machine_from_calibration(c, 4, 20, 10.0, "skylake-est");
-  EXPECT_EQ(machine.name(), "skylake-est");
-  EXPECT_EQ(machine.core_count(), 80u);
-  EXPECT_DOUBLE_EQ(machine.node(0).memory_bandwidth, 100.0);
-  EXPECT_DOUBLE_EQ(machine.link_bandwidth(0, 1), 10.0);
 }
 
 }  // namespace
