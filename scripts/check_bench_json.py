@@ -65,7 +65,8 @@ PINS = {
         # nodes x cores_per_node x apps, each 1..1024.
         "scenario": r"(\d+)x(\d+)x(\d+)",
         "names": ["solve", "solve_into", "search_before", "search_after", "search_speedup",
-                  "search_evals", "search_candidates", "refine", "peak_rss", "peak_rss_full"],
+                  "search_evals", "search_solves", "search_candidates", "refine",
+                  "peak_rss", "peak_rss_full"],
         # Every search_before row says whether its brute-force time was estimated.
         "flags": {"search_before": "estimated"},
         "gates": [

@@ -240,6 +240,9 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
       }
     }
     stats.kind = SearchKind::kFull;
+    stats.evaluated = joint.evaluated;
+    stats.pruned = joint.pruned;
+    stats.bound_solves = joint.bound_solves;
   } else {
     auto result = model::exhaustive_search(machine, specs, options_.objective,
                                            /*require_full=*/true,

@@ -90,8 +90,9 @@ class ModelGuidedPolicy final : public Policy {
   /// candidates.
   enum class SearchKind { kNone, kFull, kRefine };
   /// What the latest decision cost; the daemon journals it with each
-  /// reallocation. The counters are the engines' SearchResult counters
-  /// (zero where an engine does not report them, e.g. joint placement).
+  /// reallocation. The counters are the engines' SearchResult counters,
+  /// summed over every search a decision ran (zero where an engine does not
+  /// report them: the climb has no pruned or bound_solves).
   struct SearchStats {
     SearchKind kind = SearchKind::kNone;
     std::uint64_t evaluated = 0;  // model solves on candidates (search + polish)

@@ -220,6 +220,46 @@ SearchBounds make_search_bounds(const topo::Machine& machine, const std::vector<
   return b;
 }
 
+/// Closed-form ceiling on one node's GFLOPS for uniform candidates on node
+/// classes (docs/MODEL.md §7 "Closed-form node bound"). With b the per-core
+/// baseline share of the bandwidth left after foreign draw, every grant is
+/// at least base = min(demand, b), the grants sum to at most C * b, and only
+/// apps demanding more than b get more than their baseline, each at most at
+/// aimax, the largest AI among them. So a thread of app a scores at most
+/// h[a] = ai * base + aimax * (b - base), and a core left idle hands at most
+/// idle = b * aimax to the others. Compute shares and Amdahl only lower the
+/// result, and no node beats node_cap = C * peak.
+struct NodeCeiling {
+  std::vector<double> h;
+  std::vector<double> suffix_h;  // suffix maxima of h, size apps + 1 (0 past the end)
+  double idle = 0.0;
+  double node_cap = 0.0;
+};
+
+NodeCeiling make_node_ceiling(const topo::Machine& machine, const std::vector<AppSpec>& apps,
+                              const ForeignLoad& foreign) {
+  const double cores = machine.cores_in_node(0);
+  const GFlops peak = node_core_peak(machine, 0);
+  const GBps bw = machine.node(0).memory_bandwidth;
+  // solve_controller's baseline_per_core with no remote flows.
+  const GBps b = (bw - std::min(foreign_node_bw(foreign, 0), bw)) / cores;
+  double aimax = 0.0;
+  for (const auto& app : apps) {
+    if (demand_gbps(peak, app.ai) > b) aimax = std::max(aimax, app.ai);
+  }
+  NodeCeiling ceiling;
+  ceiling.idle = b * aimax;
+  ceiling.node_cap = cores * peak;
+  ceiling.h.resize(apps.size());
+  ceiling.suffix_h.assign(apps.size() + 1, 0.0);
+  for (std::size_t a = apps.size(); a-- > 0;) {
+    const GBps base = std::min(demand_gbps(peak, apps[a].ai), b);
+    ceiling.h[a] = apps[a].ai * base + aimax * (b - base);
+    ceiling.suffix_h[a] = std::max(ceiling.suffix_h[a + 1], ceiling.h[a]);
+  }
+  return ceiling;
+}
+
 /// True when every uniform candidate solves identically at every memory
 /// controller, so one controller stands for the whole machine (docs/MODEL.md
 /// §7 "Node classes"): a symmetric machine, every app NUMA-perfect (no
@@ -353,6 +393,10 @@ struct StreamSearch {
   /// instead of solve_into; node permutations always take solve_into.
   bool node_classes = false;
   NodeClassSolver classes;
+  /// kTotalGflops on node classes: the closed-form ceiling is checked before
+  /// any partial-prefix solve, which then runs only where it fails to cut.
+  bool closed_form = false;
+  NodeCeiling ceiling;
 
   std::uint32_t apps_n = 0;
   std::uint32_t nodes_n = 0;
@@ -395,6 +439,8 @@ struct StreamSearch {
     budget = smallest_node_cores(machine);
     prune_enabled = caps.empty();
     if (prune_enabled) bounds = make_search_bounds(machine, apps, foreign_);
+    closed_form = node_classes && objective == Objective::kTotalGflops;
+    if (closed_form) ceiling = make_node_ceiling(machine, apps, foreign_);
     workspace = Allocation(apps_n, nodes_n);
     counts.assign(apps_n, 0);
     best.objective_value = -std::numeric_limits<double>::infinity();
@@ -438,6 +484,16 @@ struct StreamSearch {
     return std::numeric_limits<double>::infinity();
   }
 
+  /// Closed-form bound on every completion once apps [0, next_app) are
+  /// assigned: `ph` sums t * h over them, and each of the `remaining`
+  /// per-node threads scores at most the best h in the tail, or `idle` when
+  /// it may stay unassigned. Past the last app it covers a whole candidate.
+  double ceiling_bound(double ph, std::uint32_t next_app, std::uint32_t remaining) const {
+    const double fill = require_full ? ceiling.suffix_h[next_app]
+                                     : std::max(ceiling.suffix_h[next_app], ceiling.idle);
+    return nodes_n * std::min(ceiling.node_cap, ph + remaining * fill);
+  }
+
   /// True when the (admissible) bound proves nothing in the subtree can
   /// strictly beat the incumbent. The margin absorbs floating-point noise in
   /// the bound arithmetic — pruning must never fire on a rounding hair.
@@ -476,7 +532,7 @@ struct StreamSearch {
     }
   }
 
-  void leaf(std::uint32_t remaining, double pt, double pm, double pl) {
+  void leaf(std::uint32_t remaining, double pt, double pm, double pl, double ph) {
     const std::uint32_t a = apps_n - 1;
     if (remaining < min_per_app) return;
     const std::uint32_t c_lo = require_full ? remaining : min_per_app;
@@ -492,7 +548,9 @@ struct StreamSearch {
             bound = pl + std::log(std::max(ub, 1e-12));
             break;
         }
-        if (cuttable(bound)) {
+        if (cuttable(bound) ||
+            (closed_form &&
+             cuttable(ceiling_bound(ph + c * ceiling.h[a], apps_n, remaining - c)))) {
           ++best.pruned;
           continue;
         }
@@ -503,9 +561,10 @@ struct StreamSearch {
     }
   }
 
-  void descend(std::uint32_t a, std::uint32_t remaining, double pt, double pm, double pl) {
+  void descend(std::uint32_t a, std::uint32_t remaining, double pt, double pm, double pl,
+               double ph) {
     if (a + 1 == apps_n) {
-      leaf(remaining, pt, pm, pl);
+      leaf(remaining, pt, pm, pl, ph);
       return;
     }
     const std::uint32_t tail_after = apps_n - a - 1;  // apps assigned after this one
@@ -517,6 +576,7 @@ struct StreamSearch {
       double cpt = 0.0;
       double cpm = 0.0;
       double cpl = 0.0;
+      const double cph = closed_form ? ph + c * ceiling.h[a] : 0.0;
       if (prune_enabled) {
         const double ub = app_ub(a, c);
         cpt = pt + ub;
@@ -525,7 +585,8 @@ struct StreamSearch {
         if (objective == Objective::kProportionalFairness) {
           cpl = pl + std::log(std::max(ub, 1e-12));
         }
-        if (cuttable(combine_bound(cpt, cpm, cpl, a + 1, rem_after))) {
+        if (cuttable(combine_bound(cpt, cpm, cpl, a + 1, rem_after)) ||
+            (closed_form && cuttable(ceiling_bound(cph, a + 1, rem_after)))) {
           ++best.pruned;
           continue;
         }
@@ -558,7 +619,7 @@ struct StreamSearch {
           continue;
         }
       }
-      descend(a + 1, rem_after, cpt, cpm, cpl);
+      descend(a + 1, rem_after, cpt, cpm, cpl, cph);
       set_row(a, 0);
     }
   }
@@ -600,7 +661,7 @@ struct StreamSearch {
   }
 
   SearchResult run() {
-    descend(0, budget, 0.0, std::numeric_limits<double>::infinity(), 0.0);
+    descend(0, budget, 0.0, std::numeric_limits<double>::infinity(), 0.0, 0.0);
     // Node permutations hand each app a full node, so they satisfy any
     // per-app minimum and are always admissible when counts line up.
     if (apps_n == nodes_n) permutations();

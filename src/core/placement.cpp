@@ -71,11 +71,18 @@ JointResult advise_joint(const topo::Machine& machine, std::vector<AppSpec> apps
                          Objective objective, std::uint32_t min_threads_per_app) {
   JointResult result;
   result.apps = std::move(apps);
+  const auto search_for = [&](const std::vector<AppSpec>& homes) {
+    auto search = exhaustive_search(machine, homes, objective, /*require_full=*/true,
+                                    min_threads_per_app);
+    result.evaluated += search.evaluated;
+    result.pruned += search.pruned;
+    result.bound_solves += search.bound_solves;
+    return search;
+  };
 
   for (std::uint32_t round = 0; round < 16; ++round) {
     // 1. best allocation for the current homes.
-    auto search = exhaustive_search(machine, result.apps, objective,
-                                    /*require_full=*/true, min_threads_per_app);
+    auto search = search_for(result.apps);
     // 2. best single home move for that allocation. Each advice entry is
     //    computed with the *other* homes fixed, so only one move per round
     //    may be applied — applying several at once can oscillate (two bad
@@ -112,8 +119,7 @@ JointResult advise_joint(const topo::Machine& machine, std::vector<AppSpec> apps
         for (topo::NodeId home = 0; home < machine.node_count(); ++home) {
           if (home == result.apps[a].home_node) continue;
           variant[a].home_node = home;
-          const auto rehomed =
-              exhaustive_search(machine, variant, objective, true, min_threads_per_app);
+          const auto rehomed = search_for(variant);
           const double value = score(rehomed.solution, objective);
           if (value > best_value + 1e-12) {
             best_value = value;
@@ -131,8 +137,7 @@ JointResult advise_joint(const topo::Machine& machine, std::vector<AppSpec> apps
     }
     if (moved) {
       // Re-solve with the new homes so the recorded solution is consistent.
-      search = exhaustive_search(machine, result.apps, objective, true,
-                                 min_threads_per_app);
+      search = search_for(result.apps);
     }
     result.allocation = search.allocation;
     result.solution = std::move(search.solution);

@@ -64,6 +64,11 @@ struct JointResult {
   Allocation allocation;
   Solution solution;
   std::uint32_t placement_rounds = 0;  // alternations until the fixed point
+  /// SearchResult's cost counters, summed over every exhaustive_search the
+  /// alternation ran.
+  std::uint64_t evaluated = 0;
+  std::uint64_t pruned = 0;
+  std::uint64_t bound_solves = 0;
 };
 
 /// Alternate allocation search and placement advice until neither improves.

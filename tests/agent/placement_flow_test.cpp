@@ -42,6 +42,27 @@ TEST(PlacementFlow, PolicySuggestsHomeForMisplacedBadApp) {
   EXPECT_EQ(directives[3].node_threads[home], 8u);
 }
 
+TEST(PlacementFlow, JointAdviceReportsSearchCost) {
+  // The placement-advising branch runs several exhaustive searches; the
+  // decision's stats (journaled with each reallocation) carry their sum.
+  ModelGuidedOptions options;
+  options.advise_data_placement = true;
+  ModelGuidedPolicy policy(options);
+  const auto machine = topo::paper_numabad_machine();
+  std::vector<AppView> views{view("p1", 0.5), view("p2", 0.5), view("p3", 0.5),
+                             view("bad", 1.0, /*home=*/2)};
+  policy.decide(machine, views);
+  const auto& stats = policy.last_search();
+  EXPECT_EQ(stats.kind, ModelGuidedPolicy::SearchKind::kFull);
+  EXPECT_GT(stats.evaluated, 0u);
+  // One exhaustive search on the advertised homes alone evaluates fewer.
+  std::vector<model::AppSpec> specs(3, model::AppSpec::numa_perfect("p", 0.5));
+  specs.push_back(model::AppSpec::numa_bad("bad", 1.0, 2));
+  const auto single = model::exhaustive_search(machine, specs, model::Objective::kTotalGflops,
+                                               /*require_full=*/true, 1);
+  EXPECT_GT(stats.evaluated, single.evaluated);
+}
+
 TEST(PlacementFlow, NoSuggestionWhenPlacementAdviceDisabled) {
   ModelGuidedPolicy policy;  // advise_data_placement = false
   const auto machine = topo::paper_numabad_machine();

@@ -5,7 +5,8 @@
 // exactly the allocation and objective value the materialize-then-evaluate
 // brute force selects. A second family draws the daemon's scale (up to 12
 // NUMA-perfect apps on up to 4x20 cores), where the search scores uniform
-// candidates one node class at a time, plus near misses that must not.
+// candidates one node class at a time, plus near misses that must not; half
+// of that family draws tie-heavy mixes from three AI values.
 // Both engines evaluate candidates through the same solver arithmetic and
 // replace the incumbent only on strict improvement, so the comparison is
 // exact (==), not approximate — any admissibility bug in the pruning bounds
@@ -15,6 +16,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <initializer_list>
 
 #include "common/rng.hpp"
 #include "core/optimizer.hpp"
@@ -87,8 +89,10 @@ class SearchEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, SearchEquivalence,
                          ::testing::Range<std::uint64_t>(1000, 1064));
 
-/// Holds exhaustive_search to the brute force on `p` under `objective`.
-void expect_matches_brute_force(const Problem& p, Objective objective, std::uint64_t seed) {
+/// Holds exhaustive_search to the brute force on `p` under `objective`, and
+/// returns the search's result for its cost counters.
+SearchResult expect_matches_brute_force(const Problem& p, Objective objective,
+                                        std::uint64_t seed) {
   const auto reference = exhaustive_search_reference(
       p.machine, p.apps, objective, p.require_full, p.min_per_app, p.caps, p.foreign);
   const auto pruned = exhaustive_search(p.machine, p.apps, objective, p.require_full,
@@ -109,6 +113,7 @@ void expect_matches_brute_force(const Problem& p, Objective objective, std::uint
     EXPECT_EQ(pruned.evaluated + pruned.deduped, reference.evaluated);
     EXPECT_EQ(pruned.pruned, 0u);
   }
+  return pruned;
 }
 
 TEST_P(SearchEquivalence, PrunedMatchesBruteForce) {
@@ -131,7 +136,14 @@ enum class Shape {
 /// ASan/UBSan.
 constexpr std::uint64_t kMaxNodeClassCandidates = 8000;
 
-Problem node_class_problem(std::uint64_t seed, Shape shape) {
+/// Which corner a tie-heavy draw forces; the other draws leave all to rng.
+enum class Corner { kPartial, kNoFloor, kForeign, kDrawn };
+
+/// `ties` draws every AI from a 3-value multiset, one value satisfied at the
+/// baseline share: many candidates then tie (apps of one AI swap counts,
+/// satisfied apps run at the compute cap), which exercises the pruning
+/// margin against the closed-form bound.
+Problem node_class_problem(std::uint64_t seed, Shape shape, bool ties, Corner corner) {
   Xoshiro256 rng(seed);
   Problem p;
   std::uint32_t nodes = 0;
@@ -141,9 +153,10 @@ Problem node_class_problem(std::uint64_t seed, Shape shape) {
     nodes = 1 + static_cast<std::uint32_t>(rng.uniform_u64(4));
     cores = 8 + static_cast<std::uint32_t>(rng.uniform_u64(13));
     n_apps = 4 + static_cast<std::uint32_t>(rng.uniform_u64(std::min(cores, 12u) - 3));
-    p.require_full = rng.uniform() < 0.7;
+    p.require_full = rng.uniform() < 0.7 && corner != Corner::kPartial;
     // The daemon keeps every app running with one thread per node.
     p.min_per_app = rng.uniform() < 0.75 ? 1 : static_cast<std::uint32_t>(rng.uniform_u64(3));
+    if (corner == Corner::kNoFloor) p.min_per_app = 0;
     p.machine = topo::Machine::symmetric(nodes, cores, rng.uniform(0.25, 16.0),
                                          rng.uniform(4.0, 150.0), rng.uniform(0.5, 40.0));
   } while (count_candidates(p.machine, n_apps, p.require_full, p.min_per_app) >
@@ -152,8 +165,15 @@ Problem node_class_problem(std::uint64_t seed, Shape shape) {
   // a mix spans satisfied, water-filled and starved apps.
   const double peak = p.machine.core(0).peak_gflops;
   const double baseline = p.machine.node(0).memory_bandwidth / cores;
+  double multiset[3] = {};
+  if (ties) {
+    multiset[0] = peak / (baseline * std::exp2(rng.uniform(-3.0, 0.0)));
+    multiset[1] = peak / (baseline * std::exp2(rng.uniform(-3.0, 4.0)));
+    multiset[2] = peak / (baseline * std::exp2(rng.uniform(-3.0, 4.0)));
+  }
   for (std::uint32_t a = 0; a < n_apps; ++a) {
-    const double ai = peak / (baseline * std::exp2(rng.uniform(-3.0, 4.0)));
+    const double ai = ties ? multiset[rng.uniform_u64(3)]
+                           : peak / (baseline * std::exp2(rng.uniform(-3.0, 4.0)));
     p.apps.push_back(AppSpec::numa_perfect("perfect", ai));
     if (rng.uniform() < 0.3) p.apps.back().serial_fraction = rng.uniform(0.05, 0.7);
   }
@@ -167,8 +187,10 @@ Problem node_class_problem(std::uint64_t seed, Shape shape) {
   }
   const auto total_nodes = p.machine.node_count();
   // Node-identical foreign load (either vector may be empty).
-  if (rng.uniform() < 0.5) p.foreign.busy_cores.assign(total_nodes, rng.uniform(0.0, cores));
-  if (rng.uniform() < 0.5) {
+  if (rng.uniform() < 0.5 || corner == Corner::kForeign) {
+    p.foreign.busy_cores.assign(total_nodes, rng.uniform(0.0, cores));
+  }
+  if (rng.uniform() < 0.5 || corner == Corner::kForeign) {
     p.foreign.bandwidth.assign(total_nodes,
                                rng.uniform(0.0, p.machine.node(0).memory_bandwidth));
   }
@@ -211,26 +233,62 @@ INSTANTIATE_TEST_SUITE_P(Seeds, NodeClassEquivalence,
 
 TEST_P(NodeClassEquivalence, MatchesBruteForce) {
   // Half the seeds draw node-class problems; the rest cycle through the
-  // four fall-back shapes.
+  // four fall-back shapes. Half of each (blocks of eight seeds) are
+  // tie-heavy, and those cycle through forcing a partial allocation, no
+  // per-app floor and node-identical foreign load on both axes.
   const std::uint64_t seed = GetParam();
   const Shape shape = seed % 2 == 0 ? Shape::kNodeClass : static_cast<Shape>(1 + (seed / 2) % 4);
-  const auto p = node_class_problem(seed, shape);
+  const bool ties = (seed / 8) % 2 == 0;
+  const Corner corner = ties ? static_cast<Corner>((seed / 2) % 4) : Corner::kDrawn;
+  const auto p = node_class_problem(seed, shape, ties, corner);
   for (const auto objective : kObjectives) expect_matches_brute_force(p, objective, seed);
 }
 
-TEST(NodeClassSearch, ShippingShape) {
-  // What the daemon decides at its largest join_churn membership: the
-  // paper's 4x20 Skylake preset, 12 NUMA-perfect memory-bound-heavy apps,
-  // every core granted and every app kept running (75 582 candidates).
+TEST(NodeClassSearch, IdleCoreCanWin) {
+  // The winner leaves one core idle: that core's baseline bandwidth earns
+  // more in the water-fill pool than on another thread of either app. The
+  // closed-form bound must price an idle core (b * aimax); without that
+  // term the search cuts the winner and returns a full allocation.
+  Problem p;
+  p.machine = topo::Machine::symmetric(1, 6, 2.45, 143.0, 10.0);
+  p.apps = {AppSpec::numa_perfect("a", 0.03), AppSpec::numa_perfect("b", 0.05)};
+  p.apps[1].serial_fraction = 0.4;
+  const auto result = expect_matches_brute_force(p, Objective::kTotalGflops, 0);
+  EXPECT_EQ(result.allocation.total(), 5u);
+}
+
+/// The paper's 4x20 Skylake preset with 12 NUMA-perfect apps of the given
+/// AIs, every core granted and every app kept running (75 582 candidates).
+Problem skylake_twelve(std::initializer_list<double> ais) {
   Problem p;
   p.machine = topo::Machine::symmetric(4, 20, 0.29, 100.0, 10.0);
-  for (const double ai : {1.0 / 32, 1.0 / 8, 1.0 / 64, 1.0 / 64, 1.0 / 32, 1.0 / 32, 1.0 / 16,
-                          1.0 / 16, 1.0 / 8, 1.0 / 8, 1.0, 1.0}) {
-    p.apps.push_back(AppSpec::numa_perfect("perfect", ai));
-  }
+  for (const double ai : ais) p.apps.push_back(AppSpec::numa_perfect("perfect", ai));
   p.require_full = true;
   p.min_per_app = 1;
-  expect_matches_brute_force(p, Objective::kTotalGflops, 0);
+  return p;
+}
+
+// The two cost gates below are deterministic solve counts: the closed-form
+// node bound only removes partial solves and evaluations, so neither may
+// rise above what the search spent without it.
+
+TEST(NodeClassSearch, ShippingShape) {
+  // What the daemon decides at its largest join_churn membership, in the
+  // order the scale bench commits (search_solves@4x20x12).
+  const auto p = skylake_twelve({1.0 / 32, 1.0 / 8, 1.0 / 64, 1.0 / 64, 1.0 / 32, 1.0 / 32,
+                                 1.0 / 16, 1.0 / 16, 1.0 / 8, 1.0 / 8, 1.0, 1.0});
+  const auto result = expect_matches_brute_force(p, Objective::kTotalGflops, 0);
+  EXPECT_LE(result.evaluated + result.bound_solves, 8783u);
+}
+
+TEST(NodeClassSearch, JoinChurnOrder) {
+  // The same shape in an order join_churn's membership really reaches,
+  // which costs the search far more than the committed order: 104 767
+  // solves without the closed-form bound.
+  const auto p = skylake_twelve({1.0 / 32, 1.0 / 8, 1.0, 1.0 / 64, 1.0 / 8, 1.0 / 32, 1.0 / 2,
+                                 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 64, 1.0 / 16});
+  const auto result = expect_matches_brute_force(p, Objective::kTotalGflops, 0);
+  EXPECT_LE(result.evaluated + result.bound_solves, 70000u);
 }
 
 TEST_P(SearchEquivalence, RefineWithoutPenaltyMatchesGreedy) {
