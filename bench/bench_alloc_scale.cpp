@@ -2,7 +2,9 @@
 // the materialize-then-evaluate brute force, swept over machine size and app
 // count up to 8 nodes x 64 cores x 8 apps, plus the shape the daemon decides
 // (4x20x12: the paper's Skylake preset with join_churn's all-NUMA-perfect
-// mix, where the search solves one node class per uniform candidate).
+// mix, where the search solves one node class per uniform candidate), once
+// in the committed app order and once in an order join_churn's membership
+// reaches (4x20x12_churn), which costs the search several times more.
 //
 // The paper's §IV worries that a "sophisticated, CPU-intensive scheduling
 // algorithm" would perturb the machine it manages. The constrained search
@@ -47,19 +49,22 @@ double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
+/// Which apps a config searches: the synthetic sweep's mix, or the daemon's
+/// shape (the paper's 4x20 Skylake preset and join_churn's mix at its
+/// largest membership) in the committed order or in join_churn's order.
+enum class Mix { kSynthetic, kShipping, kChurn };
+
 struct Config {
   std::uint32_t nodes;
   std::uint32_t cores_per_node;
   std::uint32_t apps;
-  /// The daemon's shape rather than the synthetic sweep: the paper's 4x20
-  /// Skylake preset and join_churn's mix at its largest membership.
-  bool shipping = false;
+  Mix mix = Mix::kSynthetic;
 };
 
 // The sweep, smallest to largest; the last entry is the gate configuration.
 constexpr Config kConfigs[] = {
     {2, 8, 2},  {2, 16, 4}, {4, 16, 4}, {4, 32, 4}, {8, 16, 8},
-    {4, 20, 12, /*shipping=*/true},
+    {4, 20, 12, Mix::kShipping}, {4, 20, 12, Mix::kChurn},
     {8, 32, 8}, {4, 64, 8}, {8, 64, 8},
 };
 constexpr Config kGateConfig = {8, 64, 8};
@@ -78,7 +83,7 @@ bench::Report g_report(
 /// "nodes x cores_per_node x apps", e.g. "8x64x8".
 std::string scenario(const Config& config) {
   return std::to_string(config.nodes) + "x" + std::to_string(config.cores_per_node) + "x" +
-         std::to_string(config.apps);
+         std::to_string(config.apps) + (config.mix == Mix::kChurn ? "_churn" : "");
 }
 
 void record(const std::string& name, Config config, const std::string& unit, double value) {
@@ -117,17 +122,25 @@ std::vector<model::AppSpec> make_apps(std::uint32_t count, std::uint32_t nodes) 
 
 /// The twelve members of perfbench's join_churn workload: the two initial
 /// clients plus the ten-joiner mix, all NUMA-perfect and mostly memory-bound.
-std::vector<model::AppSpec> shipping_apps() {
+/// kShipping is the committed order; kChurn is an order join_churn really
+/// reaches, with one joiner flipped to half its AI (the order
+/// NodeClassSearch.JoinChurnOrder replays).
+std::vector<model::AppSpec> shipping_apps(Mix mix) {
+  const auto ais = mix == Mix::kChurn
+                       ? std::vector<double>{1.0 / 32, 1.0 / 8, 1.0, 1.0 / 64, 1.0 / 8, 1.0 / 32,
+                                             1.0 / 2, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 64,
+                                             1.0 / 16}
+                       : std::vector<double>{1.0 / 32, 1.0 / 8, 1.0 / 64, 1.0 / 64, 1.0 / 32,
+                                             1.0 / 32, 1.0 / 16, 1.0 / 16, 1.0 / 8, 1.0 / 8,
+                                             1.0, 1.0};
   std::vector<model::AppSpec> apps;
-  for (const double ai : {1.0 / 32, 1.0 / 8, 1.0 / 64, 1.0 / 64, 1.0 / 32, 1.0 / 32, 1.0 / 16,
-                          1.0 / 16, 1.0 / 8, 1.0 / 8, 1.0, 1.0}) {
-    apps.push_back(model::AppSpec::numa_perfect("perfect", ai));
-  }
+  for (const double ai : ais) apps.push_back(model::AppSpec::numa_perfect("perfect", ai));
   return apps;
 }
 
 std::vector<model::AppSpec> apps_for(const Config& config) {
-  return config.shipping ? shipping_apps() : make_apps(config.apps, config.nodes);
+  return config.mix == Mix::kSynthetic ? make_apps(config.apps, config.nodes)
+                                       : shipping_apps(config.mix);
 }
 
 double peak_rss_kb() {
@@ -163,7 +176,7 @@ bool config_skipped(std::uint64_t count) {
 }
 
 topo::Machine make_machine(const Config& config) {
-  if (config.shipping) return topo::paper_skylake_machine();
+  if (config.mix != Mix::kSynthetic) return topo::paper_skylake_machine();
   return topo::Machine::symmetric(config.nodes, config.cores_per_node, 10.0, 32.0, 10.0);
 }
 
@@ -180,8 +193,8 @@ ConfigRun run_streaming(const Config& config) {
                                       /*min_threads_per_app=*/1);
   if (config_skipped(run.count)) {
     run.skipped = true;
-    std::printf("  %ux%ux%-2u  candidates %12llu  skipped (quick/sanitized run)\n", config.nodes,
-                config.cores_per_node, config.apps, static_cast<unsigned long long>(run.count));
+    std::printf("  %-14s  candidates %12llu  skipped (quick/sanitized run)\n",
+                scenario(config).c_str(), static_cast<unsigned long long>(run.count));
     return run;
   }
 
@@ -235,11 +248,11 @@ ConfigRun run_streaming(const Config& config) {
   record("refine", config, "us_per_search", refine_s * 1e6);
 
   std::printf(
-      "  %ux%ux%-2u  candidates %12llu  after %12.1f us  evals %llu + %llu bound  refine %.1f "
-      "us\n",
-      config.nodes, config.cores_per_node, config.apps, static_cast<unsigned long long>(run.count),
-      run.after_us, static_cast<unsigned long long>(after.evaluated),
-      static_cast<unsigned long long>(after.bound_solves), refine_s * 1e6);
+      "  %-14s  candidates %12llu  after %12.1f us  evals %llu + %llu bound  classes %u  "
+      "refine %.1f us\n",
+      scenario(config).c_str(), static_cast<unsigned long long>(run.count), run.after_us,
+      static_cast<unsigned long long>(after.evaluated),
+      static_cast<unsigned long long>(after.bound_solves), after.app_classes, refine_s * 1e6);
   return run;
 }
 
@@ -254,7 +267,7 @@ void run_reference(const ConfigRun& run) {
   const auto machine = make_machine(config);
   const auto apps = apps_for(config);
 
-  // The quick limit still covers the shipping shape's 75 582 candidates.
+  // The quick limit still covers the shipping shapes' 75 582 candidates.
   const std::uint64_t exact_limit = quick ? 100'000 : 4'000'000;
   double before_us = 0.0;
   bool estimated = false;
@@ -285,9 +298,8 @@ void run_reference(const ConfigRun& run) {
   const double speedup = before_us / run.after_us;
   record("search_speedup", config, "x", speedup);
 
-  std::printf("  %ux%ux%-2u  before %14.0f us%s  speedup %8.1fx\n", config.nodes,
-              config.cores_per_node, config.apps, before_us, estimated ? " (est)" : "      ",
-              speedup);
+  std::printf("  %-14s  before %14.0f us%s  speedup %8.1fx\n", scenario(config).c_str(),
+              before_us, estimated ? " (est)" : "      ", speedup);
 }
 
 void emit_report() {

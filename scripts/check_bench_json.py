@@ -19,8 +19,9 @@ an enforced gate whose rows are missing fails.
 
 Pins. PINS names, per bench, what its document must carry: its units, the
 shape of its scenario names, the row names present in every document (and in
-full documents), the scenarios, per-row flags, and its gates at today's limits
-and enforce levels, so a document cannot pass by dropping or loosening a gate.
+full documents), the scenarios, single rows, per-row flags, and its gates at
+today's limits and enforce levels, so a document cannot pass by dropping or
+loosening a gate.
 
 Diff. With --against COMMITTED, the checker then prints one line per
 (name, scenario) row found in either document: the committed value, the new
@@ -62,11 +63,15 @@ PINS = {
     },
     "bench_alloc_scale": {
         "units": {"us_per_search", "us_per_solve", "evals", "kb", "x"},
-        # nodes x cores_per_node x apps, each 1..1024.
-        "scenario": r"(\d+)x(\d+)x(\d+)",
+        # nodes x cores_per_node x apps, each 1..1024; _churn marks the
+        # daemon's shape in join_churn's app order.
+        "scenario": r"(\d+)x(\d+)x(\d+)(?:_churn)?",
         "names": ["solve", "solve_into", "search_before", "search_after", "search_speedup",
                   "search_evals", "search_solves", "search_candidates", "refine",
                   "peak_rss", "peak_rss_full"],
+        # The search's cost on the daemon's shape, in both app orders.
+        "rows": ["search_evals@4x20x12", "search_solves@4x20x12",
+                 "search_evals@4x20x12_churn", "search_solves@4x20x12_churn"],
         # Every search_before row says whether its brute-force time was estimated.
         "flags": {"search_before": "estimated"},
         "gates": [
@@ -239,6 +244,8 @@ def check(doc):
     if not doc["quick"]:
         missing = [n for n in pin.get("full_names", []) if n not in names]
         require(not missing, f"full run missing rows: {', '.join(missing)}")
+    missing = [a for a in pin.get("rows", []) if lookup(rows, a) is None]
+    require(not missing, f"required rows absent: {', '.join(missing)}")
     scenarios = {scenario for _, scenario in rows}
     missing = [s for s in pin.get("scenarios", []) if s not in scenarios]
     require(not missing, f"required scenarios absent: {', '.join(missing)}")

@@ -4,9 +4,10 @@ mutation that breaks a pin or a row rule fails.
 
 Every pinned gate is pushed just past its bound in a full, a quick and a full
 sanitized copy, and must fail exactly where its enforce level applies. Every
-pinned gate, row name and scenario is dropped, and every file gets a zero and
-a NaN value. Diff mode (--against) shows zero deltas for identical
-documents, marks a dropped row `removed`, and keeps the validation exit code.
+pinned gate, row name, single row and scenario is dropped, and every file
+gets a zero and a NaN value. Diff mode (--against) shows zero deltas for
+identical documents, marks a dropped row `removed`, and keeps the validation
+exit code.
 Run: python3 scripts/test_check_bench_json.py
 """
 import copy
@@ -118,6 +119,9 @@ def cases():
             out.append((f"{bench} drop scenario {scenario}", bench,
                         lambda d, s=scenario: d.update(
                             results=[r for r in d["results"] if r["scenario"] != s]), "FAIL"))
+        for address in pin.get("rows", []):
+            out.append((f"{bench} drop row {address}", bench,
+                        lambda d, a=address: d["results"].remove(find(d, a)[0]), "FAIL"))
         for name, flag in pin.get("flags", {}).items():
             out.append((f"{bench} drop {flag} flag", bench,
                         lambda d, n=name, f=flag: find(d, f"{n}@8x64x8")[0].pop(f), "FAIL"))

@@ -243,6 +243,7 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
     stats.evaluated = joint.evaluated;
     stats.pruned = joint.pruned;
     stats.bound_solves = joint.bound_solves;
+    stats.app_classes = joint.app_classes;
   } else {
     auto result = model::exhaustive_search(machine, specs, options_.objective,
                                            /*require_full=*/true,
@@ -252,6 +253,7 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
     stats.evaluated = result.evaluated;
     stats.pruned = result.pruned;
     stats.bound_solves = result.bound_solves;
+    stats.app_classes = result.app_classes;
     if (foreign_.any() && caps.empty()) {
       // Polish: the uniform candidate family cannot express "vacate one
       // node" (every app runs the same count on every node it uses), which

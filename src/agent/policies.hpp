@@ -98,6 +98,9 @@ class ModelGuidedPolicy final : public Policy {
     std::uint64_t evaluated = 0;  // model solves on candidates (search + polish)
     std::uint64_t pruned = 0;
     std::uint64_t bound_solves = 0;
+    /// Classes of interchangeable apps the exact search behind the
+    /// allocation ran over; zero when the climb decided.
+    std::uint32_t app_classes = 0;
     double predicted_gflops = 0.0;
     double search_us = 0.0;  // wall time of the search, polish included
     bool truncated = false;  // a climb stopped at the solve budget

@@ -220,6 +220,14 @@ SearchBounds make_search_bounds(const topo::Machine& machine, const std::vector<
   return b;
 }
 
+/// Apps the model cannot tell apart: every solve treats them alike, so
+/// swapping their rows permutes the per-app results and leaves every
+/// objective's value unchanged up to the order of its additions.
+bool interchangeable(const AppSpec& x, const AppSpec& y) {
+  return x.ai == y.ai && x.placement == y.placement && x.home_node == y.home_node &&
+         x.serial_fraction == y.serial_fraction;
+}
+
 /// Closed-form ceiling on one node's GFLOPS for uniform candidates on node
 /// classes (docs/MODEL.md §7 "Closed-form node bound"). With b the per-core
 /// baseline share of the bandwidth left after foreign draw, every grant is
@@ -374,12 +382,15 @@ class NodeClassSolver {
 };
 
 /// Streaming branch-and-bound over the uniform family plus node
-/// permutations. Candidates are visited in exactly the order the reference
+/// permutations. Candidates are visited in the order the reference
 /// enumeration materializes them (counts ascending per app; permutations in
-/// std::next_permutation order after the uniform family) and the incumbent
-/// is replaced only on strict improvement, so any subtree cut by an
-/// *admissible* bound cannot change the winner: the two engines return
-/// bitwise-identical objective values and allocations.
+/// std::next_permutation order after the uniform family), skipping uniform
+/// candidates whose app classes are not sorted, and the incumbent is
+/// replaced only on strict improvement. So any subtree cut by an
+/// *admissible* bound cannot change the winner: the search returns the
+/// reference's objective value and allocation over class-sorted candidates,
+/// bitwise, and the reference's own whenever the winner's within-class
+/// permutations tie bitwise.
 struct StreamSearch {
   const topo::Machine& machine;
   const std::vector<AppSpec>& apps;
@@ -407,6 +418,15 @@ struct StreamSearch {
   /// (nothing is materialized) and evaluates every candidate, which is what
   /// the reference engine does too.
   bool prune_enabled = true;
+
+  /// App classes (docs/MODEL.md §7 "App classes"): class_prev[a] is the
+  /// previous app with a's spec, or kNoClassPrev. Every objective is a
+  /// symmetric function of interchangeable apps, so each app's count starts
+  /// at its predecessor's and only the class-sorted member of each orbit of
+  /// within-class permutations is visited. Off under caps: the cap re-grant
+  /// runs in app order, so it is not symmetric.
+  static constexpr std::uint32_t kNoClassPrev = std::numeric_limits<std::uint32_t>::max();
+  std::vector<std::uint32_t> class_prev;
 
   SearchBounds bounds;
   Allocation workspace;  // the uniform candidate under construction, mutated in place
@@ -443,7 +463,24 @@ struct StreamSearch {
     if (closed_form) ceiling = make_node_ceiling(machine, apps, foreign_);
     workspace = Allocation(apps_n, nodes_n);
     counts.assign(apps_n, 0);
+    class_prev.assign(apps_n, kNoClassPrev);
+    best.app_classes = apps_n;
+    for (std::uint32_t a = 0; a < apps_n && caps.empty(); ++a) {
+      for (std::uint32_t p = a; p-- > 0;) {
+        if (interchangeable(apps[p], apps[a])) {
+          class_prev[a] = p;
+          --best.app_classes;
+          break;
+        }
+      }
+    }
     best.objective_value = -std::numeric_limits<double>::infinity();
+  }
+
+  /// The smallest count app a may take: its class predecessor's count, which
+  /// is already at least min_per_app.
+  std::uint32_t count_floor(std::uint32_t a) const {
+    return class_prev[a] == kNoClassPrev ? min_per_app : counts[class_prev[a]];
   }
 
   double app_ub(std::uint32_t a, std::uint32_t c) const {
@@ -534,8 +571,9 @@ struct StreamSearch {
 
   void leaf(std::uint32_t remaining, double pt, double pm, double pl, double ph) {
     const std::uint32_t a = apps_n - 1;
-    if (remaining < min_per_app) return;
-    const std::uint32_t c_lo = require_full ? remaining : min_per_app;
+    const std::uint32_t lo = count_floor(a);
+    if (remaining < lo) return;
+    const std::uint32_t c_lo = require_full ? remaining : lo;
     for (std::uint32_t c = c_lo; c <= remaining; ++c) {
       ++best.visited;
       if (prune_enabled) {
@@ -567,12 +605,26 @@ struct StreamSearch {
       leaf(remaining, pt, pm, pl, ph);
       return;
     }
+    // The fewest threads the apps after this one need: each takes at least
+    // its class's last assigned count (min_per_app when none is assigned),
+    // and the `same` later members of a's class at least a's count c.
+    std::uint64_t need_other = 0;
+    std::uint32_t same = 0;
+    for (std::uint32_t t = a + 1; t < apps_n; ++t) {
+      std::uint32_t p = class_prev[t];
+      while (p != kNoClassPrev && p > a) p = class_prev[p];
+      if (p == a) {
+        ++same;
+      } else {
+        need_other += p == kNoClassPrev ? min_per_app : counts[p];
+      }
+    }
     const std::uint32_t tail_after = apps_n - a - 1;  // apps assigned after this one
-    for (std::uint32_t c = min_per_app; c <= remaining; ++c) {
+    for (std::uint32_t c = count_floor(a); c <= remaining; ++c) {
       const std::uint32_t rem_after = remaining - c;
-      // Subtrees whose tail cannot reach min_per_app each contain no
-      // candidates; counts only grow with c, so stop the scan here.
-      if (static_cast<std::uint64_t>(min_per_app) * tail_after > rem_after) break;
+      // Subtrees whose tail cannot reach its floors contain no candidates;
+      // the need only grows with c, so stop the scan here.
+      if (need_other + static_cast<std::uint64_t>(same) * c > rem_after) break;
       double cpt = 0.0;
       double cpm = 0.0;
       double cpl = 0.0;

@@ -11,7 +11,11 @@
 //    the same winner as brute force at a fraction of the solves
 //    (docs/MODEL.md "Search cost and pruning"). On symmetric machines with
 //    NUMA-perfect apps it solves one memory controller per uniform
-//    candidate and reuses it for every identical node, bitwise-exactly;
+//    candidate and reuses it for every identical node, bitwise-exactly.
+//    Interchangeable apps (same AI, placement, home and serial fraction)
+//    are searched once: within each such class, counts never decrease in
+//    app order, so with repeated specs the winner is brute force's over
+//    those class-sorted candidates;
 //  * refine_search — hill-climbing over single-thread moves from a seed
 //    allocation, bounded by kMaxSearchSolves. It is the engine for problems
 //    whose candidate count exceeds that bound, and the polish that lets a
@@ -58,6 +62,10 @@ struct SearchResult {
   std::uint64_t pruned = 0;
   std::uint64_t bound_solves = 0;
   std::uint64_t deduped = 0;
+  /// exhaustive_search only: the classes of interchangeable apps it searched
+  /// (apps with equal AI, placement, home and serial fraction share one;
+  /// every app is its own class under caps). Zero for the climb.
+  std::uint32_t app_classes = 0;
   /// refine_search only: the climb spent kMaxSearchSolves solves before
   /// reaching a local optimum and returned its incumbent.
   bool truncated = false;

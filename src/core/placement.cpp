@@ -141,6 +141,7 @@ JointResult advise_joint(const topo::Machine& machine, std::vector<AppSpec> apps
     }
     result.allocation = search.allocation;
     result.solution = std::move(search.solution);
+    result.app_classes = search.app_classes;
     result.placement_rounds = round + 1;
     if (!moved) break;
   }

@@ -69,6 +69,8 @@ struct JointResult {
   std::uint64_t evaluated = 0;
   std::uint64_t pruned = 0;
   std::uint64_t bound_solves = 0;
+  /// App classes of the search behind `allocation` (its homes decide them).
+  std::uint32_t app_classes = 0;
 };
 
 /// Alternate allocation search and placement advice until neither improves.

@@ -832,6 +832,7 @@ void Daemon::journal_allocation(double now) {
                    {"evaluated", jnum(search.evaluated)},
                    {"pruned", jnum(search.pruned)},
                    {"bound_solves", jnum(search.bound_solves)},
+                   {"app_classes", jnum(search.app_classes)},
                    {"predicted_gflops", jnum(search.predicted_gflops)},
                    {"search_us", jnum(search.search_us)},
                    {"truncated", jbool(search.truncated)}});

@@ -161,17 +161,22 @@ TEST(Agent, ProducerConsumerKeepsLeadBounded) {
 
   // Drive progress proportional to granted threads; the producer is
   // intrinsically 2x faster per thread, so unmanaged it would run away
-  // (8 units/tick of divergence). Each tick sleeps so the worker threads can
-  // actually enact the block/unblock commands on a single-CPU host.
+  // (8 units/tick of divergence). Each tick waits until both runtimes have
+  // enacted the newest command (surplus workers parked), however slowly
+  // the host schedules them, so every tick's progress follows the grant.
+  const auto enacted = [&] {
+    adp.pump();
+    adc.pump();
+    return adp.enacted_epoch() >= agent.compliance("prod").commanded_epoch &&
+           adc.enacted_epoch() >= agent.compliance("cons").commanded_epoch;
+  };
   for (int tick = 0; tick < 150; ++tick) {
     producer.report_progress(2 * producer.running_threads());
     consumer.report_progress(1 * consumer.running_threads());
     adp.pump();
     adc.pump();
     agent.step(tick * 0.01);
-    adp.pump();
-    adc.pump();
-    std::this_thread::sleep_for(2ms);
+    ASSERT_TRUE(eventually(enacted)) << "tick " << tick;
   }
   const auto produced = producer.stats().progress;
   const auto consumed = consumer.stats().progress;

@@ -10,13 +10,20 @@
 // Both engines evaluate candidates through the same solver arithmetic and
 // replace the incumbent only on strict improvement, so the comparison is
 // exact (==), not approximate — any admissibility bug in the pruning bounds
-// shows up as a hard mismatch here.
+// shows up as a hard mismatch here. Problems with repeated app specs are the
+// one refinement: the search visits only the class-sorted member of each
+// orbit of interchangeable apps, so it is held exactly to the brute force
+// over those candidates, and to the unrestricted brute force within a few
+// ulps (reordering a sum's additions moves its last bits).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <initializer_list>
+#include <limits>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/optimizer.hpp"
@@ -89,6 +96,78 @@ class SearchEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
 INSTANTIATE_TEST_SUITE_P(Seeds, SearchEquivalence,
                          ::testing::Range<std::uint64_t>(1000, 1064));
 
+/// Apps the search treats as one class: the same spec, the name aside.
+bool interchangeable(const AppSpec& x, const AppSpec& y) {
+  return x.ai == y.ai && x.placement == y.placement && x.home_node == y.home_node &&
+         x.serial_fraction == y.serial_fraction;
+}
+
+/// Index of the previous app interchangeable with app a, or a itself when
+/// a opens its class.
+std::uint32_t class_prev(const std::vector<AppSpec>& apps, std::uint32_t a) {
+  for (std::uint32_t p = a; p-- > 0;) {
+    if (interchangeable(apps[p], apps[a])) return p;
+  }
+  return a;
+}
+
+std::uint32_t app_classes(const std::vector<AppSpec>& apps) {
+  std::uint32_t classes = 0;
+  for (std::uint32_t a = 0; a < apps.size(); ++a) classes += class_prev(apps, a) == a;
+  return classes;
+}
+
+/// Caps switch app classes off, so only uncapped problems search them.
+bool searches_classes(const Problem& p) {
+  return p.caps.empty() && app_classes(p.apps) < p.apps.size();
+}
+
+/// The member of a uniform candidate's orbit the class-aware search visits:
+/// each class's counts sorted ascending in app order. A candidate with a
+/// row that is not node-constant (a node permutation) comes back as is: the
+/// search keeps every node permutation.
+Allocation class_sorted(const std::vector<AppSpec>& apps, const Allocation& alloc) {
+  const auto apps_n = static_cast<std::uint32_t>(apps.size());
+  const auto nodes_n = alloc.node_count();
+  for (AppId a = 0; a < apps_n; ++a) {
+    for (topo::NodeId n = 1; n < nodes_n; ++n) {
+      if (alloc.threads(a, n) != alloc.threads(a, 0)) return alloc;
+    }
+  }
+  Allocation out = alloc;
+  for (AppId a = 0; a < apps_n; ++a) {
+    if (class_prev(apps, a) != a) continue;
+    std::vector<AppId> members;
+    std::vector<std::uint32_t> counts;
+    for (AppId b = a; b < apps_n; ++b) {
+      if (!interchangeable(apps[a], apps[b])) continue;
+      members.push_back(b);
+      counts.push_back(alloc.threads(b, 0));
+    }
+    std::sort(counts.begin(), counts.end());
+    for (std::size_t i = 0; i < members.size(); ++i) {
+      for (topo::NodeId n = 0; n < nodes_n; ++n) out.set_threads(members[i], n, counts[i]);
+    }
+  }
+  return out;
+}
+
+/// Distance in representable doubles between x and y.
+std::uint64_t ulp_distance(double x, double y) {
+  const auto key = [](double v) {
+    const auto bits = std::bit_cast<std::int64_t>(v);
+    return bits < 0 ? std::numeric_limits<std::int64_t>::min() - bits : bits;
+  };
+  const std::int64_t kx = key(x);
+  const std::int64_t ky = key(y);
+  return kx > ky ? static_cast<std::uint64_t>(kx - ky) : static_cast<std::uint64_t>(ky - kx);
+}
+
+/// How far a class-sorted candidate may score from its orbit's best member:
+/// the objectives are symmetric in interchangeable apps, so only the order
+/// of the additions behind a score differs. This suite sees at most 1.
+constexpr std::uint64_t kMaxClassUlps = 8;
+
 /// Holds exhaustive_search to the brute force on `p` under `objective`, and
 /// returns the search's result for its cost counters.
 SearchResult expect_matches_brute_force(const Problem& p, Objective objective,
@@ -97,19 +176,46 @@ SearchResult expect_matches_brute_force(const Problem& p, Objective objective,
       p.machine, p.apps, objective, p.require_full, p.min_per_app, p.caps, p.foreign);
   const auto pruned = exhaustive_search(p.machine, p.apps, objective, p.require_full,
                                         p.min_per_app, p.caps, p.foreign);
+  const std::string where =
+      std::string("objective ") + to_string(objective) + " seed " + std::to_string(seed);
+  EXPECT_EQ(pruned.app_classes, p.caps.empty() ? app_classes(p.apps) : p.apps.size()) << where;
   // Exact, not approximate: both engines run identical solver arithmetic
   // on the candidates they do evaluate, and pruning may only remove
-  // candidates that provably cannot strictly beat the incumbent.
-  EXPECT_EQ(pruned.objective_value, reference.objective_value)
-      << "objective " << to_string(objective) << " seed " << seed;
-  EXPECT_TRUE(pruned.allocation == reference.allocation)
-      << "objective " << to_string(objective) << " seed " << seed << "\npruned "
-      << pruned.allocation.to_string() << "\nreference " << reference.allocation.to_string();
-  EXPECT_LE(pruned.evaluated, reference.evaluated);
+  // candidates that provably cannot strictly beat the incumbent. With
+  // repeated specs, the candidates are the class-sorted ones.
+  const auto exact =
+      !searches_classes(p)
+          ? reference
+          : exhaustive_search_reference(
+                p.machine, p.apps, objective, p.require_full, p.min_per_app, p.caps, p.foreign,
+                [&](const Allocation& c) { return class_sorted(p.apps, c) == c; });
+  EXPECT_EQ(pruned.objective_value, exact.objective_value) << where;
+  EXPECT_TRUE(pruned.allocation == exact.allocation)
+      << where << "\npruned " << pruned.allocation.to_string() << "\nreference "
+      << exact.allocation.to_string();
+  EXPECT_LE(pruned.evaluated, exact.evaluated);
+  if (searches_classes(p)) {
+    // The symmetry argument (docs/MODEL.md §7 "App classes"): the brute
+    // force's winner, class-sorted, scores within a few ulps of it; when
+    // the two tie bitwise, it is the search's winner too.
+    EXPECT_LE(ulp_distance(pruned.objective_value, reference.objective_value), kMaxClassUlps)
+        << where << ": " << pruned.objective_value << " vs " << reference.objective_value;
+    const auto canonical = class_sorted(p.apps, reference.allocation);
+    const double canonical_value =
+        score(solve(p.machine, p.apps, canonical, {.foreign = p.foreign}), objective);
+    EXPECT_LE(ulp_distance(canonical_value, reference.objective_value), kMaxClassUlps) << where;
+    if (canonical_value == reference.objective_value) {
+      EXPECT_EQ(pruned.objective_value, reference.objective_value) << where;
+      EXPECT_TRUE(pruned.allocation == canonical)
+          << where << "\npruned " << pruned.allocation.to_string() << "\nsorted reference "
+          << canonical.to_string();
+    }
+  }
   if (!p.caps.empty()) {
     // Caps disable pruning (the re-grant breaks per-app bound
-    // admissibility): every candidate except deduped permutation twins is
-    // evaluated, exactly like the reference.
+    // admissibility) and app classes (it runs in app order): every
+    // candidate except deduped permutation twins is evaluated, exactly like
+    // the reference.
     EXPECT_EQ(pruned.evaluated + pruned.deduped, reference.evaluated);
     EXPECT_EQ(pruned.pruned, 0u);
   }
@@ -268,27 +374,136 @@ Problem skylake_twelve(std::initializer_list<double> ais) {
   return p;
 }
 
-// The two cost gates below are deterministic solve counts: the closed-form
-// node bound only removes partial solves and evaluations, so neither may
-// rise above what the search spent without it.
+// The two cost gates below are deterministic solve counts, pinned at what
+// the search spends with app classes: the closed-form node bound and the
+// class floors only remove partial solves and evaluations.
 
 TEST(NodeClassSearch, ShippingShape) {
   // What the daemon decides at its largest join_churn membership, in the
-  // order the scale bench commits (search_solves@4x20x12).
+  // order the scale bench commits (search_solves@4x20x12): five classes of
+  // sizes 3, 3, 2, 2 and 2. 7 782 solves without app classes.
   const auto p = skylake_twelve({1.0 / 32, 1.0 / 8, 1.0 / 64, 1.0 / 64, 1.0 / 32, 1.0 / 32,
                                  1.0 / 16, 1.0 / 16, 1.0 / 8, 1.0 / 8, 1.0, 1.0});
   const auto result = expect_matches_brute_force(p, Objective::kTotalGflops, 0);
-  EXPECT_LE(result.evaluated + result.bound_solves, 8783u);
+  EXPECT_EQ(result.app_classes, 5u);
+  EXPECT_LE(result.evaluated + result.bound_solves, 1028u);
 }
 
 TEST(NodeClassSearch, JoinChurnOrder) {
-  // The same shape in an order join_churn's membership really reaches,
-  // which costs the search far more than the committed order: 104 767
-  // solves without the closed-form bound.
+  // The same shape in an order join_churn's membership really reaches
+  // (search_solves@4x20x12_churn), which costs the search far more than
+  // the committed order: 104 767 solves without the closed-form bound and
+  // 61 457 without app classes.
   const auto p = skylake_twelve({1.0 / 32, 1.0 / 8, 1.0, 1.0 / 64, 1.0 / 8, 1.0 / 32, 1.0 / 2,
                                  1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 64, 1.0 / 16});
   const auto result = expect_matches_brute_force(p, Objective::kTotalGflops, 0);
-  EXPECT_LE(result.evaluated + result.bound_solves, 70000u);
+  EXPECT_EQ(result.app_classes, 6u);
+  EXPECT_LE(result.evaluated + result.bound_solves, 6011u);
+}
+
+/// True when every class's counts are non-decreasing in app order.
+bool sorted_within_classes(const std::vector<AppSpec>& apps, const Allocation& alloc) {
+  for (AppId a = 0; a < apps.size(); ++a) {
+    const AppId p = class_prev(apps, a);
+    if (p != a && alloc.app_total(a) < alloc.app_total(p)) return false;
+  }
+  return true;
+}
+
+TEST(AppClassSearch, WinnerSortedWithinClasses) {
+  // Under every objective the winner is the class-sorted member of its
+  // orbit, on the node-class path (tie-heavy seeds and the join_churn
+  // order) as on the solve_into path (the same seeds with one app made
+  // NUMA-bad, its class mates with it).
+  std::vector<Problem> problems;
+  for (std::uint64_t seed = 2000; seed < 2008; ++seed) {
+    problems.push_back(node_class_problem(seed, Shape::kNodeClass, /*ties=*/true, Corner::kDrawn));
+    auto bad = problems.back();
+    for (auto& app : bad.apps) {
+      if (app.ai == bad.apps[0].ai) app = AppSpec::numa_bad("bad", app.ai, 0);
+    }
+    problems.push_back(std::move(bad));
+  }
+  problems.push_back(skylake_twelve({1.0 / 32, 1.0 / 8, 1.0, 1.0 / 64, 1.0 / 8, 1.0 / 32,
+                                     1.0 / 2, 1.0 / 32, 1.0 / 16, 1.0 / 8, 1.0 / 64, 1.0 / 16}));
+  std::uint32_t with_classes = 0;
+  for (const auto& p : problems) {
+    with_classes += searches_classes(p);
+    for (const auto objective : kObjectives) {
+      const auto result = exhaustive_search(p.machine, p.apps, objective, p.require_full,
+                                            p.min_per_app, p.caps, p.foreign);
+      EXPECT_TRUE(sorted_within_classes(p.apps, result.allocation))
+          << to_string(objective) << "\n" << result.allocation.to_string();
+    }
+  }
+  EXPECT_GE(with_classes, problems.size() - 2);
+}
+
+TEST(AppClassSearch, CapsEvaluateEveryCandidate) {
+  // Twins under caps: the re-grant hands shaved threads out in app order, so
+  // swapping the twins' counts changes the capped allocation. Classes are
+  // off and every candidate is evaluated, as without twins.
+  Problem p;
+  p.machine = topo::Machine::symmetric(2, 8, 1.0, 20.0, 5.0);
+  p.apps = {AppSpec::numa_perfect("a", 0.1), AppSpec::numa_perfect("b", 0.1),
+            AppSpec::numa_perfect("c", 2.0)};
+  p.min_per_app = 1;
+  p.caps = {3, 0xffffffffu, 5};
+  for (const auto objective : kObjectives) {
+    const auto result = expect_matches_brute_force(p, objective, 0);
+    EXPECT_EQ(result.app_classes, 3u);
+    EXPECT_EQ(result.evaluated, count_candidates(p.machine, 3, p.require_full, p.min_per_app));
+  }
+}
+
+/// `p` and a copy whose last app's AI is one ulp off, which breaks its
+/// class: the class-aware search must walk a smaller tree on `p`, and both
+/// searches must match the brute force.
+void expect_class_cuts(const Problem& p) {
+  auto split = p;
+  split.apps.back().ai = std::nextafter(split.apps.back().ai, 1e9);
+  ASSERT_TRUE(searches_classes(p));
+  ASSERT_EQ(app_classes(split.apps), app_classes(p.apps) + 1);
+  for (const auto objective : kObjectives) {
+    const auto twins = expect_matches_brute_force(p, objective, 0);
+    const auto distinct = expect_matches_brute_force(split, objective, 0);
+    // Leaves reached plus subtrees cut: what the search walked.
+    EXPECT_LT(twins.visited + twins.pruned, distinct.visited + distinct.pruned)
+        << to_string(objective);
+  }
+}
+
+TEST(AppClassSearch, NumaBadTwinsShareAHome) {
+  // NUMA-bad apps take the per-node solve_into path; twins homed on the
+  // same node form one class.
+  Problem p;
+  p.machine = topo::Machine::symmetric(2, 10, 1.0, 30.0, 8.0);
+  p.apps = {AppSpec::numa_perfect("p", 0.5), AppSpec::numa_bad("x", 0.08, 1),
+            AppSpec::numa_bad("y", 0.08, 1)};
+  p.min_per_app = 1;
+  expect_class_cuts(p);
+  // The same AI homed elsewhere is another class.
+  p.apps[2].home_node = 0;
+  EXPECT_EQ(exhaustive_search(p.machine, p.apps, Objective::kTotalGflops, false, 1).app_classes,
+            3u);
+}
+
+TEST(AppClassSearch, SerialTwinsOnTheSolveIntoPath) {
+  // A lopsided machine takes solve_into too; twins with a serial fraction
+  // share Amdahl's cap and form one class.
+  Problem p;
+  p.machine = topo::Machine::symmetric(2, 8, 1.0, 25.0, 6.0);
+  const auto extra = p.machine.add_node(12, 2.0, 40.0);
+  for (topo::NodeId n = 0; n < extra; ++n) {
+    p.machine.set_link_bandwidth(n, extra, 6.0);
+    p.machine.set_link_bandwidth(extra, n, 6.0);
+  }
+  p.apps = {AppSpec::numa_perfect("s", 0.3), AppSpec::numa_perfect("m", 4.0),
+            AppSpec::numa_perfect("t", 0.3)};
+  p.apps[0].serial_fraction = 0.2;
+  p.apps[2].serial_fraction = 0.2;
+  p.require_full = true;
+  expect_class_cuts(p);
 }
 
 TEST_P(SearchEquivalence, RefineWithoutPenaltyMatchesGreedy) {

@@ -207,11 +207,44 @@ TEST(Daemon, JoinEvictLeaveLifecycle) {
     const auto search = journal_field(entry.raw, "search").value_or("");
     EXPECT_TRUE(search == "\"full\"" || search == "\"refine\"") << entry.raw;
     EXPECT_GE(std::stoull(journal_field(entry.raw, "evaluated").value_or("0")), 1u) << entry.raw;
-    for (const char* key :
-         {"pruned", "bound_solves", "predicted_gflops", "search_us", "truncated"}) {
+    for (const char* key : {"pruned", "bound_solves", "app_classes", "predicted_gflops",
+                            "search_us", "truncated"}) {
       EXPECT_TRUE(journal_field(entry.raw, key).has_value()) << key << " in " << entry.raw;
     }
   }
+  std::remove(journal.c_str());
+}
+
+TEST(Daemon, JournalCountsAppClasses) {
+  // Two clients advertise the same AI, so the exact search treats them as
+  // one class of interchangeable apps: three apps, two classes.
+  const auto registry = unique_registry("classes");
+  const auto journal = unique_journal("classes");
+  DaemonOptions options;
+  options.registry_name = registry;
+  options.journal_path = journal;
+  options.snapshot_every_ticks = 0;
+  double now = 0.0;
+  {
+    Daemon daemon(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(), options);
+    std::string error;
+    ASSERT_TRUE(daemon.init(&error)) << error;
+    std::vector<std::unique_ptr<DaemonClient>> clients;
+    for (const double ai : {0.5, 8.0, 0.5}) {
+      ClientConnectOptions copts;
+      copts.registry_name = registry;
+      copts.advertised_ai = ai;
+      clients.push_back(
+          std::make_unique<DaemonClient>("twin-" + std::to_string(clients.size()), copts));
+      ASSERT_TRUE(connect_with_ticks(*clients.back(), daemon, now));
+    }
+    daemon.tick(now += 0.01);
+  }
+  std::optional<std::string> classes;
+  for (const auto& entry : read_journal(journal)) {
+    if (entry.event == "reallocate") classes = journal_field(entry.raw, "app_classes");
+  }
+  EXPECT_EQ(classes.value_or(""), "2");
   std::remove(journal.c_str());
 }
 

@@ -12,7 +12,8 @@ SearchResult exhaustive_search_reference(const topo::Machine& machine,
                                          const std::vector<AppSpec>& apps, Objective objective,
                                          bool require_full, std::uint32_t min_threads_per_app,
                                          const std::vector<std::uint32_t>& caps,
-                                         const ForeignLoad& foreign) {
+                                         const ForeignLoad& foreign,
+                                         const std::function<bool(const Allocation&)>& keep) {
   NS_REQUIRE(caps.empty() || caps.size() == apps.size(),
              "caps must be empty or one per app");
   std::uint32_t min_cores = machine.cores_in_node(0);
@@ -26,6 +27,7 @@ SearchResult exhaustive_search_reference(const topo::Machine& machine,
     auto perms = enumerate_node_permutations(machine);
     candidates.insert(candidates.end(), perms.begin(), perms.end());
   }
+  if (keep) std::erase_if(candidates, [&](const Allocation& c) { return !keep(c); });
   NS_REQUIRE(!candidates.empty(), "no candidate allocations");
   if (!caps.empty()) {
     for (auto& candidate : candidates) apply_caps(machine, candidate, caps);

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "core/optimizer.hpp"
@@ -15,12 +16,13 @@ namespace numashare::model {
 /// Same candidates as exhaustive_search (including the historical double
 /// evaluation of node-permutation candidates on single-node machines), each
 /// solved with the validating solve() wrapper. exhaustive_search must select
-/// the same allocation with the same objective value.
-SearchResult exhaustive_search_reference(const topo::Machine& machine,
-                                         const std::vector<AppSpec>& apps, Objective objective,
-                                         bool require_full = false,
-                                         std::uint32_t min_threads_per_app = 0,
-                                         const std::vector<std::uint32_t>& caps = {},
-                                         const ForeignLoad& foreign = {});
+/// the same allocation with the same objective value. `keep` (empty = all)
+/// restricts the brute force to the candidates it accepts, tested before
+/// caps apply.
+SearchResult exhaustive_search_reference(
+    const topo::Machine& machine, const std::vector<AppSpec>& apps, Objective objective,
+    bool require_full = false, std::uint32_t min_threads_per_app = 0,
+    const std::vector<std::uint32_t>& caps = {}, const ForeignLoad& foreign = {},
+    const std::function<bool(const Allocation&)>& keep = {});
 
 }  // namespace numashare::model
