@@ -244,6 +244,7 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
     stats.pruned = joint.pruned;
     stats.bound_solves = joint.bound_solves;
     stats.app_classes = joint.app_classes;
+    stats.placement_rounds = joint.placement_rounds;
   } else {
     auto result = model::exhaustive_search(machine, specs, options_.objective,
                                            /*require_full=*/true,
@@ -267,7 +268,7 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
       auto polished = model::refine_search(machine, specs, allocation, polish);
       stats.evaluated += polished.evaluated;
       stats.truncated = polished.truncated;
-      if (polished.objective_value > result.objective_value) {
+      if (model::improves(polished.objective_value, result.objective_value)) {
         allocation = polished.allocation;
         predicted = polished.solution.total_gflops;
       }

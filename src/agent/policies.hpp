@@ -101,6 +101,9 @@ class ModelGuidedPolicy final : public Policy {
     /// Classes of interchangeable apps the exact search behind the
     /// allocation ran over; zero when the climb decided.
     std::uint32_t app_classes = 0;
+    /// Placement/allocation alternations advise_joint ran to its fixed
+    /// point; zero when the decision ran no placement advice.
+    std::uint32_t placement_rounds = 0;
     double predicted_gflops = 0.0;
     double search_us = 0.0;  // wall time of the search, polish included
     bool truncated = false;  // a climb stopped at the solve budget

@@ -386,11 +386,10 @@ class NodeClassSolver {
 /// enumeration materializes them (counts ascending per app; permutations in
 /// std::next_permutation order after the uniform family), skipping uniform
 /// candidates whose app classes are not sorted, and the incumbent is
-/// replaced only on strict improvement. So any subtree cut by an
+/// replaced only when improves() says so. So any subtree cut by an
 /// *admissible* bound cannot change the winner: the search returns the
 /// reference's objective value and allocation over class-sorted candidates,
-/// bitwise, and the reference's own whenever the winner's within-class
-/// permutations tie bitwise.
+/// bitwise, and the reference's own within the improvement margin.
 struct StreamSearch {
   const topo::Machine& machine;
   const std::vector<AppSpec>& apps;
@@ -532,10 +531,12 @@ struct StreamSearch {
   }
 
   /// True when the (admissible) bound proves nothing in the subtree can
-  /// strictly beat the incumbent. The margin absorbs floating-point noise in
-  /// the bound arithmetic — pruning must never fire on a rounding hair.
+  /// improve on the incumbent. The slack absorbs the rounding in the bound
+  /// arithmetic and stays far below the improvement margin, so a bound that
+  /// only equals the incumbent (a plateau) is cut.
+  static constexpr double kBoundSlack = 1e-12;
   bool cuttable(double bound) const {
-    return bound + 1e-9 * std::abs(bound) + 1e-12 <= best.objective_value;
+    return !improves(bound + kBoundSlack * (std::abs(bound) + 1.0), best.objective_value);
   }
 
   void set_row(std::uint32_t a, std::uint32_t c) {
@@ -556,7 +557,7 @@ struct StreamSearch {
                        : solve_into(machine, apps, *candidate, eval_scratch, solve_options),
               objective);
     ++best.evaluated;
-    if (value > best.objective_value) {
+    if (improves(value, best.objective_value)) {
       if (by_class) {
         // A new incumbent gets the full solve: it fills best.solution and
         // cross-checks the node-class score, which must be bitwise equal.
@@ -768,9 +769,6 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
     }
   };
 
-  // Improvements below this relative gain do not count, so floating-point
-  // noise cannot ping-pong the climb.
-  constexpr double kMinRelativeGain = 1e-9;
   Solution round_best_solution;
   while (!best.truncated) {
     double round_best = best.objective_value;
@@ -786,7 +784,7 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
       const Solution& solution = solve_into(machine, apps, current, eval, solve_options);
       ++best.evaluated;
       const double value = score(solution, options.objective);
-      if (value > round_best + std::abs(round_best) * kMinRelativeGain + 1e-15) {
+      if (improves(value, round_best)) {
         round_best = value;
         round_best_move = m;
         round_best_solution = solution;

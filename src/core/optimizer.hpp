@@ -8,7 +8,8 @@
 //    (uniform-per-node counts; node-permutation assignments). Candidates are
 //    visited via an in-place enumerator (nothing is materialized) and
 //    subtrees are cut with admissible upper bounds, so it provably returns
-//    the same winner as brute force at a fraction of the solves
+//    the same winner as brute force under the same improves() rule at a
+//    fraction of the solves
 //    (docs/MODEL.md "Search cost and pruning"). On symmetric machines with
 //    NUMA-perfect apps it solves one memory controller per uniform
 //    candidate and reuses it for every identical node, bitwise-exactly.
@@ -26,6 +27,7 @@
 // is held to lives with the tests (tests/support/search_reference.hpp).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -47,6 +49,20 @@ enum class Objective {
 
 double score(const Solution& solution, Objective objective);
 const char* to_string(Objective objective);
+
+/// The relative margin by which a candidate must beat the incumbent to
+/// replace it (docs/MODEL.md §7 "Improvement margin").
+inline constexpr double kImprovementMargin = 1e-9;
+
+/// The one improvement rule every model search ranks by: `value` replaces
+/// `incumbent` only when it beats it by more than kImprovementMargin
+/// relative, so a rounding step never picks a winner. Any finite value
+/// improves on an incumbent of -infinity.
+inline bool improves(double value, double incumbent) {
+  return std::isfinite(incumbent)
+             ? value > incumbent + kImprovementMargin * std::abs(incumbent)
+             : value > incumbent;
+}
 
 struct SearchResult {
   Allocation allocation;

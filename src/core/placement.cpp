@@ -107,7 +107,7 @@ JointResult advise_joint(const topo::Machine& machine, std::vector<AppSpec> apps
     //    move may only pay off *together with* a different allocation (e.g.
     //    two NUMA-bad apps sharing a home tie every allocation, so neither
     //    single step improves). Try each (app, home) jointly with a fresh
-    //    allocation search and take the best strict improvement.
+    //    allocation search and take the best that improves() on the score.
     if (!moved) {
       double best_value = score(search.solution, objective);
       AppId best_app = 0;
@@ -121,7 +121,7 @@ JointResult advise_joint(const topo::Machine& machine, std::vector<AppSpec> apps
           variant[a].home_node = home;
           const auto rehomed = search_for(variant);
           const double value = score(rehomed.solution, objective);
-          if (value > best_value + 1e-12) {
+          if (improves(value, best_value)) {
             best_value = value;
             best_app = a;
             best_home = home;

@@ -833,6 +833,7 @@ void Daemon::journal_allocation(double now) {
                    {"pruned", jnum(search.pruned)},
                    {"bound_solves", jnum(search.bound_solves)},
                    {"app_classes", jnum(search.app_classes)},
+                   {"placement_rounds", jnum(search.placement_rounds)},
                    {"predicted_gflops", jnum(search.predicted_gflops)},
                    {"search_us", jnum(search.search_us)},
                    {"truncated", jbool(search.truncated)}});

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "core/paper_scenarios.hpp"
 #include "support/search_reference.hpp"
 #include "topology/presets.hpp"
@@ -183,6 +186,26 @@ TEST(Optimizer, ScoreMinApp) {
   s.total_gflops = 6.0;
   EXPECT_DOUBLE_EQ(score(s, Objective::kTotalGflops), 6.0);
   EXPECT_DOUBLE_EQ(score(s, Objective::kMinAppGflops), 1.0);
+}
+
+TEST(Optimizer, ImprovesOnlyPastTheMargin) {
+  // Relative to the incumbent's magnitude, on either side of zero: a value
+  // must clear the margin, not merely a rounding step.
+  constexpr double eps = kImprovementMargin;
+  for (const double incumbent : {23.2, -41.5}) {
+    const double scale = std::abs(incumbent);
+    EXPECT_TRUE(improves(incumbent + 2 * eps * scale, incumbent)) << incumbent;
+    EXPECT_FALSE(improves(incumbent + eps * scale / 2, incumbent)) << incumbent;
+    EXPECT_FALSE(improves(std::nextafter(incumbent, 1e9), incumbent)) << incumbent;
+    EXPECT_FALSE(improves(incumbent, incumbent)) << incumbent;
+  }
+  // At zero the margin is zero: any gain counts.
+  EXPECT_TRUE(improves(1e-300, 0.0));
+  EXPECT_FALSE(improves(0.0, 0.0));
+  // A search's first candidate always takes over from -infinity.
+  const double none = -std::numeric_limits<double>::infinity();
+  EXPECT_TRUE(improves(-1e300, none));
+  EXPECT_FALSE(improves(none, none));
 }
 
 TEST(Optimizer, ObjectiveNames) {

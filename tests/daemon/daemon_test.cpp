@@ -20,6 +20,7 @@
 
 #include "agent/channel.hpp"
 #include "agent/policies.hpp"
+#include "core/placement.hpp"
 #include "daemon/client.hpp"
 #include "runtime/runtime.hpp"
 #include "support/daemon_support.hpp"
@@ -207,8 +208,8 @@ TEST(Daemon, JoinEvictLeaveLifecycle) {
     const auto search = journal_field(entry.raw, "search").value_or("");
     EXPECT_TRUE(search == "\"full\"" || search == "\"refine\"") << entry.raw;
     EXPECT_GE(std::stoull(journal_field(entry.raw, "evaluated").value_or("0")), 1u) << entry.raw;
-    for (const char* key : {"pruned", "bound_solves", "app_classes", "predicted_gflops",
-                            "search_us", "truncated"}) {
+    for (const char* key : {"pruned", "bound_solves", "app_classes", "placement_rounds",
+                            "predicted_gflops", "search_us", "truncated"}) {
       EXPECT_TRUE(journal_field(entry.raw, key).has_value()) << key << " in " << entry.raw;
     }
   }
@@ -245,6 +246,55 @@ TEST(Daemon, JournalCountsAppClasses) {
     if (entry.event == "reallocate") classes = journal_field(entry.raw, "app_classes");
   }
   EXPECT_EQ(classes.value_or(""), "2");
+  std::remove(journal.c_str());
+}
+
+TEST(Daemon, JournalCountsPlacementRounds) {
+  // Two bandwidth-bound NUMA-bad clients keep their data on node 0, so
+  // moving one home to node 1 doubles what they get. With placement advice
+  // on, the decision alternates allocation search and home moves until
+  // neither improves, and the journal records how many rounds that took:
+  // the same count advise_joint reports for the same specs.
+  const auto registry = unique_registry("rounds");
+  const auto journal = unique_journal("rounds");
+  DaemonOptions options;
+  options.registry_name = registry;
+  options.journal_path = journal;
+  options.snapshot_every_ticks = 0;
+  double now = 0.0;
+  {
+    Daemon daemon(test_machine(),
+                  std::make_unique<agent::ModelGuidedPolicy>(
+                      agent::ModelGuidedOptions{.advise_data_placement = true}),
+                  options);
+    std::string error;
+    ASSERT_TRUE(daemon.init(&error)) << error;
+    // No advertised AI: the policy waits for the telemetry, which carries
+    // the data home the model prices.
+    std::vector<std::unique_ptr<DaemonClient>> clients;
+    for (int i = 0; i < 2; ++i) {
+      ClientConnectOptions copts;
+      copts.registry_name = registry;
+      clients.push_back(std::make_unique<DaemonClient>("homed-" + std::to_string(i), copts));
+      ASSERT_TRUE(connect_with_ticks(*clients.back(), daemon, now));
+    }
+    for (auto& client : clients) {
+      agent::Telemetry tel;
+      tel.seq = 1;
+      tel.ai_estimate = 0.05;
+      tel.data_home_node = 0;
+      client->channel()->push_telemetry(tel);
+    }
+    daemon.tick(now += 0.01);
+  }
+  std::optional<std::string> rounds;
+  for (const auto& entry : read_journal(journal)) {
+    if (entry.event == "reallocate") rounds = journal_field(entry.raw, "placement_rounds");
+  }
+  const auto joint = model::advise_joint(test_machine(), {model::AppSpec::numa_bad("a", 0.05, 0),
+                                                          model::AppSpec::numa_bad("b", 0.05, 0)});
+  EXPECT_GE(joint.placement_rounds, 2u);
+  EXPECT_EQ(rounds.value_or(""), std::to_string(joint.placement_rounds));
   std::remove(journal.c_str());
 }
 

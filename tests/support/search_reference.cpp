@@ -42,7 +42,7 @@ SearchResult exhaustive_search_reference(const topo::Machine& machine,
     ++best.evaluated;
     ++best.visited;
     const double value = score(solution, objective);
-    if (value > best.objective_value) {
+    if (improves(value, best.objective_value)) {
       best.objective_value = value;
       best.allocation = candidate;
       best.solution = std::move(solution);

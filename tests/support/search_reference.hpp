@@ -15,8 +15,9 @@ namespace numashare::model {
 
 /// Same candidates as exhaustive_search (including the historical double
 /// evaluation of node-permutation candidates on single-node machines), each
-/// solved with the validating solve() wrapper. exhaustive_search must select
-/// the same allocation with the same objective value. `keep` (empty = all)
+/// solved with the validating solve() wrapper, the incumbent replaced by the
+/// same improves() rule. exhaustive_search must select the same allocation
+/// with the same objective value. `keep` (empty = all)
 /// restricts the brute force to the candidates it accepts, tested before
 /// caps apply.
 SearchResult exhaustive_search_reference(
