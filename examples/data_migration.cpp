@@ -5,11 +5,11 @@
 //    runtime system is also in charge of managing the data."
 //
 // A NUMA-bad application holds its working set in a runtime-managed
-// datablock on the wrong node. The model-guided agent (with placement advice
-// on) notices the mismatch between where the app runs and where its data
-// lives, suggests a home, and the application migrates at its next phase
-// boundary via Datablock::move_to. The printout shows before/after placement
-// and the model's predicted gain.
+// datablock. The model-guided agent prices its threads at that home; when
+// another home would serve the machine better it suggests it, and the
+// application migrates at its next phase boundary via Datablock::move_to;
+// the new home in its telemetry re-prices the threads. The printout shows
+// before/after placement and the model's predicted gain.
 //
 // Usage: ./examples/data_migration
 #include <chrono>
@@ -29,7 +29,7 @@ int main() {
   std::printf("%s\n", machine.describe().c_str());
 
   // Four runtimes: three NUMA-perfect streamers + one NUMA-bad app whose
-  // data sits on node 0 while the optimizer will run it elsewhere.
+  // data sits on node 0.
   std::vector<std::unique_ptr<rt::Runtime>> apps;
   std::vector<std::unique_ptr<agent::ShmChannel>> channels;
   std::vector<std::unique_ptr<agent::RuntimeAdapter>> adapters;
@@ -54,10 +54,7 @@ int main() {
     std::printf("  -> agent suggested node %u; migrated %zu MiB\n", node, moved >> 20);
   });
 
-  agent::ModelGuidedOptions policy_options;
-  policy_options.advise_data_placement = true;
-  agent::Agent coordinator(machine,
-                           std::make_unique<agent::ModelGuidedPolicy>(policy_options),
+  agent::Agent coordinator(machine, std::make_unique<agent::ModelGuidedPolicy>(),
                            {.period_us = 2000});
   for (int a = 0; a < 4; ++a) coordinator.add_app("app" + std::to_string(a), *channels[a]);
 

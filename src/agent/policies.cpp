@@ -7,7 +7,6 @@
 #include "common/assert.hpp"
 #include "common/logging.hpp"
 #include "core/app_spec.hpp"
-#include "core/placement.hpp"
 
 namespace numashare::agent {
 
@@ -25,37 +24,6 @@ constexpr std::size_t kConsumer = 1;
 constexpr double kForeignCoreDrift = 0.25;
 constexpr GBps kForeignBwDrift = 2.0;
 
-/// Round-robin waterfill of every node's cores honouring per-app caps
-/// (AppView::thread_cap, set by the compliance watchdog). The round-robin
-/// cursor carries over from node to node, so uncapped the totals are the
-/// classic fair split — core_count/apps with the remainder to the first
-/// apps — and every node is split as evenly as it can be; a capped app's
-/// unreachable share flows to its peers instead of idling. With more apps
-/// than cores, the first core_count() apps hold one core each and the rest
-/// hold none.
-model::Allocation fair_share(const topo::Machine& machine, const std::vector<AppView>& views) {
-  const auto apps = static_cast<std::uint32_t>(views.size());
-  model::Allocation allocation(apps, machine.node_count());
-  std::vector<std::uint32_t> totals(apps, 0);
-  std::uint32_t next = 0;  // the app the next core goes to, unless capped out
-  for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
-    std::uint32_t budget = machine.cores_in_node(n);
-    // A full cycle of capped-out apps means every app is capped: the
-    // leftover cores idle.
-    for (std::uint32_t skipped = 0; budget > 0 && skipped < apps; next = (next + 1) % apps) {
-      if (totals[next] >= views[next].thread_cap) {
-        ++skipped;
-        continue;
-      }
-      allocation.set_threads(next, n, allocation.threads(next, n) + 1);
-      ++totals[next];
-      --budget;
-      skipped = 0;
-    }
-  }
-  return allocation;
-}
-
 }  // namespace
 
 std::vector<Directive> FairSharePolicy::decide(const topo::Machine& machine,
@@ -64,7 +32,10 @@ std::vector<Directive> FairSharePolicy::decide(const topo::Machine& machine,
   if (views.empty()) return out;
   if (issued_ && last_app_count_ == views.size()) return out;
 
-  const auto allocation = fair_share(machine, views);
+  std::vector<std::uint32_t> caps;
+  for (const auto& view : views) caps.push_back(view.thread_cap);
+  const auto allocation =
+      model::fair_share(machine, static_cast<std::uint32_t>(views.size()), caps);
   for (std::uint32_t a = 0; a < views.size(); ++a) {
     if (flavor_ == Flavor::kTotalThreads) {
       out[a] = Directive::total(allocation.app_total(a));
@@ -155,132 +126,67 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
   // clients yet); the optimizer has nothing to do.
   if (views.empty()) return out;
 
+  // An advertised home past the last node means NUMA-perfect.
+  const auto home_of = [&](const AppView& view) {
+    return view.latest.data_home_node < machine.node_count() ? view.latest.data_home_node
+                                                             : kMaxNodes;
+  };
   std::vector<double> ai(views.size(), 0.0);
+  bool homes_changed = last_homes_.size() != views.size();
   for (std::size_t a = 0; a < views.size(); ++a) {
     if (!views[a].has_telemetry || views[a].latest.ai_estimate <= 0.0) {
       return out;  // wait until every app has advertised an AI
     }
     ai[a] = views[a].latest.ai_estimate;
+    homes_changed = homes_changed || home_of(views[a]) != last_homes_[a];
   }
 
-  if (!last_ai_.empty() && last_ai_.size() == ai.size() && !foreign_dirty_) {
-    bool drifted = false;
-    for (std::size_t a = 0; a < ai.size(); ++a) {
-      if (std::abs(ai[a] - last_ai_[a]) > options_.ai_drift_threshold * last_ai_[a]) {
-        drifted = true;
-        break;
-      }
-    }
-    if (!drifted) return out;
+  // Re-decide on AI drift, on foreign drift, and whenever an app's data
+  // home changed: the allocation is priced at the homes advertised now.
+  const auto steady = [&](double now, double last) {
+    return std::abs(now - last) <= options_.ai_drift_threshold * last;
+  };
+  if (!foreign_dirty_ && !homes_changed && ai.size() == last_ai_.size() &&
+      std::equal(ai.begin(), ai.end(), last_ai_.begin(), steady)) {
+    return out;
   }
 
   std::vector<model::AppSpec> specs;
-  specs.reserve(views.size());
+  std::vector<std::uint32_t> homes;
   for (std::size_t a = 0; a < views.size(); ++a) {
-    const auto home = views[a].latest.data_home_node;
-    if (home < machine.node_count()) {
-      specs.push_back(model::AppSpec::numa_bad(views[a].name, ai[a], home));
-    } else {
-      specs.push_back(model::AppSpec::numa_perfect(views[a].name, ai[a]));
-    }
+    homes.push_back(home_of(views[a]));
+    specs.push_back(homes[a] != kMaxNodes
+                        ? model::AppSpec::numa_bad(views[a].name, ai[a], homes[a])
+                        : model::AppSpec::numa_perfect(views[a].name, ai[a]));
   }
 
-  // Administrative caps from the compliance watchdog. When any client is
-  // capped the data-placement advisor is bypassed: a quarantined client is a
-  // transient state, not worth migrating data over, and the capped
-  // exhaustive search already re-grants the reclaimed cores.
+  // Administrative caps from the compliance watchdog (empty = none capped).
   std::vector<std::uint32_t> caps;
-  for (const auto& view : views) {
-    if (view.thread_cap != 0xffffffffu) {
-      caps.assign(views.size(), 0xffffffffu);
-      for (std::size_t a = 0; a < views.size(); ++a) caps[a] = views[a].thread_cap;
-      break;
-    }
+  for (const auto& view : views) caps.push_back(view.thread_cap);
+  if (std::all_of(caps.begin(), caps.end(), [](auto cap) { return cap == 0xffffffffu; })) {
+    caps.clear();
   }
 
-  // The engine is chosen from the problem size alone. Up to kMaxSearchSolves
-  // candidates the exact search runs; beyond it (e.g. 21+ apps on 20-core
-  // nodes, where the per-app floor clamps to zero and the candidate count
-  // explodes) a climb seeded with the cap-honouring fair share runs under
-  // the same solve budget, so no decision can wedge the daemon tick.
-  const bool exact =
-      model::count_candidates(machine, static_cast<std::uint32_t>(views.size()),
-                              /*require_full=*/true, options_.min_threads_per_app) <=
-      model::kMaxSearchSolves;
-
-  model::Allocation allocation;
-  double predicted = 0.0;
-  std::vector<std::uint32_t> suggested_home(views.size(), kMaxNodes);
-  SearchStats stats;
   const auto started = std::chrono::steady_clock::now();
-  if (!exact) {
-    // Placement advice is skipped here: advise_joint runs one exhaustive
-    // search per home variant.
-    model::RefineOptions refine_options;
-    refine_options.objective = options_.objective;
-    refine_options.min_threads_per_app = options_.min_threads_per_app;
-    refine_options.caps = caps;
-    refine_options.foreign = foreign_;
-    auto result =
-        model::refine_search(machine, specs, fair_share(machine, views), refine_options);
-    allocation = result.allocation;
-    predicted = result.solution.total_gflops;
-    stats.kind = SearchKind::kRefine;
-    stats.evaluated = result.evaluated;
-    stats.truncated = result.truncated;
-  } else if (options_.advise_data_placement && caps.empty() && !foreign_.any()) {
-    auto joint = model::advise_joint(machine, specs, options_.objective,
-                                     options_.min_threads_per_app);
-    allocation = joint.allocation;
-    predicted = joint.solution.total_gflops;
-    for (std::size_t a = 0; a < views.size(); ++a) {
-      if (joint.apps[a].placement == model::Placement::kNumaBad &&
-          joint.apps[a].home_node != specs[a].home_node) {
-        suggested_home[a] = joint.apps[a].home_node;
-      }
-    }
-    stats.kind = SearchKind::kFull;
-    stats.evaluated = joint.evaluated;
-    stats.pruned = joint.pruned;
-    stats.bound_solves = joint.bound_solves;
-    stats.app_classes = joint.app_classes;
-    stats.placement_rounds = joint.placement_rounds;
-  } else {
-    auto result = model::exhaustive_search(machine, specs, options_.objective,
-                                           /*require_full=*/true,
-                                           options_.min_threads_per_app, caps, foreign_);
-    allocation = result.allocation;
-    predicted = result.solution.total_gflops;
-    stats.evaluated = result.evaluated;
-    stats.pruned = result.pruned;
-    stats.bound_solves = result.bound_solves;
-    stats.app_classes = result.app_classes;
-    if (foreign_.any() && caps.empty()) {
-      // Polish: the uniform candidate family cannot express "vacate one
-      // node" (every app runs the same count on every node it uses), which
-      // is precisely the right answer when a foreign hog occupies a node.
-      // A hill-climb seeded from the full-search winner can drop/shift
-      // threads off the hogged node; keep it only when it actually wins.
-      model::RefineOptions polish;
-      polish.objective = options_.objective;
-      polish.min_threads_per_app = options_.min_threads_per_app;
-      polish.foreign = foreign_;
-      auto polished = model::refine_search(machine, specs, allocation, polish);
-      stats.evaluated += polished.evaluated;
-      stats.truncated = polished.truncated;
-      if (model::improves(polished.objective_value, result.objective_value)) {
-        allocation = polished.allocation;
-        predicted = polished.solution.total_gflops;
-      }
-    }
-    stats.kind = SearchKind::kFull;
-  }
+  const auto decision = model::decide(machine, specs, options_.objective,
+                                      options_.min_threads_per_app, caps, foreign_);
+  const auto& allocation = decision.search.allocation;
+  const double predicted = decision.search.solution.total_gflops;
+  SearchStats stats;
+  stats.kind = decision.exact_seed ? SearchKind::kFull : SearchKind::kRefine;
+  stats.evaluated = decision.search.evaluated;
+  stats.pruned = decision.search.pruned;
+  stats.bound_solves = decision.search.bound_solves;
+  stats.app_classes = decision.search.app_classes;
+  stats.home_moves = decision.move ? 1 : 0;
+  stats.truncated = decision.search.truncated;
   stats.search_us =
       std::chrono::duration<double, std::micro>(std::chrono::steady_clock::now() - started)
           .count();
   stats.predicted_gflops = predicted;
   last_search_ = stats;
   last_ai_ = ai;
+  last_homes_ = std::move(homes);
   last_allocation_ = allocation;
   decided_foreign_ = foreign_;
   foreign_dirty_ = false;
@@ -292,8 +198,8 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
       per_node[n] = allocation.threads(static_cast<model::AppId>(a), n);
     }
     out[a] = Directive::per_node(std::move(per_node));
-    out[a].suggested_data_home = suggested_home[a];
   }
+  if (decision.move) out[decision.move->app].suggested_data_home = decision.move->home;
   return out;
 }
 

@@ -10,10 +10,11 @@
 //    between the two applications based on their progress counters.
 //  * ModelGuidedPolicy — the NUMA-aware brain of §III: feed per-app
 //    arithmetic intensities (self-advertised in telemetry) to the roofline
-//    model's optimizer and issue per-node thread targets. The problem size
-//    picks the engine: the exact exhaustive_search while count_candidates()
-//    is within model::kMaxSearchSolves, else a refine_search climb seeded
-//    with the fair share and bounded by the same solve budget.
+//    model and issue per-node thread targets. Every decision is one
+//    model::decide (core/optimizer.hpp): exact or fair-share seed, one
+//    climb within model::kMaxSearchSolves solves, and at most one
+//    data-home suggestion for a NUMA-bad app. Threads are priced at the
+//    data homes the apps advertise now.
 #pragma once
 
 #include <cstdint>
@@ -72,41 +73,35 @@ class ProducerConsumerPolicy final : public Policy {
 struct ModelGuidedOptions {
   model::Objective objective = model::Objective::kTotalGflops;
   std::uint32_t min_threads_per_app = 1;
-  /// Re-run the optimizer when an AI estimate drifts by this fraction.
+  /// Re-run the optimizer when an AI estimate drifts by this fraction. A
+  /// changed data home always re-runs it.
   double ai_drift_threshold = 0.10;
-  /// Also co-optimize data placement (core/placement.hpp) and attach
-  /// kSuggestDataHome suggestions for NUMA-bad apps whose advertised home
-  /// differs from the recommended one. Only on the exact engine: the
-  /// advisor runs one exhaustive search per home variant.
-  bool advise_data_placement = false;
 };
 
 class ModelGuidedPolicy final : public Policy {
  public:
   using Options = ModelGuidedOptions;
-  /// Which engine produced the last issued directives (observability for
+  /// Which seed the last issued directives grew from (observability for
   /// tests and status tooling): kFull is the exact search, kRefine the
-  /// fair-share-seeded climb that replaces it above kMaxSearchSolves
-  /// candidates.
+  /// fair share that replaces it above kMaxSearchSolves candidates.
   enum class SearchKind { kNone, kFull, kRefine };
   /// What the latest decision cost; the daemon journals it with each
-  /// reallocation. The counters are the engines' SearchResult counters,
-  /// summed over every search a decision ran (zero where an engine does not
-  /// report them: the climb has no pruned or bound_solves).
+  /// reallocation. The counters are model::decide's, summed over its seed,
+  /// climb and placement advice.
   struct SearchStats {
     SearchKind kind = SearchKind::kNone;
-    std::uint64_t evaluated = 0;  // model solves on candidates (search + polish)
+    std::uint64_t evaluated = 0;  // model solves on whole allocations
     std::uint64_t pruned = 0;
     std::uint64_t bound_solves = 0;
-    /// Classes of interchangeable apps the exact search behind the
-    /// allocation ran over; zero when the climb decided.
+    /// Classes of interchangeable apps the exact seed ran over; zero when
+    /// the fair share seeded the decision.
     std::uint32_t app_classes = 0;
-    /// Placement/allocation alternations advise_joint ran to its fixed
-    /// point; zero when the decision ran no placement advice.
-    std::uint32_t placement_rounds = 0;
+    /// Data-home moves the decision suggested: 1 when some NUMA-bad app was
+    /// told a better home, else 0.
+    std::uint32_t home_moves = 0;
     double predicted_gflops = 0.0;
-    double search_us = 0.0;  // wall time of the search, polish included
-    bool truncated = false;  // a climb stopped at the solve budget
+    double search_us = 0.0;  // wall time of the whole decide
+    bool truncated = false;  // the solve budget stopped the decision
   };
 
   explicit ModelGuidedPolicy(ModelGuidedOptions options = {}) : options_(options) {}
@@ -116,6 +111,7 @@ class ModelGuidedPolicy final : public Policy {
                                 const std::vector<AppView>& views) override;
   void on_membership_change() override {
     last_ai_.clear();
+    last_homes_.clear();
     last_allocation_.reset();
     last_search_ = {};
   }
@@ -132,6 +128,7 @@ class ModelGuidedPolicy final : public Policy {
  private:
   ModelGuidedOptions options_;
   std::vector<double> last_ai_;
+  std::vector<std::uint32_t> last_homes_;  // data homes priced into the last decision
   std::optional<model::Allocation> last_allocation_;
   SearchStats last_search_;
   model::ForeignLoad foreign_;          // latest reported load

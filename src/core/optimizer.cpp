@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "common/assert.hpp"
+#include "core/placement.hpp"
 #include "core/roofline_detail.hpp"
 
 namespace numashare::model {
@@ -437,6 +438,9 @@ struct StreamSearch {
   SolveScratch bound_scratch;  // partial-prefix bound solves
 
   SearchResult best;
+  /// Model solves (evaluations plus bound solves) after which the search
+  /// stops and returns its incumbent, `truncated`.
+  std::uint64_t solve_budget = std::numeric_limits<std::uint64_t>::max();
 
   StreamSearch(const topo::Machine& machine_, const std::vector<AppSpec>& apps_,
                Objective objective_, bool require_full_, std::uint32_t min_per_app_,
@@ -539,6 +543,12 @@ struct StreamSearch {
     return !improves(bound + kBoundSlack * (std::abs(bound) + 1.0), best.objective_value);
   }
 
+  bool out_of_budget() {
+    if (best.evaluated + best.bound_solves < solve_budget) return false;
+    best.truncated = true;
+    return true;
+  }
+
   void set_row(std::uint32_t a, std::uint32_t c) {
     counts[a] = c;
     for (topo::NodeId n = 0; n < nodes_n; ++n) workspace.set_threads(a, n, c);
@@ -594,6 +604,7 @@ struct StreamSearch {
           continue;
         }
       }
+      if (out_of_budget()) return;
       set_row(a, c);
       evaluate_current(/*uniform=*/true);
       set_row(a, 0);
@@ -622,6 +633,7 @@ struct StreamSearch {
     }
     const std::uint32_t tail_after = apps_n - a - 1;  // apps assigned after this one
     for (std::uint32_t c = count_floor(a); c <= remaining; ++c) {
+      if (out_of_budget()) return;
       const std::uint32_t rem_after = remaining - c;
       // Subtrees whose tail cannot reach its floors contain no candidates;
       // the need only grows with c, so stop the scan here.
@@ -681,6 +693,7 @@ struct StreamSearch {
     std::vector<topo::NodeId> order(nodes_n);
     std::iota(order.begin(), order.end(), 0u);
     do {
+      if (out_of_budget()) return;
       ++best.visited;
       // A node-per-app allocation duplicates a uniform-family candidate iff
       // every app's row is node-constant. With >= 1 core per node that
@@ -723,15 +736,20 @@ struct StreamSearch {
   }
 };
 
+/// Climbs from `best` until a local optimum, or until `evaluated +
+/// bound_solves` reaches `solve_budget`. `best` is a finished search, whose
+/// solution and solve counts the climb continues, or a bare seed allocation
+/// (`evaluated` 0), which it solves first.
 SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& apps,
-                   const Allocation& seed, const RefineOptions& options) {
+                   SearchResult best, const RefineOptions& options,
+                   std::uint64_t solve_budget) {
   SolveScratch eval;
   SolveOptions solve_options;
   solve_options.foreign = options.foreign;
-  SearchResult best;
-  best.allocation = seed;
-  best.solution = solve_into(machine, apps, seed, eval, solve_options);
-  best.evaluated = 1;
+  if (best.evaluated == 0) {
+    best.solution = solve_into(machine, apps, best.allocation, eval, solve_options);
+    best.evaluated = 1;
+  }
   best.objective_value = score(best.solution, options.objective);
 
   const auto apps_n = static_cast<AppId>(apps.size());
@@ -740,7 +758,7 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
     return options.caps.empty() ? std::numeric_limits<std::uint32_t>::max() : options.caps[a];
   };
 
-  Allocation current = seed;  // mutated per candidate move, restored after
+  Allocation current = best.allocation;  // mutated per candidate move, restored after
   std::vector<std::uint32_t> totals(apps_n, 0);
   for (AppId a = 0; a < apps_n; ++a) {
     for (topo::NodeId n = 0; n < nodes_n; ++n) totals[a] += current.threads(a, n);
@@ -776,7 +794,7 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
     bool improved = false;
 
     const auto consider = [&](const Move& m) {
-      if (best.evaluated >= kMaxSearchSolves) {
+      if (best.evaluated + best.bound_solves >= solve_budget) {
         best.truncated = true;
         return;
       }
@@ -817,6 +835,39 @@ SearchResult climb(const topo::Machine& machine, const std::vector<AppSpec>& app
     best.objective_value = round_best;
   }
   return best;
+}
+
+/// exhaustive_search, stopped once it has spent `solve_budget` solves.
+SearchResult exact_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,
+                          Objective objective, bool require_full,
+                          std::uint32_t min_threads_per_app,
+                          const std::vector<std::uint32_t>& caps, const ForeignLoad& foreign,
+                          std::uint64_t solve_budget) {
+  NS_REQUIRE(!apps.empty(), "need at least one app");
+  NS_REQUIRE(caps.empty() || caps.size() == apps.size(),
+             "caps must be empty or one per app");
+  require_foreign_shape(machine, foreign);
+  // Clamp an infeasible per-app minimum (more apps than cores per node)
+  // rather than refusing: policies run against whatever machine they find.
+  const std::uint32_t min_cores = smallest_node_cores(machine);
+  const auto apps_n = static_cast<std::uint32_t>(apps.size());
+  min_threads_per_app = std::min(min_threads_per_app, min_cores / std::max(1u, apps_n));
+  StreamSearch search(machine, apps, objective, require_full, min_threads_per_app, caps,
+                      foreign);
+  search.solve_budget = solve_budget;
+  return search.run();
+}
+
+/// Problems whose total is a sum of identical per-node terms, so the
+/// uniform winner is optimal over every per-node allocation with the same
+/// per-node floor (docs/MODEL.md §7 "Separable problems").
+bool separable(const topo::Machine& machine, const std::vector<AppSpec>& apps,
+               Objective objective, const std::vector<std::uint32_t>& caps,
+               const ForeignLoad& foreign) {
+  return objective == Objective::kTotalGflops && !foreign.any() &&
+         one_node_class(machine, apps, caps, foreign) &&
+         std::all_of(apps.begin(), apps.end(),
+                     [](const AppSpec& app) { return app.serial_fraction == 0.0; });
 }
 
 }  // namespace
@@ -879,23 +930,40 @@ void apply_caps(const topo::Machine& machine, Allocation& allocation,
   apply_caps(machine, allocation, caps, totals, freed);
 }
 
+Allocation fair_share(const topo::Machine& machine, std::uint32_t apps,
+                      const std::vector<std::uint32_t>& caps) {
+  NS_REQUIRE(caps.empty() || caps.size() == apps, "caps must be empty or one per app");
+  Allocation allocation(apps, machine.node_count());
+  const auto cap = [&](std::uint32_t a) {
+    return caps.empty() ? std::numeric_limits<std::uint32_t>::max() : caps[a];
+  };
+  std::vector<std::uint32_t> totals(apps, 0);
+  std::uint32_t next = 0;  // the app the next core goes to, unless capped out
+  for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
+    std::uint32_t budget = machine.cores_in_node(n);
+    // A full cycle of capped-out apps means every app is capped: the
+    // leftover cores idle.
+    for (std::uint32_t skipped = 0; budget > 0 && skipped < apps; next = (next + 1) % apps) {
+      if (totals[next] >= cap(next)) {
+        ++skipped;
+        continue;
+      }
+      allocation.set_threads(next, n, allocation.threads(next, n) + 1);
+      ++totals[next];
+      --budget;
+      skipped = 0;
+    }
+  }
+  return allocation;
+}
+
 SearchResult exhaustive_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,
                                Objective objective, bool require_full,
                                std::uint32_t min_threads_per_app,
                                const std::vector<std::uint32_t>& caps,
                                const ForeignLoad& foreign) {
-  NS_REQUIRE(!apps.empty(), "need at least one app");
-  NS_REQUIRE(caps.empty() || caps.size() == apps.size(),
-             "caps must be empty or one per app");
-  require_foreign_shape(machine, foreign);
-  // Clamp an infeasible per-app minimum (more apps than cores per node)
-  // rather than refusing: policies run against whatever machine they find.
-  const std::uint32_t min_cores = smallest_node_cores(machine);
-  const auto apps_n = static_cast<std::uint32_t>(apps.size());
-  min_threads_per_app = std::min(min_threads_per_app, min_cores / std::max(1u, apps_n));
-  StreamSearch search(machine, apps, objective, require_full, min_threads_per_app, caps,
-                      foreign);
-  return search.run();
+  return exact_search(machine, apps, objective, require_full, min_threads_per_app, caps,
+                      foreign, std::numeric_limits<std::uint64_t>::max());
 }
 
 SearchResult refine_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,
@@ -905,7 +973,56 @@ SearchResult refine_search(const topo::Machine& machine, const std::vector<AppSp
   NS_REQUIRE(options.caps.empty() || options.caps.size() == apps.size(),
              "caps must be empty or one per app");
   require_foreign_shape(machine, options.foreign);
-  return climb(machine, apps, seed, options);
+  SearchResult start;
+  start.allocation = seed;
+  return climb(machine, apps, std::move(start), options, kMaxSearchSolves);
+}
+
+Decision decide(const topo::Machine& machine, const std::vector<AppSpec>& apps,
+                Objective objective, std::uint32_t min_threads_per_app,
+                const std::vector<std::uint32_t>& caps, const ForeignLoad& foreign) {
+  require_foreign_shape(machine, foreign);
+  const auto apps_n = static_cast<std::uint32_t>(apps.size());
+  const auto bad = static_cast<std::uint64_t>(
+      std::count_if(apps.begin(), apps.end(),
+                    [](const AppSpec& app) { return app.placement == Placement::kNumaBad; }));
+  // advise_placement's solves (a baseline plus one per NUMA-bad app and
+  // other node) are reserved first. A mix that would need half the budget
+  // for them gets no advice.
+  const std::uint64_t advice = bad == 0 ? 0 : 1 + bad * (machine.node_count() - 1);
+  const bool advise = advice <= kMaxSearchSolves / 2;
+  const std::uint64_t budget = kMaxSearchSolves - (advise ? advice : 0);
+
+  Decision decision;
+  decision.exact_seed = count_candidates(machine, apps_n, /*require_full=*/true,
+                                         min_threads_per_app) <= kMaxSearchSolves;
+  auto& result = decision.search;
+  if (decision.exact_seed) {
+    result = exact_search(machine, apps, objective, /*require_full=*/true, min_threads_per_app,
+                          caps, foreign, budget);
+  } else {
+    result.allocation = fair_share(machine, apps_n, caps);
+  }
+  if (!decision.exact_seed || !separable(machine, apps, objective, caps, foreign)) {
+    const RefineOptions options{.objective = objective,
+                                .min_threads_per_app = min_threads_per_app,
+                                .caps = caps,
+                                .foreign = foreign};
+    result = climb(machine, apps, std::move(result), options, budget);
+  }
+
+  if (!advise) result.truncated = true;
+  if (bad == 0 || !advise) return decision;
+  result.evaluated += advice;
+  double best_gain = 0.0;
+  for (const auto& entry : advise_placement(machine, apps, result.allocation, {}, foreign)) {
+    const double gain = entry.predicted_gflops - entry.current_gflops;
+    if (entry.move_recommended() && (!decision.move || gain > best_gain)) {
+      decision.move = Decision::HomeMove{entry.app, entry.recommended_home};
+      best_gain = gain;
+    }
+  }
+  return decision;
 }
 
 }  // namespace numashare::model

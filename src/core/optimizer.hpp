@@ -18,18 +18,21 @@
 //    app order, so with repeated specs the winner is brute force's over
 //    those class-sorted candidates;
 //  * refine_search — hill-climbing over single-thread moves from a seed
-//    allocation, bounded by kMaxSearchSolves. It is the engine for problems
-//    whose candidate count exceeds that bound, and the polish that lets a
-//    foreign-aware caller vacate a hogged node.
-// A caller picks the engine from count_candidates() before searching
-// (ModelGuidedPolicy does); exhaustive_search itself has no budget.
+//    allocation, bounded by kMaxSearchSolves. It can express per-node
+//    counts (paper Option 3), which the uniform family cannot: a climb from
+//    the exact winner is how a decision vacates a foreign-occupied node or
+//    keeps a NUMA-bad app off remote nodes.
+// Neither engine is a decision on its own: decide() runs the one sequence
+// every caller uses — exact or fair-share seed, one climb, one data-home
+// suggestion — within one solve budget. exhaustive_search itself has no
+// budget.
 // The original materialize-then-evaluate brute force that exhaustive_search
 // is held to lives with the tests (tests/support/search_reference.hpp).
 #pragma once
 
 #include <cmath>
 #include <cstdint>
-#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -82,14 +85,14 @@ struct SearchResult {
   /// (apps with equal AI, placement, home and serial fraction share one;
   /// every app is its own class under caps). Zero for the climb.
   std::uint32_t app_classes = 0;
-  /// refine_search only: the climb spent kMaxSearchSolves solves before
-  /// reaching a local optimum and returned its incumbent.
+  /// The solve budget (refine_search's, or decide()'s for the whole
+  /// decision) stopped the search, which returned its incumbent.
   bool truncated = false;
 };
 
-/// The solve budget that picks and bounds the engines: a caller runs
-/// exhaustive_search only when count_candidates() is at most this, and
-/// refine_search never spends more model solves than this.
+/// The solve budget of one decision: decide() seeds with exhaustive_search
+/// only when count_candidates() is at most this, and spends at most this
+/// many model solves in total; refine_search alone never spends more.
 inline constexpr std::uint64_t kMaxSearchSolves = std::uint64_t{1} << 17;
 
 /// All allocations where app `a` runs counts[a] threads on *every* node, the
@@ -135,6 +138,13 @@ SearchResult exhaustive_search(const topo::Machine& machine, const std::vector<A
 void apply_caps(const topo::Machine& machine, Allocation& allocation,
                 const std::vector<std::uint32_t>& caps);
 
+/// The cap-honouring fair share: a round-robin of every node's cores over
+/// `apps` apps, the cursor carrying over from node to node, skipping apps
+/// at their cap (`caps`: empty = uncapped, as in exhaustive_search). With
+/// more apps than cores the first core_count() apps hold one core each.
+Allocation fair_share(const topo::Machine& machine, std::uint32_t apps,
+                      const std::vector<std::uint32_t>& caps = {});
+
 /// Closed-form size of the candidate set exhaustive_search ranges over
 /// (uniform family + node permutations when apps == node_count), after the
 /// same min_threads_per_app clamping the search applies. Saturates at
@@ -154,10 +164,9 @@ struct RefineOptions {
   /// above it may only shrink there.
   std::vector<std::uint32_t> caps;
   /// Opaque background consumers priced into every candidate solve (empty =
-  /// none). The climb's drop moves are what let a policy *vacate* a
-  /// foreign-occupied node — the uniform exhaustive family cannot express
-  /// per-node asymmetry, so foreign-aware policies polish the full-search
-  /// winner with a refine pass.
+  /// none). The climb's drop moves are what let a decision *vacate* a
+  /// foreign-occupied node, which the uniform exhaustive family cannot
+  /// express.
   ForeignLoad foreign;
 };
 
@@ -169,5 +178,29 @@ struct RefineOptions {
 /// solves, not time, so the result is a pure function of the inputs.
 SearchResult refine_search(const topo::Machine& machine, const std::vector<AppSpec>& apps,
                            const Allocation& seed, const RefineOptions& options = {});
+
+struct Decision {
+  /// The allocation to enact, priced at the data homes `apps` carry now;
+  /// `evaluated` and `bound_solves` sum the seed, climb and advice.
+  SearchResult search;
+  bool exact_seed = false;  // else the fair share seeded the climb
+  /// The data-home move that gains the most machine GFLOPS, if any.
+  struct HomeMove {
+    AppId app = 0;
+    topo::NodeId home = 0;
+  };
+  std::optional<HomeMove> move;
+};
+
+/// The one model decision, within kMaxSearchSolves solves in total
+/// (docs/MODEL.md §7 "The decide sequence"): seed with exhaustive_search
+/// when count_candidates() is at most kMaxSearchSolves, else fair_share;
+/// climb from the seed under the same caps and foreign load, except on
+/// separable problems; then advise_placement (placement.hpp) on the result
+/// when some app is NUMA-bad. A step that reaches the budget returns its
+/// incumbent and sets `search.truncated`.
+Decision decide(const topo::Machine& machine, const std::vector<AppSpec>& apps,
+                Objective objective, std::uint32_t min_threads_per_app,
+                const std::vector<std::uint32_t>& caps = {}, const ForeignLoad& foreign = {});
 
 }  // namespace numashare::model

@@ -13,10 +13,10 @@
 // L costs ~B/L seconds, and the move pays off after cost / gained-GFLOP-rate
 // seconds of subsequent execution.
 //
-// advise_joint() additionally co-optimizes placement *and* allocation, the
-// fixed point of "best homes for this allocation" / "best allocation for
-// these homes" — which recovers the paper's 150-GFLOPS configuration even
-// from a pessimal start.
+// model::decide (optimizer.hpp) runs the advisor on every decision it makes
+// and suggests at most one move; advise_joint() loops it offline, applying
+// each suggested move, which recovers the paper's 150-GFLOPS configuration
+// even from a pessimal start.
 #pragma once
 
 #include <cstdint>
@@ -52,29 +52,27 @@ struct PlacementOptions {
   double min_relative_gain = 1e-6;
 };
 
-/// Advice for every NUMA-bad app in `apps`, holding the allocation fixed.
-/// NUMA-perfect apps get no entries (nothing to move).
+/// Advice for every NUMA-bad app in `apps`, holding the allocation fixed and
+/// pricing `foreign` (empty = none). NUMA-perfect apps get no entries
+/// (nothing to move).
 std::vector<PlacementAdvice> advise_placement(const topo::Machine& machine,
                                               const std::vector<AppSpec>& apps,
                                               const Allocation& allocation,
-                                              const PlacementOptions& options = {});
+                                              const PlacementOptions& options = {},
+                                              const ForeignLoad& foreign = {});
 
 struct JointResult {
   std::vector<AppSpec> apps;  // with re-homed NUMA-bad apps
   Allocation allocation;
   Solution solution;
-  std::uint32_t placement_rounds = 0;  // alternations until the fixed point
-  /// SearchResult's cost counters, summed over every exhaustive_search the
-  /// alternation ran.
+  std::uint32_t placement_rounds = 0;  // decides run (moves applied + 1)
+  /// The decides' solve counters, summed over every round.
   std::uint64_t evaluated = 0;
-  std::uint64_t pruned = 0;
   std::uint64_t bound_solves = 0;
-  /// App classes of the search behind `allocation` (its homes decide them).
-  std::uint32_t app_classes = 0;
 };
 
-/// Alternate allocation search and placement advice until neither improves.
-/// `min_threads_per_app` keeps every app alive during the allocation step.
+/// Decide, apply the suggested home move, and repeat until a decide
+/// suggests none (at most 16 rounds); `allocation` is the last decide's.
 JointResult advise_joint(const topo::Machine& machine, std::vector<AppSpec> apps,
                          Objective objective = Objective::kTotalGflops,
                          std::uint32_t min_threads_per_app = 1);

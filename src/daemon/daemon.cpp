@@ -52,7 +52,7 @@ std::vector<agent::Directive> AdvertisedAiPolicy::decide(
   bool needs_patch = false;
   for (const auto& view : views) {
     if (view.has_telemetry && view.latest.ai_estimate > 0.0) continue;
-    if (advertised_(view.name) > 0.0) {
+    if (advertised_(view.name).ai > 0.0) {
       needs_patch = true;
       break;
     }
@@ -61,9 +61,10 @@ std::vector<agent::Directive> AdvertisedAiPolicy::decide(
   std::vector<agent::AppView> patched = views;
   for (auto& view : patched) {
     if (view.has_telemetry && view.latest.ai_estimate > 0.0) continue;
-    const double ai = advertised_(view.name);
-    if (ai <= 0.0) continue;
-    view.latest.ai_estimate = ai;
+    const auto advertised = advertised_(view.name);
+    if (advertised.ai <= 0.0) continue;
+    view.latest.ai_estimate = advertised.ai;
+    if (!view.has_telemetry) view.latest.data_home_node = advertised.data_home;
     view.has_telemetry = true;
   }
   return inner_->decide(machine, patched);
@@ -75,17 +76,13 @@ Daemon::Daemon(topo::Machine machine, agent::PolicyPtr policy, DaemonOptions opt
       clients_(kMaxClients),
       claim_first_seen_s_(kMaxClients, -1.0) {
   NS_REQUIRE(policy != nullptr, "daemon needs a policy");
-  auto lookup = [this](const std::string& app_name) -> double {
-    // Only clients advertising a usable AI are in the map, so when none do
-    // (the common steady state once telemetry flows) the per-view lookup in
-    // AdvertisedAiPolicy::decide costs a branch, not a string hash.
-    if (advertised_ai_by_name_.empty()) return 0.0;
-    const auto it = advertised_ai_by_name_.find(app_name);
-    return it == advertised_ai_by_name_.end() ? 0.0 : it->second;
+  auto lookup = [this](const std::string& app_name) -> Advertisement {
+    const auto it = advertised_by_name_.find(app_name);
+    return it == advertised_by_name_.end() ? Advertisement{} : it->second;
   };
   auto wrapped = std::make_unique<AdvertisedAiPolicy>(
       std::move(policy), std::move(lookup),
-      [this] { return !advertised_ai_by_name_.empty(); });
+      [this] { return !advertised_by_name_.empty(); });
   // The daemon drives Agent::step from its own tick and never starts the
   // agent's loop, so the agent's options are never read.
   agent_ = std::make_unique<agent::Agent>(machine_, std::move(wrapped));
@@ -271,9 +268,12 @@ void Daemon::admit(std::uint32_t index, std::uint64_t joining_word, double now) 
   }
   registry_->header().generation.store(agent_->generation(), std::memory_order_relaxed);
   used_bits_[index / kSlotsPerShard] |= std::uint64_t{1} << (index % kSlotsPerShard);
-  // Sparse map: only advertisements the policy could actually substitute.
-  // lookup() above then short-circuits on empty() in the steady state.
-  if (client.advertised_ai > 0.0) advertised_ai_by_name_[app_name] = client.advertised_ai;
+  // Sparse map: only advertisements the policy could actually substitute,
+  // so in the steady state it is empty and the wrapper skips every lookup.
+  if (client.advertised_ai > 0.0) {
+    advertised_by_name_[app_name] = {client.advertised_ai,
+                                     slot.data_home.load(std::memory_order_relaxed)};
+  }
 
   ++stats_.joins;
   NS_LOG_INFO("daemon", "join: '{}' pid {} slot {} (ai={})", app_name, client.pid, index,
@@ -300,7 +300,7 @@ void Daemon::retire(std::uint32_t index, const char* reason, double now) {
                    {"reason", jstr(reason)},
                    {"generation", jnum(agent_->generation())}});
   client.channel.reset();  // creator side: unlinks the segment
-  advertised_ai_by_name_.erase(client.app_name);
+  advertised_by_name_.erase(client.app_name);
   client = Client{};
   used_bits_[index / kSlotsPerShard] &= ~(std::uint64_t{1} << (index % kSlotsPerShard));
   auto& slot = registry_->slot(index);
@@ -833,7 +833,7 @@ void Daemon::journal_allocation(double now) {
                    {"pruned", jnum(search.pruned)},
                    {"bound_solves", jnum(search.bound_solves)},
                    {"app_classes", jnum(search.app_classes)},
-                   {"placement_rounds", jnum(search.placement_rounds)},
+                   {"home_moves", jnum(search.home_moves)},
                    {"predicted_gflops", jnum(search.predicted_gflops)},
                    {"search_us", jnum(search.search_us)},
                    {"truncated", jbool(search.truncated)}});

@@ -137,6 +137,12 @@ struct DaemonStats {
   std::uint64_t foreign_releases = 0;  ///< fences released
 };
 
+/// What a client advertised when it claimed its slot.
+struct Advertisement {
+  double ai = 0.0;                            ///< 0 = none
+  std::uint32_t data_home = agent::kMaxNodes;  ///< past the last node = NUMA-perfect
+};
+
 class Daemon {
  public:
   Daemon(topo::Machine machine, agent::PolicyPtr policy, DaemonOptions options = {});
@@ -268,9 +274,9 @@ class Daemon {
   /// Slots observed in kClaiming whose timeout we are watching (their
   /// attention bit was consumed when first seen).
   std::uint64_t claiming_bits_[kRegistryShards] = {};
-  /// Advertised arithmetic intensity by app name, for AdvertisedAiPolicy's
-  /// per-view lookup (a linear clients_ scan there is O(n^2) per decide).
-  std::unordered_map<std::string, double> advertised_ai_by_name_;
+  /// Advertisements by app name, for AdvertisedAiPolicy's per-view lookup
+  /// (a linear clients_ scan there is O(n^2) per decide).
+  std::unordered_map<std::string, Advertisement> advertised_by_name_;
   /// Per-tick bulk compliance snapshot (indexed by agent app index), reused
   /// across ticks so the watchdog pass allocates nothing in steady state.
   std::vector<agent::Agent::ComplianceState> compliance_scratch_;
@@ -298,14 +304,15 @@ class Daemon {
   std::thread loop_thread_;
 };
 
-/// Substitutes the registry-advertised arithmetic intensity into views whose
-/// telemetry has not (yet) carried one, then delegates. This is what lets
-/// the model-guided policy act on a freshly joined client before its
-/// RuntimeAdapter publishes the first derived-AI sample.
+/// Substitutes the registry-advertised arithmetic intensity and data home
+/// into views whose telemetry has not (yet) carried an AI, then delegates.
+/// This is what lets the model-guided policy act on a freshly joined client,
+/// NUMA-bad where it advertised a home, before its RuntimeAdapter publishes
+/// the first derived-AI sample.
 class AdvertisedAiPolicy final : public agent::Policy {
  public:
-  /// `advertised` returns the advertised AI for an app name (0 = none).
-  using AiLookup = std::function<double(const std::string&)>;
+  /// `advertised` returns the advertisement for an app name.
+  using AiLookup = std::function<Advertisement(const std::string&)>;
   /// Cheap "could any lookup succeed?" predicate; when it returns false the
   /// per-view lookups are skipped wholesale (one call instead of N). Absent
   /// = always assume yes.

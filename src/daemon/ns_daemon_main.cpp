@@ -3,7 +3,7 @@
 //   numashared [flags]
 //     --registry=/name            registry segment name (default /numashare-registry)
 //     --journal=path              JSONL event journal (default: none)
-//     --policy=model|model-placement|fair   decision policy (default model)
+//     --policy=model|fair         decision policy (default model)
 //     --machine=probe             discover the host topology (default)
 //     --machine=NxC:gflops:bw[:link]  symmetric machine, e.g. 4x8:10:32:10
 //     --period-ms=N               tick period (default 10)
@@ -62,7 +62,7 @@ void handle_signal(int) { g_stop.store(true); }
 int usage() {
   std::fprintf(stderr,
                "usage: numashared [--registry=/name] [--journal=path]\n"
-               "                  [--policy=model|model-placement|fair]\n"
+               "                  [--policy=model|fair]\n"
                "                  [--machine=probe|NxC:gflops:bw[:link]]\n"
                "                  [--period-ms=N] [--heartbeat-timeout-ms=N]\n"
                "                  [--snapshot-every=N] [--enactment-deadline-ms=N]\n"
@@ -161,9 +161,6 @@ int main(int argc, char** argv) {
   agent::PolicyPtr policy;
   if (policy_name == "model") {
     policy = std::make_unique<agent::ModelGuidedPolicy>();
-  } else if (policy_name == "model-placement") {
-    policy = std::make_unique<agent::ModelGuidedPolicy>(
-        agent::ModelGuidedOptions{.advise_data_placement = true});
   } else if (policy_name == "fair") {
     policy = std::make_unique<agent::FairSharePolicy>();
   } else {

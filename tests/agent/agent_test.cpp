@@ -47,8 +47,11 @@ TEST(Agent, FairShareDrivesTwoRuntimes) {
   ad1.pump();
   ad2.pump();
 
+  // Workers park asynchronously: wait for both runtimes to reach the whole
+  // target, not just node 0, before counting.
+  const std::vector<std::uint32_t> one_per_node{1, 1};
   EXPECT_TRUE(eventually([&] {
-    return app1.running_per_node()[0] == 1 && app2.running_per_node()[0] == 1;
+    return app1.running_per_node() == one_per_node && app2.running_per_node() == one_per_node;
   }));
   // Fair share of a 2x2 machine between two apps: one thread per node each;
   // combined running threads equal the core count (no over-subscription).

@@ -1,6 +1,7 @@
-// End-to-end data-placement flow: model-guided policy with placement advice
+// End-to-end data-placement flow: model-guided policy prices threads at the
+// advertised data homes and suggests at most one better home per decision
 // -> kSuggestDataHome command -> RuntimeAdapter handler -> app migrates its
-// datablock and re-advertises the new home.
+// datablock and re-advertises the new home -> the policy re-decides.
 #include <gtest/gtest.h>
 
 #include "agent/agent.hpp"
@@ -19,35 +20,38 @@ AppView view(const std::string& name, double ai, std::uint32_t home = kMaxNodes)
   return v;
 }
 
+/// Two bandwidth-bound NUMA-bad apps keep their data on node 0 of a 2x4
+/// machine: whichever allocation they get, one of them is better served
+/// from node 1.
+topo::Machine shared_home_machine() { return topo::Machine::symmetric(2, 4, 10.0, 40.0, 5.0); }
+std::vector<AppView> shared_home_views() { return {view("bad-1", 0.5, 0), view("bad-2", 0.5, 0)}; }
+
+std::size_t suggestions(const std::vector<Directive>& directives) {
+  std::size_t count = 0;
+  for (const auto& d : directives) count += d.suggested_data_home != kMaxNodes ? 1 : 0;
+  return count;
+}
+
 TEST(PlacementFlow, PolicySuggestsHomeForMisplacedBadApp) {
-  ModelGuidedOptions options;
-  options.advise_data_placement = true;
-  ModelGuidedPolicy policy(options);
-  const auto machine = topo::paper_numabad_machine();
-  // The bad app advertises its data on node 2; the joint optimum co-locates
-  // threads and data on one node, so a suggestion must appear only if the
-  // optimizer wants a different home than the advertised one.
-  std::vector<AppView> views{view("p1", 0.5), view("p2", 0.5), view("p3", 0.5),
-                             view("bad", 1.0, /*home=*/2)};
-  const auto directives = policy.decide(machine, views);
-  ASSERT_EQ(directives.size(), 4u);
-  // Perfect apps never get suggestions.
-  for (int a = 0; a < 3; ++a) EXPECT_EQ(directives[a].suggested_data_home, kMaxNodes);
-  // The bad app gets whole-node threads wherever its (possibly re-homed)
-  // data is; threads and home agree.
-  ASSERT_EQ(directives[3].kind, Directive::Kind::kNodeThreads);
-  const auto home = directives[3].suggested_data_home != kMaxNodes
-                        ? directives[3].suggested_data_home
-                        : 2u;
-  EXPECT_EQ(directives[3].node_threads[home], 8u);
+  // Threads go where the data is now; the suggestion names a better home
+  // for one app, and the decision records that it made one.
+  ModelGuidedPolicy policy;
+  const auto machine = shared_home_machine();
+  const auto directives = policy.decide(machine, shared_home_views());
+  ASSERT_EQ(directives.size(), 2u);
+  ASSERT_EQ(suggestions(directives), 1u);
+  const auto& moved = directives[0].suggested_data_home != kMaxNodes ? directives[0]
+                                                                     : directives[1];
+  EXPECT_EQ(moved.suggested_data_home, 1u);
+  EXPECT_EQ(moved.kind, Directive::Kind::kNodeThreads);
+  EXPECT_EQ(policy.last_search().home_moves, 1u);
 }
 
 TEST(PlacementFlow, JointAdviceReportsSearchCost) {
-  // The placement-advising branch runs several exhaustive searches; the
-  // decision's stats (journaled with each reallocation) carry their sum.
-  ModelGuidedOptions options;
-  options.advise_data_placement = true;
-  ModelGuidedPolicy policy(options);
+  // A decision with a NUMA-bad app runs the exact seed, a climb and the
+  // placement advice; its stats (journaled with each reallocation) carry
+  // the sum, within the one solve budget.
+  ModelGuidedPolicy policy;
   const auto machine = topo::paper_numabad_machine();
   std::vector<AppView> views{view("p1", 0.5), view("p2", 0.5), view("p3", 0.5),
                              view("bad", 1.0, /*home=*/2)};
@@ -55,6 +59,7 @@ TEST(PlacementFlow, JointAdviceReportsSearchCost) {
   const auto& stats = policy.last_search();
   EXPECT_EQ(stats.kind, ModelGuidedPolicy::SearchKind::kFull);
   EXPECT_GT(stats.evaluated, 0u);
+  EXPECT_LE(stats.evaluated + stats.bound_solves, model::kMaxSearchSolves);
   // One exhaustive search on the advertised homes alone evaluates fewer.
   std::vector<model::AppSpec> specs(3, model::AppSpec::numa_perfect("p", 0.5));
   specs.push_back(model::AppSpec::numa_bad("bad", 1.0, 2));
@@ -63,13 +68,64 @@ TEST(PlacementFlow, JointAdviceReportsSearchCost) {
   EXPECT_GT(stats.evaluated, single.evaluated);
 }
 
-TEST(PlacementFlow, NoSuggestionWhenPlacementAdviceDisabled) {
-  ModelGuidedPolicy policy;  // advise_data_placement = false
+TEST(PlacementFlow, NoSuggestionWhenAdvertisedHomeIsBest) {
+  // The bad app's data on node 0: it gets all of node 0 (the paper's
+  // 150-GFLOPS case), and no other home beats that.
+  ModelGuidedPolicy policy;
   const auto machine = topo::paper_numabad_machine();
   std::vector<AppView> views{view("p1", 0.5), view("p2", 0.5), view("p3", 0.5),
                              view("bad", 1.0, 0)};
   const auto directives = policy.decide(machine, views);
-  for (const auto& d : directives) EXPECT_EQ(d.suggested_data_home, kMaxNodes);
+  EXPECT_EQ(suggestions(directives), 0u);
+  EXPECT_EQ(directives[3].node_threads[0], 8u);
+  EXPECT_EQ(policy.last_search().home_moves, 0u);
+  EXPECT_NEAR(policy.last_search().predicted_gflops, 150.0, 1e-9);
+}
+
+TEST(PlacementFlow, HomeChangeReDecidesWithoutAiDrift) {
+  // The client obeys the suggestion and advertises its new home with the
+  // same AI: the policy must re-price, not keep threads priced for the old
+  // home.
+  ModelGuidedPolicy policy;
+  const auto machine = shared_home_machine();
+  auto views = shared_home_views();
+  const auto first = policy.decide(machine, views);
+  ASSERT_EQ(suggestions(first), 1u);
+  // Unchanged inputs: nothing to do.
+  EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNone);
+  for (std::size_t a = 0; a < views.size(); ++a) {
+    if (first[a].suggested_data_home != kMaxNodes) {
+      views[a].latest.data_home_node = first[a].suggested_data_home;
+    }
+  }
+  const auto second = policy.decide(machine, views);
+  EXPECT_EQ(second[0].kind, Directive::Kind::kNodeThreads);
+  EXPECT_NEAR(policy.last_search().predicted_gflops, 40.0, 1e-9);
+}
+
+TEST(PlacementFlow, SharedHomeSettlesOneMoveAtATime) {
+  // Each decision suggests at most one move; obeying them settles the two
+  // apps on separate homes, each owning its node (20 GFLOPS each).
+  ModelGuidedPolicy policy;
+  const auto machine = shared_home_machine();
+  auto views = shared_home_views();
+  std::size_t moves = 0;
+  for (int round = 0; round < 4; ++round) {
+    const auto directives = policy.decide(machine, views);
+    const auto count = suggestions(directives);
+    ASSERT_LE(count, 1u);
+    if (count == 0) break;
+    ++moves;
+    for (std::size_t a = 0; a < views.size(); ++a) {
+      if (directives[a].suggested_data_home != kMaxNodes) {
+        views[a].latest.data_home_node = directives[a].suggested_data_home;
+      }
+    }
+  }
+  EXPECT_EQ(moves, 1u);
+  EXPECT_NE(views[0].latest.data_home_node, views[1].latest.data_home_node);
+  EXPECT_EQ(policy.last_search().home_moves, 0u);
+  EXPECT_NEAR(policy.last_search().predicted_gflops, 40.0, 1e-9);
 }
 
 TEST(PlacementFlow, SuggestionReachesHandlerAndUpdatesTelemetry) {

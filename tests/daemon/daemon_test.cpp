@@ -208,7 +208,7 @@ TEST(Daemon, JoinEvictLeaveLifecycle) {
     const auto search = journal_field(entry.raw, "search").value_or("");
     EXPECT_TRUE(search == "\"full\"" || search == "\"refine\"") << entry.raw;
     EXPECT_GE(std::stoull(journal_field(entry.raw, "evaluated").value_or("0")), 1u) << entry.raw;
-    for (const char* key : {"pruned", "bound_solves", "app_classes", "placement_rounds",
+    for (const char* key : {"pruned", "bound_solves", "app_classes", "home_moves",
                             "predicted_gflops", "search_us", "truncated"}) {
       EXPECT_TRUE(journal_field(entry.raw, key).has_value()) << key << " in " << entry.raw;
     }
@@ -249,28 +249,67 @@ TEST(Daemon, JournalCountsAppClasses) {
   std::remove(journal.c_str());
 }
 
-TEST(Daemon, JournalCountsPlacementRounds) {
-  // Two bandwidth-bound NUMA-bad clients keep their data on node 0, so
-  // moving one home to node 1 doubles what they get. With placement advice
-  // on, the decision alternates allocation search and home moves until
-  // neither improves, and the journal records how many rounds that took:
-  // the same count advise_joint reports for the same specs.
-  const auto registry = unique_registry("rounds");
-  const auto journal = unique_journal("rounds");
+/// The model-guided policy behind the daemon's advertised-AI wrapper.
+const agent::ModelGuidedPolicy& model_policy(Daemon& daemon) {
+  auto& wrapper = dynamic_cast<AdvertisedAiPolicy&>(daemon.arbitration_agent().policy());
+  return dynamic_cast<agent::ModelGuidedPolicy&>(wrapper.inner());
+}
+
+/// Two bandwidth-bound NUMA-bad apps with their data on node 0 of
+/// test_machine(): moving one home to node 1 doubles what they get.
+std::vector<model::AppSpec> homed_specs() {
+  return {model::AppSpec::numa_bad("a", 0.05, 0), model::AppSpec::numa_bad("b", 0.05, 0)};
+}
+
+TEST(Daemon, AdvertisedDataHomePricedBeforeFirstTelemetry) {
+  // Clients that connect advertising an AI and a data home are priced as
+  // NUMA-bad on the very first decide, before any telemetry arrives.
+  const auto registry = unique_registry("adhome");
+  DaemonOptions options;
+  options.registry_name = registry;
+  Daemon daemon(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(), options);
+  std::string error;
+  ASSERT_TRUE(daemon.init(&error)) << error;
+  double now = 0.0;
+  std::vector<std::unique_ptr<DaemonClient>> clients;
+  for (int i = 0; i < 2; ++i) {
+    ClientConnectOptions copts;
+    copts.registry_name = registry;
+    copts.advertised_ai = 0.05;
+    copts.data_home = 0;
+    clients.push_back(std::make_unique<DaemonClient>("adhome-" + std::to_string(i), copts));
+    ASSERT_TRUE(connect_with_ticks(*clients.back(), daemon, now));
+  }
+  daemon.tick(now += 0.01);
+  const auto& stats = model_policy(daemon).last_search();
+  ASSERT_NE(stats.kind, agent::ModelGuidedPolicy::SearchKind::kNone);
+  const auto bad = model::decide(test_machine(), homed_specs(), model::Objective::kTotalGflops, 1);
+  const auto perfect = model::decide(test_machine(),
+                                     {model::AppSpec::numa_perfect("a", 0.05),
+                                      model::AppSpec::numa_perfect("b", 0.05)},
+                                     model::Objective::kTotalGflops, 1);
+  EXPECT_DOUBLE_EQ(stats.predicted_gflops, bad.search.solution.total_gflops);
+  EXPECT_LT(stats.predicted_gflops, perfect.search.solution.total_gflops);
+  EXPECT_EQ(stats.home_moves, 1u);
+}
+
+TEST(Daemon, JournalCountsHomeMoves) {
+  // The telemetry carries the data home the model prices. The first
+  // decision suggests one home move and journals `home_moves: 1`; the
+  // client obeys and re-advertises with the same AI, which re-decides, and
+  // the settled homes journal `home_moves: 0`.
+  const auto registry = unique_registry("moves");
+  const auto journal = unique_journal("moves");
   DaemonOptions options;
   options.registry_name = registry;
   options.journal_path = journal;
   options.snapshot_every_ticks = 0;
   double now = 0.0;
   {
-    Daemon daemon(test_machine(),
-                  std::make_unique<agent::ModelGuidedPolicy>(
-                      agent::ModelGuidedOptions{.advise_data_placement = true}),
-                  options);
+    Daemon daemon(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(), options);
     std::string error;
     ASSERT_TRUE(daemon.init(&error)) << error;
-    // No advertised AI: the policy waits for the telemetry, which carries
-    // the data home the model prices.
+    // No advertised AI: the policy waits for the telemetry.
     std::vector<std::unique_ptr<DaemonClient>> clients;
     for (int i = 0; i < 2; ++i) {
       ClientConnectOptions copts;
@@ -278,23 +317,29 @@ TEST(Daemon, JournalCountsPlacementRounds) {
       clients.push_back(std::make_unique<DaemonClient>("homed-" + std::to_string(i), copts));
       ASSERT_TRUE(connect_with_ticks(*clients.back(), daemon, now));
     }
-    for (auto& client : clients) {
-      agent::Telemetry tel;
-      tel.seq = 1;
-      tel.ai_estimate = 0.05;
-      tel.data_home_node = 0;
-      client->channel()->push_telemetry(tel);
-    }
+    const auto push = [&](std::uint64_t seq, std::uint32_t second_home) {
+      for (std::size_t i = 0; i < clients.size(); ++i) {
+        agent::Telemetry tel;
+        tel.seq = seq;
+        tel.ai_estimate = 0.05;
+        tel.data_home_node = i == 0 ? 0 : second_home;
+        clients[i]->channel()->push_telemetry(tel);
+      }
+    };
+    push(1, 0);
+    daemon.tick(now += 0.01);
+    push(2, 1);
     daemon.tick(now += 0.01);
   }
-  std::optional<std::string> rounds;
+  std::vector<std::string> moves;
   for (const auto& entry : read_journal(journal)) {
-    if (entry.event == "reallocate") rounds = journal_field(entry.raw, "placement_rounds");
+    if (entry.event == "reallocate") moves.push_back(journal_field(entry.raw, "home_moves").value_or(""));
   }
-  const auto joint = model::advise_joint(test_machine(), {model::AppSpec::numa_bad("a", 0.05, 0),
-                                                          model::AppSpec::numa_bad("b", 0.05, 0)});
-  EXPECT_GE(joint.placement_rounds, 2u);
-  EXPECT_EQ(rounds.value_or(""), std::to_string(joint.placement_rounds));
+  ASSERT_EQ(moves.size(), 2u);
+  EXPECT_TRUE(model::decide(test_machine(), homed_specs(), model::Objective::kTotalGflops, 1)
+                  .move.has_value());
+  EXPECT_EQ(moves[0], "1");
+  EXPECT_EQ(moves[1], "0");
   std::remove(journal.c_str());
 }
 
