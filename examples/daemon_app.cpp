@@ -11,6 +11,12 @@
 //   ./examples/daemon_app stencil 0.5 10 &
 //   ./examples/daemon_app matmul  10  10 &
 //   ./tools/numashare_cli daemon-status
+//
+// The app joins through nsd::FailoverClient and does everything from one
+// loop: poll the failover state machine, heartbeat, pump the runtime
+// adapter. Kill the daemon and the app keeps running in degraded mode on
+// the allocation the survivors agree on (printed as "degraded"); start a
+// new daemon on the same registry and the app rejoins it ("rejoined").
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -18,13 +24,27 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "agent/channel.hpp"
-#include "daemon/client.hpp"
+#include "daemon/failover.hpp"
 #include "runtime/runtime.hpp"
 
 using namespace numashare;
 using namespace std::chrono_literals;
+
+namespace {
+
+std::string per_node_text(const std::vector<std::uint32_t>& per_node) {
+  std::string text;
+  for (std::size_t n = 0; n < per_node.size(); ++n) {
+    if (n) text += '+';
+    text += std::to_string(per_node[n]);
+  }
+  return text;
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const std::string name = argc > 1 ? argv[1] : "daemon_app";
@@ -41,69 +61,77 @@ int main(int argc, char** argv) {
   // happens and a killed app loses no finished line.
   std::setvbuf(stdout, nullptr, _IOLBF, 0);
 
-  nsd::DaemonClient client(name, options);
+  nsd::FailoverClient failover(name, options);
   std::string error;
-  if (!client.connect(&error)) {
+  if (!failover.connect(&error)) {
     std::fprintf(stderr,
                  "%s: could not join a daemon: %s\n"
                  "start one first, e.g.  ./src/daemon/numashared --machine=probe\n",
                  name.c_str(), error.c_str());
     return 1;
   }
+  const nsd::DaemonClient& client = failover.client();
   std::printf("%s: joined as slot %u (generation %llu), advertised AI %.2f\n", name.c_str(),
-              client.slot_index(), static_cast<unsigned long long>(client.generation()), ai);
+              client.slot_index(), static_cast<unsigned long long>(failover.known_generation()),
+              ai);
 
   // The runtime must mirror the daemon's node layout (published in the
   // registry) so per-node thread targets land on matching pools.
   rt::Runtime runtime(client.arbitration_machine(), {.name = name});
-  // The adapter reads the client's channel, which a reconnect replaces: it
-  // is rebuilt on the new channel after every reconnect.
-  std::optional<agent::RuntimeAdapter> adapter(std::in_place, runtime, *client.channel(), ai);
-  client.start_heartbeat();
+  // The adapter reads the client's channel, which a failback replaces: it
+  // is dropped when the connection goes and rebuilt on the new channel.
+  std::optional<agent::RuntimeAdapter> adapter(std::in_place, runtime,
+                                               *failover.client().channel(), ai);
+  std::uint64_t rejoins = 0;
+  std::vector<std::uint32_t> enacted_degraded;
 
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::duration<double>(seconds);
   auto next_print = std::chrono::steady_clock::now();
   while (std::chrono::steady_clock::now() < deadline) {
-    // Simulated work so progress/task rates flow through telemetry.
-    runtime.report_progress();
-    adapter->pump();
-    if (!client.check_connection()) {
-      std::printf("%s: evicted (or the daemon restarted) — reconnecting\n", name.c_str());
-      adapter.reset();
-      // The heartbeat thread reads the connection that reconnect() replaces.
-      client.stop_heartbeat();
-      if (!client.reconnect(&error)) {
-        std::fprintf(stderr, "%s: reconnect failed: %s\n", name.c_str(), error.c_str());
-        return 1;
-      }
+    const auto state = failover.poll(adapter ? adapter->last_grant()
+                                             : std::vector<std::uint32_t>{});
+    if (failover.stats().rejoins != rejoins || !failover.connected()) adapter.reset();
+    if (!adapter && failover.connected()) {
+      rejoins = failover.stats().rejoins;
       const std::uint32_t nodes = client.arbitration_machine().node_count();
       if (nodes != runtime.machine().node_count()) {
         // Per-node targets for another layout can never be enacted here.
         std::fprintf(stderr, "%s: the new daemon arbitrates %u nodes, this runtime has %u\n",
                      name.c_str(), nodes, runtime.machine().node_count());
-        client.disconnect();
+        failover.disconnect();
         return 1;
       }
-      adapter.emplace(runtime, *client.channel(), ai);
-      client.start_heartbeat();
-      std::printf("%s: rejoined as slot %u\n", name.c_str(), client.slot_index());
+      adapter.emplace(runtime, *failover.client().channel(), ai);
+      std::printf("%s: rejoined as slot %u (generation %llu)\n", name.c_str(),
+                  client.slot_index(),
+                  static_cast<unsigned long long>(failover.known_generation()));
     }
-    if (std::chrono::steady_clock::now() >= next_print) {
-      const auto per_node = runtime.running_per_node();
-      std::string split;
-      for (std::size_t n = 0; n < per_node.size(); ++n) {
-        split += (n ? "+" : "") + std::to_string(per_node[n]);
+    if (state != nsd::FailoverState::kDegraded) {
+      enacted_degraded.clear();
+    } else {
+      // No arbiter: enact the survivors' consensus share (Option 3).
+      auto share = failover.degraded_threads();
+      if (share.size() == runtime.machine().node_count() && share != enacted_degraded) {
+        runtime.set_node_thread_targets(share);
+        std::printf("%s: daemon lost; degraded, enacting %s per node\n", name.c_str(),
+                    per_node_text(share).c_str());
+        enacted_degraded = std::move(share);
       }
+    }
+    failover.heartbeat();
+    // Simulated work so progress/task rates flow through telemetry.
+    runtime.report_progress();
+    if (adapter) adapter->pump();
+    if (std::chrono::steady_clock::now() >= next_print) {
       std::printf("%s: running %u threads (%s per node)\n", name.c_str(),
-                  runtime.running_threads(), split.c_str());
+                  runtime.running_threads(), per_node_text(runtime.running_per_node()).c_str());
       next_print += 1s;
     }
     std::this_thread::sleep_for(10ms);
   }
 
-  client.stop_heartbeat();
-  client.disconnect();  // graceful goodbye: the daemon logs "leave"
+  failover.disconnect();  // graceful goodbye: the daemon logs "leave"
   std::printf("%s: left the daemon\n", name.c_str());
   return 0;
 }

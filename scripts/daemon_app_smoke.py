@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
-"""Restart a daemon under a running daemon_app and check the app rejoins.
+"""Kill the daemon under a running daemon_app, then restart it.
 
 Starts numashared on a registry name unique to this run, then daemon_app on
-the same registry. Once the app prints "joined", the daemon is SIGKILLed and
-a second daemon is started on the same name. The app must print "rejoined",
-then "left the daemon" when its run ends, and exit 0. This drives the
-app's reconnect path: the channel it pumped belongs to the dead daemon, so
-the app has to rebuild its runtime adapter on the new daemon's channel.
+the same registry. Once the app prints "joined", the daemon is SIGKILLed.
+The app must print "degraded" (it now runs on the survivors' consensus
+share) and stay alive for MIN_DEGRADED_S with no daemon at all. A second
+daemon is then started on the same name; the app must print "rejoined",
+then "left the daemon" when its run ends, and exit 0. This drives the app's
+whole failover path: the channel it pumped belongs to the dead daemon, so
+after failback it has to rebuild its runtime adapter on the new daemon's
+channel.
 
 Usage: daemon_app_smoke.py NUMASHARED DAEMON_APP
 """
@@ -21,6 +24,7 @@ import time
 MACHINE = "--machine=2x2:1:10:5"
 APP_SECONDS = "6"
 STEP_TIMEOUT_S = 30
+MIN_DEGRADED_S = 1.0
 
 
 def start_daemon(daemon, registry):
@@ -81,6 +85,13 @@ def main(argv):
             return 1
         first.send_signal(signal.SIGKILL)
         first.wait()  # reaped, so the app sees a dead daemon pid
+        if not expect(lines, seen, "degraded"):
+            return 1
+        time.sleep(MIN_DEGRADED_S)
+        if client.poll() is not None:
+            print(f"FAILED: daemon_app exited {client.returncode} with no daemon; its output:",
+                  *seen, sep="\n  ")
+            return 1
         second = start_daemon(daemon, registry)
         if not expect(lines, seen, "rejoined") or not expect(lines, seen, "left the daemon"):
             return 1
@@ -88,7 +99,8 @@ def main(argv):
         if code != 0:
             print(f"FAILED: daemon_app exited {code}; its output:", *seen, sep="\n  ")
             return 1
-        print("daemon_app rejoined a restarted daemon and left cleanly:", *seen, sep="\n  ")
+        print("daemon_app ran degraded, rejoined a restarted daemon and left cleanly:", *seen,
+              sep="\n  ")
         return 0
     finally:
         if client is not None:

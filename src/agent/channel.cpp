@@ -32,6 +32,20 @@ std::uint64_t in_range_bits(const Command& command, std::uint32_t w, std::uint32
                      : command.core_mask[w] & ((std::uint64_t{1} << width) - 1);
 }
 
+/// A node-blind thread total spread round-robin over the nodes, at most
+/// each node's cores (the rest of an oversized total is dropped).
+std::vector<std::uint32_t> spread_total(const topo::Machine& machine, std::uint32_t total) {
+  std::vector<std::uint32_t> per_node(machine.node_count(), 0);
+  total = std::min(total, machine.core_count());
+  for (topo::NodeId n = 0; total > 0; n = (n + 1) % machine.node_count()) {
+    if (per_node[n] < machine.cores_in_node(n)) {
+      ++per_node[n];
+      --total;
+    }
+  }
+  return per_node;
+}
+
 }  // namespace
 
 bool RuntimeAdapter::apply(const Command& command) {
@@ -84,6 +98,7 @@ bool RuntimeAdapter::apply(const Command& command) {
   switch (command.type) {
     case CommandType::kSetTotalThreads:
       runtime_.set_total_thread_target(command.total_threads);
+      last_grant_ = spread_total(runtime_.machine(), command.total_threads);
       break;
     case CommandType::kBlockCores: {
       topo::CpuSet blocked;
@@ -109,11 +124,13 @@ bool RuntimeAdapter::apply(const Command& command) {
       // the hottest datablocks, but only when the placement actually changed
       // (a re-asserted identical allocation must not churn data).
       if (targets != last_node_targets_) runtime_.migrate_datablocks_toward(targets);
+      last_grant_.assign(targets.begin(), targets.end());
       last_node_targets_ = std::move(targets);
       break;
     }
     case CommandType::kClearControls:
       runtime_.clear_thread_controls();
+      last_grant_.clear();
       break;
     case CommandType::kSuggestDataHome:
       // Advisory only: the app's handler decides. No handler = ignored.
@@ -126,6 +143,11 @@ bool RuntimeAdapter::apply(const Command& command) {
 std::uint32_t RuntimeAdapter::pump() {
   std::uint32_t applied = 0;
   while (auto command = channel_.pop_command()) {
+    if (command_is_stale(*command, known_generation_)) {
+      stale_commands_.fetch_add(1, std::memory_order_relaxed);
+      continue;
+    }
+    known_generation_ = std::max(known_generation_, command->arbiter_generation);
     if (apply(*command)) ++applied;
   }
 

@@ -42,11 +42,13 @@ class RuntimeAdapter {
   RuntimeAdapter& operator=(const RuntimeAdapter&) = delete;
 
   /// Apply all pending commands and publish one telemetry sample.
-  /// Returns the number of commands applied. A command that does not fit
-  /// this runtime (a kSetNodeThreads for another node count) is dropped and
-  /// logged, not applied: it arrived from another process, so it must not
-  /// abort this one. Its epoch then stays unacked and the sender's
-  /// compliance watchdog deals with it.
+  /// Returns the number of commands applied. The adapter is the channel's
+  /// only command consumer: it drops (and counts in stale_commands()) a
+  /// command from an older daemon incarnation than the newest it has seen.
+  /// A command that does not fit this runtime (a kSetNodeThreads for
+  /// another node count) is dropped and logged, not applied: it arrived
+  /// from another process, so it must not abort this one. Its epoch then
+  /// stays unacked and the sender's compliance watchdog deals with it.
   std::uint32_t pump();
 
   /// Start/stop a background pump at the given period.
@@ -60,6 +62,16 @@ class RuntimeAdapter {
   std::uint32_t enacted_target() const {
     return enacted_target_pub_.load(std::memory_order_relaxed);
   }
+
+  /// Commands the generation fence dropped.
+  std::uint64_t stale_commands() const {
+    return stale_commands_.load(std::memory_order_relaxed);
+  }
+  /// Per-node threads the agent last granted (empty = unconstrained): a
+  /// kSetNodeThreads' targets, a kSetTotalThreads total spread round-robin
+  /// (capped per node), cleared by kClearControls. The degraded-mode clamp
+  /// FailoverClient::poll() takes; read it from the pumping thread.
+  const std::vector<std::uint32_t>& last_grant() const { return last_grant_; }
 
   /// Application hook for kSuggestDataHome: the app decides whether to
   /// migrate (e.g. Datablock::move_to at a phase boundary) and then calls
@@ -95,6 +107,12 @@ class RuntimeAdapter {
   /// a policy that re-asserts the same allocation every tick never churns
   /// data.
   std::vector<std::uint32_t> last_node_targets_;
+  /// See last_grant(). Kept apart from last_node_targets_ so a total-thread
+  /// grant never moves the migration gate.
+  std::vector<std::uint32_t> last_grant_;
+  /// Newest Command::arbiter_generation seen (pump-thread only).
+  std::uint64_t known_generation_ = 0;
+  std::atomic<std::uint64_t> stale_commands_{0};
   /// Enactment tracking (pump-thread only): the newest thread-target epoch
   /// applied to the runtime and its total-thread target. The epoch is
   /// "enacted" once the runtime's running thread count is at or under the

@@ -24,6 +24,14 @@ constexpr std::size_t kConsumer = 1;
 constexpr double kForeignCoreDrift = 0.25;
 constexpr GBps kForeignBwDrift = 2.0;
 
+/// The model-guided policy maximises total GFLOPS, never starves an app
+/// below one thread, and re-runs the optimizer when an AI estimate drifts by
+/// more than kAiDriftThreshold of its last value (a changed data home
+/// always re-runs it).
+constexpr model::Objective kObjective = model::Objective::kTotalGflops;
+constexpr std::uint32_t kMinThreadsPerApp = 1;
+constexpr double kAiDriftThreshold = 0.10;
+
 }  // namespace
 
 std::vector<Directive> FairSharePolicy::decide(const topo::Machine& machine,
@@ -144,7 +152,7 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
   // Re-decide on AI drift, on foreign drift, and whenever an app's data
   // home changed: the allocation is priced at the homes advertised now.
   const auto steady = [&](double now, double last) {
-    return std::abs(now - last) <= options_.ai_drift_threshold * last;
+    return std::abs(now - last) <= kAiDriftThreshold * last;
   };
   if (!foreign_dirty_ && !homes_changed && ai.size() == last_ai_.size() &&
       std::equal(ai.begin(), ai.end(), last_ai_.begin(), steady)) {
@@ -168,8 +176,8 @@ std::vector<Directive> ModelGuidedPolicy::decide(const topo::Machine& machine,
   }
 
   const auto started = std::chrono::steady_clock::now();
-  const auto decision = model::decide(machine, specs, options_.objective,
-                                      options_.min_threads_per_app, caps, foreign_);
+  const auto decision =
+      model::decide(machine, specs, kObjective, kMinThreadsPerApp, caps, foreign_);
   const auto& allocation = decision.search.allocation;
   const double predicted = decision.search.solution.total_gflops;
   SearchStats stats;

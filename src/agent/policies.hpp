@@ -70,17 +70,8 @@ class ProducerConsumerPolicy final : public Policy {
   std::uint32_t consumer_threads_ = 0;
 };
 
-struct ModelGuidedOptions {
-  model::Objective objective = model::Objective::kTotalGflops;
-  std::uint32_t min_threads_per_app = 1;
-  /// Re-run the optimizer when an AI estimate drifts by this fraction. A
-  /// changed data home always re-runs it.
-  double ai_drift_threshold = 0.10;
-};
-
 class ModelGuidedPolicy final : public Policy {
  public:
-  using Options = ModelGuidedOptions;
   /// Which seed the last issued directives grew from (observability for
   /// tests and status tooling): kFull is the exact search, kRefine the
   /// fair share that replaces it above kMaxSearchSolves candidates.
@@ -104,8 +95,6 @@ class ModelGuidedPolicy final : public Policy {
     bool truncated = false;  // the solve budget stopped the decision
   };
 
-  explicit ModelGuidedPolicy(ModelGuidedOptions options = {}) : options_(options) {}
-
   const char* name() const override { return "model-guided"; }
   std::vector<Directive> decide(const topo::Machine& machine,
                                 const std::vector<AppView>& views) override;
@@ -126,7 +115,6 @@ class ModelGuidedPolicy final : public Policy {
   const SearchStats& last_search() const { return last_search_; }
 
  private:
-  ModelGuidedOptions options_;
   std::vector<double> last_ai_;
   std::vector<std::uint32_t> last_homes_;  // data homes priced into the last decision
   std::optional<model::Allocation> last_allocation_;

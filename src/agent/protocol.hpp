@@ -61,6 +61,12 @@ struct Command {
 };
 static_assert(std::is_trivially_copyable_v<Command>);
 
+/// The fence RuntimeAdapter::pump() applies: `command` was issued by an
+/// older daemon incarnation than the newest the receiver has seen.
+inline bool command_is_stale(const Command& command, std::uint64_t known_generation) {
+  return command.arbiter_generation != 0 && command.arbiter_generation < known_generation;
+}
+
 /// Telemetry::enacted_target when no thread-target command has constrained
 /// the runtime (or the newest one lifted all controls): "uncontrolled".
 inline constexpr std::uint32_t kUnconstrained = 0xffffffffu;

@@ -39,7 +39,7 @@ std::vector<PlacementAdvice> advise_placement(const topo::Machine& machine,
       if (candidate == apps[a].home_node) continue;
       variant[a].home_node = candidate;
       const Solution& moved = solve_into(machine, variant, allocation, scratch, solve_options);
-      if (moved.total_gflops > entry.predicted_gflops) {
+      if (improves(moved.total_gflops, entry.predicted_gflops)) {
         entry.predicted_gflops = moved.total_gflops;
         entry.recommended_home = candidate;
       }
@@ -47,10 +47,6 @@ std::vector<PlacementAdvice> advise_placement(const topo::Machine& machine,
     variant[a].home_node = apps[a].home_node;
 
     const double gain = entry.predicted_gflops - entry.current_gflops;
-    if (gain <= options.min_relative_gain * entry.current_gflops) {
-      entry.recommended_home = entry.current_home;
-      entry.predicted_gflops = entry.current_gflops;
-    }
     if (entry.move_recommended() && options.data_gb > 0.0) {
       const GBps link =
           machine.link_bandwidth(entry.current_home, entry.recommended_home);

@@ -47,14 +47,13 @@ struct PlacementAdvice {
 struct PlacementOptions {
   /// Gigabytes of application data to move (for cost/payback estimates).
   double data_gb = 0.0;
-  /// Only recommend a move when it improves machine throughput by at least
-  /// this relative margin (hysteresis against churn).
-  double min_relative_gain = 1e-6;
 };
 
 /// Advice for every NUMA-bad app in `apps`, holding the allocation fixed and
 /// pricing `foreign` (empty = none). NUMA-perfect apps get no entries
-/// (nothing to move).
+/// (nothing to move). A home is recommended only when it improves() the
+/// machine total over the current one, the margin every model search uses,
+/// so a near-tie never moves data.
 std::vector<PlacementAdvice> advise_placement(const topo::Machine& machine,
                                               const std::vector<AppSpec>& apps,
                                               const Allocation& allocation,

@@ -11,23 +11,14 @@
 #include "common/format.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "common/threading.hpp"
 #include "inject/fault.hpp"
 
 namespace numashare::nsd {
 
-namespace {
-/// Background heartbeat period (start_heartbeat()).
-constexpr std::int64_t kHeartbeatPeriodUs = 100'000;
-}  // namespace
-
 DaemonClient::DaemonClient(std::string app_name, ClientConnectOptions options)
     : app_name_(std::move(app_name)), options_(std::move(options)) {}
 
-DaemonClient::~DaemonClient() {
-  stop_heartbeat();
-  disconnect();
-}
+DaemonClient::~DaemonClient() { disconnect(); }
 
 bool DaemonClient::try_join_once(std::string* error) {
   if (inject::fire("client.connect.fail")) {
@@ -149,22 +140,6 @@ void DaemonClient::heartbeat() {
   if (inject::fire("client.heartbeat.suppress")) return;
   if (registry_ == nullptr || slot_index_ >= kMaxClients) return;
   registry_->slot(slot_index_).heartbeat.fetch_add(1, std::memory_order_relaxed);
-}
-
-void DaemonClient::start_heartbeat() {
-  if (heartbeat_running_.exchange(true)) return;
-  heartbeat_thread_ = std::thread([this] {
-    set_current_thread_name("ns-heartbeat");
-    while (heartbeat_running_.load(std::memory_order_acquire)) {
-      heartbeat();
-      std::this_thread::sleep_for(std::chrono::microseconds(kHeartbeatPeriodUs));
-    }
-  });
-}
-
-void DaemonClient::stop_heartbeat() {
-  if (!heartbeat_running_.exchange(false)) return;
-  if (heartbeat_thread_.joinable()) heartbeat_thread_.join();
 }
 
 bool DaemonClient::check_connection() {

@@ -5,19 +5,20 @@
 // attach to it. connect() retries each stage with bounded exponential
 // backoff, so an app started moments before the daemon (or across a daemon
 // restart) still gets in. While connected, the app's duties are: pump its
-// RuntimeAdapter on the channel, and heartbeat() — manually or via the
-// background thread.
+// RuntimeAdapter on the channel and heartbeat(), both from its progress
+// loop.
 //
 // Eviction and daemon restart are visible through check_connection():
 // the slot no longer carries our PID/generation (the daemon recycled it)
 // or the registry vanished. reconnect() then re-runs the join dance.
+// Applications drive all of this through FailoverClient (failover.hpp),
+// which wraps this client and also survives the daemon's death.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <thread>
 
 #include "agent/shm_channel.hpp"
 #include "daemon/registry.hpp"
@@ -75,10 +76,6 @@ class DaemonClient {
   /// Bump the registry heartbeat (call from the app's progress loop).
   void heartbeat();
 
-  /// Background heartbeat thread, one heartbeat() every 100 ms.
-  void start_heartbeat();
-  void stop_heartbeat();
-
   /// Still the owner of our slot? False after eviction, slot recycling, or
   /// daemon restart. Cheap; safe to call every pump. With
   /// hold_slot_on_daemon_loss, daemon death keeps this true (the slot is
@@ -112,7 +109,6 @@ class DaemonClient {
   /// live connection.
   topo::Machine arbitration_machine() const;
 
-  const std::string& app_name() const { return app_name_; }
   const ClientConnectOptions& options() const { return options_; }
   std::uint32_t slot_index() const { return slot_index_; }
   /// Agent generation at our activation (identifies this incarnation).
@@ -135,9 +131,6 @@ class DaemonClient {
   std::atomic<bool> connected_{false};
   std::atomic<bool> daemon_lost_{false};
   std::uint32_t connect_attempts_ = 0;
-
-  std::atomic<bool> heartbeat_running_{false};
-  std::thread heartbeat_thread_;
 };
 
 }  // namespace numashare::nsd

@@ -139,6 +139,11 @@ bool Daemon::init(std::string* error) {
       }
       return false;
     }
+    // This incarnation succeeds the dead one even without a journal:
+    // degraded survivors fail back only onto a strictly newer generation.
+    arbiter_generation_ = std::max<std::uint64_t>(
+        arbiter_generation_,
+        existing->header().arbiter_generation.load(std::memory_order_acquire) + 1);
   }
   stats_.stale_segments_cleaned = agent::cleanup_stale_segments(options_.registry_name);
   if (stats_.stale_segments_cleaned > 0) {
@@ -933,7 +938,8 @@ void Daemon::recover_from_journal() {
     // Strictly monotone incarnations: whatever generation the dead daemon
     // checkpointed, this one is its successor. Clients fence on this.
     if (auto gen = journal_field(recovered.checkpoint, "arbiter_gen")) {
-      arbiter_generation_ = std::strtoull(gen->c_str(), nullptr, 10) + 1;
+      arbiter_generation_ = std::max<std::uint64_t>(
+          arbiter_generation_, std::strtoull(gen->c_str(), nullptr, 10) + 1);
     }
   }
   if (recovered.corrupt_checkpoints_skipped > 0) {

@@ -174,7 +174,7 @@ class Daemon {
   agent::Agent& arbitration_agent() { return *agent_; }
   const DaemonOptions& options() const { return options_; }
   const DaemonStats& stats() const { return stats_; }
-  /// This incarnation's generation: 1 fresh, recovered + 1 after a restart.
+  /// This incarnation's generation: 1 fresh, the predecessor's + 1 after a restart.
   /// Published in the registry header and stamped into every command.
   std::uint64_t arbiter_generation() const { return arbiter_generation_; }
   std::size_t client_count() const;
@@ -294,8 +294,9 @@ class Daemon {
   /// Monotonic join counter; makes channel names and app names unique
   /// across slot reuse.
   std::uint64_t join_seq_ = 0;
-  /// Daemon incarnation; recover_from_journal() bumps it past the
-  /// checkpointed value so it is strictly monotone across restarts.
+  /// Daemon incarnation; init() bumps it past a dead predecessor's
+  /// registry header and recover_from_journal() past the journaled value,
+  /// so it is strictly monotone across restarts, journal or not.
   std::uint64_t arbiter_generation_ = 1;
   /// shutdown() ran (destructor then skips the final flush).
   bool shut_down_ = false;

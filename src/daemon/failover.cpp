@@ -29,10 +29,6 @@ const char* to_string(FailoverState state) {
   return "?";
 }
 
-bool command_is_stale(const agent::Command& command, std::uint64_t known_generation) {
-  return command.arbiter_generation != 0 && command.arbiter_generation < known_generation;
-}
-
 FailoverClient::FailoverClient(std::string app_name, ClientConnectOptions connect_options,
                                FailoverOptions options)
     : app_name_(std::move(app_name)),
@@ -76,7 +72,7 @@ void FailoverClient::mirror_state() {
       .failover_state.store(static_cast<std::uint32_t>(state_), std::memory_order_relaxed);
 }
 
-FailoverState FailoverClient::poll() {
+FailoverState FailoverClient::poll(const std::vector<std::uint32_t>& last_grant) {
   switch (state_) {
     case FailoverState::kAttached:
     case FailoverState::kSuspect: {
@@ -90,7 +86,7 @@ FailoverState FailoverClient::poll() {
       }
       if (client_.daemon_lost()) {
         // The pid is gone; no point sitting out the miss window.
-        enter_degraded();
+        enter_degraded(last_grant);
         break;
       }
       const auto& header = client_.registry()->header();
@@ -113,7 +109,7 @@ FailoverState FailoverClient::poll() {
         state_ = FailoverState::kSuspect;
         mirror_state();
       }
-      if (misses_ >= options_.degraded_after_misses) enter_degraded();  // wedged, not dead
+      if (misses_ >= options_.degraded_after_misses) enter_degraded(last_grant);  // wedged
       break;
     }
     case FailoverState::kDegraded: {
@@ -141,7 +137,7 @@ FailoverState FailoverClient::poll() {
   return state_;
 }
 
-void FailoverClient::enter_degraded() {
+void FailoverClient::enter_degraded(const std::vector<std::uint32_t>& last_grant) {
   if (state_ == FailoverState::kDegraded) return;
   state_ = FailoverState::kDegraded;
   ++stats_.degraded_entries;
@@ -150,7 +146,7 @@ void FailoverClient::enter_degraded() {
   degraded_allocation_.reset();
   NS_LOG_WARN("failover", "'{}' entering degraded mode (dead incarnation {})", app_name_,
               dead_generation_);
-  publish_proposal();
+  publish_proposal(last_grant);
   mirror_state();
   gather_and_arbitrate();
 }
@@ -166,7 +162,7 @@ void FailoverClient::exit_degraded_resumed() {
   mirror_state();
 }
 
-void FailoverClient::publish_proposal() {
+void FailoverClient::publish_proposal(const std::vector<std::uint32_t>& last_grant) {
   auto* registry = client_.registry();
   if (registry == nullptr || client_.slot_index() >= kMaxClients) return;
   // Count the survivors sharing the orphaned segment — every kActive slot
@@ -182,7 +178,7 @@ void FailoverClient::publish_proposal() {
     ++survivors;
   }
   const auto desired =
-      agent::conservative_desired(machine_, std::max(1u, survivors), last_granted_);
+      agent::conservative_desired(machine_, std::max(1u, survivors), last_grant);
   auto& slot = registry->slot(client_.slot_index());
   for (std::uint32_t n = 0; n < agent::kMaxNodes; ++n) {
     slot.proposal_desired[n].store(n < desired.size() ? desired[n] : 0,
@@ -226,7 +222,6 @@ void FailoverClient::gather_and_arbitrate() {
   }
   if (proposals.empty()) return;
   degraded_allocation_ = agent::arbitrate_slots(machine_, std::move(proposals));
-  ++stats_.arbitrations;
 }
 
 bool FailoverClient::try_failback() {
@@ -248,9 +243,8 @@ bool FailoverClient::try_failback() {
     NS_LOG_WARN("failover", "'{}' rejoin failed (will retry): {}", app_name_, error);
     return false;  // stay kRejoining; next poll probes again
   }
-  // Attached to the new incarnation: the degraded grants die with the old
-  // generation, and the fence below known_generation_ drops any pre-crash
-  // command still sitting in a ring.
+  // Attached to the new incarnation, on a fresh channel: the degraded
+  // grants die with the old generation.
   refresh_from_registry();
   dead_generation_ = 0;
   degraded_allocation_.reset();
@@ -265,58 +259,6 @@ bool FailoverClient::try_failback() {
 std::vector<std::uint32_t> FailoverClient::degraded_threads() const {
   if (!degraded_allocation_ || !client_.connected()) return {};
   return degraded_allocation_->threads_for(client_.slot_index());
-}
-
-std::optional<agent::Command> FailoverClient::pop_command() {
-  auto* channel = client_.channel();
-  if (channel == nullptr) return std::nullopt;
-  while (auto command = channel->pop_command()) {
-    if (command_is_stale(*command, known_generation_)) {
-      ++stats_.stale_commands_fenced;
-      continue;
-    }
-    known_generation_ = std::max(known_generation_, command->arbiter_generation);
-    observe_grant(*command);
-    return command;
-  }
-  return std::nullopt;
-}
-
-void FailoverClient::observe_grant(const agent::Command& command) {
-  switch (command.type) {
-    case agent::CommandType::kSetNodeThreads: {
-      last_granted_.assign(machine_.node_count(), 0);
-      const auto nodes = std::min<std::uint32_t>(command.node_count, machine_.node_count());
-      for (std::uint32_t n = 0; n < nodes; ++n) last_granted_[n] = command.node_threads[n];
-      break;
-    }
-    case agent::CommandType::kSetTotalThreads: {
-      // Node-blind grant: remember it spread round-robin (capped per node)
-      // so the degraded clamp has a per-node shape to work with.
-      last_granted_.assign(machine_.node_count(), 0);
-      std::uint32_t remaining = command.total_threads;
-      for (std::uint32_t n = 0; remaining > 0; n = (n + 1) % machine_.node_count()) {
-        if (last_granted_[n] < machine_.cores_in_node(n)) {
-          ++last_granted_[n];
-          --remaining;
-        } else {
-          // All nodes full? stop (the grant exceeds the machine).
-          bool any = false;
-          for (topo::NodeId m = 0; m < machine_.node_count(); ++m) {
-            if (last_granted_[m] < machine_.cores_in_node(m)) any = true;
-          }
-          if (!any) break;
-        }
-      }
-      break;
-    }
-    case agent::CommandType::kClearControls:
-      last_granted_.clear();  // unconstrained again
-      break;
-    case agent::CommandType::kBlockCores:
-    case agent::CommandType::kSuggestDataHome:
-      break;  // no per-node thread shape to learn from
-  }
 }
 
 }  // namespace numashare::nsd

@@ -24,12 +24,15 @@
 //    abandons the orphan segment and re-runs the join dance (with
 //    decorrelated-jitter backoff, so the herd spreads out).
 //
-// Generation fencing: every daemon command carries the incarnation that
-// issued it. A command stamped with an older generation than the newest
-// one this client has observed is dropped by pop_command() — a pre-crash
-// grant (or a ring-buffered leftover) can never be enacted after failback,
-// and degraded-mode allocations die with the generation they were computed
-// under.
+// The app's loop (examples/daemon_app is the reference caller): poll() with
+// the adapter's RuntimeAdapter::last_grant(), heartbeat(), pump its
+// RuntimeAdapter on client().channel(), and while degraded enact
+// degraded_threads() itself. A failback replaces the channel, so the app
+// rebuilds its adapter whenever stats().rejoins moves or the client is no
+// longer connected. The adapter is the channel's only command consumer and
+// applies the generation fence (agent::command_is_stale): a pre-crash grant
+// can never be enacted after failback, and degraded-mode allocations die
+// with the generation they were computed under.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +41,6 @@
 #include <vector>
 
 #include "agent/consensus.hpp"
-#include "agent/protocol.hpp"
 #include "daemon/client.hpp"
 #include "topology/machine.hpp"
 
@@ -53,11 +55,6 @@ enum class FailoverState : std::uint32_t {
 
 const char* to_string(FailoverState state);
 
-/// True when `command` was issued by an older daemon incarnation than the
-/// newest this client has observed. Generation 0 marks a sender that is not
-/// generation-aware (in-process agent) and is always fresh.
-bool command_is_stale(const agent::Command& command, std::uint64_t known_generation);
-
 struct FailoverOptions {
   /// poll() calls with an unchanged daemon_heartbeat before kSuspect.
   std::uint32_t suspect_after_misses = 5;
@@ -71,10 +68,8 @@ struct FailoverOptions {
 };
 
 struct FailoverStats {
-  std::uint64_t degraded_entries = 0;     ///< transitions into degraded mode
-  std::uint64_t rejoins = 0;              ///< successful failbacks
-  std::uint64_t arbitrations = 0;         ///< degraded consensus rounds run
-  std::uint64_t stale_commands_fenced = 0;///< generation-fenced drops
+  std::uint64_t degraded_entries = 0;  ///< transitions into degraded mode
+  std::uint64_t rejoins = 0;           ///< successful failbacks
 };
 
 class FailoverClient {
@@ -88,14 +83,17 @@ class FailoverClient {
 
   /// One pump of the state machine: liveness check, degraded-mode proposal
   /// exchange + arbitration, failback probing. Call from the app's progress
-  /// loop (single-threaded; pair with heartbeat()).
-  FailoverState poll();
+  /// loop (single-threaded; pair with heartbeat()). `last_grant` is the
+  /// per-node allocation the daemon last granted (RuntimeAdapter::
+  /// last_grant(); empty = unconstrained): entering degraded mode clamps
+  /// this client's proposal to it.
+  FailoverState poll(const std::vector<std::uint32_t>& last_grant = {});
 
   void heartbeat() { client_.heartbeat(); }
 
   FailoverState state() const { return state_; }
   bool connected() const { return client_.connected(); }
-  /// Newest daemon incarnation observed (registry header / command stamps).
+  /// Newest daemon incarnation observed in the registry header.
   std::uint64_t known_generation() const { return known_generation_; }
   const FailoverStats& stats() const { return stats_; }
 
@@ -108,31 +106,25 @@ class FailoverClient {
   /// This client's per-node share of the degraded consensus (empty if none).
   std::vector<std::uint32_t> degraded_threads() const;
 
-  /// Channel pop with the generation fence applied: stale-incarnation
-  /// commands are counted and dropped, fresh ones update the last-granted
-  /// caps that bound the next degraded episode's proposal.
-  std::optional<agent::Command> pop_command();
-
   /// The wrapped connector (channel access, slot index, options).
   DaemonClient& client() { return client_; }
   const DaemonClient& client() const { return client_; }
 
  private:
-  void enter_degraded();
+  void enter_degraded(const std::vector<std::uint32_t>& last_grant);
   void exit_degraded_resumed();
-  void publish_proposal();
+  void publish_proposal(const std::vector<std::uint32_t>& last_grant);
   void gather_and_arbitrate();
   bool try_failback();
   void mirror_state();
   void refresh_from_registry();
-  void observe_grant(const agent::Command& command);
 
   std::string app_name_;
   FailoverOptions options_;
   DaemonClient client_;
   topo::Machine machine_;
   FailoverState state_ = FailoverState::kAttached;
-  /// Newest incarnation observed; commands older than this are fenced.
+  /// Newest incarnation observed in the registry header.
   std::uint64_t known_generation_ = 0;
   /// The incarnation we outlived — the one this degraded episode's
   /// proposals are tagged with.
@@ -140,9 +132,6 @@ class FailoverClient {
   std::uint64_t last_heartbeat_seen_ = 0;
   std::uint32_t misses_ = 0;
   std::uint32_t degraded_polls_ = 0;
-  /// Per-node threads the daemon last granted us (empty = unconstrained);
-  /// the conservative clamp for degraded proposals.
-  std::vector<std::uint32_t> last_granted_;
   std::optional<agent::SlotAllocation> degraded_allocation_;
   FailoverStats stats_;
 };

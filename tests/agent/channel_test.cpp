@@ -5,6 +5,7 @@
 #include <chrono>
 #include <optional>
 #include <thread>
+#include <vector>
 
 #include "topology/presets.hpp"
 
@@ -192,6 +193,79 @@ TEST(Channel, OutOfRangeCoreBitsDoNotLowerTheAckTarget) {
   }));
   EXPECT_EQ(adapter.enacted_target(), 3u);
   EXPECT_EQ(runtime.blocked_threads(), 1u);
+}
+
+TEST(Channel, StaleGenerationCommandIsFenced) {
+  rt::Runtime runtime(machine_2x2());
+  ShmChannel channel;
+  RuntimeAdapter adapter(runtime, channel);
+
+  // The current incarnation (generation 2) grants the whole machine.
+  Command fresh;
+  fresh.type = CommandType::kSetNodeThreads;
+  fresh.node_count = 2;
+  fresh.node_threads[0] = 2;
+  fresh.node_threads[1] = 2;
+  fresh.seq = fresh.epoch = 1;
+  fresh.arbiter_generation = 2;
+  ASSERT_TRUE(channel.push_command(fresh));
+  EXPECT_EQ(adapter.pump(), 1u);
+
+  // A leftover from the dead incarnation (generation 1) arrives later: it
+  // is counted and dropped, and neither its targets nor its epoch land.
+  Command stale = fresh;
+  stale.node_threads[0] = 1;
+  stale.node_threads[1] = 0;
+  stale.seq = stale.epoch = 2;
+  stale.arbiter_generation = 1;
+  ASSERT_TRUE(channel.push_command(stale));
+  EXPECT_EQ(adapter.pump(), 0u);
+  EXPECT_EQ(adapter.stale_commands(), 1u);
+  EXPECT_EQ(adapter.last_grant(), (std::vector<std::uint32_t>{2, 2}));
+  EXPECT_EQ(adapter.enacted_epoch(), 1u);
+  EXPECT_EQ(runtime.running_per_node(), (std::vector<std::uint32_t>{2, 2}));
+
+  // A sender that is not generation-aware is never stale.
+  Command local = stale;
+  local.arbiter_generation = 0;
+  local.seq = local.epoch = 3;
+  ASSERT_TRUE(channel.push_command(local));
+  EXPECT_EQ(adapter.pump(), 1u);
+  EXPECT_EQ(adapter.stale_commands(), 1u);
+  EXPECT_EQ(adapter.last_grant(), (std::vector<std::uint32_t>{1, 0}));
+}
+
+TEST(Channel, LastGrantFollowsNodeTotalAndClearCommands) {
+  rt::Runtime runtime(topo::Machine::symmetric(2, 3, 1.0, 10.0));
+  ShmChannel channel;
+  RuntimeAdapter adapter(runtime, channel);
+  EXPECT_TRUE(adapter.last_grant().empty());  // nothing granted: unconstrained
+
+  const auto push = [&](Command command) {
+    ASSERT_TRUE(channel.push_command(command));
+    ASSERT_EQ(adapter.pump(), 1u);
+  };
+  Command total;
+  total.type = CommandType::kSetTotalThreads;
+  total.total_threads = 5;  // node-blind: spread round-robin, 3+2
+  push(total);
+  EXPECT_EQ(adapter.last_grant(), (std::vector<std::uint32_t>{3, 2}));
+  total.total_threads = 100;  // more than the machine: capped per node
+  push(total);
+  EXPECT_EQ(adapter.last_grant(), (std::vector<std::uint32_t>{3, 3}));
+
+  Command node;
+  node.type = CommandType::kSetNodeThreads;
+  node.node_count = 2;
+  node.node_threads[0] = 1;
+  node.node_threads[1] = 2;
+  push(node);
+  EXPECT_EQ(adapter.last_grant(), (std::vector<std::uint32_t>{1, 2}));
+
+  Command clear;
+  clear.type = CommandType::kClearControls;
+  push(clear);
+  EXPECT_TRUE(adapter.last_grant().empty());
 }
 
 }  // namespace

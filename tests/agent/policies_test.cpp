@@ -190,7 +190,7 @@ TEST(ModelGuidedPolicy, NumaBadAppGetsItsHomeNode) {
 }
 
 TEST(ModelGuidedPolicy, StableUntilAiDrifts) {
-  ModelGuidedPolicy policy({.ai_drift_threshold = 0.10});
+  ModelGuidedPolicy policy;  // re-decides past a 10% AI drift
   const auto machine = topo::paper_model_machine();
   std::vector<AppView> views{view("m", 0, 0.5), view("c", 0, 10.0)};
   EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNodeThreads);

@@ -58,15 +58,38 @@ TEST(Placement, MoveCostAndPayback) {
   EXPECT_LT(advice[0].payback_seconds, 5.0);
 }
 
-TEST(Placement, HysteresisSuppressesMarginalMoves) {
-  const auto machine = topo::paper_numabad_machine();
-  const auto apps = mixes::three_perfect_one_bad(0);
-  const auto allocation = Allocation::node_per_app(machine, {0, 2, 3, 1});
-  PlacementOptions options;
-  options.min_relative_gain = 10.0;  // demand a 10x improvement: impossible
-  const auto advice = advise_placement(machine, apps, allocation, options);
+TEST(Placement, NearTieMovesNoData) {
+  // Node 1's memory controller is faster than node 0's by `edge`. A
+  // memory-bound NUMA-bad app homed on node 0 gains from moving its data
+  // there, but a gain inside the improvement margin is a tie, not a move.
+  const auto machine_with = [](double edge) {
+    topo::Machine machine;
+    machine.add_node(2, 1.0, 10.0);
+    machine.add_node(2, 1.0, 10.0 * (1.0 + edge));
+    machine.set_link_bandwidth(0, 1, 5.0);
+    machine.set_link_bandwidth(1, 0, 5.0);
+    return machine;
+  };
+  const std::vector<AppSpec> apps{AppSpec::numa_bad("bad", 0.1, /*home=*/0)};
+  const auto near_tie = machine_with(1e-11);
+  const auto allocation = Allocation::uniform_per_node(near_tie, {2});
+  auto moved = apps;
+  moved[0].home_node = 1;
+  const double here = solve(near_tie, apps, allocation).total_gflops;
+  const double there = solve(near_tie, moved, allocation).total_gflops;
+  ASSERT_GT(there, here);  // a real gain ...
+  ASSERT_FALSE(improves(there, here));  // ... inside the margin
+  const auto advice = advise_placement(near_tie, apps, allocation);
   ASSERT_EQ(advice.size(), 1u);
   EXPECT_FALSE(advice[0].move_recommended());
+  EXPECT_EQ(advice[0].predicted_gflops, advice[0].current_gflops);
+
+  // A gain past the margin is advised.
+  const auto clear_win = machine_with(1e-3);
+  const auto win = advise_placement(clear_win, apps, allocation);
+  ASSERT_EQ(win.size(), 1u);
+  EXPECT_TRUE(win[0].move_recommended());
+  EXPECT_EQ(win[0].recommended_home, 1u);
 }
 
 TEST(Placement, JointOptimizationRecoversPaperOptimum) {

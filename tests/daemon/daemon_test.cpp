@@ -48,6 +48,32 @@ TEST(Daemon, InitRequiresNoLiveOwner) {
   EXPECT_NE(error.find("live daemon"), std::string::npos) << error;
 }
 
+TEST(Daemon, JournalLessRestartSucceedsTheDeadGeneration) {
+  // A daemon without a journal that dies leaves only its registry segment.
+  // Its successor must still publish a strictly newer generation, or a
+  // degraded survivor never sees its failback signal.
+  const auto registry = unique_registry("gen");
+  DaemonOptions options;
+  options.registry_name = registry;
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    Daemon first(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(), options);
+    _exit(first.init() && first.arbiter_generation() == 1 ? 0 : 1);  // no shutdown: a crash
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+  Daemon second(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(), options);
+  std::string error;
+  ASSERT_TRUE(second.init(&error)) << error;
+  EXPECT_EQ(second.arbiter_generation(), 2u);
+  const auto published = Registry::open(registry, &error);
+  ASSERT_NE(published, nullptr) << error;
+  EXPECT_EQ(published->header().arbiter_generation.load(), 2u);
+}
+
 TEST(Daemon, StartupCleansStaleSegments) {
   const auto registry = unique_registry("stale");
   // Litter: a dead "registry" plus channel-looking segments from a previous

@@ -6,7 +6,7 @@
 //    daemon SIGKILL all land in degraded mode within a bounded window and
 //    compute bitwise-identical conservative allocations; a restarted daemon
 //    comes back with a strictly higher arbiter generation and the survivors
-//    fail back onto it (stale-incarnation commands fenced); a wedged-but-
+//    fail back onto it (its commands carry that generation); a wedged-but-
 //    alive daemon drives clients to suspect and back without an episode.
 //  * the randomized sweep — 40 seeds, each expanded into a kill/restart
 //    schedule (2-3 clients, >=3 kill cycles, SIGKILL vs in-tick die site,
@@ -191,17 +191,28 @@ class FailoverDirected : public ::testing::Test {
   void TearDown() override { inject::clear_plan(); }
 };
 
-// The generation fence itself, no processes involved.
+// The generation fence itself, no processes involved (RuntimeAdapter::pump
+// applies it; see Channel.StaleGenerationCommandIsFenced).
 TEST_F(FailoverDirected, StaleCommandsAreFencedByGeneration) {
   agent::Command command;
   command.arbiter_generation = 0;  // in-process agent: never stale
-  EXPECT_FALSE(command_is_stale(command, 5));
+  EXPECT_FALSE(agent::command_is_stale(command, 5));
   command.arbiter_generation = 4;  // pre-crash incarnation
-  EXPECT_TRUE(command_is_stale(command, 5));
+  EXPECT_TRUE(agent::command_is_stale(command, 5));
   command.arbiter_generation = 5;  // current incarnation
-  EXPECT_FALSE(command_is_stale(command, 5));
+  EXPECT_FALSE(agent::command_is_stale(command, 5));
   command.arbiter_generation = 6;  // newer than we knew: fresh by definition
-  EXPECT_FALSE(command_is_stale(command, 5));
+  EXPECT_FALSE(agent::command_is_stale(command, 5));
+}
+
+/// Every command waiting in `client`'s channel, popped directly (the sweep
+/// runs no runtime adapter).
+std::vector<agent::Command> drain_commands(FailoverClient& client) {
+  std::vector<agent::Command> commands;
+  if (auto* channel = client.client().channel()) {
+    while (auto command = channel->pop_command()) commands.push_back(*command);
+  }
+  return commands;
 }
 
 // SIGKILL the daemon under three live clients: all three must reach
@@ -258,6 +269,60 @@ TEST_F(FailoverDirected, SurvivorsAgreeAfterDaemonKill) {
   std::remove(journal.c_str());
 }
 
+// The last grant an app hands poll() clamps its degraded proposal: a client
+// the daemon held at one thread on node 0 asks for no more than that, while
+// an unconstrained peer asks for its fair share.
+TEST_F(FailoverDirected, DegradedProposalClampsToTheLastGrant) {
+  const auto machine = topo::Machine::symmetric(2, 4, 1.0, 10.0, 5.0);
+  const auto registry = unique_registry("clamp");
+  const auto journal = unique_journal("clamp");
+
+  const pid_t daemon_pid = spawn_daemon(machine, registry, journal);
+  ASSERT_GE(daemon_pid, 0);
+  ASSERT_TRUE(wait_for_daemon(registry, 5000ms));
+
+  std::vector<std::unique_ptr<FailoverClient>> clients;
+  for (int c = 0; c < 2; ++c) {
+    clients.push_back(std::make_unique<FailoverClient>(
+        "clamp-" + std::to_string(c), failover_client_options(registry, 400 + c),
+        fast_failover_options()));
+    ASSERT_TRUE(clients.back()->connect());
+  }
+  const std::vector<std::vector<std::uint32_t>> grants{{1, 0}, {}};
+  kill_and_reap(daemon_pid);
+
+  const auto deadline = Clock::now() + 5000ms;
+  while (Clock::now() < deadline && !(all_in_state(clients, FailoverState::kDegraded) &&
+                                      all_have_degraded_allocation(clients))) {
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      clients[c]->heartbeat();
+      clients[c]->poll(grants[c]);
+    }
+    std::this_thread::sleep_for(2ms);
+  }
+  ASSERT_TRUE(all_in_state(clients, FailoverState::kDegraded));
+  for (int round = 0; round < 10; ++round) {
+    for (std::size_t c = 0; c < clients.size(); ++c) clients[c]->poll(grants[c]);
+  }
+  expect_identical_degraded_allocations(clients, machine);
+
+  const auto proposal = [&](const FailoverClient& client) {
+    const auto& slot = client.client().registry()->slot(client.client().slot_index());
+    return std::vector<std::uint32_t>{slot.proposal_desired[0].load(),
+                                      slot.proposal_desired[1].load()};
+  };
+  EXPECT_EQ(proposal(*clients[0]), (std::vector<std::uint32_t>{1, 0}));
+  EXPECT_EQ(proposal(*clients[1]), (std::vector<std::uint32_t>{2, 2}));
+  const auto held = clients[0]->degraded_threads();
+  ASSERT_EQ(held.size(), 2u);
+  EXPECT_LE(held[0], 1u);
+  EXPECT_EQ(held[1], 0u);
+
+  clients.clear();
+  EXPECT_GE(agent::cleanup_stale_segments(registry), 1u);
+  std::remove(journal.c_str());
+}
+
 // Kill, then restart: survivors must observe the strictly higher
 // incarnation, fail back onto it, drop their degraded grants, and see
 // post-failback commands stamped with the new generation.
@@ -303,8 +368,8 @@ TEST_F(FailoverDirected, FailbackBumpsGenerationAndResumesCommands) {
       clients,
       [&] {
         for (auto& client : clients) {
-          while (auto command = client->pop_command()) {
-            EXPECT_EQ(command->arbiter_generation, 2u);
+          for (const auto& command : drain_commands(*client)) {
+            EXPECT_EQ(command.arbiter_generation, 2u);
             saw_fresh_command = true;
           }
         }
@@ -538,8 +603,8 @@ TEST_P(FailoverSweep, SurvivalInvariantsHoldUnderKillRestartCycles) {
       clients,
       [&] {
         for (auto& client : clients) {
-          while (auto command = client->pop_command()) {
-            EXPECT_GE(command->arbiter_generation, final_generation);
+          for (const auto& command : drain_commands(*client)) {
+            EXPECT_GE(command.arbiter_generation, final_generation);
             saw_fresh_command = true;
           }
         }
