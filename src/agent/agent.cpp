@@ -11,7 +11,7 @@
 namespace numashare::agent {
 
 namespace {
-/// EWMA smoothing for the per-app task and progress rates.
+/// EWMA smoothing for the per-app task rate.
 constexpr double kRateAlpha = 0.3;
 }  // namespace
 
@@ -32,10 +32,7 @@ std::size_t Agent::add_app(std::string name, ShmChannel& channel) {
   std::lock_guard lock(membership_mutex_);
   // remove_app() is keyed by name; duplicates would make it ambiguous.
   NS_REQUIRE(index_by_name_.find(name) == index_by_name_.end(), "duplicate app name");
-  ManagedApp app;
-  app.name = name;
-  app.channel = &channel;
-  apps_.push_back(std::move(app));
+  apps_.push_back({.channel = &channel});
   index_by_name_.emplace(name, apps_.size() - 1);
   AppView view;
   view.name = std::move(name);
@@ -49,11 +46,11 @@ bool Agent::remove_app(const std::string& name) {
   std::lock_guard lock(membership_mutex_);
   const std::size_t a = index_of_locked(name);
   if (a == apps_.size()) return false;
+  index_by_name_.erase(name);
   apps_.erase(apps_.begin() + static_cast<std::ptrdiff_t>(a));
   views_.erase(views_.begin() + static_cast<std::ptrdiff_t>(a));
   // Every app after the erased one shifted down an index.
-  index_by_name_.erase(name);
-  for (std::size_t i = a; i < apps_.size(); ++i) index_by_name_[apps_[i].name] = i;
+  for (std::size_t i = a; i < views_.size(); ++i) index_by_name_[views_[i].name] = i;
   generation_.fetch_add(1, std::memory_order_relaxed);
   policy_->on_membership_change();
   NS_LOG_INFO("agent", "removed app '{}' ({} remain)", name, apps_.size());
@@ -74,8 +71,7 @@ bool Agent::set_app_thread_cap(const std::string& name, std::uint32_t cap) {
   std::lock_guard lock(membership_mutex_);
   const std::size_t a = index_of_locked(name);
   if (a == apps_.size()) return false;
-  if (apps_[a].thread_cap != cap) {
-    apps_[a].thread_cap = cap;
+  if (views_[a].thread_cap != cap) {
     views_[a].thread_cap = cap;
     // The machine just gained/lost administratively grantable cores;
     // cached partitions are stale. Not a membership change, though.
@@ -84,31 +80,9 @@ bool Agent::set_app_thread_cap(const std::string& name, std::uint32_t cap) {
   return true;
 }
 
-Agent::ComplianceState Agent::compliance(const std::string& name) const {
-  std::lock_guard lock(membership_mutex_);
-  const std::size_t a = index_of_locked(name);
-  return compliance_locked(a);
-}
-
-void Agent::snapshot_compliance(std::vector<ComplianceState>& out) const {
-  std::lock_guard lock(membership_mutex_);
-  out.resize(apps_.size());
-  for (std::size_t a = 0; a < apps_.size(); ++a) out[a] = compliance_locked(a);
-}
-
-Agent::ComplianceState Agent::compliance_locked(std::size_t a) const {
-  if (a >= apps_.size()) return {};
-  ComplianceState state;
-  state.commanded_epoch = apps_[a].commanded_epoch;
-  state.enacted_epoch = views_[a].enacted_epoch;
-  state.enacted_target = views_[a].enacted_target;
-  state.thread_cap = apps_[a].thread_cap;
-  state.stalled_workers = views_[a].latest.stalled_workers;
-  return state;
-}
-
 void Agent::send(std::size_t a, const Directive& directive) {
   ManagedApp& app = apps_[a];
+  AppView& view = views_[a];
   // No-op directive: nothing to build, nothing to send. The common steady
   // state at 1000+ clients is "no change for anyone", so return before the
   // (kMaxNodes-wide) Command below is even zero-initialized.
@@ -133,7 +107,7 @@ void Agent::send(std::size_t a, const Directive& directive) {
 
   Command command;
   command.seq = ++app.command_seq;
-  const std::uint32_t cap = app.thread_cap;
+  const std::uint32_t cap = view.thread_cap;
   switch (directive.kind) {
     case Directive::Kind::kNone:
       --app.command_seq;
@@ -177,46 +151,39 @@ void Agent::send(std::size_t a, const Directive& directive) {
   // Every thread-target command carries a fresh compliance epoch; the
   // runtime acks the newest epoch it has fully enacted. The issue stamp is
   // the enactment-lag histogram's zero point.
-  command.epoch = app.commanded_epoch + 1;
+  command.epoch = view.commanded_epoch + 1;
   command.issued_ns = obs::now_ns();
   command.arbiter_generation = arbiter_generation_.load(std::memory_order_relaxed);
   if (app.channel->push_command(command)) {
     ++commands_sent_;
-    app.commanded_epoch = command.epoch;
-    // The view mirror is maintained at the mutation site (here and in
-    // set_app_thread_cap) instead of being refreshed every step: a clean
-    // pass over 1000+ apps must not pay two stores per app for values that
-    // only change when a command lands.
-    views_[a].commanded_epoch = command.epoch;
+    view.commanded_epoch = command.epoch;
   } else {
     // Backpressure: the runtime is not pumping. Dropping is deliberate — the
     // next tick recomputes a fresher command anyway. The epoch is not
     // consumed: an unpushed command can never be enacted, so counting it
     // commanded would mark the app non-compliant for our own drop.
-    NS_LOG_WARN("agent", "command ring full for app '{}'", app.name);
+    NS_LOG_WARN("agent", "command ring full for app '{}'", view.name);
     --app.command_seq;
   }
 }
 
-std::uint32_t Agent::step(double now) {
+std::uint32_t Agent::step(double /*now*/) {
   std::lock_guard lock(membership_mutex_);
   // 1. Batched, sequence-coalesced ingest: one drain per channel consumes
   // the whole backlog and hands back only the newest sample (rates come
-  // from deltas against our own previous newest, so the intermediate copies
-  // were always discarded anyway). Apps with nothing queued are *clean* —
-  // their view is left untouched and no per-sample work runs at all, which
-  // is what keeps the daemon tick proportional to activity at 1000+
-  // clients. Downstream, the model-guided policy's drift gates skip the
-  // re-search outright, so a quiet membership also skips the partition solve.
+  // from deltas against the view's previous newest, so the intermediate
+  // copies were always discarded anyway). Apps with nothing queued are
+  // *clean* — their view is left untouched and no per-sample work runs at
+  // all, which is what keeps the daemon tick proportional to activity at
+  // 1000+ clients. Downstream, the model-guided policy's drift gates skip
+  // the re-search outright, so a quiet membership also skips the partition
+  // solve.
   Telemetry newest;  // hoisted: drain_newest overwrites it whole, and
-                     // re-zeroing ~300 B per app would dominate a clean pass
+                     // re-zeroing ~200 B per app would dominate a clean pass
   for (std::size_t a = 0; a < apps_.size(); ++a) {
-    auto& app = apps_[a];
+    ShmChannel& channel = *apps_[a].channel;
     auto& view = views_[a];
-    // view.commanded_epoch / view.thread_cap are mirrored at their mutation
-    // sites (send / set_app_thread_cap), not refreshed here — a clean pass
-    // touches nothing but the channel cursor.
-    const std::uint64_t drained = app.channel->drain_newest(newest);
+    const std::uint64_t drained = channel.drain_newest(newest);
     // Clean app: nothing arrived, and nothing can have been dropped either —
     // a drop needs a full ring, and a full ring means this drain returned
     // the whole backlog (drained >= capacity > 0). Skip all per-app work.
@@ -225,34 +192,25 @@ std::uint32_t Agent::step(double now) {
     // Read the drop counter *after* the drain: a push that fails while we
     // advance the cursor lands in this tick's count instead of being
     // misattributed to the next tick's view.
-    view.telemetry_dropped = app.channel->telemetry_dropped();
+    view.telemetry_dropped = channel.telemetry_dropped();
     // Acks only ratchet forward: a reordered stale sample (or one with the
     // ack stripped in transit) must not un-enact a previously-proven epoch.
     if (newest.enacted_epoch > view.enacted_epoch) {
       view.enacted_epoch = newest.enacted_epoch;
       view.enacted_target = newest.enacted_target;
     }
-    if (app.have_prev) {
-      const double dt = newest.timestamp - app.prev.timestamp;
+    // The rate is a delta against the previous sample, so it is taken
+    // before that sample is overwritten; the EWMA starts from 0.
+    if (view.has_telemetry) {
+      const double dt = newest.timestamp - view.latest.timestamp;
       if (dt > 1e-9) {
         const double task_rate =
-            static_cast<double>(newest.tasks_executed - app.prev.tasks_executed) / dt;
-        const double progress_rate =
-            static_cast<double>(newest.progress - app.prev.progress) / dt;
-        view.task_rate = view.has_telemetry
-                             ? kRateAlpha * task_rate + (1.0 - kRateAlpha) * view.task_rate
-                             : task_rate;
-        view.progress_rate =
-            view.has_telemetry
-                ? kRateAlpha * progress_rate + (1.0 - kRateAlpha) * view.progress_rate
-                : progress_rate;
+            static_cast<double>(newest.tasks_executed - view.latest.tasks_executed) / dt;
+        view.task_rate = kRateAlpha * task_rate + (1.0 - kRateAlpha) * view.task_rate;
       }
     }
-    app.prev = newest;
-    app.have_prev = true;
     view.latest = newest;
     view.has_telemetry = true;
-    view.last_update_s = now;
   }
 
   // 2. Decide and command.

@@ -1,9 +1,11 @@
 // The arbitration agent (paper Figure 1).
 //
 // One Agent manages N applications through their channels. Each tick it
-// drains telemetry, refreshes per-app views (with EWMA task/progress rates),
-// asks the policy for directives, and pushes the resulting commands. It can
-// be stepped manually (deterministic tests) or run on its own thread. The
+// drains telemetry into the per-app views (with an EWMA task rate), asks the
+// policy for directives, and pushes the resulting commands. The AppView
+// (policy.hpp) is the one record of an app's control state; the agent keeps
+// beside it only the channel and the command sequence counter. It can be
+// stepped manually (deterministic tests) or run on its own thread. The
 // paper's OS CPU-load query is the daemon's foreign scanner
 // (foreign/scanner.hpp), which prices non-participant load into the policy.
 #pragma once
@@ -58,26 +60,6 @@ class Agent {
   /// (the app set is unchanged). Returns false when no app has that name.
   bool set_app_thread_cap(const std::string& name, std::uint32_t cap);
 
-  /// Compliance ack state for one app as of the last step(); zeros/defaults
-  /// when absent.
-  struct ComplianceState {
-    std::uint64_t commanded_epoch = 0;
-    std::uint64_t enacted_epoch = 0;
-    std::uint32_t enacted_target = kUnconstrained;
-    std::uint32_t thread_cap = 0xffffffffu;
-    /// Watchdog-reported workers the OS is not scheduling (latest
-    /// telemetry): nonzero means "behind because starved, not defiant".
-    std::uint32_t stalled_workers = 0;
-  };
-  ComplianceState compliance(const std::string& name) const;
-
-  /// Bulk variant for the daemon watchdog: fills `out` (indexed by app
-  /// index, resized to app_count) under a single lock. The watchdog asks
-  /// once per client per tick, and at 1000+ clients per-name compliance()
-  /// calls would cost a mutex acquisition and a string hash each. Rows stay
-  /// valid until generation() changes.
-  void snapshot_compliance(std::vector<ComplianceState>& out) const;
-
   std::size_t app_count() const;
 
   /// Membership generation: bumps on every add_app/remove_app. Lets
@@ -96,14 +78,18 @@ class Agent {
     return arbiter_generation_.load(std::memory_order_relaxed);
   }
 
-  /// One decision cycle at the given timestamp (monotonic seconds). Returns
-  /// the number of commands sent.
+  /// One decision cycle at the given timestamp (monotonic seconds; the
+  /// rates are keyed on the senders' own timestamps, so the agent does not
+  /// read it). Returns the number of commands sent.
   std::uint32_t step(double now);
 
   /// Background loop control.
   void start();
   void stop();
 
+  /// One view per app, in index order: telemetry, rates, compliance epochs
+  /// and caps. Unlocked: read it from the thread that calls step() (the
+  /// daemon's tick does), or while the background loop is stopped.
   const std::vector<AppView>& views() const { return views_; }
   const topo::Machine& machine() const { return machine_; }
   Policy& policy() { return *policy_; }
@@ -111,30 +97,19 @@ class Agent {
   std::uint64_t telemetry_received() const { return telemetry_received_; }
 
  private:
+  /// What the agent needs beside views_[a] to talk to app `a`.
   struct ManagedApp {
-    std::string name;
     ShmChannel* channel = nullptr;
     std::uint64_t command_seq = 0;
-    /// Compliance epoch counter: bumped (and stamped into the command) on
-    /// every thread-target command that actually reaches the ring.
-    std::uint64_t commanded_epoch = 0;
-    /// Administrative thread cap (UINT32_MAX = uncapped); see
-    /// set_app_thread_cap().
-    std::uint32_t thread_cap = 0xffffffffu;
-    bool have_prev = false;
-    Telemetry prev;
   };
 
-  /// Build + push the command(s) for app index `a`, mirroring the resulting
-  /// commanded_epoch into views_[a]. Caller holds membership_mutex_.
+  /// Build + push the command(s) for app index `a`, bumping
+  /// views_[a].commanded_epoch when a thread target reaches the ring.
+  /// Caller holds membership_mutex_.
   void send(std::size_t a, const Directive& directive);
   /// Index of `name` in apps_, or apps_.size() when absent. Caller holds
   /// membership_mutex_.
   std::size_t index_of_locked(const std::string& name) const;
-
-  /// Shared body of compliance()/compliance_at(); caller holds
-  /// membership_mutex_.
-  ComplianceState compliance_locked(std::size_t index) const;
 
   topo::Machine machine_;
   PolicyPtr policy_;
@@ -144,9 +119,8 @@ class Agent {
   mutable std::mutex membership_mutex_;
   std::vector<ManagedApp> apps_;
   std::vector<AppView> views_;
-  /// Name -> index into apps_/views_. The daemon's compliance watchdog asks
-  /// for every client by name every tick; a linear scan there is O(n^2)
-  /// across the tick at 1000+ clients. Rebuilt on remove (indices shift).
+  /// Name -> index into apps_/views_, so find_app() and the by-name calls
+  /// stay O(1) at 1000+ clients. Rebuilt on remove (indices shift).
   std::unordered_map<std::string, std::size_t> index_by_name_;
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint64_t> arbiter_generation_{0};

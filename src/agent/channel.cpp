@@ -7,7 +7,6 @@
 #include "common/logging.hpp"
 #include "common/threading.hpp"
 #include "obs/histogram.hpp"
-#include "topology/affinity.hpp"
 
 namespace numashare::agent {
 
@@ -22,15 +21,6 @@ RuntimeAdapter::RuntimeAdapter(rt::Runtime& runtime, ShmChannel& channel, double
 RuntimeAdapter::~RuntimeAdapter() { stop(); }
 
 namespace {
-
-/// Bits of core-mask word `w` that name a core of a `cores`-core machine.
-std::uint64_t in_range_bits(const Command& command, std::uint32_t w, std::uint32_t cores) {
-  const std::uint32_t first = w * 64;
-  if (first >= cores) return 0;
-  const std::uint32_t width = cores - first;
-  return width >= 64 ? command.core_mask[w]
-                     : command.core_mask[w] & ((std::uint64_t{1} << width) - 1);
-}
 
 /// A node-blind thread total spread round-robin over the nodes, at most
 /// each node's cores (the rest of an oversized total is dropped).
@@ -56,7 +46,6 @@ bool RuntimeAdapter::apply(const Command& command) {
                 command.seq, command.epoch, command.node_count, nodes);
     return false;
   }
-  const std::uint32_t cores = runtime_.machine().core_count();
   // Record the compliance target before touching the runtime, keyed on the
   // epoch so a reordered (delayed/duplicated) older command never regresses
   // the pending ack. kUnconstrained means "no running-thread ceiling".
@@ -71,24 +60,7 @@ bool RuntimeAdapter::apply(const Command& command) {
         for (std::uint32_t n = 0; n < nodes; ++n) target += command.node_threads[n];
         break;
       }
-      case CommandType::kBlockCores: {
-        // Bits past the last core block nothing, so they cannot lower the
-        // target either.
-        std::uint32_t blocked = 0;
-        for (std::uint32_t w = 0; w < kMaxCoreWords; ++w) {
-          blocked += static_cast<std::uint32_t>(
-              __builtin_popcountll(in_range_bits(command, w, cores)));
-        }
-        // An empty mask is "clear controls" below; a full one still leaves
-        // target 0 — enactment then requires every worker parked.
-        target = blocked == 0 || blocked >= cores ? (blocked == 0 ? kUnconstrained : 0)
-                                                  : cores - blocked;
-        break;
-      }
-      case CommandType::kClearControls:
-        target = kUnconstrained;
-        break;
-      default:
+      default:  // kClearControls lifts the ceiling
         break;
     }
     pending_epoch_ = command.epoch;
@@ -100,23 +72,6 @@ bool RuntimeAdapter::apply(const Command& command) {
       runtime_.set_total_thread_target(command.total_threads);
       last_grant_ = spread_total(runtime_.machine(), command.total_threads);
       break;
-    case CommandType::kBlockCores: {
-      topo::CpuSet blocked;
-      for (std::uint32_t w = 0; w < kMaxCoreWords; ++w) {
-        std::uint64_t bits = in_range_bits(command, w, cores);
-        while (bits) {
-          const int bit = __builtin_ctzll(bits);
-          blocked.set(w * 64 + static_cast<std::uint32_t>(bit));
-          bits &= bits - 1;
-        }
-      }
-      if (blocked.empty()) {
-        runtime_.clear_thread_controls();
-      } else {
-        runtime_.set_blocked_cores(blocked);
-      }
-      break;
-    }
     case CommandType::kSetNodeThreads: {
       std::vector<std::uint32_t> targets(command.node_threads, command.node_threads + nodes);
       runtime_.set_node_thread_targets(targets);

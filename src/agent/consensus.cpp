@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/assert.hpp"
+#include "core/optimizer.hpp"
 
 namespace numashare::agent {
 
@@ -48,18 +49,6 @@ model::Allocation arbitrate(const topo::Machine& machine,
   }
   NS_ASSERT(allocation.validate(machine));
   return allocation;
-}
-
-Proposal fair_proposal(const topo::Machine& machine, std::uint32_t app,
-                       std::uint32_t participants) {
-  NS_REQUIRE(participants > 0, "need at least one participant");
-  Proposal p;
-  p.app = app;
-  p.desired_per_node.resize(machine.node_count());
-  for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
-    p.desired_per_node[n] = machine.cores_in_node(n) / participants;
-  }
-  return p;
 }
 
 Proposal ai_proposal(const topo::Machine& machine, std::uint32_t app, ArithmeticIntensity ai) {
@@ -116,18 +105,15 @@ SlotAllocation arbitrate_slots(const topo::Machine& machine,
 }
 
 std::vector<std::uint32_t> conservative_desired(const topo::Machine& machine,
-                                                std::uint32_t participants,
+                                                std::uint32_t participants, std::uint32_t rank,
                                                 const std::vector<std::uint32_t>& last_granted) {
-  const auto fair = fair_proposal(machine, 0, std::max(1u, participants)).desired_per_node;
+  NS_REQUIRE(rank < participants, "rank must name one of the participants");
+  const auto fair = model::fair_share(machine, participants);
   std::vector<std::uint32_t> out(machine.node_count());
   for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
-    // At least one thread somewhere is always sought (node 0 as the anchor
-    // when the fair share rounds to zero); the last-granted clamp still
-    // applies so a capped app cannot grow through a daemon crash.
-    std::uint32_t want = fair[n];
-    if (n == 0 && want == 0) want = 1;
-    if (n < last_granted.size()) want = std::min(want, last_granted[n]);
-    out[n] = want;
+    // The last-granted clamp: a capped app cannot grow through a daemon crash.
+    out[n] = fair.threads(rank, n);
+    if (n < last_granted.size()) out[n] = std::min(out[n], last_granted[n]);
   }
   return out;
 }

@@ -36,11 +36,6 @@ struct Proposal {
 model::Allocation arbitrate(const topo::Machine& machine,
                             const std::vector<Proposal>& proposals);
 
-/// The fair-share proposal an app with no better information submits:
-/// cores_in_node / participants on every node.
-Proposal fair_proposal(const topo::Machine& machine, std::uint32_t app,
-                       std::uint32_t participants);
-
 /// The self-interested proposal of an app that knows its arithmetic
 /// intensity: on each node, just enough threads for its aggregate demand to
 /// saturate the node's memory bandwidth (extra threads of a memory-bound
@@ -71,13 +66,16 @@ struct SlotAllocation {
 SlotAllocation arbitrate_slots(const topo::Machine& machine,
                                std::vector<SlotProposal> proposals);
 
-/// The conservative degraded-mode proposal: the fair share, additionally
-/// clamped elementwise to `last_granted` (per-node threads the dead daemon
-/// last granted this app) when that is known. Survivors arbitrating only
-/// such proposals can never oversubscribe beyond the last daemon-sanctioned
+/// The conservative degraded-mode proposal of the participant ranked `rank`
+/// (0-based, by slot) among `participants`: its row of
+/// model::fair_share(machine, participants), which hands out every core and
+/// leaves no participant at zero while there are cores for all, clamped
+/// elementwise to `last_granted` (per-node threads the dead daemon last
+/// granted this app) when that is known. Survivors arbitrating only such
+/// proposals can never oversubscribe beyond the last daemon-sanctioned
 /// state, no matter how membership churns.
 std::vector<std::uint32_t> conservative_desired(const topo::Machine& machine,
-                                                std::uint32_t participants,
+                                                std::uint32_t participants, std::uint32_t rank,
                                                 const std::vector<std::uint32_t>& last_granted);
 
 }  // namespace numashare::agent

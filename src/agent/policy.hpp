@@ -1,8 +1,11 @@
 // Policy interface: the decision brain the agent runs on each tick.
 //
-// A policy sees one AppView per managed application (latest telemetry plus
-// smoothed rates) and answers with one Directive per application. Directives
-// map one-to-one onto the paper's thread-blocking options.
+// A policy sees one AppView per managed application and answers with one
+// Directive per application. The AppView is the agent's only record of an
+// app's control state: the telemetry the runtime last sent, the smoothed
+// task rate, the epochs commanded and acknowledged, and the administrative
+// thread cap. The daemon's compliance watchdog reads the same views.
+// Directives map onto the paper's thread-blocking options 1 and 3.
 #pragma once
 
 #include <memory>
@@ -18,23 +21,20 @@ namespace numashare::agent {
 struct AppView {
   std::string name;
   bool has_telemetry = false;
+  /// The newest telemetry sample (stalled_workers included: nonzero tells
+  /// the compliance watchdog the app is starved, not defiant).
   Telemetry latest;
-  /// EWMA rates, per second of agent time.
+  /// EWMA of tasks executed per second of sender time; starts from 0 and
+  /// moves once a second sample gives a delta.
   double task_rate = 0.0;
-  double progress_rate = 0.0;
   /// Telemetry samples the app failed to push because the ring was full
   /// (cumulative, from the channel's drop counter).
   std::uint64_t telemetry_dropped = 0;
-  /// Agent-clock time (monotonic seconds) of the last step() that ingested
-  /// fresh telemetry for this app; < 0 before the first sample. Lets
-  /// policies and tools tell a quiet app from a chatty one without touching
-  /// the channel.
-  double last_update_s = -1.0;
-  /// Compliance bookkeeping, mirrored by the agent each step: the newest
-  /// thread-target epoch commanded to this app, the newest epoch the app has
-  /// reported enacted, and the target it enacted (kUnconstrained = no active
-  /// ceiling). commanded_epoch > enacted_epoch means the app has not yet
-  /// proven compliance with the latest command.
+  /// Compliance bookkeeping: the newest thread-target epoch commanded to
+  /// this app (the agent bumps it when a command reaches the ring), the
+  /// newest epoch the app has reported enacted, and the target it enacted
+  /// (kUnconstrained = no active ceiling). commanded_epoch > enacted_epoch
+  /// means the app has not yet proven compliance with the latest command.
   std::uint64_t commanded_epoch = 0;
   std::uint64_t enacted_epoch = 0;
   std::uint32_t enacted_target = kUnconstrained;

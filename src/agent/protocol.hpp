@@ -4,6 +4,10 @@
 // (number of tasks executed, number of running threads, etc.) and it issues
 // commands instructing the runtimes to use a specified number of threads."
 //
+// Commands carry the paper's options 1 (a total thread count) and 3 (thread
+// counts per NUMA node); option 2, blocking named cores, stays a local
+// runtime control (rt::Runtime::set_blocked_cores) that no policy sends.
+//
 // Both message types are trivially copyable PODs with fixed-size payloads, so
 // they live in the lock-free SPSC rings of an agent::ShmChannel, whether its
 // segment is shared between processes or privately mapped in one.
@@ -15,11 +19,9 @@
 namespace numashare::agent {
 
 inline constexpr std::uint32_t kMaxNodes = 16;
-inline constexpr std::uint32_t kMaxCoreWords = 4;  // 256 cores
 
 enum class CommandType : std::uint32_t {
   kSetTotalThreads = 1,  // option 1
-  kBlockCores = 2,       // option 2
   kSetNodeThreads = 3,   // option 3
   kClearControls = 4,
   /// §III.A: "there should be a way to ... influence where the application
@@ -33,14 +35,13 @@ struct Command {
   std::uint32_t total_threads = 0;
   std::uint32_t node_count = 0;
   std::uint32_t node_threads[kMaxNodes] = {};
-  std::uint64_t core_mask[kMaxCoreWords] = {};
   /// kSuggestDataHome payload (kMaxNodes = no suggestion).
   std::uint32_t suggested_home = kMaxNodes;
   /// Monotonic per-channel sequence; lets the runtime detect gaps.
   std::uint64_t seq = 0;
   /// Compliance epoch: monotonically increasing per app, stamped on every
   /// thread-target command (kSetTotalThreads / kSetNodeThreads /
-  /// kBlockCores / kClearControls). The runtime echoes the newest epoch it
+  /// kClearControls). The runtime echoes the newest epoch it
   /// has *fully enacted* (all surplus threads actually blocked) back in
   /// Telemetry::enacted_epoch, which is what lets the arbiter distinguish a
   /// slow-but-cooperating client from one that ignores commands. 0 on

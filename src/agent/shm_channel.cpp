@@ -24,7 +24,9 @@ constexpr std::uint64_t kMagic = 0x6e756d6173686172ull;  // "numashar"
 //     (blocks_migrated / bytes_migrated; message size changed).
 // v5: Command carries the issuing daemon's arbiter_generation (failback
 //     fencing; message size changed).
-constexpr std::uint32_t kVersion = 5;
+// v6: the option-2 block-cores command and its 256-bit core bitmap are
+//     gone (no policy sent them; Command shrinks from 152 to 112 bytes).
+constexpr std::uint32_t kVersion = 6;
 
 /// The transport fault sites of one ring (docs/INJECT.md).
 struct RingSites {

@@ -36,6 +36,14 @@ bool pid_is_dead(std::uint32_t pid) {
   return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
 }
 
+/// Store `value` into a daemon-written slot mirror unless it already holds it.
+template <typename T>
+void store_if_changed(std::atomic<T>& mirror, T value) {
+  if (mirror.load(std::memory_order_relaxed) != value) {
+    mirror.store(value, std::memory_order_relaxed);
+  }
+}
+
 std::string slot_client_name(const ClientSlot& slot) {
   return std::string(slot.name, strnlen(slot.name, sizeof(slot.name)));
 }
@@ -239,6 +247,7 @@ void Daemon::admit(std::uint32_t index, std::uint64_t joining_word, double now) 
   slot.enacted_epoch.store(0, std::memory_order_relaxed);
   slot.commands_dropped.store(0, std::memory_order_relaxed);
   slot.telemetry_dropped.store(0, std::memory_order_relaxed);
+  slot.stalled_workers.store(0, std::memory_order_relaxed);
 
   // Write-ahead: journal the join, then activate. A crash between the two
   // leaves a journaled join with no active slot — recovery semantics the
@@ -469,28 +478,18 @@ std::uint32_t Daemon::tick(double now) {
   // membership) and that pass left every client healthy and caught up, no
   // state machine can transition — every armed deadline requires a client
   // behind or in a degraded health state. Skipping the pass keeps the idle
-  // tick free of the bulk snapshot and the per-client walk.
+  // tick free of the per-client walk.
   const bool quiet = sent == 0 && compliance_all_quiet_ &&
                      agent_->generation() == compliance_pass_generation_ &&
                      agent_->telemetry_received() == compliance_pass_telemetry_;
   if (!quiet) {
-    // One bulk snapshot serves the whole pass; a compliance-evict mid-pass
-    // shifts agent indices (generation bump), so the snapshot refreshes
-    // then.
-    agent_->snapshot_compliance(compliance_scratch_);
-    std::uint64_t scratch_generation = agent_->generation();
     compliance_all_quiet_ = true;
     for (std::uint32_t shard = 0; shard < kRegistryShards; ++shard) {
       std::uint64_t bits = used_bits_[shard];
       for (; bits != 0; bits &= bits - 1) {
         const std::uint32_t i =
             shard * kSlotsPerShard + static_cast<std::uint32_t>(std::countr_zero(bits));
-        if (!clients_[i].used) continue;
-        if (agent_->generation() != scratch_generation) {
-          agent_->snapshot_compliance(compliance_scratch_);
-          scratch_generation = agent_->generation();
-        }
-        check_compliance(i, now);
+        if (clients_[i].used) check_compliance(i, now);
       }
     }
     compliance_pass_generation_ = agent_->generation();
@@ -515,25 +514,24 @@ std::uint32_t Daemon::tick(double now) {
 
 void Daemon::check_compliance(std::uint32_t index, double now) {
   auto& client = clients_[index];
-  // Index-addressed compliance fetch from the tick's bulk snapshot: the
-  // cached index survives until any join/leave bumps the agent generation,
-  // so the steady-state tick does one vector read per client instead of a
-  // mutex acquisition and a name hash.
+  auto& slot = registry_->slot(index);
+  // The agent's view is the one record of the client's epochs and stall
+  // report. Its index is cached until a join or leave bumps the agent
+  // generation (a compliance-evict mid-pass does), so the steady-state tick
+  // does one vector read per client instead of a mutex and a name hash.
   if (client.agent_index_generation != agent_->generation()) {
     client.agent_index = agent_->find_app(client.app_name);
     client.agent_index_generation = agent_->generation();
   }
-  const auto comp = client.agent_index < compliance_scratch_.size()
-                        ? compliance_scratch_[client.agent_index]
-                        : agent::Agent::ComplianceState{};
+  NS_ASSERT(client.agent_index < agent_->views().size());
+  const auto& view = agent_->views()[client.agent_index];
+  // Copies: set_app_thread_cap and retire below touch the views.
+  const std::uint64_t commanded = view.commanded_epoch;
+  const std::uint64_t enacted = view.enacted_epoch;
+  const std::uint32_t enacted_target = view.enacted_target;
+  const std::uint32_t stalled = view.latest.stalled_workers;
   const ClientHealth health_before = client.health;
-  const bool epochs_changed = client.commanded_epoch != comp.commanded_epoch ||
-                              client.enacted_epoch != comp.enacted_epoch ||
-                              client.stalled_workers != comp.stalled_workers;
-  client.commanded_epoch = comp.commanded_epoch;
-  client.enacted_epoch = comp.enacted_epoch;
-  client.stalled_workers = comp.stalled_workers;
-  const bool behind = comp.commanded_epoch > comp.enacted_epoch;
+  const bool behind = commanded > enacted;
   // A client behind or in any degraded health state has armed deadlines:
   // the watchdog pass must keep running for it even on otherwise-quiet
   // ticks (health may still change below; checked again at the end).
@@ -549,21 +547,20 @@ void Daemon::check_compliance(std::uint32_t index, double now) {
   // (commanded-online but unscheduled) workers, being behind is starvation,
   // not defiance — punishing it would only deepen the starvation. Hold the
   // escalation clock; it restarts the moment the stall clears.
-  if (behind && comp.stalled_workers > 0 && client.health == ClientHealth::kHealthy) {
+  if (behind && stalled > 0 && client.health == ClientHealth::kHealthy) {
     client.behind_since_s = now;
-    if (client.stall_journaled_epoch != comp.commanded_epoch) {
-      client.stall_journaled_epoch = comp.commanded_epoch;
+    if (client.stall_journaled_epoch != commanded) {
+      client.stall_journaled_epoch = commanded;
       NS_LOG_WARN("daemon",
                   "enactment-stalled: '{}' behind (commanded {} enacted {}) with {} "
                   "unscheduled workers; holding escalation",
-                  client.app_name, comp.commanded_epoch, comp.enacted_epoch,
-                  comp.stalled_workers);
+                  client.app_name, commanded, enacted, stalled);
       journal_.record(now, "enactment-stalled",
                       {{"client", jstr(client.app_name)},
                        {"slot", jnum(index)},
-                       {"commanded", jnum(comp.commanded_epoch)},
-                       {"enacted", jnum(comp.enacted_epoch)},
-                       {"stalled_workers", jnum(comp.stalled_workers)}});
+                       {"commanded", jnum(commanded)},
+                       {"enacted", jnum(enacted)},
+                       {"stalled_workers", jnum(stalled)}});
     }
   }
 
@@ -574,19 +571,19 @@ void Daemon::check_compliance(std::uint32_t index, double now) {
         // the client at what it has provably enacted (never below the
         // floor); the policy redistributes the difference on the next step.
         const std::uint32_t cap =
-            comp.enacted_target == agent::kUnconstrained
+            enacted_target == agent::kUnconstrained
                 ? options_.quarantine_floor_threads
-                : std::max(options_.quarantine_floor_threads, comp.enacted_target);
+                : std::max(options_.quarantine_floor_threads, enacted_target);
         agent_->set_app_thread_cap(client.app_name, cap);
         client.health = ClientHealth::kLaggard;
         ++stats_.laggards;
         NS_LOG_WARN("daemon", "laggard: '{}' behind (commanded {} enacted {}), capped at {}",
-                    client.app_name, comp.commanded_epoch, comp.enacted_epoch, cap);
+                    client.app_name, commanded, enacted, cap);
         journal_.record(now, "laggard",
                         {{"client", jstr(client.app_name)},
                          {"slot", jnum(index)},
-                         {"commanded", jnum(comp.commanded_epoch)},
-                         {"enacted", jnum(comp.enacted_epoch)},
+                         {"commanded", jnum(commanded)},
+                         {"enacted", jnum(enacted)},
                          {"cap", jnum(cap)}});
       }
       break;
@@ -682,32 +679,21 @@ void Daemon::check_compliance(std::uint32_t index, double now) {
   if (client.health != ClientHealth::kHealthy) compliance_all_quiet_ = false;
 
   // Mirror the watchdog's view into the registry slot for daemon-status.
-  // Stores are gated on change (admit() seeds the slot with the same
-  // defaults the Client reset carries), keeping the quiescent-client tick
-  // free of shared-memory writes.
-  auto& slot = registry_->slot(index);
+  // The daemon is the slot mirrors' only writer, so each store is gated on
+  // the mirror itself, keeping the quiescent-client tick free of
+  // shared-memory writes.
   if (client.health != health_before) {
     slot.health.store(static_cast<std::uint32_t>(client.health), std::memory_order_relaxed);
   }
-  if (epochs_changed) {
-    slot.commanded_epoch.store(client.commanded_epoch, std::memory_order_relaxed);
-    slot.enacted_epoch.store(client.enacted_epoch, std::memory_order_relaxed);
-    slot.stalled_workers.store(client.stalled_workers, std::memory_order_relaxed);
-  }
+  store_if_changed(slot.commanded_epoch, commanded);
+  store_if_changed(slot.enacted_epoch, enacted);
+  store_if_changed(slot.stalled_workers, stalled);
   // Drop counters feed daemon-status only; refreshing them means two
   // ring-header loads per client, so do it on a cadence rather than every
   // tick (second-scale staleness is fine for an observability mirror).
   if (client.channel != nullptr && stats_.ticks % kDropMirrorEveryTicks == 0) {
-    const std::uint64_t cmd_dropped = client.channel->commands_dropped();
-    const std::uint64_t tel_dropped = client.channel->telemetry_dropped();
-    if (cmd_dropped != client.mirrored_commands_dropped) {
-      client.mirrored_commands_dropped = cmd_dropped;
-      slot.commands_dropped.store(cmd_dropped, std::memory_order_relaxed);
-    }
-    if (tel_dropped != client.mirrored_telemetry_dropped) {
-      client.mirrored_telemetry_dropped = tel_dropped;
-      slot.telemetry_dropped.store(tel_dropped, std::memory_order_relaxed);
-    }
+    store_if_changed(slot.commands_dropped, client.channel->commands_dropped());
+    store_if_changed(slot.telemetry_dropped, client.channel->telemetry_dropped());
   }
 }
 
@@ -877,6 +863,7 @@ void Daemon::journal_checkpoint(double now) {
   for (std::uint32_t i = 0; i < kMaxClients; ++i) {
     const auto& client = clients_[i];
     if (!client.used) continue;
+    const auto& slot = registry_->slot(i);
     if (!first) clients += ",";
     first = false;
     clients += "{\"slot\":" + jnum(i) + ",\"client\":" + jstr(client.app_name) +
@@ -884,8 +871,8 @@ void Daemon::journal_checkpoint(double now) {
                ",\"ai\":" + jnum(client.advertised_ai) +
                ",\"channel\":" + jstr(client.channel != nullptr ? client.channel->name() : "") +
                ",\"health\":" + jstr(to_string(client.health)) +
-               ",\"commanded\":" + jnum(client.commanded_epoch) +
-               ",\"enacted\":" + jnum(client.enacted_epoch) +
+               ",\"commanded\":" + jnum(slot.commanded_epoch.load(std::memory_order_relaxed)) +
+               ",\"enacted\":" + jnum(slot.enacted_epoch.load(std::memory_order_relaxed)) +
                ",\"offenses\":" + jnum(client.offenses) + "}";
   }
   clients += "]";
@@ -980,17 +967,19 @@ void Daemon::recover_from_journal() {
 
 std::optional<Daemon::ComplianceView> Daemon::compliance_view(
     const std::string& app_name) const {
-  for (const auto& client : clients_) {
+  for (std::uint32_t i = 0; i < kMaxClients; ++i) {
+    const auto& client = clients_[i];
     if (!client.used || client.app_name != app_name) continue;
+    const auto& slot = registry_->slot(i);
     ComplianceView view;
     view.health = client.health;
-    view.commanded_epoch = client.commanded_epoch;
-    view.enacted_epoch = client.enacted_epoch;
+    view.commanded_epoch = slot.commanded_epoch.load(std::memory_order_relaxed);
+    view.enacted_epoch = slot.enacted_epoch.load(std::memory_order_relaxed);
     view.offenses = client.offenses;
     view.probing = client.probing;
     view.next_probe_s = client.next_probe_s;
     view.backoff_s = client.backoff_s;
-    view.stalled_workers = client.stalled_workers;
+    view.stalled_workers = slot.stalled_workers.load(std::memory_order_relaxed);
     return view;
   }
   return std::nullopt;

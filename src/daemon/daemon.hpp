@@ -180,7 +180,9 @@ class Daemon {
   std::size_t client_count() const;
   bool initialized() const { return registry_ != nullptr; }
 
-  /// Compliance watchdog view of one client, for tests and tooling.
+  /// Compliance watchdog view of one client, for tests and tooling: the
+  /// watchdog's own state plus the epochs and stall count it last mirrored
+  /// into the client's registry slot.
   struct ComplianceView {
     ClientHealth health = ClientHealth::kHealthy;
     std::uint64_t commanded_epoch = 0;
@@ -216,25 +218,14 @@ class Daemon {
     double next_probe_s = -1.0;    ///< when the next probe may start
     double probe_deadline_s = -1.0;
     bool probing = false;
-    /// Last observed epochs, mirrored into the registry slot.
-    std::uint64_t commanded_epoch = 0;
-    std::uint64_t enacted_epoch = 0;
-    /// Latest watchdog report from the client's telemetry: workers the OS
-    /// is not scheduling. Nonzero holds compliance escalation (the client
-    /// is starved, not defiant).
-    std::uint32_t stalled_workers = 0;
     /// Epoch for which an "enactment-stalled" journal entry was last
     /// written, so a long stall journals once per commanded epoch.
     std::uint64_t stall_journaled_epoch = 0;
-    /// Cached agent app index for this client, valid while
+    /// Cached index of this client's agent view, valid while
     /// agent_index_generation matches Agent::generation(); refreshed lazily
-    /// so the per-tick watchdog pass skips the name hash (compliance_at).
+    /// so the per-tick watchdog pass skips the name hash.
     std::size_t agent_index = 0;
     std::uint64_t agent_index_generation = ~std::uint64_t{0};
-    /// Channel drop counters last mirrored into the registry slot; stores
-    /// are gated on change so a quiescent client's tick stays write-free.
-    std::uint64_t mirrored_commands_dropped = 0;
-    std::uint64_t mirrored_telemetry_dropped = 0;
   };
 
   /// Service one slot's state machine (admit/retire/recycle/claim-timeout).
@@ -277,9 +268,6 @@ class Daemon {
   /// Advertisements by app name, for AdvertisedAiPolicy's per-view lookup
   /// (a linear clients_ scan there is O(n^2) per decide).
   std::unordered_map<std::string, Advertisement> advertised_by_name_;
-  /// Per-tick bulk compliance snapshot (indexed by agent app index), reused
-  /// across ticks so the watchdog pass allocates nothing in steady state.
-  std::vector<agent::Agent::ComplianceState> compliance_scratch_;
   /// Quiet-skip state for the watchdog pass: the pass is elided when the
   /// previous one left every client healthy and caught up AND none of its
   /// inputs (commands sent, telemetry ingested, membership) changed since.

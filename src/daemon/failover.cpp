@@ -166,8 +166,10 @@ void FailoverClient::publish_proposal(const std::vector<std::uint32_t>& last_gra
   auto* registry = client_.registry();
   if (registry == nullptr || client_.slot_index() >= kMaxClients) return;
   // Count the survivors sharing the orphaned segment — every kActive slot
-  // with a live pid still wants its share.
+  // with a live pid still wants its share — and this one's rank among them,
+  // which picks its row of the fair share.
   std::uint32_t survivors = 0;
+  std::uint32_t rank = 0;
   for (std::uint32_t i = 0; i < kMaxClients; ++i) {
     const auto& other = registry->slot(i);
     if (state_of(other.state_word.load(std::memory_order_acquire)) != SlotState::kActive) continue;
@@ -175,10 +177,12 @@ void FailoverClient::publish_proposal(const std::vector<std::uint32_t>& last_gra
         !pid_alive(other.pid.load(std::memory_order_relaxed))) {
       continue;
     }
+    if (i < client_.slot_index()) ++rank;
     ++survivors;
   }
-  const auto desired =
-      agent::conservative_desired(machine_, std::max(1u, survivors), last_grant);
+  // Our own slot may already read other than kActive; it still proposes.
+  survivors = std::max(survivors, rank + 1);
+  const auto desired = agent::conservative_desired(machine_, survivors, rank, last_grant);
   auto& slot = registry->slot(client_.slot_index());
   for (std::uint32_t n = 0; n < agent::kMaxNodes; ++n) {
     slot.proposal_desired[n].store(n < desired.size() ? desired[n] : 0,

@@ -345,8 +345,11 @@ TaskNode* Runtime::find_task(Worker& w) {
     }
     task->poach_skipped = true;
     metrics_.shard(w.id).steal_vetoes.fetch_add(1, std::memory_order_relaxed);
-    push_injection(task->footprint_node, task);
-    wake_one_idle(task->footprint_node);
+    // Once pushed, the task may run and its slot be recycled by another
+    // thread: read the home before publishing.
+    const topo::NodeId home = task->footprint_node;
+    push_injection(home, task);
+    wake_one_idle(home);
     return true;
   };
   // Metrics for a cross-node acquisition that stuck.

@@ -55,35 +55,6 @@ TEST(Channel, NodeThreadsCommand) {
   EXPECT_EQ(runtime.control_mode(), rt::ControlMode::kPerNode);
 }
 
-TEST(Channel, BlockCoresCommandRoundTripsMask) {
-  rt::Runtime runtime(machine_2x2());
-  ShmChannel channel;
-  RuntimeAdapter adapter(runtime, channel);
-
-  Command cmd;
-  cmd.type = CommandType::kBlockCores;
-  cmd.core_mask[0] = 0b1001;  // cores 0 and 3
-  channel.push_command(cmd);
-  adapter.pump();
-  EXPECT_TRUE(eventually([&] { return runtime.blocked_threads() == 2; }));
-  const auto per_node = runtime.running_per_node();
-  EXPECT_EQ(per_node[0], 1u);
-  EXPECT_EQ(per_node[1], 1u);
-}
-
-TEST(Channel, EmptyCoreMaskClears) {
-  rt::Runtime runtime(machine_2x2());
-  ShmChannel channel;
-  RuntimeAdapter adapter(runtime, channel);
-  runtime.set_total_thread_target(0);
-  Command cmd;
-  cmd.type = CommandType::kBlockCores;  // all-zero mask
-  channel.push_command(cmd);
-  adapter.pump();
-  EXPECT_TRUE(eventually([&] { return runtime.running_threads() == 4; }));
-  EXPECT_EQ(runtime.control_mode(), rt::ControlMode::kNone);
-}
-
 TEST(Channel, TelemetryReflectsRuntime) {
   rt::Runtime runtime(machine_2x2(), {.name = "tel"});
   ShmChannel channel;
@@ -172,27 +143,6 @@ TEST(Channel, NodeCountMismatchIsDroppedUnacked) {
   EXPECT_EQ(adapter.pump(), 1u);
   EXPECT_EQ(runtime.control_mode(), rt::ControlMode::kPerNode);
   EXPECT_EQ(adapter.enacted_epoch(), 2000u);
-}
-
-TEST(Channel, OutOfRangeCoreBitsDoNotLowerTheAckTarget) {
-  rt::Runtime runtime(machine_2x2());
-  ShmChannel channel;
-  RuntimeAdapter adapter(runtime, channel);
-
-  // Core 0 plus a bit for core 100, which a 4-core machine does not have:
-  // one worker parks, so the enactable target is 3 running threads.
-  Command cmd;
-  cmd.type = CommandType::kBlockCores;
-  cmd.core_mask[0] = 0b1;
-  cmd.core_mask[1] = std::uint64_t{1} << (100 - 64);
-  cmd.seq = cmd.epoch = 1;
-  ASSERT_TRUE(channel.push_command(cmd));
-  EXPECT_TRUE(eventually([&] {
-    adapter.pump();
-    return adapter.enacted_epoch() == 1u;
-  }));
-  EXPECT_EQ(adapter.enacted_target(), 3u);
-  EXPECT_EQ(runtime.blocked_threads(), 1u);
 }
 
 TEST(Channel, StaleGenerationCommandIsFenced) {

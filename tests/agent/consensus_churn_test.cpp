@@ -118,17 +118,52 @@ TEST(ConsensusChurn, DuplicateSlotsAreRejected) {
 
 TEST(ConsensusChurn, ConservativeDesiredClampsToLastGrant) {
   const auto machine = topo::paper_model_machine();  // 4 nodes x 8 cores
-  // Unconstrained: the plain fair share.
-  EXPECT_EQ(conservative_desired(machine, 4, {}),
-            (std::vector<std::uint32_t>{2, 2, 2, 2}));
+  // Unconstrained: the participant's row of the fair share.
+  for (std::uint32_t rank = 0; rank < 4; ++rank) {
+    EXPECT_EQ(conservative_desired(machine, 4, rank, {}),
+              (std::vector<std::uint32_t>{2, 2, 2, 2}));
+  }
   // A capped app cannot grow through a daemon crash: elementwise min.
-  EXPECT_EQ(conservative_desired(machine, 4, {1, 0, 8, 2}),
+  EXPECT_EQ(conservative_desired(machine, 4, 0, {1, 0, 8, 2}),
             (std::vector<std::uint32_t>{1, 0, 2, 2}));
-  // Many participants round the fair share to zero; node 0 anchors one
-  // thread so the proposal still seeks progress...
-  EXPECT_EQ(conservative_desired(machine, 16, {})[0], 1u);
-  // ...unless even that exceeds the last grant.
-  EXPECT_EQ(conservative_desired(machine, 16, {0, 1, 0, 0})[0], 0u);
+  // Sixteen participants split each node eight ways: every rank still seeks
+  // two threads, the low ranks on nodes 0 and 2, the high ones on 1 and 3...
+  EXPECT_EQ(conservative_desired(machine, 16, 0, {}),
+            (std::vector<std::uint32_t>{1, 0, 1, 0}));
+  EXPECT_EQ(conservative_desired(machine, 16, 15, {}),
+            (std::vector<std::uint32_t>{0, 1, 0, 1}));
+  // ...unless that exceeds the last grant.
+  EXPECT_EQ(conservative_desired(machine, 16, 0, {0, 1, 0, 0}),
+            (std::vector<std::uint32_t>{0, 0, 0, 0}));
+}
+
+// Degraded survivors proposing their fair-share rows hand out the whole
+// machine and leave nobody at zero threads, including when the survivors do
+// not divide a node's cores.
+TEST(ConsensusChurn, ConservativeProposalsUseEveryCore) {
+  struct Case {
+    topo::Machine machine;
+    std::uint32_t survivors;
+  };
+  const Case cases[] = {{topo::Machine::symmetric(2, 2, 1.0, 10.0), 3},
+                        {topo::paper_skylake_machine(), 21},
+                        {topo::paper_skylake_machine(), 3}};
+  for (const auto& [machine, survivors] : cases) {
+    SCOPED_TRACE(machine.name() + " x" + std::to_string(survivors));
+    std::vector<SlotProposal> proposals(survivors);
+    for (std::uint32_t rank = 0; rank < survivors; ++rank) {
+      proposals[rank].slot = 5 + 3 * rank;  // sparse, as in the registry
+      proposals[rank].desired_per_node = conservative_desired(machine, survivors, rank, {});
+    }
+    const auto result = arbitrate_slots(machine, std::move(proposals));
+    EXPECT_EQ(result.allocation.total(), machine.core_count());
+    for (topo::NodeId n = 0; n < machine.node_count(); ++n) {
+      EXPECT_EQ(result.allocation.node_total(n), machine.cores_in_node(n)) << "node " << n;
+    }
+    for (model::AppId a = 0; a < survivors; ++a) {
+      EXPECT_GE(result.allocation.app_total(a), 1u) << "survivor " << a;
+    }
+  }
 }
 
 }  // namespace

@@ -10,7 +10,9 @@ namespace {
 TEST(Consensus, FairProposalsFillMachineEvenly) {
   const auto machine = topo::paper_model_machine();  // 4x8
   std::vector<Proposal> proposals;
-  for (std::uint32_t a = 0; a < 4; ++a) proposals.push_back(fair_proposal(machine, a, 4));
+  for (std::uint32_t a = 0; a < 4; ++a) {
+    proposals.push_back({a, conservative_desired(machine, 4, a, {})});
+  }
   const auto allocation = arbitrate(machine, proposals);
   for (std::uint32_t a = 0; a < 4; ++a) {
     for (topo::NodeId n = 0; n < 4; ++n) EXPECT_EQ(allocation.threads(a, n), 2u);
@@ -22,7 +24,9 @@ TEST(Consensus, DeterministicAcrossParticipants) {
   // Each participant computes arbitrate() independently; all must agree.
   const auto machine = topo::paper_model_machine();
   std::vector<Proposal> proposals;
-  for (std::uint32_t a = 0; a < 4; ++a) proposals.push_back(fair_proposal(machine, a, 4));
+  for (std::uint32_t a = 0; a < 4; ++a) {
+    proposals.push_back({a, conservative_desired(machine, 4, a, {})});
+  }
   const auto first = arbitrate(machine, proposals);
   for (int participant = 0; participant < 4; ++participant) {
     EXPECT_TRUE(arbitrate(machine, proposals) == first);

@@ -31,9 +31,6 @@ void expect_same(const Command& sent, const Command& received, std::uint64_t seq
   for (std::uint32_t n = 0; n < kMaxNodes; ++n) {
     EXPECT_EQ(sent.node_threads[n], received.node_threads[n]);
   }
-  for (std::uint32_t w = 0; w < kMaxCoreWords; ++w) {
-    EXPECT_EQ(sent.core_mask[w], received.core_mask[w]);
-  }
   EXPECT_EQ(sent.suggested_home, received.suggested_home);
   EXPECT_EQ(sent.seq, received.seq);
 }
@@ -68,7 +65,6 @@ Command random_command(Xoshiro256& rng, std::uint64_t seq) {
   for (auto& threads : cmd.node_threads) {
     threads = static_cast<std::uint32_t>(rng.uniform_u64(256));
   }
-  for (auto& word : cmd.core_mask) word = rng.next();
   cmd.suggested_home = static_cast<std::uint32_t>(rng.uniform_u64(kMaxNodes + 1));
   cmd.seq = seq;
   return cmd;

@@ -1,8 +1,9 @@
 // model::decide, the one decision every caller runs: its solve budget, its
-// quality against the fixed-home exact search, and the separable problems
-// on which it skips the climb.
+// quality against the fixed-home exact search and against the exact
+// Option-3 optimum, and the separable problems on which it skips the climb.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <vector>
@@ -10,6 +11,7 @@
 #include "common/rng.hpp"
 #include "core/optimizer.hpp"
 #include "core/placement.hpp"
+#include "support/search_reference.hpp"
 #include "topology/presets.hpp"
 
 namespace numashare::model {
@@ -130,6 +132,55 @@ TEST(Decide, SeparableUniformWinnerIsNTimesOneNode) {
     EXPECT_EQ(decision.search.allocation, winner.allocation);
     EXPECT_EQ(decision.search.evaluated, winner.evaluated);
   }
+}
+
+TEST(Decide, ClimbStaysWithinItsGapOfTheExactOptimum) {
+  // Every per-node thread count of every app, under the same total floor
+  // the climb keeps, on mixed shapes small enough to enumerate: 2 nodes x 4
+  // cores x 3 apps (1 225 allocations) and 3 x 4 x 2 (3 375). NUMA-bad homes
+  // and serial fractions make the problems non-separable, so the climb runs.
+  // decide() can never beat the oracle. The gates are what was measured
+  // over these 80 problems (docs/MODEL.md §7): 68 solved exactly, the rest
+  // within 3.4% but one, where the single-thread climb stops 38.7% short.
+  struct Shape {
+    std::uint32_t nodes, cores, apps;
+  };
+  double worst_gap = 0.0;
+  int exact = 0;
+  for (const Shape shape : {Shape{2, 4, 3}, Shape{3, 4, 2}}) {
+    for (std::uint64_t seed = 0; seed < 40; ++seed) {
+      SCOPED_TRACE(testing::Message() << shape.nodes << "x" << shape.cores << "x"
+                                      << shape.apps << " seed " << seed);
+      Xoshiro256 rng(seed);
+      const double peak = rng.uniform(0.25, 16.0);
+      const double bandwidth = rng.uniform(4.0, 150.0);
+      const double link = rng.uniform(0.5, 40.0);
+      const auto machine =
+          topo::Machine::symmetric(shape.nodes, shape.cores, peak, bandwidth, link);
+      std::vector<AppSpec> apps;
+      for (std::uint32_t a = 0; a < shape.apps; ++a) {
+        const double ai = std::exp2(rng.uniform(-6.0, 2.0));
+        // App 0 is always NUMA-bad, so no problem is separable.
+        if (a == 0 || rng.uniform_u64(2) == 0) {
+          const auto home = static_cast<topo::NodeId>(rng.uniform_u64(shape.nodes));
+          apps.push_back(AppSpec::numa_bad("bad", ai, home));
+        } else {
+          apps.push_back(AppSpec::numa_perfect("perfect", ai));
+        }
+        if (rng.uniform_u64(2) == 0) apps.back().serial_fraction = rng.uniform(0.05, 0.5);
+      }
+      const auto decision = decide(machine, apps, Objective::kTotalGflops, 1);
+      const auto oracle =
+          exact_allocation_reference(machine, apps, Objective::kTotalGflops, 1);
+      const double decided = decision.search.objective_value;
+      EXPECT_LE(decided, oracle.objective_value * (1.0 + 1e-12));
+      const double gap = 1.0 - decided / oracle.objective_value;
+      worst_gap = std::max(worst_gap, gap);
+      if (gap < 1e-9) ++exact;
+    }
+  }
+  EXPECT_GE(exact, 68);
+  EXPECT_LE(worst_gap, 0.388);
 }
 
 }  // namespace

@@ -51,4 +51,46 @@ SearchResult exhaustive_search_reference(const topo::Machine& machine,
   return best;
 }
 
+SearchResult exact_allocation_reference(const topo::Machine& machine,
+                                        const std::vector<AppSpec>& apps, Objective objective,
+                                        std::uint32_t min_total_threads) {
+  NS_REQUIRE(!apps.empty(), "no apps");
+  const auto apps_n = static_cast<std::uint32_t>(apps.size());
+  const std::uint32_t cells = apps_n * machine.node_count();
+  Allocation allocation(apps_n, machine.node_count());
+  SearchResult best;
+  best.objective_value = -std::numeric_limits<double>::infinity();
+  // Cell c is app c % apps_n on node c / apps_n; `free` is what the cell's
+  // node has left after the apps before it.
+  const std::function<void(std::uint32_t, std::uint32_t)> visit = [&](std::uint32_t c,
+                                                                      std::uint32_t free) {
+    if (c == cells) {
+      for (AppId a = 0; a < apps_n; ++a) {
+        if (allocation.app_total(a) < min_total_threads) return;
+      }
+      Solution solution = solve(machine, apps, allocation);
+      ++best.evaluated;
+      ++best.visited;
+      const double value = score(solution, objective);
+      if (improves(value, best.objective_value)) {
+        best.objective_value = value;
+        best.allocation = allocation;
+        best.solution = std::move(solution);
+      }
+      return;
+    }
+    const auto app = static_cast<AppId>(c % apps_n);
+    const auto node = static_cast<topo::NodeId>(c / apps_n);
+    if (app == 0) free = machine.cores_in_node(node);
+    for (std::uint32_t threads = 0; threads <= free; ++threads) {
+      allocation.set_threads(app, node, threads);
+      visit(c + 1, free - threads);
+    }
+    allocation.set_threads(app, node, 0);
+  };
+  visit(0, 0);
+  NS_REQUIRE(best.evaluated > 0, "no allocation meets the floor");
+  return best;
+}
+
 }  // namespace numashare::model

@@ -185,14 +185,22 @@ TEST(TraceConvert, IgnoresUnknownFields) {
 // --- concurrent export (the memory-safe-prefix contract; TSan in CI) -------
 
 TEST(TraceConvert, ExportDuringRecordingParsesToConsistentPrefix) {
+  // Each export round releases one more fixed batch of events per writer
+  // and parses while the writers record it, so the trace (and the parse
+  // cost) grows by a bounded step per round, however fast the writers run.
+  constexpr int kRounds = 25;
+  constexpr int kEventsPerRound = 200;
   Tracer tracer;
-  std::atomic<bool> stop{false};
+  std::atomic<int> released{0};
   std::vector<std::thread> writers;
   for (int t = 0; t < 4; ++t) {
-    writers.emplace_back([&tracer, &stop, t] {
-      while (!stop.load(std::memory_order_relaxed)) {
-        Span span(&tracer, "work", "mt", static_cast<std::uint32_t>(t));
-        tracer.instant("tick", "mt", static_cast<std::uint32_t>(t));
+    writers.emplace_back([&tracer, &released, t] {
+      for (int round = 0; round < kRounds; ++round) {
+        while (released.load(std::memory_order_acquire) <= round) std::this_thread::yield();
+        for (int e = 0; e < kEventsPerRound; ++e) {
+          Span span(&tracer, "work", "mt", static_cast<std::uint32_t>(t));
+          tracer.instant("tick", "mt", static_cast<std::uint32_t>(t));
+        }
       }
     });
   }
@@ -200,17 +208,18 @@ TEST(TraceConvert, ExportDuringRecordingParsesToConsistentPrefix) {
   // Export repeatedly while writers are live: every artifact must parse and
   // hold a growing, self-consistent prefix of the recorded history.
   std::size_t last_count = 0;
-  for (int round = 0; round < 25; ++round) {
+  for (int round = 0; round < kRounds; ++round) {
+    released.store(round + 1, std::memory_order_release);
     ParsedTrace parsed;
     std::string error;
-    ASSERT_TRUE(parse_chrome_json(tracer.to_chrome_json(), parsed, &error)) << error;
+    // EXPECT, not ASSERT: returning here would leave the writers waiting.
+    EXPECT_TRUE(parse_chrome_json(tracer.to_chrome_json(), parsed, &error)) << error;
     EXPECT_GE(parsed.events.size(), last_count);
     last_count = parsed.events.size();
     for (const auto& event : parsed.events) {
       EXPECT_TRUE(event.name == "work" || event.name == "tick") << event.name;
     }
   }
-  stop.store(true);
   for (auto& w : writers) w.join();
 
   // After quiescence the artifact is complete: spans+instants add up.
