@@ -28,6 +28,7 @@
 
 #include "agent/channel.hpp"
 #include "daemon/failover.hpp"
+#include "obs/watchdog.hpp"
 #include "runtime/runtime.hpp"
 
 using namespace numashare;
@@ -76,8 +77,11 @@ int main(int argc, char** argv) {
               ai);
 
   // The runtime must mirror the daemon's node layout (published in the
-  // registry) so per-node thread targets land on matching pools.
-  rt::Runtime runtime(client.arbitration_machine(), {.name = name});
+  // registry) so per-node thread targets land on matching pools. Its
+  // scheduler-latency watchdog reports workers the OS is not running, so
+  // the daemon holds compliance escalation for a starved app.
+  rt::Runtime runtime(client.arbitration_machine(),
+                      {.name = name, .watchdog_deadline_us = obs::WatchdogOptions{}.deadline_us});
   // The adapter reads the client's channel, which a failback replaces: it
   // is dropped when the connection goes and rebuilt on the new channel.
   std::optional<agent::RuntimeAdapter> adapter(std::in_place, runtime,

@@ -24,12 +24,12 @@ constexpr std::size_t kConsumer = 1;
 constexpr double kForeignCoreDrift = 0.25;
 constexpr GBps kForeignBwDrift = 2.0;
 
-/// The model-guided policy maximises total GFLOPS, never starves an app
-/// below one thread, and re-runs the optimizer when an AI estimate drifts by
-/// more than kAiDriftThreshold of its last value (a changed data home
-/// always re-runs it).
-constexpr model::Objective kObjective = model::Objective::kTotalGflops;
+/// No policy starves an app below kMinThreadsPerApp threads. The
+/// model-guided policy maximises total GFLOPS and re-runs the optimizer when
+/// an AI estimate drifts by more than kAiDriftThreshold of its last value (a
+/// changed data home always re-runs it).
 constexpr std::uint32_t kMinThreadsPerApp = 1;
+constexpr model::Objective kObjective = model::Objective::kTotalGflops;
 constexpr double kAiDriftThreshold = 0.10;
 
 }  // namespace
@@ -89,11 +89,10 @@ std::vector<Directive> ProducerConsumerPolicy::decide(const topo::Machine& machi
   else if (lead < options_.min_lead) shift = -1;
   if (shift == 0) return out;
 
-  const std::uint32_t min_threads = options_.min_threads;
-  if (shift > 0 && producer_threads_ > min_threads) {
+  if (shift > 0 && producer_threads_ > kMinThreadsPerApp) {
     --producer_threads_;
     ++consumer_threads_;
-  } else if (shift < 0 && consumer_threads_ > min_threads) {
+  } else if (shift < 0 && consumer_threads_ > kMinThreadsPerApp) {
     ++producer_threads_;
     --consumer_threads_;
   } else {

@@ -47,8 +47,6 @@ struct ProducerConsumerOptions {
   /// Keep producer progress ahead of consumer progress within this band.
   std::uint64_t min_lead = 2;
   std::uint64_t max_lead = 8;
-  /// Each app always keeps at least this many threads.
-  std::uint32_t min_threads = 1;
 };
 
 class ProducerConsumerPolicy final : public Policy {

@@ -31,6 +31,19 @@ constexpr std::uint64_t kDropMirrorEveryTicks = 16;
 /// last one. Detection latency is bounded by timeout * (1 + fraction).
 constexpr double kLivenessCheckFraction = 0.125;
 
+// Compliance ladder (docs/DAEMON.md "Compliance watchdog"). Its windows are
+// multiples of DaemonOptions::enactment_deadline_s: a laggard still behind
+// one more deadline is quarantined, and readmission probes back off from
+// half a deadline, doubling per failed probe, up to eight deadlines.
+constexpr double kQuarantineAfterDeadlines = 2.0;
+constexpr double kReadmitBackoffDeadlines = 0.5;
+constexpr double kReadmitBackoffMaxDeadlines = 8.0;
+/// Total threads a quarantined client keeps (its floor allocation).
+constexpr std::uint32_t kQuarantineFloorThreads = 1;
+/// Evict ("compliance-evict") after this many offenses (quarantine entries
+/// plus failed probes).
+constexpr std::uint32_t kMaxComplianceOffenses = 4;
+
 bool pid_is_dead(std::uint32_t pid) {
   if (pid == 0) return true;
   return ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
@@ -375,18 +388,19 @@ void Daemon::process_slot(std::uint32_t index, double now) {
     case SlotState::kClaiming:
       // A claimant that dies (or stalls) here leaks the slot forever: no
       // other claimant can take it and the daemon never sees kJoining.
-      // Bound the window: reclaim after claim_timeout_s. The nonce bump
-      // makes a late publish by a merely-stalled claimant fail its CAS.
+      // Bound the window: reclaim after the heartbeat timeout, the same
+      // silence that evicts an admitted client. The nonce bump makes a late
+      // publish by a merely-stalled claimant fail its CAS.
       // claiming_bits_ keeps the slot on this tick-by-tick watch after its
       // attention bit (consumed on first sight) is gone.
       if (claim_first_seen_s_[index] < 0.0) {
         claim_first_seen_s_[index] = now;
         claiming_bits_[index / kSlotsPerShard] |= bit;
-      } else if (now - claim_first_seen_s_[index] > options_.claim_timeout_s) {
+      } else if (now - claim_first_seen_s_[index] > options_.heartbeat_timeout_s) {
         if (slot.try_transition(word, SlotState::kFree)) {
           ++stats_.claims_reclaimed;
           NS_LOG_WARN("daemon", "reclaimed slot {} stuck in claiming past {}s", index,
-                      options_.claim_timeout_s);
+                      options_.heartbeat_timeout_s);
           journal_.record(now, "claim-reclaimed", {{"slot", jnum(index)}});
         }
         claim_first_seen_s_[index] = -1.0;
@@ -496,9 +510,8 @@ std::uint32_t Daemon::tick(double now) {
     compliance_pass_telemetry_ = agent_->telemetry_received();
   }
   ++stats_.ticks;
-  registry_->header().tick.fetch_add(1, std::memory_order_release);
-  // The liveness word clients actually watch: they look for *change* within
-  // a miss window, never comparing cross-process clocks.
+  // The daemon's liveness word: clients look for *change* within a miss
+  // window, never comparing cross-process clocks.
   registry_->header().daemon_heartbeat.fetch_add(1, std::memory_order_release);
   if (sent > 0) {
     ++stats_.reallocations;
@@ -572,8 +585,8 @@ void Daemon::check_compliance(std::uint32_t index, double now) {
         // floor); the policy redistributes the difference on the next step.
         const std::uint32_t cap =
             enacted_target == agent::kUnconstrained
-                ? options_.quarantine_floor_threads
-                : std::max(options_.quarantine_floor_threads, enacted_target);
+                ? kQuarantineFloorThreads
+                : std::max(kQuarantineFloorThreads, enacted_target);
         agent_->set_app_thread_cap(client.app_name, cap);
         client.health = ClientHealth::kLaggard;
         ++stats_.laggards;
@@ -600,16 +613,16 @@ void Daemon::check_compliance(std::uint32_t index, double now) {
                          {"slot", jnum(index)},
                          {"from", jstr("laggard")}});
       } else if (now - client.behind_since_s >=
-                 options_.enactment_deadline_s + options_.quarantine_grace_s) {
+                 kQuarantineAfterDeadlines * options_.enactment_deadline_s) {
         ++client.offenses;
-        if (client.offenses >= options_.max_compliance_offenses) {
+        if (client.offenses >= kMaxComplianceOffenses) {
           ++stats_.compliance_evictions;
           retire(index, "compliance-evict", now);
           return;
         }
-        agent_->set_app_thread_cap(client.app_name, options_.quarantine_floor_threads);
+        agent_->set_app_thread_cap(client.app_name, kQuarantineFloorThreads);
         client.health = ClientHealth::kQuarantined;
-        client.backoff_s = options_.readmit_backoff_s;
+        client.backoff_s = kReadmitBackoffDeadlines * options_.enactment_deadline_s;
         client.next_probe_s = now + client.backoff_s;
         client.probing = false;
         ++stats_.quarantines;
@@ -619,7 +632,7 @@ void Daemon::check_compliance(std::uint32_t index, double now) {
                         {{"client", jstr(client.app_name)},
                          {"slot", jnum(index)},
                          {"offenses", jnum(client.offenses)},
-                         {"floor", jnum(options_.quarantine_floor_threads)},
+                         {"floor", jnum(kQuarantineFloorThreads)},
                          {"backoff_s", jnum(client.backoff_s)}});
       }
       break;
@@ -645,14 +658,15 @@ void Daemon::check_compliance(std::uint32_t index, double now) {
           ++client.offenses;
           client.probing = false;
           client.probe_deadline_s = -1.0;
-          if (client.offenses >= options_.max_compliance_offenses) {
+          if (client.offenses >= kMaxComplianceOffenses) {
             ++stats_.compliance_evictions;
             retire(index, "compliance-evict", now);
             return;
           }
           // Back to the floor; exponential backoff before the next probe.
-          agent_->set_app_thread_cap(client.app_name, options_.quarantine_floor_threads);
-          client.backoff_s = std::min(client.backoff_s * 2.0, options_.readmit_backoff_max_s);
+          agent_->set_app_thread_cap(client.app_name, kQuarantineFloorThreads);
+          client.backoff_s = std::min(client.backoff_s * 2.0,
+                                      kReadmitBackoffMaxDeadlines * options_.enactment_deadline_s);
           client.next_probe_s = now + client.backoff_s;
           journal_.record(now, "probe-failed",
                           {{"client", jstr(client.app_name)},

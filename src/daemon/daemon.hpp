@@ -43,12 +43,9 @@ struct DaemonOptions {
   /// Startup cleanup unlinks <registry_name> and <registry_name>-chan-*.
   std::string journal_path;  ///< empty = journaling disabled
   /// Evict a client whose heartbeat counter has not changed for this long.
+  /// A slot stuck in kClaiming this long is reclaimed too: its claimant died
+  /// (or stalled) between reserving the slot and publishing its identity.
   double heartbeat_timeout_s = 2.0;
-  /// Reclaim a slot stuck in kClaiming for this long: the claimant died (or
-  /// stalled) between reserving the slot and publishing its identity, and
-  /// nobody else can free it. The nonce in the slot's state word makes a
-  /// late publish by a merely-stalled claimant fail harmlessly.
-  double claim_timeout_s = 2.0;
   /// Background loop tick period.
   std::int64_t period_us = 10'000;
   /// Journal a full state snapshot every N ticks (0 = never).
@@ -63,20 +60,11 @@ struct DaemonOptions {
   // --- Compliance watchdog (healthy -> laggard -> quarantined -> evicted).
   /// A client behind the commanded epoch for this long becomes a laggard:
   /// its unenacted cores are administratively reclaimed (thread cap at what
-  /// it actually enacted) and redistributed by the policy.
+  /// it actually enacted) and redistributed by the policy. The rest of the
+  /// ladder scales with it (daemon.cpp): a laggard still behind one more
+  /// deadline is quarantined, and readmission probes back off from half a
+  /// deadline up to eight.
   double enactment_deadline_s = 1.0;
-  /// A laggard still behind this much longer is quarantined: capped to the
-  /// floor allocation, readmission only via probes.
-  double quarantine_grace_s = 1.0;
-  /// Total threads a quarantined client keeps (its floor allocation).
-  std::uint32_t quarantine_floor_threads = 1;
-  /// Readmission probe backoff: first probe after this delay, doubling per
-  /// failed probe up to the max.
-  double readmit_backoff_s = 0.5;
-  double readmit_backoff_max_s = 8.0;
-  /// Evict ("compliance-evict") after this many offenses (quarantine
-  /// entries + failed probes).
-  std::uint32_t max_compliance_offenses = 4;
 
   // --- Checkpointed journal.
   /// Write a full registry+health checkpoint record every N ticks

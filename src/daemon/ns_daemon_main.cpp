@@ -7,9 +7,10 @@
 //     --machine=probe             discover the host topology (default)
 //     --machine=NxC:gflops:bw[:link]  symmetric machine, e.g. 4x8:10:32:10
 //     --period-ms=N               tick period (default 10)
-//     --heartbeat-timeout-ms=N    eviction timeout (default 2000)
+//     --heartbeat-timeout-ms=N    eviction and claim-reclaim timeout (default 2000)
 //     --snapshot-every=N          journal snapshot cadence in ticks (default 100)
-//     --enactment-deadline-ms=N   compliance deadline before laggard (default 1000)
+//     --enactment-deadline-ms=N   compliance deadline before laggard; scales the
+//                                 quarantine and probe windows (default 1000)
 //     --checkpoint-every=N        journal checkpoint cadence in ticks (default 1000)
 //     --compact-after=N           rotate the journal past N lines (default 4096)
 //     --fsync=none|checkpoint|every-write  journal durability (default checkpoint)

@@ -30,7 +30,9 @@ constexpr std::uint64_t kMagic = 0x6e756d617372656dull;  // "numasrem" (registry
 //     with per-shard attention bitmap words (header.attention[]) so the
 //     daemon visits only flagged slots per tick instead of scanning the
 //     full capacity (docs/DAEMON.md "Scaling the tick path").
-constexpr std::uint32_t kVersion = 7;
+// v8: the header's `tick` word is gone; daemon_heartbeat is the one
+//     daemon-liveness word.
+constexpr std::uint32_t kVersion = 8;
 
 RegistryHeader* map_segment(int fd) {
   void* mapped =
@@ -64,7 +66,6 @@ std::unique_ptr<Registry> Registry::create(const std::string& name, std::string*
   header->version = kVersion;
   header->daemon_pid.store(static_cast<std::uint32_t>(::getpid()), std::memory_order_relaxed);
   header->generation.store(0, std::memory_order_relaxed);
-  header->tick.store(0, std::memory_order_relaxed);
   header->daemon_heartbeat.store(0, std::memory_order_relaxed);
   header->arbiter_generation.store(0, std::memory_order_relaxed);
   header->node_count.store(0, std::memory_order_relaxed);

@@ -193,13 +193,12 @@ struct RegistryHeader {
   std::atomic<std::uint32_t> daemon_pid;
   /// Mirrors the agent's membership generation (bumps on join/leave/evict).
   std::atomic<std::uint64_t> generation;
-  /// Daemon liveness: incremented every tick. A status reader that sees it
-  /// stall (with a dead daemon_pid) knows the segment is stale.
-  std::atomic<std::uint64_t> tick;
-  /// Daemon heartbeat (v6): stamped monotonically every service tick.
-  /// Clients watch it *change* — never comparing clocks across processes —
-  /// and declare the daemon dead after a bounded miss window instead of
-  /// waiting for channel errors (see nsd::FailoverClient).
+  /// Daemon heartbeat (v6): stamped monotonically every service tick, the
+  /// one daemon-liveness word (v8). Clients watch it *change* — never
+  /// comparing clocks across processes — and declare the daemon dead after a
+  /// bounded miss window instead of waiting for channel errors (see
+  /// nsd::FailoverClient); a status reader that sees it stall with a dead
+  /// daemon_pid knows the segment is stale.
   std::atomic<std::uint64_t> daemon_heartbeat;
   /// Daemon incarnation (v6): 1 for a fresh daemon, recovered-from-journal
   /// + 1 on every restart. Strictly monotone across incarnations of one

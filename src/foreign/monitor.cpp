@@ -2,13 +2,20 @@
 
 #include <algorithm>
 
-#include "common/assert.hpp"
 #include "foreign/bridge.hpp"
 #include "inject/fault.hpp"
 
 namespace numashare::foreign {
 
 namespace {
+
+/// Consecutive scans a process must appear in before admission.
+constexpr std::uint32_t kAppearTicks = 2;
+/// Consecutive scans a process must be missing from before removal.
+constexpr std::uint32_t kGoneTicks = 2;
+/// Processes consuming at least this many cores get fenced to their
+/// dominant node; smaller ones are only priced where observed.
+constexpr double kFenceMinCores = 0.5;
 
 topo::NodeId dominant_node(const std::vector<double>& node_cores) {
   topo::NodeId best = 0;
@@ -32,10 +39,7 @@ const char* to_string(ForeignEvent::Kind kind) {
 
 ForeignMonitor::ForeignMonitor(const topo::Machine& machine, MonitorOptions options)
     : machine_(machine), options_(std::move(options)),
-      scanner_(machine, options_.scanner) {
-  NS_REQUIRE(options_.appear_ticks >= 1, "appear_ticks must be at least 1");
-  NS_REQUIRE(options_.gone_ticks >= 1, "gone_ticks must be at least 1");
-}
+      scanner_(machine, options_.scanner) {}
 
 void ForeignMonitor::set_participants(const std::unordered_set<std::int32_t>& pids) {
   scanner_.set_participants(pids);
@@ -45,7 +49,7 @@ void ForeignMonitor::admit(Tracked& entry, std::vector<ForeignEvent>& events) {
   entry.info.admitted = true;
   events.push_back({ForeignEvent::Kind::kSeen, entry.info.pid, entry.info.name,
                     entry.info.cpu_cores, topo::kInvalidNode, FenceState::kNone});
-  if (entry.info.cpu_cores >= options_.fence_min_cores) {
+  if (entry.info.cpu_cores >= kFenceMinCores) {
     const auto node = dominant_node(entry.info.node_cores);
     entry.info.fence =
         apply_fence(machine_, entry.info.pid, node, options_.enforce_fences &&
@@ -112,7 +116,7 @@ std::vector<ForeignEvent> ForeignMonitor::tick(double now_seconds) {
       std::fill(entry.info.node_cores.begin(), entry.info.node_cores.end(), 0.0);
       entry.info.node_cores[entry.info.fence_node] = entry.info.cpu_cores;
     }
-    if (!entry.info.admitted && entry.seen_streak >= options_.appear_ticks) {
+    if (!entry.info.admitted && entry.seen_streak >= kAppearTicks) {
       admit(entry, events);
     }
   }
@@ -129,7 +133,7 @@ std::vector<ForeignEvent> ForeignMonitor::tick(double now_seconds) {
     }
     ++entry.miss_streak;
     entry.seen_streak = 0;
-    if (entry.miss_streak < options_.gone_ticks) continue;
+    if (entry.miss_streak < kGoneTicks) continue;
     if (entry.info.fence == FenceState::kApplied) {
       release_fence(machine_, pid, entry.info.fence);
       events.push_back({ForeignEvent::Kind::kRelease, pid, entry.info.name,

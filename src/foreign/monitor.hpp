@@ -2,9 +2,9 @@
 //
 // Raw scans flap — EWMA tails, pid churn, processes that burn CPU for one
 // tick. The monitor adds quarantine-style hysteresis (a process must be
-// seen `appear_ticks` consecutive scans before it is admitted into the
-// model, and missed `gone_ticks` scans before it is dropped), decides and
-// tracks fences for the big consumers, maintains the aggregated
+// seen two consecutive scans before it is admitted into the model, and
+// missed two scans before it is dropped), decides and tracks fences for the
+// big consumers (half a core or more), maintains the aggregated
 // model::ForeignLoad the policy prices, and reports every state change as a
 // ForeignEvent the daemon turns into journal records
 // (foreign-seen / foreign-gone / foreign-fence).
@@ -34,13 +34,6 @@ struct MonitorOptions {
   /// Attempt sched_setaffinity on fenced pids. Off by default: the arbiter
   /// stays advisory unless the operator opts in (--foreign-enforce).
   bool enforce_fences = false;
-  /// Consecutive scans a process must appear in before admission.
-  std::uint32_t appear_ticks = 2;
-  /// Consecutive scans a process must be missing from before removal.
-  std::uint32_t gone_ticks = 2;
-  /// Processes consuming at least this many cores get fenced to their
-  /// dominant node; smaller ones are only priced where observed.
-  double fence_min_cores = 0.5;
 };
 
 struct ForeignEvent {

@@ -7,13 +7,20 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/assert.hpp"
-
 namespace numashare::foreign {
 
 namespace fs = std::filesystem;
 
 namespace {
+
+/// Processes consuming fewer cores than this are dropped from results —
+/// shells, monitors and the daemon itself should not perturb the model.
+constexpr double kMinCores = 0.05;
+/// EWMA smoothing factor for per-process CPU shares: a new process reads
+/// half its first measured share, and a spike decays by half per scan.
+constexpr double kEwmaAlpha = 0.5;
+/// Hard cap on tracked foreign processes, largest consumers kept first.
+constexpr std::size_t kMaxProcesses = 32;
 
 bool all_digits(const std::string& text) {
   if (text.empty()) return false;
@@ -43,8 +50,6 @@ std::uint64_t parse_allowed_mask(const std::string& text) {
 
 ForeignScanner::ForeignScanner(const topo::Machine& machine, ScannerOptions options)
     : machine_(machine), options_(std::move(options)) {
-  NS_REQUIRE(options_.ewma_alpha > 0.0 && options_.ewma_alpha <= 1.0,
-             "ewma_alpha must be in (0, 1]");
   if (options_.ticks_per_second != 0) {
     tps_ = options_.ticks_per_second;
   } else {
@@ -203,9 +208,8 @@ std::optional<ScanResult> ForeignScanner::scan(double now_seconds) {
         static_cast<double>(*ticks - prev.cpu_ticks) / static_cast<double>(tps_);
     prev.cpu_ticks = *ticks;
     const double raw_cores = delta_seconds / elapsed;
-    prev.ewma_cores = options_.ewma_alpha * raw_cores +
-                      (1.0 - options_.ewma_alpha) * prev.ewma_cores;
-    if (prev.ewma_cores < options_.min_cores) continue;
+    prev.ewma_cores = kEwmaAlpha * raw_cores + (1.0 - kEwmaAlpha) * prev.ewma_cores;
+    if (prev.ewma_cores < kMinCores) continue;
 
     ForeignProcess process;
     process.pid = pid;
@@ -228,9 +232,7 @@ std::optional<ScanResult> ForeignScanner::scan(double now_seconds) {
               if (a.cpu_cores != b.cpu_cores) return a.cpu_cores > b.cpu_cores;
               return a.pid < b.pid;
             });
-  if (processes.size() > options_.max_processes) {
-    processes.resize(options_.max_processes);
-  }
+  if (processes.size() > kMaxProcesses) processes.resize(kMaxProcesses);
 
   // Per-node busy cores from the per-cpu lines. A counter that went
   // backwards (CPU hotplug, a rewritten procfs tree) contributes nothing

@@ -47,20 +47,14 @@ struct ForeignProcess {
 struct ScannerOptions {
   /// Procfs root. Tests point this at a scripted temp tree.
   std::string proc_root = "/proc";
-  /// Processes consuming fewer cores than this are dropped from results —
-  /// shells, monitors and the daemon itself should not perturb the model.
-  double min_cores = 0.05;
-  /// EWMA smoothing factor for per-process CPU shares (1 = raw last delta).
-  double ewma_alpha = 0.5;
-  /// Hard cap on tracked foreign processes, largest consumers kept first.
-  std::uint32_t max_processes = 32;
   /// Clock ticks per second for utime/stime (0 = sysconf(_SC_CLK_TCK)).
   std::uint64_t ticks_per_second = 0;
 };
 
 /// Result of one scan pass.
 struct ScanResult {
-  /// Foreign processes above the min_cores floor, largest first.
+  /// Foreign processes above the kMinCores floor (scanner.cpp), largest
+  /// first, at most kMaxProcesses of them.
   std::vector<ForeignProcess> processes;
   /// Measured busy cores per NUMA node from the per-cpu stat lines. This
   /// includes participants and is the scanner's ground truth for "how hot is

@@ -14,6 +14,10 @@ namespace numashare::obs {
 
 namespace {
 
+/// Background poll cadence of the real-time monitor thread (tests drive
+/// poll() in virtual time instead).
+constexpr std::int64_t kPollPeriodUs = 20'000;
+
 std::int64_t steady_now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
@@ -67,14 +71,12 @@ std::uint32_t Watchdog::poll(std::int64_t now_us) {
       w.stalled.store(true, std::memory_order_relaxed);
       stall_events_.fetch_add(1, std::memory_order_relaxed);
       if (options_.tracer != nullptr) {
-        options_.tracer->instant("worker-stall", "watchdog",
-                                 options_.trace_lane_base + i);
+        options_.tracer->instant("worker-stall", "watchdog", i);
       }
     } else if (!now_stalled && was_stalled) {
       w.stalled.store(false, std::memory_order_relaxed);
       if (options_.tracer != nullptr) {
-        options_.tracer->instant("worker-recover", "watchdog",
-                                 options_.trace_lane_base + i);
+        options_.tracer->instant("worker-recover", "watchdog", i);
       }
     }
     if (now_stalled) ++stalled;
@@ -100,7 +102,7 @@ void Watchdog::monitor_main() {
   lower_current_thread_priority();
   while (running_.load(std::memory_order_acquire)) {
     poll(steady_now_us());
-    parker_.park_for_us(options_.poll_period_us);
+    parker_.park_for_us(kPollPeriodUs);
   }
 }
 

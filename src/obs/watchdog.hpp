@@ -47,13 +47,9 @@ struct WatchdogOptions {
   /// A commanded-online worker whose heartbeat hasn't moved for this long is
   /// declared stalled. 0 disables the watchdog entirely.
   std::int64_t deadline_us = 100'000;
-  /// Background poll cadence (real-time mode only; tests drive poll()).
-  std::int64_t poll_period_us = 20'000;
-  /// Optional: stall/recover instants are emitted here, one lane per worker.
+  /// Optional: stall/recover instants are emitted here on the worker's own
+  /// lane (its index, the runtime's worker id).
   trace::Tracer* tracer = nullptr;
-  /// Lane offset added to the worker index for trace events (so watchdog
-  /// lanes line up with the runtime's worker lanes).
-  std::uint32_t trace_lane_base = 0;
 };
 
 /// One monitored worker's state, as sampled by the owner runtime.

@@ -6,6 +6,14 @@
 
 namespace numashare::sim {
 
+namespace {
+
+/// Rate every thread keeps, as a fraction of its grant, for
+/// SimulationOptions::reallocation_penalty_s after a reallocation.
+constexpr double kReallocationEfficiency = 0.5;
+
+}  // namespace
+
 Simulation::Simulation(MachineSim machine_sim, std::vector<model::AppSpec> apps,
                        model::Allocation allocation, SimulationOptions options)
     : machine_sim_(std::move(machine_sim)),
@@ -17,9 +25,6 @@ Simulation::Simulation(MachineSim machine_sim, std::vector<model::AppSpec> apps,
   NS_REQUIRE(allocation_.validate(machine_sim_.machine(), &error), error.c_str());
   NS_REQUIRE(apps_.size() == allocation_.app_count(), "apps must index-match allocation");
   NS_REQUIRE(options_.reallocation_penalty_s >= 0.0, "penalty must be non-negative");
-  NS_REQUIRE(options_.reallocation_efficiency >= 0.0 &&
-                 options_.reallocation_efficiency <= 1.0,
-             "efficiency must be in [0,1]");
 }
 
 void Simulation::set_allocation(model::Allocation allocation) {
@@ -85,7 +90,7 @@ Measurement Simulation::run(double duration_s, double dt, const Controller& cont
     const auto grants = machine_sim_.epoch(loads, step);
     // Post-reallocation transient: threads are mid-unblock / cache-cold.
     const double efficiency =
-        now_ < penalty_until_ ? options_.reallocation_efficiency : 1.0;
+        now_ < penalty_until_ ? kReallocationEfficiency : 1.0;
 
     // Sub-linear scaling (Amdahl, mirrors the model's §3b step): cap each
     // app's epoch work at peak x effective-threads and derate its groups.

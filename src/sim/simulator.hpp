@@ -36,11 +36,10 @@ struct Measurement {
 
 struct SimulationOptions {
   /// Cost of an allocation switch: for this stretch of virtual time after a
-  /// reallocation, every thread runs at `reallocation_efficiency` of its
-  /// granted rate (threads unblocking, caches re-warming — the price of the
-  /// paper's "quickly shifting resources"). 0 = switches are free.
+  /// reallocation, every thread runs at half its granted rate (threads
+  /// unblocking, caches re-warming — the price of the paper's "quickly
+  /// shifting resources"). 0 = switches are free.
   double reallocation_penalty_s = 0.0;
-  double reallocation_efficiency = 0.5;
   /// Optional recorder (non-owning): per-app GFLOPS counters at every
   /// controller tick (lane = app id) plus instants for reallocations.
   /// Timestamps are *virtual* seconds mapped to trace microseconds.

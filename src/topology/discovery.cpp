@@ -14,6 +14,11 @@ namespace numashare::topo {
 
 namespace {
 
+// Filled in for every discovered core, node and link: sysfs has no such data.
+constexpr GFlops kAssumedCorePeakGflops = 1.0;
+constexpr GBps kAssumedNodeBandwidth = 10.0;
+constexpr GBps kAssumedLinkBandwidth = 5.0;
+
 /// Parse a Linux cpulist string ("0-3,8,10-11") into core ids.
 std::vector<CoreId> parse_cpulist(const std::string& text) {
   std::vector<CoreId> cpus;
@@ -71,12 +76,12 @@ std::optional<Machine> discover_host(const DiscoveryOptions& options) {
   Machine machine;
   machine.set_name("host");
   for (const auto& cpus : node_cpus) {
-    machine.add_node(static_cast<std::uint32_t>(cpus.size()),
-                     options.assumed_core_peak_gflops, options.assumed_node_bandwidth);
+    machine.add_node(static_cast<std::uint32_t>(cpus.size()), kAssumedCorePeakGflops,
+                     kAssumedNodeBandwidth);
   }
   for (NodeId a = 0; a < machine.node_count(); ++a) {
     for (NodeId b = 0; b < machine.node_count(); ++b) {
-      if (a != b) machine.set_link_bandwidth(a, b, options.assumed_link_bandwidth);
+      if (a != b) machine.set_link_bandwidth(a, b, kAssumedLinkBandwidth);
     }
   }
   NS_LOG_INFO("topo", "discovered host: {} node(s), {} core(s)", machine.node_count(),
@@ -88,8 +93,7 @@ Machine discover_host_or_flat(const DiscoveryOptions& options) {
   if (auto machine = discover_host(options)) return *machine;
   const auto cores = std::max(1u, std::thread::hardware_concurrency());
   NS_LOG_INFO("topo", "sysfs unavailable; assuming flat machine with {} core(s)", cores);
-  return flat_machine(cores, options.assumed_core_peak_gflops,
-                      options.assumed_node_bandwidth);
+  return flat_machine(cores, kAssumedCorePeakGflops, kAssumedNodeBandwidth);
 }
 
 }  // namespace numashare::topo

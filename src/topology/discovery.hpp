@@ -16,10 +16,6 @@ namespace numashare::topo {
 struct DiscoveryOptions {
   /// Root to read from; overridable so tests can point at a fake sysfs tree.
   std::string sysfs_root = "/sys/devices/system/node";
-  /// Filled in for every discovered core/node (sysfs has no such data).
-  GFlops assumed_core_peak_gflops = 1.0;
-  GBps assumed_node_bandwidth = 10.0;
-  GBps assumed_link_bandwidth = 5.0;
 };
 
 /// Returns the discovered machine, or std::nullopt when the sysfs tree is

@@ -15,8 +15,8 @@
 //    matches how Span RAII scopes nest on one thread. Dropped events are
 //    surfaced as a synthetic "trace;(dropped-events) N" line so a flame
 //    graph of a lossy trace says so on its face.
-//  * an ASCII timeline equivalent to Tracer::ascii_timeline, but computed
-//    from the parsed artifact.
+//  * an ASCII timeline of the parsed artifact; Tracer::ascii_timeline renders
+//    the live tracer through the same function.
 #pragma once
 
 #include <cstdint>
@@ -70,9 +70,9 @@ bool parse_chrome_json(std::string_view json, ParsedTrace& out,
 /// "trace;(dropped-events) <N>" line weighted by the count.
 std::string to_collapsed_stacks(const ParsedTrace& trace);
 
-/// ASCII timeline of the parsed trace; same rendering rules as
-/// Tracer::ascii_timeline (span glyph = first letter, '!' instants, trailing
-/// drop summary when the artifact recorded drops).
+/// ASCII timeline of the parsed trace (span glyph = first letter, '!'
+/// instants, trailing drop summary when the artifact recorded drops); widths
+/// below 8 are clamped to 8. Tracer::ascii_timeline renders through it.
 std::string render_timeline(const ParsedTrace& trace, std::size_t width = 72);
 
 /// One-line inventory: event/span/instant/counter/lane/drop counts.

@@ -8,6 +8,7 @@
 
 #include "common/assert.hpp"
 #include "common/format.hpp"
+#include "trace/convert.hpp"
 
 namespace numashare::trace {
 
@@ -167,43 +168,18 @@ bool Tracer::write_chrome_json(const std::string& path) const {
 }
 
 std::string Tracer::ascii_timeline(std::size_t width) const {
-  NS_REQUIRE(width >= 8, "timeline too narrow");
-  const auto events = snapshot();
-  if (events.empty()) return "(no trace events)\n";
-
-  double t0 = 1e300, t1 = -1e300;
-  std::uint32_t max_thread = 0;
-  for (const auto& event : events) {
-    t0 = std::min(t0, event.start_us);
-    t1 = std::max(t1, event.start_us + event.duration_us);
-    max_thread = std::max(max_thread, event.thread);
+  // One renderer for live and exported traces: convert.cpp's, fed this
+  // tracer's snapshot in the artifact's event form.
+  ParsedTrace trace;
+  trace.dropped = dropped();
+  for (const auto& event : snapshot()) {
+    const char phase = event.phase == Phase::kSpan      ? 'X'
+                       : event.phase == Phase::kInstant ? 'i'
+                                                        : 'C';
+    trace.events.push_back({event.name, event.category, phase, event.start_us,
+                            event.duration_us, event.value, event.thread});
   }
-  if (t1 <= t0) t1 = t0 + 1.0;
-  const double scale = static_cast<double>(width) / (t1 - t0);
-
-  std::vector<std::string> lanes(max_thread + 1, std::string(width, '.'));
-  for (const auto& event : events) {
-    const auto from = static_cast<std::size_t>((event.start_us - t0) * scale);
-    if (event.phase == Phase::kSpan) {
-      auto to = static_cast<std::size_t>((event.start_us + event.duration_us - t0) * scale);
-      to = std::min(to, width - 1);
-      const char glyph = event.name[0] ? event.name[0] : '#';
-      for (std::size_t i = from; i <= to && i < width; ++i) lanes[event.thread][i] = glyph;
-    } else if (event.phase == Phase::kInstant) {
-      if (from < width) lanes[event.thread][from] = '!';
-    }
-  }
-
-  std::string out =
-      ns_format("timeline: {} .. {} us ({} events)\n", fmt_compact(t0, 1),
-                fmt_compact(t1, 1), events.size());
-  for (std::uint32_t lane = 0; lane <= max_thread; ++lane) {
-    out += ns_format("  lane {} |{}|\n", lane, lanes[lane]);
-  }
-  if (const std::uint64_t lost = dropped(); lost > 0) {
-    out += ns_format("  dropped: {} events (per-thread buffers filled)\n", lost);
-  }
-  return out;
+  return render_timeline(trace, width);
 }
 
 Span::Span(Tracer* tracer, const char* name, const char* category, std::uint32_t thread)

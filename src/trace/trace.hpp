@@ -96,8 +96,9 @@ class Tracer {
   std::string to_chrome_json() const;
   bool write_chrome_json(const std::string& path) const;
 
-  /// Terminal timeline: one row per lane, `width` columns spanning the
-  /// recorded interval; span glyphs keyed by the first letter of the name.
+  /// Terminal timeline: one row per lane, `width` columns (at least 8)
+  /// spanning the recorded interval; span glyphs keyed by the first letter
+  /// of the name. Rendered by trace::render_timeline (convert.hpp).
   std::string ascii_timeline(std::size_t width = 72) const;
 
  private:

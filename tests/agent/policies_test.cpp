@@ -147,13 +147,14 @@ TEST(ProducerConsumerPolicy, HoldsInsideBand) {
 }
 
 TEST(ProducerConsumerPolicy, RespectsMinThreads) {
-  ProducerConsumerPolicy policy({.min_lead = 2, .max_lead = 4, .min_threads = 3});
+  ProducerConsumerPolicy policy({.min_lead = 2, .max_lead = 4});
   const auto machine = topo::Machine::symmetric(1, 8, 1.0, 10.0);
   std::vector<AppView> views{view("prod", 0), view("cons", 0)};
   policy.decide(machine, views);
   views[0].latest.progress = 100;  // way ahead; wants to shed threads
   for (int i = 0; i < 10; ++i) policy.decide(machine, views);
-  EXPECT_EQ(policy.producer_threads(), 3u);  // floor holds
+  EXPECT_EQ(policy.producer_threads(), 1u);  // the one-thread floor holds
+  EXPECT_EQ(policy.decide(machine, views)[0].kind, Directive::Kind::kNone);
 }
 
 TEST(ModelGuidedPolicy, WaitsForAiEstimates) {

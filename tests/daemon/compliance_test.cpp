@@ -27,9 +27,12 @@ namespace {
 
 topo::Machine test_machine() { return topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0); }
 
-/// Tight compliance windows so transitions land in a handful of virtual
-/// jumps; the heartbeat timeout is generous because every test beats before
-/// every tick (the watchdog, not liveness, must be what acts).
+/// A tight enactment deadline so transitions land in a handful of virtual
+/// jumps. The ladder follows it: quarantine one more deadline after the
+/// laggard demotion, probe backoff 0.125 -> 0.25 -> ... capped at 2.0, and
+/// eviction at the fourth offense. The heartbeat timeout is generous because
+/// every test beats before every tick (the watchdog, not liveness, must be
+/// what acts).
 DaemonOptions watchdog_options(const std::string& registry, const std::string& journal) {
   DaemonOptions options;
   options.registry_name = registry;
@@ -39,11 +42,6 @@ DaemonOptions watchdog_options(const std::string& registry, const std::string& j
   options.checkpoint_every_ticks = 0;
   options.compact_after_lines = 0;
   options.enactment_deadline_s = 0.25;
-  options.quarantine_grace_s = 0.25;
-  options.quarantine_floor_threads = 1;
-  options.readmit_backoff_s = 0.1;
-  options.readmit_backoff_max_s = 0.4;
-  options.max_compliance_offenses = 3;
   return options;
 }
 
@@ -217,17 +215,18 @@ TEST(Compliance, QuarantineProbesBackOffExponentiallyThenEvict) {
       daemon.tick(now += dt);
     };
 
-    // Never acks. Timeline (deadline 0.25, grace 0.25, backoff 0.1 -> 0.2,
-    // 3 offenses): laggard, then quarantine (offense 1), then two failed
-    // probes (offenses 2 and 3) and the compliance eviction.
+    // Never acks. Timeline (deadline 0.25, so quarantine at 0.5 behind,
+    // backoff 0.125 -> 0.25 -> 0.5, 4 offenses): laggard, then quarantine
+    // (offense 1), then three failed probes (offenses 2, 3 and 4) and the
+    // compliance eviction.
     step(0.3);  // behind past the deadline: laggard
     ASSERT_EQ(daemon.compliance_view(app)->health, ClientHealth::kLaggard);
-    step(0.25);  // past deadline + grace: quarantined, offense 1
+    step(0.25);  // behind past two deadlines: quarantined, offense 1
     auto view = daemon.compliance_view(app);
     ASSERT_TRUE(view.has_value());
     EXPECT_EQ(view->health, ClientHealth::kQuarantined);
     EXPECT_EQ(view->offenses, 1u);
-    EXPECT_DOUBLE_EQ(view->backoff_s, 0.1);
+    EXPECT_DOUBLE_EQ(view->backoff_s, 0.125);
     EXPECT_EQ(daemon.stats().quarantines, 1u);
 
     step(0.15);  // past the first backoff: probe 1 starts (cap lifted)
@@ -239,11 +238,19 @@ TEST(Compliance, QuarantineProbesBackOffExponentiallyThenEvict) {
     view = daemon.compliance_view(app);
     EXPECT_FALSE(view->probing);
     EXPECT_EQ(view->offenses, 2u);
-    EXPECT_DOUBLE_EQ(view->backoff_s, 0.2);
+    EXPECT_DOUBLE_EQ(view->backoff_s, 0.25);
 
-    step(0.25);  // past the doubled backoff: probe 2
+    step(0.3);  // past the doubled backoff: probe 2
     EXPECT_EQ(daemon.stats().readmission_probes, 2u);
-    step(0.3);  // blown again: offense 3 == max -> compliance eviction
+    step(0.3);  // blown again: offense 3, backoff doubles again
+    view = daemon.compliance_view(app);
+    EXPECT_EQ(view->offenses, 3u);
+    EXPECT_DOUBLE_EQ(view->backoff_s, 0.5);
+
+    step(0.55);  // past the third backoff: probe 3
+    EXPECT_EQ(daemon.stats().readmission_probes, 3u);
+    EXPECT_EQ(daemon.stats().compliance_evictions, 0u);
+    step(0.3);  // blown: offense 4 == max -> compliance eviction
     EXPECT_EQ(daemon.stats().compliance_evictions, 1u);
     EXPECT_EQ(daemon.client_count(), 0u);
     EXPECT_FALSE(daemon.compliance_view(app).has_value());
@@ -252,8 +259,8 @@ TEST(Compliance, QuarantineProbesBackOffExponentiallyThenEvict) {
   const auto entries = read_journal(journal);
   EXPECT_EQ(count_events(entries, "laggard"), 1u);
   EXPECT_EQ(count_events(entries, "quarantine"), 1u);
-  EXPECT_EQ(count_events(entries, "readmission-probe"), 2u);
-  EXPECT_EQ(count_events(entries, "probe-failed"), 1u);  // the final failure evicts instead
+  EXPECT_EQ(count_events(entries, "readmission-probe"), 3u);
+  EXPECT_EQ(count_events(entries, "probe-failed"), 2u);  // the final failure evicts instead
   EXPECT_EQ(count_events(entries, "compliance-evict"), 1u);
   std::remove(journal.c_str());
 }
@@ -279,7 +286,7 @@ TEST(Compliance, SurvivedProbeReadmitsAndResetsBackoff) {
 
   step(0.3);   // laggard
   step(0.25);  // quarantined, offense 1
-  step(0.15);  // probe 1 starts: the cap is lifted...
+  step(0.15);  // past the 0.125 backoff, probe 1 starts: the cap is lifted...
   ASSERT_TRUE(daemon.compliance_view(app)->probing);
   step(0.05);  // ...and the full-share command goes out
 

@@ -30,10 +30,6 @@ DaemonOptions foreign_options(const std::string& registry, const std::string& jo
   options.foreign_scan_every_ticks = 1;
   options.foreign.scanner.proc_root = proc_root;
   options.foreign.scanner.ticks_per_second = 100;
-  options.foreign.scanner.ewma_alpha = 1.0;
-  options.foreign.appear_ticks = 2;
-  options.foreign.gone_ticks = 2;
-  options.foreign.fence_min_cores = 0.5;
   return options;
 }
 
@@ -51,11 +47,13 @@ TEST(DaemonForeign, DetectJournalMirrorAndRelease) {
     ASSERT_TRUE(daemon.init());
     ASSERT_NE(daemon.foreign_monitor(), nullptr);
 
+    // The hog runs 2 cores, then 1: the scanner's EWMA (alpha 0.5, from
+    // zero) reads 1.0 cores at both sightings.
     daemon.tick(1.0);  // priming scan
-    proc.set_process(4242, "hog", 100);
+    proc.set_process(4242, "hog", 200);
     daemon.tick(2.0);  // first sighting
     EXPECT_EQ(daemon.stats().foreign_seen, 0u);  // hysteresis holds it back
-    proc.set_process(4242, "hog", 200);
+    proc.set_process(4242, "hog", 300);
     daemon.tick(3.0);  // second sighting: admitted + fenced
     EXPECT_EQ(daemon.stats().foreign_seen, 1u);
     EXPECT_EQ(daemon.stats().foreign_fences, 1u);
@@ -75,7 +73,7 @@ TEST(DaemonForeign, DetectJournalMirrorAndRelease) {
     EXPECT_EQ(slot.fence.load(),
               static_cast<std::uint32_t>(foreign::FenceState::kAdvisory));
 
-    // The hog exits: after gone_ticks misses it is dropped everywhere.
+    // The hog exits: after two missed scans it is dropped everywhere.
     proc.remove_process(4242);
     daemon.tick(4.0);
     EXPECT_EQ(daemon.stats().foreign_gone, 0u);

@@ -2,6 +2,11 @@
 // process must persist before it is admitted into the model, must stay
 // missing before it is dropped, big consumers get (advisory) fences, and
 // the aggregated ForeignLoad tracks exactly the admitted set.
+//
+// The monitor's hysteresis is two scans each way and its fence threshold half
+// a core. The scanner's EWMA (alpha 0.5, from zero) halves a process's first
+// measured share, so the hogs below run at 2 cores for their first scanned
+// second and 1 core after: they read exactly 1.0 smoothed cores throughout.
 #include "foreign/monitor.hpp"
 
 #include <gtest/gtest.h>
@@ -18,10 +23,6 @@ MonitorOptions test_options(const std::string& root) {
   MonitorOptions options;
   options.scanner.proc_root = root;
   options.scanner.ticks_per_second = 100;
-  options.scanner.ewma_alpha = 1.0;
-  options.appear_ticks = 2;
-  options.gone_ticks = 2;
-  options.fence_min_cores = 0.5;
   return options;
 }
 
@@ -40,10 +41,10 @@ TEST(ForeignMonitor, AppearHysteresisDelaysAdmission) {
   ForeignMonitor monitor(machine, test_options(proc.root()));
 
   EXPECT_TRUE(step(proc, monitor, 1.0, 100, 0).empty());    // priming scan
-  EXPECT_TRUE(step(proc, monitor, 2.0, 100, 100).empty());  // 1st sighting
+  EXPECT_TRUE(step(proc, monitor, 2.0, 100, 200).empty());  // 1st sighting
   EXPECT_FALSE(monitor.load().any());                       // not priced yet
 
-  const auto events = step(proc, monitor, 3.0, 100, 200);   // 2nd sighting
+  const auto events = step(proc, monitor, 3.0, 100, 300);   // 2nd sighting
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0].kind, ForeignEvent::Kind::kSeen);
   EXPECT_EQ(events[0].pid, 100);
@@ -59,8 +60,8 @@ TEST(ForeignMonitor, SmallConsumerAdmittedWithoutFence) {
   ForeignMonitor monitor(machine, test_options(proc.root()));
 
   step(proc, monitor, 1.0, 100, 0);
-  step(proc, monitor, 2.0, 100, 10);                       // 0.1 cores
-  const auto events = step(proc, monitor, 3.0, 100, 20);
+  step(proc, monitor, 2.0, 100, 40);                       // 0.2 smoothed cores
+  const auto events = step(proc, monitor, 3.0, 100, 80);   // 0.3 smoothed
   ASSERT_EQ(events.size(), 1u);                            // kSeen only
   EXPECT_EQ(events[0].kind, ForeignEvent::Kind::kSeen);
   const auto tracked = monitor.tracked();
@@ -76,8 +77,8 @@ TEST(ForeignMonitor, FenceTargetsTheDominantNode) {
 
   // Pinned to node 1's cores (mask 0xC): the fence must pick node 1.
   step(proc, monitor, 1.0, 100, 0, 0xC);
-  step(proc, monitor, 2.0, 100, 100, 0xC);
-  const auto events = step(proc, monitor, 3.0, 100, 200, 0xC);
+  step(proc, monitor, 2.0, 100, 200, 0xC);
+  const auto events = step(proc, monitor, 3.0, 100, 300, 0xC);
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[1].kind, ForeignEvent::Kind::kFence);
   EXPECT_EQ(events[1].node, 1u);
@@ -97,8 +98,8 @@ TEST(ForeignMonitor, GoneHysteresisThenDropped) {
   ForeignMonitor monitor(machine, test_options(proc.root()));
 
   step(proc, monitor, 1.0, 100, 0);
-  step(proc, monitor, 2.0, 100, 100);
-  step(proc, monitor, 3.0, 100, 200);  // admitted
+  step(proc, monitor, 2.0, 100, 200);
+  step(proc, monitor, 3.0, 100, 300);  // admitted
   ASSERT_TRUE(monitor.load().any());
 
   proc.remove_process(100);
@@ -120,7 +121,7 @@ TEST(ForeignMonitor, BlipBelowAppearTicksNeverAdmitted) {
   ForeignMonitor monitor(machine, test_options(proc.root()));
 
   step(proc, monitor, 1.0, 100, 0);
-  EXPECT_TRUE(step(proc, monitor, 2.0, 100, 100).empty());  // one sighting
+  EXPECT_TRUE(step(proc, monitor, 2.0, 100, 200).empty());  // one sighting
   proc.remove_process(100);
   EXPECT_TRUE(monitor.tick(3.0).empty());
   EXPECT_TRUE(monitor.tick(4.0).empty());  // aged out silently, never seen
@@ -135,8 +136,8 @@ TEST(ForeignMonitor, ReleaseAllEmitsAndClearsFences) {
   ForeignMonitor monitor(machine, test_options(proc.root()));
 
   step(proc, monitor, 1.0, 100, 0);
-  step(proc, monitor, 2.0, 100, 100);
-  step(proc, monitor, 3.0, 100, 200);  // admitted + advisory fence
+  step(proc, monitor, 2.0, 100, 200);
+  step(proc, monitor, 3.0, 100, 300);  // admitted + advisory fence
 
   const auto events = monitor.release_all();
   ASSERT_EQ(events.size(), 1u);

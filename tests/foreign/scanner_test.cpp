@@ -2,6 +2,11 @@
 // share measurement from tick deltas, EWMA smoothing, Cpus_allowed node
 // attribution, participant exclusion, and the re-priming discipline for
 // vanished/reused pids.
+//
+// The scanner smooths with a fixed EWMA (alpha 0.5) that starts from zero,
+// so a process's first measured share reads half its raw share: a test that
+// wants the raw value steps the process twice at the same rate, or expects
+// the halved value.
 #include "foreign/scanner.hpp"
 
 #include <gtest/gtest.h>
@@ -14,13 +19,11 @@ namespace {
 
 topo::Machine two_by_two() { return topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0); }
 
-/// Deterministic scanner: tps pinned, no smoothing unless a test wants it.
-ScannerOptions raw_options(const std::string& root, double alpha = 1.0) {
+/// Deterministic scanner: tps pinned.
+ScannerOptions raw_options(const std::string& root) {
   ScannerOptions options;
   options.proc_root = root;
   options.ticks_per_second = 100;
-  options.ewma_alpha = alpha;
-  options.min_cores = 0.05;
   return options;
 }
 
@@ -41,13 +44,21 @@ TEST(ForeignScanner, MeasuresCoresFromTickDeltas) {
   ForeignScanner scanner(machine, raw_options(proc.root()));
   scanner.scan(1.0);
 
-  // 150 ticks at 100 ticks/s over 1 second = 1.5 cores.
+  // 150 ticks at 100 ticks/s over 1 second = 1.5 cores, read as 0.75 by
+  // the EWMA's first step from zero.
   proc.set_process(100, "hog", 150);
-  const auto result = scanner.scan(2.0);
+  auto result = scanner.scan(2.0);
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->processes.size(), 1u);
   EXPECT_EQ(result->processes[0].pid, 100);
   EXPECT_EQ(result->processes[0].name, "hog");
+  EXPECT_NEAR(result->processes[0].cpu_cores, 0.75, 1e-9);
+
+  // Another second at 2.25 cores: 0.5 * 2.25 + 0.5 * 0.75 = 1.5.
+  proc.set_process(100, "hog", 375);
+  result = scanner.scan(3.0);
+  ASSERT_TRUE(result.has_value());
+  ASSERT_EQ(result->processes.size(), 1u);
   EXPECT_NEAR(result->processes[0].cpu_cores, 1.5, 1e-9);
 }
 
@@ -56,7 +67,7 @@ TEST(ForeignScanner, EwmaSmoothsSpikes) {
   ProcfsWriter proc;
   proc.set_cpu_times({{0, 100}});
   proc.set_process(100, "spiky", 0);
-  ForeignScanner scanner(machine, raw_options(proc.root(), /*alpha=*/0.5));
+  ForeignScanner scanner(machine, raw_options(proc.root()));
   scanner.scan(1.0);
 
   // Raw 2.0 cores, EWMA from 0: 0.5 * 2.0 = 1.0.
@@ -81,7 +92,7 @@ TEST(ForeignScanner, CpusAllowedAttributesToTheMaskedNode) {
   ForeignScanner scanner(machine, raw_options(proc.root()));
   scanner.scan(1.0);
 
-  proc.set_process(100, "pinned", 100, 0xC);
+  proc.set_process(100, "pinned", 100, 0xC);  // 1.0 raw cores, 0.5 smoothed
   const auto result = scanner.scan(2.0);
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->processes.size(), 1u);
@@ -89,7 +100,7 @@ TEST(ForeignScanner, CpusAllowedAttributesToTheMaskedNode) {
   EXPECT_EQ(process.allowed_mask, 0xCu);
   ASSERT_EQ(process.node_cores.size(), 2u);
   EXPECT_NEAR(process.node_cores[0], 0.0, 1e-9);
-  EXPECT_NEAR(process.node_cores[1], 1.0, 1e-9);
+  EXPECT_NEAR(process.node_cores[1], 0.5, 1e-9);
 }
 
 TEST(ForeignScanner, UnrestrictedMaskSpreadsByNodeSize) {
@@ -100,7 +111,7 @@ TEST(ForeignScanner, UnrestrictedMaskSpreadsByNodeSize) {
   ForeignScanner scanner(machine, raw_options(proc.root()));
   scanner.scan(1.0);
 
-  proc.set_process(100, "roamer", 100);
+  proc.set_process(100, "roamer", 200);  // 2.0 raw cores, 1.0 smoothed
   const auto result = scanner.scan(2.0);
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->processes.size(), 1u);
@@ -135,8 +146,8 @@ TEST(ForeignScanner, MinCoresFloorDropsIdleShells) {
   ForeignScanner scanner(machine, raw_options(proc.root()));
   scanner.scan(1.0);
 
-  proc.set_process(100, "hog", 100);   // 1.0 cores
-  proc.set_process(200, "shell", 1);   // 0.01 cores, below the 0.05 floor
+  proc.set_process(100, "hog", 100);   // 1.0 raw cores, 0.5 smoothed
+  proc.set_process(200, "shell", 9);   // 0.09 raw, 0.045 smoothed: below the 0.05 floor
   const auto result = scanner.scan(2.0);
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->processes.size(), 1u);
@@ -161,11 +172,12 @@ TEST(ForeignScanner, VanishedPidIsForgottenAndReuseReprimes) {
   // must prime, not compute a garbage delta against the dead incarnation.
   proc.set_process(100, "reborn", 10);
   EXPECT_TRUE(scanner.scan(4.0)->processes.empty());
+  // 0.5 raw cores, smoothed from zero: the dead incarnation's EWMA is gone.
   proc.set_process(100, "reborn", 60);
   const auto result = scanner.scan(5.0);
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->processes.size(), 1u);
-  EXPECT_NEAR(result->processes[0].cpu_cores, 0.5, 1e-9);
+  EXPECT_NEAR(result->processes[0].cpu_cores, 0.25, 1e-9);
 }
 
 TEST(ForeignScanner, CounterRegressionReprimesInPlace) {
@@ -180,7 +192,7 @@ TEST(ForeignScanner, CounterRegressionReprimesInPlace) {
   // between scans): prime only, no underflow garbage.
   proc.set_process(100, "jumpy", 20);
   EXPECT_TRUE(scanner.scan(2.0)->processes.empty());
-  proc.set_process(100, "jumpy", 120);
+  proc.set_process(100, "jumpy", 220);  // 2.0 raw cores, 1.0 smoothed
   const auto result = scanner.scan(3.0);
   ASSERT_EQ(result->processes.size(), 1u);
   EXPECT_NEAR(result->processes[0].cpu_cores, 1.0, 1e-9);
@@ -206,21 +218,23 @@ TEST(ForeignScanner, MaxProcessesKeepsLargestConsumers) {
   const auto machine = two_by_two();
   ProcfsWriter proc;
   proc.set_cpu_times({{0, 100}, {0, 100}, {0, 100}, {0, 100}});
-  for (std::int32_t pid = 100; pid < 104; ++pid) proc.set_process(pid, "p", 0);
-  auto options = raw_options(proc.root());
-  options.max_processes = 2;
-  ForeignScanner scanner(machine, options);
+  // One process more than the 32-process cap.
+  constexpr std::int32_t kFirst = 100, kLast = 132;
+  for (std::int32_t pid = kFirst; pid <= kLast; ++pid) proc.set_process(pid, "p", 0);
+  ForeignScanner scanner(machine, raw_options(proc.root()));
   scanner.scan(1.0);
 
-  // Consumption ordered by pid: 10, 20, 30, 40 ticks.
-  for (std::int32_t pid = 100; pid < 104; ++pid) {
-    proc.set_process(pid, "p", static_cast<std::uint64_t>(pid - 99) * 10);
+  // Consumption ordered by pid: 20, 40, ..., 660 ticks, so even the smallest
+  // (0.1 smoothed cores) clears the min-cores floor.
+  for (std::int32_t pid = kFirst; pid <= kLast; ++pid) {
+    proc.set_process(pid, "p", static_cast<std::uint64_t>(pid - kFirst + 1) * 20);
   }
   const auto result = scanner.scan(2.0);
   ASSERT_TRUE(result.has_value());
-  ASSERT_EQ(result->processes.size(), 2u);
-  EXPECT_EQ(result->processes[0].pid, 103);  // largest first
-  EXPECT_EQ(result->processes[1].pid, 102);
+  ASSERT_EQ(result->processes.size(), 32u);
+  EXPECT_EQ(result->processes[0].pid, kLast);  // largest first
+  EXPECT_EQ(result->processes[1].pid, kLast - 1);
+  EXPECT_EQ(result->processes.back().pid, kFirst + 1);  // the smallest is cut
 }
 
 TEST(ForeignScanner, CommWithSpacesAndParensParses) {
@@ -231,7 +245,7 @@ TEST(ForeignScanner, CommWithSpacesAndParensParses) {
   ForeignScanner scanner(machine, raw_options(proc.root()));
   scanner.scan(1.0);
 
-  proc.set_process(100, "web content (x)", 100);
+  proc.set_process(100, "web content (x)", 200);  // 2.0 raw cores, 1.0 smoothed
   const auto result = scanner.scan(2.0);
   ASSERT_TRUE(result.has_value());
   ASSERT_EQ(result->processes.size(), 1u);

@@ -44,10 +44,6 @@ DaemonOptions watchdog_options(const std::string& registry, const std::string& j
   options.checkpoint_every_ticks = 0;
   options.compact_after_lines = 0;
   options.enactment_deadline_s = 0.25;
-  options.quarantine_grace_s = 0.25;
-  options.readmit_backoff_s = 0.1;
-  options.readmit_backoff_max_s = 0.4;
-  options.max_compliance_offenses = 3;
   return options;
 }
 

@@ -58,7 +58,6 @@ DaemonOptions failover_daemon_options(const std::string& registry, const std::st
   options.registry_name = registry;
   options.journal_path = journal;
   options.heartbeat_timeout_s = 1.0;
-  options.claim_timeout_s = 0.5;
   options.snapshot_every_ticks = 0;
   // Frequent checkpoints so most kill points land after one (the before-
   // first-checkpoint recovery path is still reached by early kills).

@@ -74,16 +74,13 @@ DaemonOptions sweep_options(const std::string& registry, const std::string& jour
   DaemonOptions options;
   options.registry_name = registry;
   options.journal_path = journal;
+  // Also the claim-reclaim timeout.
   options.heartbeat_timeout_s = 0.3;
-  options.claim_timeout_s = 0.3;
   options.snapshot_every_ticks = 0;
-  // Compliance deadlines tight enough that ack suppression and enactment
-  // stalls actually demote clients within a sweep lifetime.
+  // A compliance deadline tight enough that ack suppression and enactment
+  // stalls actually demote clients within a sweep lifetime (the quarantine
+  // and probe windows scale with it).
   options.enactment_deadline_s = 0.25;
-  options.quarantine_grace_s = 0.2;
-  options.readmit_backoff_s = 0.1;
-  options.readmit_backoff_max_s = 0.4;
-  options.max_compliance_offenses = 3;
   // Checkpoints and compaction running concurrently with the fault schedule.
   options.checkpoint_every_ticks = 200;
   options.compact_after_lines = 400;
@@ -252,7 +249,7 @@ TEST_F(FaultDirected, DeadClaimantSlotIsReclaimed) {
   EXPECT_EQ(observer->slot(0).state(), SlotState::kClaiming);
   double now = monotonic_seconds();
   daemon.tick(now);  // records first-seen
-  daemon.tick(now + options.claim_timeout_s + 0.05);
+  daemon.tick(now + options.heartbeat_timeout_s + 0.05);
   EXPECT_EQ(daemon.stats().claims_reclaimed, 1u);
   EXPECT_TRUE(all_slots_free(*observer));
 
@@ -640,7 +637,7 @@ TEST_P(FaultSweep, InvariantsHoldUnderSchedule) {
     auto observer = Registry::open(registry_name);
     ASSERT_NE(observer, nullptr);
     const int max_ticks =
-        static_cast<int>((options.heartbeat_timeout_s + options.claim_timeout_s + 1.0) / 0.002);
+        static_cast<int>((2.0 * options.heartbeat_timeout_s + 1.0) / 0.002);
     for (int i = 0; i < max_ticks; ++i) {
       daemon->tick(monotonic_seconds());
       if (daemon->client_count() == 0 && all_slots_free(*observer)) {

@@ -22,9 +22,6 @@ MonitorOptions synthetic_options() {
   // the monitor. (The first scan still primes; synthetic pids are exempt
   // from the priming no-verdict rule.)
   options.scanner.proc_root = "/nonexistent/ns-foreign-inject";
-  options.appear_ticks = 2;
-  options.gone_ticks = 2;
-  options.fence_min_cores = 0.5;
   return options;
 }
 

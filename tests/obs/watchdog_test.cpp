@@ -141,16 +141,19 @@ TEST(Watchdog, PolicyBlockedWorkersAreNeverStalled) {
 
 TEST(Watchdog, StallAndRecoverEmitTraceInstants) {
   trace::Tracer tracer;
-  FakeWorkers workers(1);
-  WatchdogOptions options = virtual_options(&tracer);
-  options.trace_lane_base = 7;  // watchdog lanes line up with worker lanes
-  Watchdog dog(1, options, workers.source());
+  FakeWorkers workers(3);
+  Watchdog dog(3, virtual_options(&tracer), workers.source());
 
+  // Workers 0 and 1 keep beating; worker 2 stalls, then recovers. Its
+  // instants land on its own lane, so they line up with the runtime's
+  // worker lanes.
   std::int64_t now = 0;
   dog.poll(now);
   now += kDeadline;
-  dog.poll(now);  // stall
   workers.beat(0);
+  workers.beat(1);
+  dog.poll(now);  // stall
+  workers.beat(2);
   now += 1;
   dog.poll(now);  // recover
 
@@ -158,8 +161,8 @@ TEST(Watchdog, StallAndRecoverEmitTraceInstants) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_STREQ(events[0].name, "worker-stall");
   EXPECT_STREQ(events[1].name, "worker-recover");
-  EXPECT_EQ(events[0].thread, 7u);
-  EXPECT_EQ(events[1].thread, 7u);
+  EXPECT_EQ(events[0].thread, 2u);
+  EXPECT_EQ(events[1].thread, 2u);
 }
 
 TEST(Watchdog, DisabledDeadlineNeverStarts) {
@@ -179,7 +182,6 @@ TEST(Watchdog, MonitorThreadLifecycle) {
   std::atomic<std::uint64_t> beat{0};
   WatchdogOptions options;
   options.deadline_us = 60'000'000;  // 60 s: unreachable in-test
-  options.poll_period_us = 1'000;
   Watchdog dog(1, options, [&beat](std::vector<WatchdogSample>& out) {
     out[0].heartbeat = beat.fetch_add(1, std::memory_order_relaxed);
   });

@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "runtime/runtime.hpp"
@@ -109,7 +110,12 @@ TEST(DataDeps, IndependentBlocksDontSerialize) {
 }
 
 TEST(DataDeps, AffinityFollowsWrittenBlock) {
-  auto rt = make_runtime();
+  // Routing, not scheduling: with a cross-node reluctance no worker ever
+  // reaches, a task runs only on the node whose queues hold it, so every
+  // task must run where its written block's node routed it.
+  Runtime rt(topo::Machine::symmetric(2, 2, 1.0, 10.0),
+             {.name = "datadeps",
+              .cross_node_reluctance = std::numeric_limits<std::uint32_t>::max()});
   auto on_node1 = rt.create_datablock(64, 1);
   std::atomic<int> wrong{0};
   std::vector<EventPtr> dones;
@@ -121,7 +127,7 @@ TEST(DataDeps, AffinityFollowsWrittenBlock) {
         {DataAccess::write(on_node1)}));
   }
   for (auto& d : dones) d->wait();
-  EXPECT_LT(wrong.load(), 20);  // hint honored in the common case
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 TEST(DataDeps, ComposesWithEventDeps) {

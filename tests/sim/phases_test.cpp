@@ -29,7 +29,6 @@ TEST(Phases, SetAppAiChangesRates) {
 TEST(Phases, PenaltyAppliesAfterSwitchOnly) {
   SimulationOptions options;
   options.reallocation_penalty_s = 0.02;
-  options.reallocation_efficiency = 0.5;
   auto sim = make(options);
   const auto clean = sim.run(0.05);
   EXPECT_NEAR(clean.app_gflops[0], 40.0, 1e-9);  // no switch yet
@@ -46,29 +45,27 @@ TEST(Phases, PenaltyAppliesAfterSwitchOnly) {
 TEST(Phases, IdenticalAllocationIncursNoPenalty) {
   SimulationOptions options;
   options.reallocation_penalty_s = 0.05;
-  options.reallocation_efficiency = 0.0;
   auto sim = make(options);
   sim.set_allocation(sim.allocation());  // no-op switch
   const auto m = sim.run(0.05);
-  EXPECT_NEAR(m.app_gflops[0], 40.0, 1e-9);
+  EXPECT_NEAR(m.app_gflops[0], 40.0, 1e-9);  // a penalty would halve it
 }
 
-TEST(Phases, ZeroEfficiencyStallsDuringPenalty) {
+TEST(Phases, PenaltyHalvesTheRateForItsWholeSpan) {
   SimulationOptions options;
   options.reallocation_penalty_s = 1.0;  // longer than the run
-  options.reallocation_efficiency = 0.0;
   auto sim = make(options);
   auto other = model::Allocation(1, 1);
   other.set_threads(0, 0, 3);
   sim.set_allocation(other);
   const auto m = sim.run(0.05);
-  EXPECT_NEAR(m.app_gflop_total[0], 0.0, 1e-12);
+  // 3 threads x 10 GFLOPS at half rate for the whole 50 ms.
+  EXPECT_NEAR(m.app_gflop_total[0], 30.0 * 0.5 * 0.05, 1e-9);
 }
 
 TEST(Phases, ControllerSwitchTriggersPenaltyToo) {
   SimulationOptions options;
   options.reallocation_penalty_s = 0.5;
-  options.reallocation_efficiency = 0.0;
   auto sim = make(options);
   auto smaller = model::Allocation(1, 1);
   smaller.set_threads(0, 0, 1);
@@ -81,8 +78,9 @@ TEST(Phases, ControllerSwitchTriggersPenaltyToo) {
   const auto m = sim.run(0.1, 1e-3, controller, 0.05);
   EXPECT_EQ(m.reallocations, 1u);
   // First 50 ms at full 40 GFLOPS = 2.0 GFLOP; after the switch the penalty
-  // (zero efficiency) stalls the rest of the run.
-  EXPECT_NEAR(m.app_gflop_total[0], 2.0, 0.1);
+  // halves the one thread's 10 GFLOPS for the rest of the run: 0.25 GFLOP
+  // (0.5 without the penalty).
+  EXPECT_NEAR(m.app_gflop_total[0], 2.25, 0.1);
 }
 
 TEST(Phases, TracerRecordsPerAppCountersAndReallocations) {
@@ -131,8 +129,8 @@ TEST(PhasesDeath, BadInputsRejected) {
   EXPECT_DEATH(sim.set_app_ai(5, 1.0), "out of range");
   EXPECT_DEATH(sim.set_app_ai(0, 0.0), "positive");
   SimulationOptions bad;
-  bad.reallocation_efficiency = 2.0;
-  EXPECT_DEATH(make(bad), "efficiency");
+  bad.reallocation_penalty_s = -1.0;
+  EXPECT_DEATH(make(bad), "non-negative");
 }
 
 }  // namespace

@@ -47,18 +47,17 @@ TEST(Discovery, ParsesTwoNodeTree) {
 
   DiscoveryOptions options;
   options.sysfs_root = sysfs.path();
-  options.assumed_core_peak_gflops = 2.0;
-  options.assumed_node_bandwidth = 20.0;
-  options.assumed_link_bandwidth = 8.0;
 
+  // sysfs has no speeds: discovery assumes 1 GFLOPS per core, 10 GB/s per
+  // node and 5 GB/s per link.
   const auto machine = discover_host(options);
   ASSERT_TRUE(machine.has_value());
   EXPECT_EQ(machine->node_count(), 2u);
   EXPECT_EQ(machine->core_count(), 8u);
   EXPECT_EQ(machine->cores_in_node(1), 4u);
-  EXPECT_DOUBLE_EQ(machine->core(0).peak_gflops, 2.0);
-  EXPECT_DOUBLE_EQ(machine->node(0).memory_bandwidth, 20.0);
-  EXPECT_DOUBLE_EQ(machine->link_bandwidth(0, 1), 8.0);
+  EXPECT_DOUBLE_EQ(machine->core(0).peak_gflops, 1.0);
+  EXPECT_DOUBLE_EQ(machine->node(0).memory_bandwidth, 10.0);
+  EXPECT_DOUBLE_EQ(machine->link_bandwidth(0, 1), 5.0);
   EXPECT_TRUE(machine->validate());
 }
 

@@ -214,7 +214,6 @@ int cmd_daemon_status(int argc, char** argv) {
               alive ? "alive" : "DEAD — stale registry");
   std::printf("generation: %llu\n",
               static_cast<unsigned long long>(header.generation.load()));
-  std::printf("tick:       %llu\n", static_cast<unsigned long long>(header.tick.load()));
   // Failover tier (registry v6): the daemon's liveness heartbeat clients
   // watch (a stalled value + live pid = wedged daemon), and the incarnation
   // number that fences stale grants across restarts.
