@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "agent/channel.hpp"
+#include "common/logging.hpp"
 #include "daemon/failover.hpp"
 #include "obs/watchdog.hpp"
 #include "runtime/runtime.hpp"
@@ -71,21 +72,19 @@ int main(int argc, char** argv) {
                  name.c_str(), error.c_str());
     return 1;
   }
-  const nsd::DaemonClient& client = failover.client();
   std::printf("%s: joined as slot %u (generation %llu), advertised AI %.2f\n", name.c_str(),
-              client.slot_index(), static_cast<unsigned long long>(failover.known_generation()),
-              ai);
+              failover.slot_index(),
+              static_cast<unsigned long long>(failover.known_generation()), ai);
 
   // The runtime must mirror the daemon's node layout (published in the
   // registry) so per-node thread targets land on matching pools. Its
   // scheduler-latency watchdog reports workers the OS is not running, so
   // the daemon holds compliance escalation for a starved app.
-  rt::Runtime runtime(client.arbitration_machine(),
+  rt::Runtime runtime(failover.arbitration_machine(),
                       {.name = name, .watchdog_deadline_us = obs::WatchdogOptions{}.deadline_us});
   // The adapter reads the client's channel, which a failback replaces: it
   // is dropped when the connection goes and rebuilt on the new channel.
-  std::optional<agent::RuntimeAdapter> adapter(std::in_place, runtime,
-                                               *failover.client().channel(), ai);
+  std::optional<agent::RuntimeAdapter> adapter(std::in_place, runtime, *failover.channel(), ai);
   std::uint64_t rejoins = 0;
   std::vector<std::uint32_t> enacted_degraded;
 
@@ -93,12 +92,12 @@ int main(int argc, char** argv) {
       std::chrono::steady_clock::now() + std::chrono::duration<double>(seconds);
   auto next_print = std::chrono::steady_clock::now();
   while (std::chrono::steady_clock::now() < deadline) {
-    const auto state = failover.poll(adapter ? adapter->last_grant()
-                                             : std::vector<std::uint32_t>{});
+    const auto state = failover.poll(monotonic_seconds(), adapter ? adapter->last_grant()
+                                                                  : std::vector<std::uint32_t>{});
     if (failover.stats().rejoins != rejoins || !failover.connected()) adapter.reset();
     if (!adapter && failover.connected()) {
       rejoins = failover.stats().rejoins;
-      const std::uint32_t nodes = client.arbitration_machine().node_count();
+      const std::uint32_t nodes = failover.arbitration_machine().node_count();
       if (nodes != runtime.machine().node_count()) {
         // Per-node targets for another layout can never be enacted here.
         std::fprintf(stderr, "%s: the new daemon arbitrates %u nodes, this runtime has %u\n",
@@ -106,9 +105,9 @@ int main(int argc, char** argv) {
         failover.disconnect();
         return 1;
       }
-      adapter.emplace(runtime, *failover.client().channel(), ai);
+      adapter.emplace(runtime, *failover.channel(), ai);
       std::printf("%s: rejoined as slot %u (generation %llu)\n", name.c_str(),
-                  client.slot_index(),
+                  failover.slot_index(),
                   static_cast<unsigned long long>(failover.known_generation()));
     }
     if (state != nsd::FailoverState::kDegraded) {

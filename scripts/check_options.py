@@ -29,9 +29,10 @@ SOURCE_SUFFIXES = {".hpp", ".cpp", ".h", ".cc"}
 
 # Fields that only tests set, each with the reason it is still a field.
 KNOWN_TEST_ONLY = {
-    # The connect retry and activation bounds: the fork-based fault and
-    # failover sweeps run clients against real daemons in real time and
-    # need tighter bounds than a deployment's.
+    # The connect retry and activation bounds of FailoverClient, the one
+    # client type: the fork-based fault and failover sweeps run clients
+    # against real daemons in real time and need tighter bounds than a
+    # deployment's. (Its failover windows are constants in seconds.)
     "ClientConnectOptions::max_attempts": "fork-based sweeps bound retries in real time",
     "ClientConnectOptions::initial_backoff_us": "fork-based sweeps bound retries in real time",
     "ClientConnectOptions::max_backoff_us": "fork-based sweeps bound retries in real time",
@@ -40,12 +41,6 @@ KNOWN_TEST_ONLY = {
     # The advertised data home of a NUMA-bad client: no shipped client pins
     # its data yet, so only tests reach the daemon's home-aware decisions.
     "ClientConnectOptions::data_home": "no shipped client advertises a data home yet",
-    # Failover thresholds are counted in polls, and the failover sweep polls
-    # every 2 ms while daemon_app polls every 10 ms; a time-based threshold
-    # would let both use one value.
-    "FailoverOptions::suspect_after_misses": "counted in polls; the sweep polls 5x faster",
-    "FailoverOptions::degraded_after_misses": "counted in polls; the sweep polls 5x faster",
-    "FailoverOptions::rejoin_probe_every_polls": "counted in polls; the sweep polls 5x faster",
     # Feature-off and fake-backend seams: tests compare against the
     # feature turned off, or run on a simulated memory backend.
     "RuntimeOptions::bind_mode": "tests bind workers to the host's real cpusets",

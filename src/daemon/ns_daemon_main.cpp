@@ -26,7 +26,7 @@
 // heartbeat timeout and enactment deadline must be positive, and a bad
 // value exits with the usage message and code 2.
 //
-// Applications join through nsd::DaemonClient (see examples/daemon_app.cpp)
+// Applications join through nsd::FailoverClient (see examples/daemon_app.cpp)
 // and are free to come and go; crashes are detected by heartbeat loss and
 // evicted, with cores redistributed to the survivors. SIGTERM/SIGINT shut
 // down in order: clients retired, final checkpoint flushed, daemon-stop

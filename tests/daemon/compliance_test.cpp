@@ -1,7 +1,7 @@
 // Command-compliance watchdog and checkpointed journal.
 //
 // The watchdog half drives a real Daemon with manual virtual-time ticks and
-// a DaemonClient whose acks the test controls exactly: every health
+// a FailoverClient whose acks the test controls exactly: every health
 // transition (healthy -> laggard -> quarantined -> evicted, plus the
 // readmission paths and the exponential probe backoff) is pinned down in
 // ticks of virtual time. The journal half covers the checkpoint record,
@@ -16,8 +16,8 @@
 #include "agent/channel.hpp"
 #include "agent/policies.hpp"
 #include "agent/protocol.hpp"
-#include "daemon/client.hpp"
 #include "daemon/daemon.hpp"
+#include "daemon/failover.hpp"
 #include "daemon/journal.hpp"
 #include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
@@ -107,7 +107,7 @@ TEST(Compliance, PromptAckerStaysHealthy) {
   ClientConnectOptions copts;
   copts.registry_name = registry;
   copts.advertised_ai = 2.0;
-  DaemonClient client("prompt", copts);
+  FailoverClient client("prompt", copts);
   ASSERT_TRUE(connect_with_ticks(client, daemon, now));
   const auto app = only_app_name(daemon);
   ASSERT_FALSE(app.empty());
@@ -141,7 +141,7 @@ TEST(Compliance, LaggardIsCappedThenReadmittedOnAck) {
     ClientConnectOptions copts;
     copts.registry_name = registry;
     copts.advertised_ai = 2.0;
-    DaemonClient client("sluggish", copts);
+    FailoverClient client("sluggish", copts);
     ASSERT_TRUE(connect_with_ticks(client, daemon, now));
     const auto app = only_app_name(daemon);
 
@@ -206,7 +206,7 @@ TEST(Compliance, QuarantineProbesBackOffExponentiallyThenEvict) {
     ClientConnectOptions copts;
     copts.registry_name = registry;
     copts.advertised_ai = 2.0;
-    DaemonClient client("defiant", copts);
+    FailoverClient client("defiant", copts);
     ASSERT_TRUE(connect_with_ticks(client, daemon, now));
     const auto app = only_app_name(daemon);
 
@@ -254,7 +254,8 @@ TEST(Compliance, QuarantineProbesBackOffExponentiallyThenEvict) {
     EXPECT_EQ(daemon.stats().compliance_evictions, 1u);
     EXPECT_EQ(daemon.client_count(), 0u);
     EXPECT_FALSE(daemon.compliance_view(app).has_value());
-    EXPECT_FALSE(client.check_connection());
+    EXPECT_EQ(client.poll(now), FailoverState::kRejoining);
+    EXPECT_FALSE(client.connected());
   }
   const auto entries = read_journal(journal);
   EXPECT_EQ(count_events(entries, "laggard"), 1u);
@@ -275,7 +276,7 @@ TEST(Compliance, SurvivedProbeReadmitsAndResetsBackoff) {
   ClientConnectOptions copts;
   copts.registry_name = registry;
   copts.advertised_ai = 2.0;
-  DaemonClient client("redeemed", copts);
+  FailoverClient client("redeemed", copts);
   ASSERT_TRUE(connect_with_ticks(client, daemon, now));
   const auto app = only_app_name(daemon);
 
@@ -320,7 +321,7 @@ TEST(Checkpoint, RecordsRegistryAndHealthSnapshot) {
     ClientConnectOptions copts;
     copts.registry_name = registry;
     copts.advertised_ai = 2.0;
-    DaemonClient client("snapped", copts);
+    FailoverClient client("snapped", copts);
     ASSERT_TRUE(connect_with_ticks(client, daemon, now));
     client.heartbeat();
     daemon.tick(now += 0.3);  // never acked: laggard by now
@@ -359,7 +360,7 @@ TEST(Checkpoint, RestartRecoversFromCheckpointPlusTail) {
     EXPECT_FALSE(daemon.stats().recovered_from_checkpoint);  // fresh journal
     ClientConnectOptions copts;
     copts.registry_name = registry;
-    DaemonClient client("first-life", copts);
+    FailoverClient client("first-life", copts);
     ASSERT_TRUE(connect_with_ticks(client, daemon, now));
     client.disconnect();
     daemon.tick(now += 0.01);
@@ -382,7 +383,7 @@ TEST(Checkpoint, RestartRecoversFromCheckpointPlusTail) {
 
   // join_seq advanced past the first incarnation: a new client's app name
   // can never collide with a journaled one.
-  DaemonClient client("second-life", {.registry_name = registry});
+  FailoverClient client("second-life", {.registry_name = registry});
   ASSERT_TRUE(connect_with_ticks(client, restarted, now));
   const auto name = only_app_name(restarted);
   EXPECT_EQ(name.find("#0.1"), std::string::npos) << name;

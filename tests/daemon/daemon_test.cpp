@@ -21,7 +21,7 @@
 #include "agent/channel.hpp"
 #include "agent/policies.hpp"
 #include "core/placement.hpp"
-#include "daemon/client.hpp"
+#include "daemon/failover.hpp"
 #include "runtime/runtime.hpp"
 #include "support/daemon_support.hpp"
 #include "topology/machine.hpp"
@@ -109,7 +109,7 @@ TEST(Daemon, StartupSparesADaemonWhoseNameExtendsOurs) {
   ASSERT_TRUE(neighbour.init());
   ClientConnectOptions copts;
   copts.registry_name = neighbour_registry;
-  DaemonClient client("neighbour", copts);
+  FailoverClient client("neighbour", copts);
   double now = 0.0;
   ASSERT_TRUE(connect_with_ticks(client, neighbour, now));
   const std::string channel_name = client.channel()->name();
@@ -141,7 +141,7 @@ TEST(Daemon, JoinEvictLeaveLifecycle) {
     ClientConnectOptions copts;
     copts.registry_name = registry;
     copts.advertised_ai = 8.0;
-    DaemonClient alpha("alpha", copts);
+    FailoverClient alpha("alpha", copts);
     ASSERT_TRUE(connect_with_ticks(alpha, daemon, now));
     EXPECT_EQ(daemon.client_count(), 1u);
     EXPECT_EQ(daemon.stats().joins, 1u);
@@ -165,7 +165,7 @@ TEST(Daemon, JoinEvictLeaveLifecycle) {
 
     // A second client joins; the partition must be recomputed to cover both.
     copts.advertised_ai = 0.5;
-    DaemonClient beta("beta", copts);
+    FailoverClient beta("beta", copts);
     ASSERT_TRUE(connect_with_ticks(beta, daemon, now));
     EXPECT_EQ(daemon.client_count(), 2u);
     daemon.tick(now += 0.01);
@@ -194,8 +194,9 @@ TEST(Daemon, JoinEvictLeaveLifecycle) {
     daemon.tick(now += options.heartbeat_timeout_s + 0.1);
     EXPECT_EQ(daemon.stats().evictions, 1u);
     EXPECT_EQ(daemon.client_count(), 1u);
-    EXPECT_FALSE(alpha.check_connection());
-    EXPECT_TRUE(beta.check_connection());
+    EXPECT_EQ(alpha.poll(now), FailoverState::kRejoining);
+    EXPECT_FALSE(alpha.connected());
+    EXPECT_EQ(beta.poll(now), FailoverState::kAttached);
 
     // The survivor inherits the whole machine.
     daemon.tick(now += 0.01);
@@ -256,13 +257,13 @@ TEST(Daemon, JournalCountsAppClasses) {
     Daemon daemon(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(), options);
     std::string error;
     ASSERT_TRUE(daemon.init(&error)) << error;
-    std::vector<std::unique_ptr<DaemonClient>> clients;
+    std::vector<std::unique_ptr<FailoverClient>> clients;
     for (const double ai : {0.5, 8.0, 0.5}) {
       ClientConnectOptions copts;
       copts.registry_name = registry;
       copts.advertised_ai = ai;
       clients.push_back(
-          std::make_unique<DaemonClient>("twin-" + std::to_string(clients.size()), copts));
+          std::make_unique<FailoverClient>("twin-" + std::to_string(clients.size()), copts));
       ASSERT_TRUE(connect_with_ticks(*clients.back(), daemon, now));
     }
     daemon.tick(now += 0.01);
@@ -297,13 +298,13 @@ TEST(Daemon, AdvertisedDataHomePricedBeforeFirstTelemetry) {
   std::string error;
   ASSERT_TRUE(daemon.init(&error)) << error;
   double now = 0.0;
-  std::vector<std::unique_ptr<DaemonClient>> clients;
+  std::vector<std::unique_ptr<FailoverClient>> clients;
   for (int i = 0; i < 2; ++i) {
     ClientConnectOptions copts;
     copts.registry_name = registry;
     copts.advertised_ai = 0.05;
     copts.data_home = 0;
-    clients.push_back(std::make_unique<DaemonClient>("adhome-" + std::to_string(i), copts));
+    clients.push_back(std::make_unique<FailoverClient>("adhome-" + std::to_string(i), copts));
     ASSERT_TRUE(connect_with_ticks(*clients.back(), daemon, now));
   }
   daemon.tick(now += 0.01);
@@ -336,11 +337,11 @@ TEST(Daemon, JournalCountsHomeMoves) {
     std::string error;
     ASSERT_TRUE(daemon.init(&error)) << error;
     // No advertised AI: the policy waits for the telemetry.
-    std::vector<std::unique_ptr<DaemonClient>> clients;
+    std::vector<std::unique_ptr<FailoverClient>> clients;
     for (int i = 0; i < 2; ++i) {
       ClientConnectOptions copts;
       copts.registry_name = registry;
-      clients.push_back(std::make_unique<DaemonClient>("homed-" + std::to_string(i), copts));
+      clients.push_back(std::make_unique<FailoverClient>("homed-" + std::to_string(i), copts));
       ASSERT_TRUE(connect_with_ticks(*clients.back(), daemon, now));
     }
     const auto push = [&](std::uint64_t seq, std::uint32_t second_home) {
@@ -391,12 +392,12 @@ TEST(OverMembership, DaemonCommandsTwentyOneClients) {
                                1.0 / 16, 1.0 / 8,  1.0 / 8,  1.0,      1.0};
   constexpr std::size_t kClients = 21;
   double now = 0.0;
-  std::vector<std::unique_ptr<DaemonClient>> clients;
+  std::vector<std::unique_ptr<FailoverClient>> clients;
   for (std::size_t i = 0; i < kClients; ++i) {
     ClientConnectOptions copts;
     copts.registry_name = registry;
     copts.advertised_ai = kAiMix[i % std::size(kAiMix)];
-    clients.push_back(std::make_unique<DaemonClient>("crowd-" + std::to_string(i), copts));
+    clients.push_back(std::make_unique<FailoverClient>("crowd-" + std::to_string(i), copts));
     ASSERT_TRUE(connect_with_ticks(*clients.back(), daemon, now)) << "client " << i;
   }
   ASSERT_EQ(daemon.client_count(), kClients);
@@ -419,7 +420,7 @@ TEST(OverMembership, DaemonCommandsTwentyOneClients) {
   const auto machine = topo::paper_skylake_machine();
   std::vector<std::uint32_t> node_load(machine.node_count(), 0);
   for (std::size_t i = 0; i < kClients; ++i) {
-    EXPECT_TRUE(clients[i]->check_connection()) << "client " << i;
+    EXPECT_EQ(clients[i]->poll(now), FailoverState::kAttached) << "client " << i;
     std::optional<agent::Command> last;
     while (auto cmd = clients[i]->channel()->pop_command()) {
       if (cmd->type == agent::CommandType::kSetNodeThreads) last = *cmd;
@@ -449,27 +450,33 @@ TEST(Daemon, ClientReconnectsAfterEviction) {
   ClientConnectOptions copts;
   copts.registry_name = registry;
   copts.advertised_ai = 2.0;
-  DaemonClient client("phoenix", copts);
+  FailoverClient client("phoenix", copts);
   ASSERT_TRUE(connect_with_ticks(client, daemon, now));
-  const auto first_generation = client.generation();
+  const std::string first_channel = client.channel()->name();
 
   // Go silent long enough to be evicted.
   daemon.tick(now += 0.1);
   daemon.tick(now += 1.0);
   EXPECT_EQ(daemon.stats().evictions, 1u);
-  EXPECT_FALSE(client.check_connection());
 
-  // Reconnect lands a fresh slot/generation and a working channel.
-  bool ok = false;
-  std::thread joiner([&] { ok = client.reconnect(); });
-  for (int i = 0; i < 2000 && !client.connected(); ++i) {
-    daemon.tick(now += 0.001);
-    std::this_thread::sleep_for(1ms);
-  }
-  joiner.join();
-  ASSERT_TRUE(ok);
-  EXPECT_TRUE(client.check_connection());
-  EXPECT_NE(client.generation(), first_generation);
+  // The poll that sees the eviction drops the connection without blocking
+  // on a rejoin (one join attempt would wait out the 2 s activation
+  // timeout), so this thread, which ticks the daemon, sees the loss first.
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(client.poll(now), FailoverState::kRejoining);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, 500ms);
+  EXPECT_FALSE(client.connected());
+  EXPECT_EQ(client.channel(), nullptr);
+
+  // The next poll, on a helper thread while the daemon ticks, rejoins: a
+  // fresh slot incarnation and a working channel.
+  const double poll_at = now;
+  ASSERT_TRUE(join_with_ticks(client, daemon, now, [&client, poll_at] {
+    return client.poll(poll_at) == FailoverState::kAttached;
+  }));
+  EXPECT_EQ(client.stats().rejoins, 1u);
+  EXPECT_EQ(client.poll(now), FailoverState::kAttached);
+  EXPECT_NE(client.channel()->name(), first_channel);
   EXPECT_EQ(daemon.stats().joins, 2u);
 }
 
@@ -484,7 +491,7 @@ TEST(Daemon, AdvertisedDataHomeReachesTheSlot) {
   ClientConnectOptions copts;
   copts.registry_name = registry;
   copts.data_home = 1;
-  DaemonClient client("homed", copts);
+  FailoverClient client("homed", copts);
   ASSERT_TRUE(connect_with_ticks(client, daemon, now));
   EXPECT_EQ(client.registry()->slot(client.slot_index()).data_home.load(), 1u);
 }
@@ -495,13 +502,12 @@ TEST(Daemon, ConnectBackoffGivesUpWithoutDaemon) {
   copts.max_attempts = 3;
   copts.initial_backoff_us = 100;
   copts.max_backoff_us = 200;
-  DaemonClient client("lonely", copts);
+  FailoverClient client("lonely", copts);
   std::string error;
   const auto start = std::chrono::steady_clock::now();
   EXPECT_FALSE(client.connect(&error));
   const auto elapsed = std::chrono::steady_clock::now() - start;
-  EXPECT_EQ(client.connect_attempts(), 3u);
-  EXPECT_NE(error.find("gave up"), std::string::npos) << error;
+  EXPECT_NE(error.find("gave up after 3 attempts"), std::string::npos) << error;
   // Backoff actually slept (100 + 200 us at minimum), but stayed bounded.
   EXPECT_GE(elapsed, 300us);
   EXPECT_LT(elapsed, 2s);
@@ -529,7 +535,7 @@ TEST(DaemonE2E, ForkKillEvictReclaim) {
     copts.registry_name = registry;
     copts.advertised_ai = ai;
     copts.max_attempts = 20;
-    DaemonClient client(name, copts);
+    FailoverClient client(name, copts);
     if (!client.connect()) _exit(2);
     rt::Runtime runtime(topo::Machine::symmetric(2, 2, 1.0, 10.0), {.name = name});
     agent::RuntimeAdapter adapter(runtime, *client.channel(), ai);
@@ -552,8 +558,12 @@ TEST(DaemonE2E, ForkKillEvictReclaim) {
       std::make_unique<Daemon>(machine, std::make_unique<agent::ModelGuidedPolicy>(), options);
   std::string error;
   ASSERT_TRUE(daemon->init(&error)) << error;
-  daemon->start();
 
+  // Both clients fork before the daemon thread starts: a child forked
+  // beside a running thread can inherit a lock that thread held (ASan's
+  // allocator lock, say) and deadlock on it. The registry exists since
+  // init(), and the clients' connect() retries until the loop activates
+  // their slots.
   // victim: joins and runs until killed.
   const pid_t victim = fork();
   ASSERT_GE(victim, 0);
@@ -564,6 +574,7 @@ TEST(DaemonE2E, ForkKillEvictReclaim) {
   const pid_t survivor = fork();
   ASSERT_GE(survivor, 0);
   if (survivor == 0) run_client("survivor", 0.5, /*exit_when_whole_machine=*/true);
+  daemon->start();
 
   // Wait until both clients are active (observed through a separate
   // read-only mapping of the registry — all-atomic fields).

@@ -6,7 +6,7 @@
 //
 // Clients are simulated in-process by nsd::SimFleet (tests/support), which
 // drives the slot protocol (claim / heartbeat / kLeaving CAS) against a
-// second mapping of the registry, exactly what DaemonClient does, minus the
+// second mapping of the registry, exactly what FailoverClient does, minus the
 // channel attach — the daemon still mints a real ShmChannel per admitted
 // slot, so the full 1024-client run also exercises segment churn.
 #include <gtest/gtest.h>

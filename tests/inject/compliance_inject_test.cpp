@@ -19,8 +19,8 @@
 
 #include "agent/channel.hpp"
 #include "agent/policies.hpp"
-#include "daemon/client.hpp"
 #include "daemon/daemon.hpp"
+#include "daemon/failover.hpp"
 #include "daemon/journal.hpp"
 #include "daemon/registry.hpp"
 #include "inject/fault.hpp"
@@ -66,7 +66,7 @@ TEST_F(ComplianceInject, AckSuppressionMakesAnAckingClientLaggard) {
   ClientConnectOptions copts;
   copts.registry_name = registry;
   copts.advertised_ai = 2.0;
-  DaemonClient client("earnest", copts);
+  FailoverClient client("earnest", copts);
   ASSERT_TRUE(connect_with_ticks(client, daemon, now));
   const auto app = daemon.arbitration_agent().views().front().name;
 
@@ -126,8 +126,11 @@ TEST_F(ComplianceInject, StalledLaggardCoresAreReGrantedToCompliantPeer) {
       std::make_unique<Daemon>(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(),
                                options);
   ASSERT_TRUE(daemon->init());
-  daemon->start();
 
+  // Both clients fork before daemon->start(): a child forked beside the
+  // daemon thread can inherit a lock it held (ASan's allocator lock) and
+  // deadlock. The registry exists since init(); connect() retries until the
+  // loop runs.
   // The laggard: every pop_command wedges for 4s (count=0 = forever), so
   // the pump thread never publishes telemetry again. Heartbeats run from
   // the main thread and keep it "alive" the whole time.
@@ -140,7 +143,7 @@ TEST_F(ComplianceInject, StalledLaggardCoresAreReGrantedToCompliantPeer) {
     copts.registry_name = registry;
     copts.advertised_ai = 8.0;
     copts.max_attempts = 20;
-    DaemonClient client("wedged", copts);
+    FailoverClient client("wedged", copts);
     if (!client.connect()) _exit(2);
     rt::Runtime runtime(topo::Machine::symmetric(2, 2, 1.0, 10.0), {.name = "wedged"});
     agent::RuntimeAdapter adapter(runtime, *client.channel(), 8.0);
@@ -164,7 +167,7 @@ TEST_F(ComplianceInject, StalledLaggardCoresAreReGrantedToCompliantPeer) {
     copts.registry_name = registry;
     copts.advertised_ai = 0.5;
     copts.max_attempts = 20;
-    DaemonClient client("diligent", copts);
+    FailoverClient client("diligent", copts);
     if (!client.connect()) _exit(2);
     rt::Runtime runtime(topo::Machine::symmetric(2, 2, 1.0, 10.0), {.name = "diligent"});
     agent::RuntimeAdapter adapter(runtime, *client.channel(), 0.5);
@@ -180,6 +183,7 @@ TEST_F(ComplianceInject, StalledLaggardCoresAreReGrantedToCompliantPeer) {
     }
     _exit(3);
   }
+  daemon->start();
 
   // The peer's exit 0 bounds the whole pipeline end to end: laggard
   // detection, administrative reclamation, and the re-grant.

@@ -7,7 +7,8 @@
 //    compute bitwise-identical conservative allocations; a restarted daemon
 //    comes back with a strictly higher arbiter generation and the survivors
 //    fail back onto it (its commands carry that generation); a wedged-but-
-//    alive daemon drives clients to suspect and back without an episode.
+//    alive daemon drives clients to suspect and back without an episode;
+//    the windows are seconds of the caller's clock, whatever the poll rate.
 //  * the randomized sweep — 40 seeds, each expanded into a kill/restart
 //    schedule (2-3 clients, >=3 kill cycles, SIGKILL vs in-tick die site,
 //    randomized kill timing and restart delay). Invariants per seed:
@@ -20,9 +21,10 @@
 //      4. after the last failback, commands carry the final generation.
 //
 // Process shape: the daemon runs in a forked child (self-ticking loop);
-// the FailoverClients run single-threaded in the parent, so the parent can
-// compare their degraded allocations directly — and stays fork-safe under
-// TSan (no parent threads at fork time).
+// the FailoverClients run single-threaded in the parent, polling on the
+// monotonic clock, so the parent can compare their degraded allocations
+// directly — and stays fork-safe under TSan (no parent threads at fork
+// time).
 #include <gtest/gtest.h>
 #include <signal.h>
 #include <sys/wait.h>
@@ -77,14 +79,6 @@ ClientConnectOptions failover_client_options(const std::string& registry, std::u
   return copts;
 }
 
-FailoverOptions fast_failover_options() {
-  FailoverOptions fopts;
-  fopts.suspect_after_misses = 3;
-  fopts.degraded_after_misses = 200;  // pid death is the fast path under kill
-  fopts.rejoin_probe_every_polls = 2;
-  return fopts;
-}
-
 /// The forked daemon body: install the fault plan, init, self-tick until the
 /// lifetime guard expires. Never returns; never touches gtest.
 [[noreturn]] void run_daemon_child(const topo::Machine& machine, const std::string& registry,
@@ -130,7 +124,7 @@ bool pump_until(std::vector<std::unique_ptr<FailoverClient>>& clients,
   while (Clock::now() < deadline) {
     for (auto& client : clients) {
       client->heartbeat();
-      client->poll();
+      client->poll(monotonic_seconds());
     }
     if (done()) return true;
     std::this_thread::sleep_for(2ms);
@@ -208,7 +202,7 @@ TEST_F(FailoverDirected, StaleCommandsAreFencedByGeneration) {
 /// runs no runtime adapter).
 std::vector<agent::Command> drain_commands(FailoverClient& client) {
   std::vector<agent::Command> commands;
-  if (auto* channel = client.client().channel()) {
+  if (auto* channel = client.channel()) {
     while (auto command = channel->pop_command()) commands.push_back(*command);
   }
   return commands;
@@ -229,8 +223,7 @@ TEST_F(FailoverDirected, SurvivorsAgreeAfterDaemonKill) {
   std::vector<std::unique_ptr<FailoverClient>> clients;
   for (int c = 0; c < 3; ++c) {
     clients.push_back(std::make_unique<FailoverClient>(
-        "agree-" + std::to_string(c), failover_client_options(registry, 100 + c),
-        fast_failover_options()));
+        "agree-" + std::to_string(c), failover_client_options(registry, 100 + c)));
     ASSERT_TRUE(clients.back()->connect());
     EXPECT_EQ(clients.back()->known_generation(), 1u);
   }
@@ -253,7 +246,7 @@ TEST_F(FailoverDirected, SurvivorsAgreeAfterDaemonKill) {
   for (int round = 0; round < 10; ++round) {
     for (auto& client : clients) {
       client->heartbeat();
-      client->poll();
+      client->poll(monotonic_seconds());
     }
   }
   expect_identical_degraded_allocations(clients, machine);
@@ -283,8 +276,7 @@ TEST_F(FailoverDirected, DegradedProposalClampsToTheLastGrant) {
   std::vector<std::unique_ptr<FailoverClient>> clients;
   for (int c = 0; c < 2; ++c) {
     clients.push_back(std::make_unique<FailoverClient>(
-        "clamp-" + std::to_string(c), failover_client_options(registry, 400 + c),
-        fast_failover_options()));
+        "clamp-" + std::to_string(c), failover_client_options(registry, 400 + c)));
     ASSERT_TRUE(clients.back()->connect());
   }
   const std::vector<std::vector<std::uint32_t>> grants{{1, 0}, {}};
@@ -295,18 +287,20 @@ TEST_F(FailoverDirected, DegradedProposalClampsToTheLastGrant) {
                                       all_have_degraded_allocation(clients))) {
     for (std::size_t c = 0; c < clients.size(); ++c) {
       clients[c]->heartbeat();
-      clients[c]->poll(grants[c]);
+      clients[c]->poll(monotonic_seconds(), grants[c]);
     }
     std::this_thread::sleep_for(2ms);
   }
   ASSERT_TRUE(all_in_state(clients, FailoverState::kDegraded));
   for (int round = 0; round < 10; ++round) {
-    for (std::size_t c = 0; c < clients.size(); ++c) clients[c]->poll(grants[c]);
+    for (std::size_t c = 0; c < clients.size(); ++c) {
+      clients[c]->poll(monotonic_seconds(), grants[c]);
+    }
   }
   expect_identical_degraded_allocations(clients, machine);
 
   const auto proposal = [&](const FailoverClient& client) {
-    const auto& slot = client.client().registry()->slot(client.client().slot_index());
+    const auto& slot = client.registry()->slot(client.slot_index());
     return std::vector<std::uint32_t>{slot.proposal_desired[0].load(),
                                       slot.proposal_desired[1].load()};
   };
@@ -337,8 +331,7 @@ TEST_F(FailoverDirected, FailbackBumpsGenerationAndResumesCommands) {
   std::vector<std::unique_ptr<FailoverClient>> clients;
   for (int c = 0; c < 2; ++c) {
     clients.push_back(std::make_unique<FailoverClient>(
-        "fb-" + std::to_string(c), failover_client_options(registry, 200 + c),
-        fast_failover_options()));
+        "fb-" + std::to_string(c), failover_client_options(registry, 200 + c)));
     ASSERT_TRUE(clients.back()->connect());
   }
   kill_and_reap(daemon_pid);
@@ -382,54 +375,93 @@ TEST_F(FailoverDirected, FailbackBumpsGenerationAndResumesCommands) {
   std::remove(journal.c_str());
 }
 
+/// An in-process daemon on `registry`, ticked by the test thread.
+std::unique_ptr<Daemon> in_process_daemon(const std::string& registry) {
+  auto daemon = std::make_unique<Daemon>(topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0),
+                                         std::make_unique<agent::ModelGuidedPolicy>(),
+                                         failover_daemon_options(registry, ""));
+  return daemon->init() ? std::move(daemon) : nullptr;
+}
+
 // A wedged-but-alive daemon (ticks skipped, heartbeat frozen) must drive the
 // client to suspect — and back to attached, with no degraded episode, once
-// the heartbeat resumes. In-process daemon, manual ticks: the boundary is
-// exact in polls.
+// the heartbeat resumes. In-process daemon, manual ticks, and the client
+// polls on the same virtual clock: 0.1 s frozen is past the 0.05 s suspect
+// window and short of the 0.5 s degraded one.
 TEST_F(FailoverDirected, SuspectRecoversWhenHeartbeatResumes) {
   const auto registry = unique_registry("suspect");
-  auto options = failover_daemon_options(registry, "");
-  Daemon daemon(topo::Machine::symmetric(2, 2, 1.0, 10.0, 5.0),
-                std::make_unique<agent::ModelGuidedPolicy>(), options);
-  ASSERT_TRUE(daemon.init());
+  const auto daemon = in_process_daemon(registry);
+  ASSERT_NE(daemon, nullptr);
+  FailoverClient client("wedge-watch", failover_client_options(registry, 300));
+  double now = 0.0;
+  ASSERT_TRUE(connect_with_ticks(client, *daemon, now));
 
-  FailoverClient client("wedge-watch", failover_client_options(registry, 300),
-                        fast_failover_options());
-  bool connected = false;
-  std::thread joiner([&] { connected = client.connect(); });
-  double now = monotonic_seconds();
-  for (int i = 0; i < 4000 && !client.connected(); ++i) {
-    daemon.tick(now += 0.001);
-    std::this_thread::sleep_for(1ms);
-  }
-  joiner.join();
-  ASSERT_TRUE(connected);
-
-  // Healthy ticks: attached, and polls do not accumulate misses.
+  // Healthy ticks: attached, however much time passes between polls.
   for (int i = 0; i < 5; ++i) {
-    daemon.tick(now += 0.001);
+    daemon->tick(now += 0.01);
     client.heartbeat();
-    EXPECT_EQ(client.poll(), FailoverState::kAttached);
+    EXPECT_EQ(client.poll(now), FailoverState::kAttached);
   }
 
-  // Freeze the heartbeat (ticks skipped, pid alive): suspect after the miss
-  // window, and never degraded — the pid is alive and the window is long.
+  // Freeze the heartbeat (ticks skipped, pid alive): suspect after the
+  // suspect window, and never degraded — the pid is alive and the degraded
+  // window is long.
   ASSERT_TRUE(inject::install_spec("daemon.tick.skip@count=0"));
   FailoverState state = FailoverState::kAttached;
   for (int i = 0; i < 10; ++i) {
-    daemon.tick(now += 0.001);  // skipped: no heartbeat movement
+    daemon->tick(now += 0.01);  // skipped: no heartbeat movement
     client.heartbeat();
-    state = client.poll();
+    state = client.poll(now);
   }
   EXPECT_EQ(state, FailoverState::kSuspect);
   EXPECT_EQ(client.stats().degraded_entries, 0u);
 
   // Resume: one real tick clears the suspicion.
   inject::clear_plan();
-  daemon.tick(now += 0.001);
-  EXPECT_EQ(client.poll(), FailoverState::kAttached);
+  daemon->tick(now += 0.01);
+  EXPECT_EQ(client.poll(now), FailoverState::kAttached);
   EXPECT_EQ(client.stats().rejoins, 0u);  // same incarnation throughout
   EXPECT_EQ(client.known_generation(), 1u);
+}
+
+// The failover windows are seconds of the caller's clock, not poll counts.
+// Two clients watch one wedged daemon (ticks skipped, pid alive), one
+// polling every 2 ms of virtual time and one every 10 ms. Both turn suspect
+// at the same instant, 0.05 s after the heartbeat last moved, and both
+// degrade at 0.5 s.
+TEST_F(FailoverDirected, WindowsAreTimedNotCounted) {
+  const auto registry = unique_registry("timed");
+  const auto daemon = in_process_daemon(registry);
+  ASSERT_NE(daemon, nullptr);
+  FailoverClient fast("poll-2ms", failover_client_options(registry, 500));
+  FailoverClient slow("poll-10ms", failover_client_options(registry, 501));
+  double now = 0.0;
+  ASSERT_TRUE(connect_with_ticks(fast, *daemon, now));
+  ASSERT_TRUE(connect_with_ticks(slow, *daemon, now));
+
+  // The clients' clock counts whole milliseconds from their first poll, so
+  // `ms / 1000.0` lands exactly on each window edge.
+  FailoverClient* clients[2] = {&fast, &slow};
+  const int period_ms[2] = {2, 10};
+  for (auto* client : clients) ASSERT_EQ(client->poll(0.0), FailoverState::kAttached);
+  ASSERT_TRUE(inject::install_spec("daemon.tick.skip@count=0"));
+  int suspect_at_ms[2] = {-1, -1};
+  int degraded_at_ms[2] = {-1, -1};
+  for (int ms = 1; ms <= 600; ++ms) {
+    daemon->tick(now += 0.001);  // skipped: the heartbeat stays put
+    for (int c = 0; c < 2; ++c) {
+      if (ms % period_ms[c] != 0) continue;
+      const auto state = clients[c]->poll(ms / 1000.0);
+      if (state != FailoverState::kAttached && suspect_at_ms[c] < 0) suspect_at_ms[c] = ms;
+      if (state == FailoverState::kDegraded && degraded_at_ms[c] < 0) degraded_at_ms[c] = ms;
+    }
+  }
+  for (int c = 0; c < 2; ++c) {
+    SCOPED_TRACE("polling every " + std::to_string(period_ms[c]) + " ms");
+    EXPECT_EQ(suspect_at_ms[c], 50);
+    EXPECT_EQ(degraded_at_ms[c], 500);
+    EXPECT_EQ(clients[c]->stats().degraded_entries, 1u);
+  }
 }
 
 // ---- the randomized kill/restart sweep ----------------------------------
@@ -517,7 +549,7 @@ TEST_P(FailoverSweep, SurvivalInvariantsHoldUnderKillRestartCycles) {
   for (std::uint32_t c = 0; c < schedule.clients; ++c) {
     clients.push_back(std::make_unique<FailoverClient>(
         "swp-" + std::to_string(seed) + "-" + std::to_string(c),
-        failover_client_options(registry, seed * 100 + c), fast_failover_options()));
+        failover_client_options(registry, seed * 100 + c)));
     ASSERT_TRUE(clients.back()->connect()) << "initial connect failed for client " << c;
   }
 
@@ -570,7 +602,7 @@ TEST_P(FailoverSweep, SurvivalInvariantsHoldUnderKillRestartCycles) {
     for (int round = 0; round < 10; ++round) {
       for (auto& client : clients) {
         client->heartbeat();
-        client->poll();
+        client->poll(monotonic_seconds());
       }
     }
     expect_identical_degraded_allocations(clients, machine);

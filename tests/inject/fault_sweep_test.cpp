@@ -3,7 +3,8 @@
 // Two layers:
 //  * directed regressions — one test per failure mode the injection layer
 //    was built to reach (claimant death mid-claim, admit/abandon race,
-//    heartbeat suppression, daemon death after the write-ahead join);
+//    heartbeat suppression, daemon death after the write-ahead join, the
+//    whole compliance ladder under ack suppression);
 //  * the randomized sweep — a fixed list of >=100 seeds, each expanded
 //    into a fault schedule (daemon-side + per-client rules) and run through
 //    a fork-based scenario. Three invariants must hold for every seed:
@@ -23,9 +24,17 @@
 //
 // The schedules also exercise the compliance watchdog: client menus include
 // ack suppression (client.ack.suppress) and enactment stalls
-// (client.enact.stall@ms=N), and the daemon runs with tight compliance
-// deadlines plus periodic checkpoints and journal compaction, so laggard
-// demotion, quarantine, and checkpoint rotation all happen under fire.
+// (client.enact.stall@ms=N), and the daemon runs with a tight compliance
+// deadline plus periodic checkpoints and journal compaction. The seeds
+// reach laggard demotion and readmission only: a sweep client lives
+// 0.05-0.40 s, and quarantine needs one 0.5 s behind. The later rungs
+// (quarantine, readmission probes, probe-failed, compliance-evict) run under
+// fire in FaultDirected.ComplianceLadderRunsUnderFire, which forks the same
+// client body for seconds, and in virtual time in
+// tests/daemon/compliance_test.cpp.
+//
+// Every client is a FailoverClient, the shipped client path: it sees an
+// eviction in the poll() after it, and rejoins on the poll() after that.
 //
 // Foreign arbitration runs live in every schedule: the daemon menu scripts
 // synthetic hogs through the monitor's fault sites (foreign.appear,
@@ -47,8 +56,8 @@
 #include "agent/shm_channel.hpp"
 #include "common/logging.hpp"
 #include "common/rng.hpp"
-#include "daemon/client.hpp"
 #include "daemon/daemon.hpp"
+#include "daemon/failover.hpp"
 #include "daemon/journal.hpp"
 #include "inject/fault.hpp"
 #include "runtime/datablock.hpp"
@@ -234,7 +243,7 @@ TEST_F(FaultDirected, DeadClaimantSlotIsReclaimed) {
   if (child == 0) {
     inject::clear_plan();
     if (!inject::install_spec("registry.die@site=claiming")) _exit(99);
-    DaemonClient client("doomed", sweep_client_options(registry_name));
+    FailoverClient client("doomed", sweep_client_options(registry_name));
     client.connect();
     _exit(98);  // unreachable: the die site fires inside the first claim
   }
@@ -254,7 +263,7 @@ TEST_F(FaultDirected, DeadClaimantSlotIsReclaimed) {
   EXPECT_TRUE(all_slots_free(*observer));
 
   // The reclaimed slot is usable: a well-behaved client joins through it.
-  DaemonClient healthy("healthy", sweep_client_options(registry_name));
+  FailoverClient healthy("healthy", sweep_client_options(registry_name));
   ASSERT_TRUE(connect_with_ticks(healthy, daemon, now));
   EXPECT_EQ(daemon.stats().joins, 1u);
 }
@@ -275,7 +284,7 @@ TEST_F(FaultDirected, AdmitRollsBackWhenClientAbandonsTheClaim) {
     auto copts = sweep_client_options(registry_name);
     copts.activation_timeout_s = 0.05;  // abandons long before the pause ends
     copts.max_attempts = 1;
-    DaemonClient client("impatient", copts);
+    FailoverClient client("impatient", copts);
     EXPECT_FALSE(connect_with_ticks(client, daemon, now));
 
     EXPECT_EQ(daemon.stats().joins_abandoned, 1u);
@@ -303,7 +312,7 @@ TEST_F(FaultDirected, HeartbeatSuppressionEvictsOnlyPastThreshold) {
   ASSERT_TRUE(daemon.init());
 
   double now = 0.0;
-  DaemonClient client("flaky", sweep_client_options(registry_name));
+  FailoverClient client("flaky", sweep_client_options(registry_name));
   ASSERT_TRUE(connect_with_ticks(client, daemon, now));
 
   // Three suppressed beats at 0.05s spacing freeze the counter for 0.15s —
@@ -315,7 +324,7 @@ TEST_F(FaultDirected, HeartbeatSuppressionEvictsOnlyPastThreshold) {
   }
   EXPECT_EQ(inject::fires("client.heartbeat.suppress"), 3u);
   EXPECT_EQ(daemon.stats().evictions, 0u);
-  EXPECT_TRUE(client.check_connection());
+  EXPECT_EQ(client.poll(now), FailoverState::kAttached);
 
   // Unlimited suppression: the counter freezes and the timeout must fire.
   ASSERT_TRUE(inject::install_spec("client.heartbeat.suppress@count=0"));
@@ -323,18 +332,14 @@ TEST_F(FaultDirected, HeartbeatSuppressionEvictsOnlyPastThreshold) {
   daemon.tick(now += 0.1);  // observes the frozen counter
   daemon.tick(now += options.heartbeat_timeout_s + 0.05);
   EXPECT_EQ(daemon.stats().evictions, 1u);
-  EXPECT_FALSE(client.check_connection());
+  EXPECT_EQ(client.poll(now), FailoverState::kRejoining);
   inject::clear_plan();
 
-  // Eviction is recoverable: reconnect wins a fresh incarnation.
-  bool ok = false;
-  std::thread joiner([&] { ok = client.reconnect(); });
-  for (int i = 0; i < 2000 && !client.connected(); ++i) {
-    daemon.tick(now += 0.001);
-    std::this_thread::sleep_for(1ms);
-  }
-  joiner.join();
-  EXPECT_TRUE(ok);
+  // Eviction is recoverable: the next poll wins a fresh incarnation.
+  const double poll_at = now;
+  EXPECT_TRUE(join_with_ticks(client, daemon, now, [&client, poll_at] {
+    return client.poll(poll_at) == FailoverState::kAttached;
+  }));
   EXPECT_EQ(daemon.stats().joins, 2u);
 }
 
@@ -375,7 +380,7 @@ TEST_F(FaultDirected, DaemonDeathAfterJournaledJoinLeavesClientUnwedged) {
 
   auto copts = sweep_client_options(registry_name);
   copts.max_attempts = 3;
-  DaemonClient client("orphan", copts);
+  FailoverClient client("orphan", copts);
   std::string error;
   const auto start = std::chrono::steady_clock::now();
   EXPECT_FALSE(client.connect(&error));  // bounded failure, not a hang
@@ -487,7 +492,7 @@ Schedule make_schedule(std::uint64_t seed) {
       !inject::install_spec(schedule.client_spec[which])) {
     _exit(99);
   }
-  DaemonClient client(which == 0 ? "sweep-a" : "sweep-b",
+  FailoverClient client(which == 0 ? "sweep-a" : "sweep-b",
                       sweep_client_options(registry_name));
   if (!client.connect()) _exit(kExitNoConnect);
   // A small migrating registry beats alongside the protocol loop, so the
@@ -507,6 +512,18 @@ Schedule make_schedule(std::uint64_t seed) {
                         static_cast<std::int64_t>(schedule.client_lifetime_s[which] * 1e6));
   while (std::chrono::steady_clock::now() < stop) {
     client.heartbeat();
+    client.poll(monotonic_seconds());
+    if (!client.connected()) {
+      // Evicted mid-run: this poll dropped the slot. Half the schedules
+      // re-join on the next poll — the reconnect-during-evict path — the
+      // rest stop cleanly.
+      if (!schedule.client_retry_on_loss[which] || retried) _exit(kExitLostSlot);
+      retried = true;
+      if (client.poll(monotonic_seconds()) != FailoverState::kAttached) _exit(kExitLostSlot);
+      // Fresh incarnation, fresh epoch space: never ack the old one's epochs.
+      enacted_epoch = 0;
+      enacted_target = agent::kUnconstrained;
+    }
     // Alternate the target node so every beat wants at least one move.
     datablocks.migrate_toward({flip % 2, (flip + 1) % 2}, 1u << 16);
     ++flip;
@@ -533,16 +550,6 @@ Schedule make_schedule(std::uint64_t seed) {
     tel.enacted_epoch = enacted_epoch;
     tel.enacted_target = enacted_target;
     client.channel()->push_telemetry(tel);
-    if (!client.check_connection()) {
-      // Evicted mid-run. Half the schedules immediately re-join — the
-      // reconnect-during-evict path — the rest stop cleanly.
-      if (!schedule.client_retry_on_loss[which] || retried) _exit(kExitLostSlot);
-      retried = true;
-      if (!client.reconnect()) _exit(kExitLostSlot);
-      // Fresh incarnation, fresh epoch space: never ack the old one's epochs.
-      enacted_epoch = 0;
-      enacted_target = agent::kUnconstrained;
-    }
     std::this_thread::sleep_for(5ms);
   }
   if (schedule.client_graceful[which]) {
@@ -569,6 +576,84 @@ bool exit_status_expected(int status) {
     default:
       return false;
   }
+}
+
+// The compliance ladder under fire: the sweep's daemon options and client
+// body, two forked clients living for seconds. "sweep-a" never acks, so it
+// climbs every rung — laggard, quarantine, failed readmission probes — to
+// the compliance eviction, sees it through poll() and stops. "sweep-b"'s
+// acks are stripped for its first 200 beats (about a second at 5 ms a
+// beat): past quarantine, which comes 0.5 s behind, and well before a
+// fourth offense, so a readmission probe readmits it.
+TEST_F(FaultDirected, ComplianceLadderRunsUnderFire) {
+  const auto registry_name = unique_registry("ladder");
+  const auto journal = unique_journal("ladder");
+  Schedule schedule;
+  schedule.client_spec[0] = "client.ack.suppress@count=0";
+  schedule.client_spec[1] = "client.ack.suppress@count=200";
+  for (int c = 0; c < 2; ++c) {
+    schedule.client_lifetime_s[c] = 4.0;
+    schedule.client_graceful[c] = true;
+  }
+  int status[2] = {-1, -1};
+  {
+    Daemon daemon(test_machine(), std::make_unique<agent::ModelGuidedPolicy>(),
+                  sweep_options(registry_name, journal));
+    ASSERT_TRUE(daemon.init());
+    pid_t children[2] = {-1, -1};
+    for (int c = 0; c < 2; ++c) {
+      children[c] = fork();
+      ASSERT_GE(children[c], 0);
+      if (children[c] == 0) run_sweep_client(schedule, c, registry_name);
+    }
+    int remaining = 2;
+    const auto wall_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(15);
+    while (remaining > 0 && std::chrono::steady_clock::now() < wall_deadline) {
+      daemon.tick(monotonic_seconds());
+      for (int c = 0; c < 2; ++c) {
+        if (children[c] >= 0 && waitpid(children[c], &status[c], WNOHANG) == children[c]) {
+          children[c] = -1;
+          --remaining;
+        }
+      }
+      std::this_thread::sleep_for(2ms);
+    }
+    for (const auto child : children) {
+      if (child < 0) continue;
+      ::kill(child, SIGKILL);
+      waitpid(child, nullptr, 0);
+      ADD_FAILURE() << "client wedged: pid " << child << " still alive at the wall deadline";
+    }
+  }
+  EXPECT_TRUE(WIFEXITED(status[0]) && WEXITSTATUS(status[0]) == kExitLostSlot) << status[0];
+  EXPECT_TRUE(WIFEXITED(status[1]) && WEXITSTATUS(status[1]) == kExitGraceful) << status[1];
+
+  // A compaction moves the journal's head to the side-file: read both.
+  auto entries = read_journal(journal + ".1");
+  for (auto& entry : read_journal(journal)) entries.push_back(std::move(entry));
+  const auto events_of = [&entries](const std::string& client) {
+    std::set<std::string> events;
+    for (const auto& entry : entries) {
+      if (journal_field(entry.raw, "client").value_or("").find(client) != std::string::npos) {
+        events.insert(entry.event);
+      }
+    }
+    return events;
+  };
+  const auto defiant = events_of("sweep-a");
+  for (const char* rung :
+       {"laggard", "quarantine", "readmission-probe", "probe-failed", "compliance-evict"}) {
+    EXPECT_TRUE(defiant.count(rung) > 0) << "sweep-a never reached " << rung;
+  }
+  const auto redeemed = events_of("sweep-b");
+  for (const char* rung : {"laggard", "quarantine", "readmit"}) {
+    EXPECT_TRUE(redeemed.count(rung) > 0) << "sweep-b never reached " << rung;
+  }
+  EXPECT_EQ(redeemed.count("compliance-evict"), 0u);
+  check_journal_consistency(entries);
+  check_foreign_fences_released(entries);
+  std::remove(journal.c_str());
+  std::remove((journal + ".1").c_str());
 }
 
 class FaultSweep : public ::testing::TestWithParam<std::uint32_t> {

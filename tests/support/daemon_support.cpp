@@ -29,15 +29,20 @@ std::size_t count_events(const std::vector<JournalEntry>& entries, const std::st
   return n;
 }
 
-bool connect_with_ticks(DaemonClient& client, Daemon& daemon, double& now) {
+bool join_with_ticks(FailoverClient& client, Daemon& daemon, double& now,
+                     const std::function<bool()>& join) {
   bool ok = false;
-  std::thread joiner([&] { ok = client.connect(); });
+  std::thread joiner([&] { ok = join(); });
   for (int i = 0; i < 2000 && !client.connected(); ++i) {
     daemon.tick(now += 0.001);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   joiner.join();
   return ok;
+}
+
+bool connect_with_ticks(FailoverClient& client, Daemon& daemon, double& now) {
+  return join_with_ticks(client, daemon, now, [&client] { return client.connect(); });
 }
 
 std::unique_ptr<SimFleet> SimFleet::open(const std::string& registry_name,

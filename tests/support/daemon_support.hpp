@@ -7,14 +7,15 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "agent/policy.hpp"
 #include "agent/shm_channel.hpp"
-#include "daemon/client.hpp"
 #include "daemon/daemon.hpp"
+#include "daemon/failover.hpp"
 #include "daemon/journal.hpp"
 #include "daemon/registry.hpp"
 
@@ -31,10 +32,15 @@ std::string unique_journal(const std::string& tag);
 /// How many journal entries carry this event name.
 std::size_t count_events(const std::vector<JournalEntry>& entries, const std::string& event);
 
-/// Run client.connect() on a thread while ticking the daemon by hand, 1 ms
-/// of virtual time per tick: activation needs a daemon tick, so one thread
-/// would deadlock. Returns connect()'s result.
-bool connect_with_ticks(DaemonClient& client, Daemon& daemon, double& now);
+/// Run `join` (a blocking connect(), or the poll() that rejoins) on a
+/// thread while ticking the daemon by hand, 1 ms of virtual time per tick,
+/// until the client is connected: activation needs a daemon tick, so one
+/// thread would deadlock. Returns `join`'s result.
+bool join_with_ticks(FailoverClient& client, Daemon& daemon, double& now,
+                     const std::function<bool()>& join);
+
+/// join_with_ticks with client.connect().
+bool connect_with_ticks(FailoverClient& client, Daemon& daemon, double& now);
 
 /// Answers every app with Directive::none(): keeps the partition solver out
 /// of runs whose subject is membership, ingest and the tick path.
@@ -69,7 +75,7 @@ class ClearOncePolicy final : public agent::Policy {
 
 /// Simulated clients driven from the caller's thread through a second
 /// mapping of a daemon's registry. Each speaks the slot protocol as
-/// DaemonClient does (claim, heartbeat, kLeaving CAS plus attention bit) but
+/// FailoverClient does (claim, heartbeat, kLeaving CAS plus attention bit) but
 /// never blocks on activation, so one thread ticks the daemon and the fleet.
 class SimFleet {
  public:
